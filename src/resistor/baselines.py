@@ -44,6 +44,9 @@ class RDEstimate:
     ``iterations`` counts the method's outer iterations, ``touched_edges``
     the number of arc relaxations performed (the work measure reported by
     the benchmark CLI), and ``wall_time`` the elapsed seconds.
+    ``healthy`` is false when the Lanczos estimators (``lz``, ``lzpush``)
+    ended with an indefinite I - T, i.e. a Ritz value at or above 1, where
+    ``value`` cannot be trusted.
     """
 
     value: float
@@ -51,6 +54,7 @@ class RDEstimate:
     touched_edges: int
     wall_time: float
     method: str
+    healthy: bool = True
 
 
 def _check_pair(g: Graph, s: int, t: int) -> None:

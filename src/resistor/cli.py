@@ -22,11 +22,12 @@ import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import click
 import numpy as np
 
-from .baselines import exact_rd, power_method_rd, random_walk_rd
+from .baselines import RDEstimate, exact_rd, power_method_rd, random_walk_rd
 from .errors import (
     EmptyGraphError,
     GraphFormatError,
@@ -43,8 +44,6 @@ from .spectral import estimate_spectrum
 EXIT_USAGE = 2
 EXIT_NUMERICAL = 3
 EXIT_IO = 4
-
-METHODS = ("exact", "pm", "rw", "lz", "lzpush")
 
 BENCH_COLUMNS = ("method", "param", "pair", "abs_err", "seconds", "touched_edges")
 
@@ -166,28 +165,68 @@ def parse_bench_csv(text: str):
 # ---------------------------------------------------------------------------
 
 
-def _run_method(g: Graph, method: str, s: int, t: int, params: dict):
-    """Run one estimator; returns (value, iterations, touched, seconds, extra)."""
-    if method == "exact":
-        t0 = time.perf_counter()
-        value = exact_rd(g, s, t)
-        return value, 0, 0, time.perf_counter() - t0, {}
-    if method == "pm":
-        est = power_method_rd(g, s, t, params["l"])
-        return est.value, est.iterations, est.touched_edges, est.wall_time, {}
-    if method == "rw":
-        est = random_walk_rd(g, s, t, params["l"], params["nr"], params["seed"])
-        return est.value, est.iterations, est.touched_edges, est.wall_time, {}
-    if method == "lz":
-        est, run = lanczos_rd(g, s, t, params["k"])
-        extra = {"k_effective": run.k_effective, "breakdown": run.breakdown}
-        return est.value, est.iterations, est.touched_edges, est.wall_time, extra
-    if method == "lzpush":
-        cfg = PushConfig(k=params["k"], epsilon=params["eps"])
-        est, _, stats = lanczos_push_rd(g, s, t, cfg)
-        extra = {"peak_support": stats.peak_support}
-        return est.value, est.iterations, est.touched_edges, est.wall_time, extra
-    raise ValueError(f"unknown method {method!r}")
+def _run_exact(g: Graph, s: int, t: int, params: dict):
+    t0 = time.perf_counter()
+    value = exact_rd(g, s, t)
+    return RDEstimate(value, 0, 0, time.perf_counter() - t0, "exact"), {}
+
+
+def _run_pm(g: Graph, s: int, t: int, params: dict):
+    return power_method_rd(g, s, t, params["l"]), {}
+
+
+def _run_rw(g: Graph, s: int, t: int, params: dict):
+    return random_walk_rd(g, s, t, params["l"], params["nr"], params["seed"]), {}
+
+
+def _run_lz(g: Graph, s: int, t: int, params: dict):
+    est, run = lanczos_rd(g, s, t, params["k"])
+    return est, {"k_effective": run.k_effective, "breakdown": run.breakdown}
+
+
+def _run_lzpush(g: Graph, s: int, t: int, params: dict):
+    cfg = PushConfig(k=params["k"], epsilon=params["eps"])
+    est, _, stats = lanczos_push_rd(g, s, t, cfg)
+    return est, {"peak_support": stats.peak_support}
+
+
+class Method(NamedTuple):
+    """An estimator of the CLI.  ``run(g, s, t, params)`` returns the
+    estimate and the extra fields of its query record; ``grid(grids, seed)``
+    maps the parsed ``--*-grid`` values to the ``bench`` tasks, as
+    (param string, params, sort key) triples."""
+
+    run: Callable
+    grid: Callable
+
+
+METHODS = {
+    "exact": Method(_run_exact, lambda grids, seed: [("dense", {}, (0.0,))]),
+    "pm": Method(
+        _run_pm,
+        lambda grids, seed: [(f"l={l}", {"l": l}, (float(l),)) for l in grids["l"]],
+    ),
+    "rw": Method(
+        _run_rw,
+        lambda grids, seed: [
+            (f"l={l};nr={nr}", {"l": l, "nr": nr, "seed": seed}, (float(l), float(nr)))
+            for l in grids["l"]
+            for nr in grids["nr"]
+        ],
+    ),
+    "lz": Method(
+        _run_lz,
+        lambda grids, seed: [(f"k={k}", {"k": k}, (float(k),)) for k in grids["k"]],
+    ),
+    "lzpush": Method(
+        _run_lzpush,
+        lambda grids, seed: [
+            (f"k={k};eps={eps:g}", {"k": k, "eps": eps}, (float(k), eps))
+            for k in grids["k"]
+            for eps in grids["eps"]
+        ],
+    ),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +258,7 @@ _out_opt = click.option(
 @click.argument("s", type=int)
 @click.argument("t", type=int)
 @click.option(
-    "--method", type=click.Choice(METHODS), default="exact", show_default=True
+    "--method", type=click.Choice(list(METHODS)), default="exact", show_default=True
 )
 @click.option("--l", "l", type=int, default=200, show_default=True,
               help="Iterations for pm / walk length for rw.")
@@ -243,23 +282,30 @@ def query(graph_path, s, t, method, l, k, eps, nr, seed, weighted, fmt, out):
     si = _resolve_vertex(g, s)
     ti = _resolve_vertex(g, t)
     params = {"l": l, "k": k, "eps": eps, "nr": nr, "seed": seed}
-    value, iters, touched, seconds, extra = _run_method(g, method, si, ti, params)
+    est, extra = METHODS[method].run(g, si, ti, params)
     record = {
         "s": s,
         "t": t,
         "method": method,
-        "value": value,
-        "iterations": iters,
-        "touched_edges": touched,
-        "seconds": seconds,
+        "value": est.value,
+        "iterations": est.iterations,
+        "touched_edges": est.touched_edges,
+        "seconds": est.wall_time,
+        "healthy": est.healthy,
     }
     record.update(extra)
     _emit(_record_text(record, fmt), out)
     click.echo(
-        f"r({s}, {t}) ~= {value:.10g}  [{method}, {iters} iterations, "
-        f"{seconds:.3f}s]",
+        f"r({s}, {t}) ~= {est.value:.10g}  [{method}, {est.iterations} "
+        f"iterations, {est.wall_time:.3f}s]",
         err=True,
     )
+    if not est.healthy:
+        _fail(
+            EXIT_NUMERICAL,
+            "I - T is indefinite (a Ritz value at or above 1); the estimate "
+            "cannot be trusted, try fewer iterations or a smaller --eps",
+        )
 
 
 @cli.command()
@@ -510,43 +556,11 @@ def _parse_grid(text: str, kind, name: str):
     return values
 
 
-def _bench_tasks(methods, l_grid, k_grid, eps_grid, nr_grid, seed):
+def _bench_tasks(methods, grids: dict, seed: int):
     """The (method, param-string, params, sort-key) grid, in a canonical order."""
-    tasks = []
-    for method in methods:
-        if method == "exact":
-            tasks.append((method, "dense", {}, (0.0,)))
-        elif method == "pm":
-            for l in l_grid:
-                tasks.append((method, f"l={l}", {"l": l}, (float(l),)))
-        elif method == "rw":
-            for l in l_grid:
-                for nr in nr_grid:
-                    tasks.append(
-                        (
-                            method,
-                            f"l={l};nr={nr}",
-                            {"l": l, "nr": nr, "seed": seed},
-                            (float(l), float(nr)),
-                        )
-                    )
-        elif method == "lz":
-            for k in k_grid:
-                tasks.append((method, f"k={k}", {"k": k}, (float(k),)))
-        elif method == "lzpush":
-            for k in k_grid:
-                for eps in eps_grid:
-                    tasks.append(
-                        (
-                            method,
-                            f"k={k};eps={eps:g}",
-                            {"k": k, "eps": eps},
-                            (float(k), eps),
-                        )
-                    )
-        else:
-            raise ValueError(f"unknown method {method!r}")
-    return tasks
+    return [
+        (method, *task) for method in methods for task in METHODS[method].grid(grids, seed)
+    ]
 
 
 _WORKER_GRAPH = None
@@ -560,14 +574,14 @@ def _init_worker(graph: Graph):
 def _bench_one(job):
     method, params, s, t = job
     g = _WORKER_GRAPH
-    value, _, touched, seconds, _ = _run_method(g, method, s, t, params)
-    return value, touched, seconds
+    est, _ = METHODS[method].run(g, s, t, params)
+    return est.value, est.touched_edges, est.wall_time
 
 
 @cli.command()
 @_graph_arg
 @click.option("--methods", default="pm,lz,lzpush", show_default=True,
-              help="Comma-separated subset of exact,pm,rw,lz,lzpush.")
+              help=f"Comma-separated subset of {','.join(METHODS)}.")
 @click.option("--pairs", "pair_count", type=int, default=50, show_default=True)
 @click.option("--policy", type=click.Choice(["uniform-random", "top-degree"]),
               default="uniform-random", show_default=True)
@@ -609,10 +623,12 @@ def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
             raise ValueError(f"unknown method {m!r} in --methods")
     if not method_list:
         raise ValueError("--methods selected nothing")
-    l_vals = _parse_grid(l_grid, int, "l-grid")
-    k_vals = _parse_grid(k_grid, int, "k-grid")
-    eps_vals = _parse_grid(eps_grid, float, "eps-grid")
-    nr_vals = _parse_grid(nr_grid, int, "nr-grid")
+    grids = {
+        "l": _parse_grid(l_grid, int, "l-grid"),
+        "k": _parse_grid(k_grid, int, "k-grid"),
+        "eps": _parse_grid(eps_grid, float, "eps-grid"),
+        "nr": _parse_grid(nr_grid, int, "nr-grid"),
+    }
     qs = build_query_set(g, pair_count, policy, seed, cross)
 
     # ground truth per pair (dense when small, long power method otherwise)
@@ -631,7 +647,7 @@ def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
                     f"budget {budget:.1f}s; raise --budget or lower --pairs",
                 )
 
-    grid = _bench_tasks(method_list, l_vals, k_vals, eps_vals, nr_vals, seed)
+    grid = _bench_tasks(method_list, grids, seed)
     jobs_list = []
     for method, param, params, sort_key in grid:
         for s, t in qs.pairs:

@@ -94,6 +94,11 @@ class Graph:
         return float(self.sqrt_degrees.min())
 
     @cached_property
+    def arc_sources(self) -> np.ndarray:
+        """Source vertex of every arc, aligned with ``neighbors``."""
+        return np.repeat(np.arange(self.node_count), np.diff(self.offsets))
+
+    @cached_property
     def inv_sqrt_degrees(self) -> np.ndarray:
         """1 / sqrt(weighted degree), used by the normalized operators."""
         return 1.0 / self.sqrt_degrees

@@ -8,13 +8,14 @@ adjacency W:
 * transition matrix     P = W D^{-1}             (column stochastic),
 * lazy walk             (I + P) / 2.
 
-All operators work on dense float64 vectors; the push machinery has its own
-sparse path built on :class:`SparseVector`.
+The graph operators work on dense float64 vectors of length n, except the
+pruned product :func:`amv` and :func:`restrict`, which work on the sorted
+index and value arrays of a :class:`SparseVector`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,6 +28,8 @@ __all__ = [
     "apply_normalized_adjacency",
     "apply_transition",
     "apply_lazy_walk",
+    "amv",
+    "restrict",
     "tridiag_solve_e1",
     "tridiag_eigen_range",
     "chebyshev_t",
@@ -38,41 +41,55 @@ _PIVOT_FLOOR = 1e-14
 
 @dataclass
 class SparseVector:
-    """A sparse vector as a mapping ``index -> value``.
+    """A sparse vector as sorted index and value arrays.
 
-    Entries never store an exact zero; arithmetic helpers drop entries that
-    cancel.  ``dim`` is the ambient dimension, kept for shape checks.
+    ``idx`` holds the support in ascending order and ``val`` the matching
+    values; an exact zero is never stored.  ``dim`` is the ambient
+    dimension, kept for shape checks.
     """
 
-    entries: dict = field(default_factory=dict)
-    dim: int = 0
+    idx: np.ndarray
+    val: np.ndarray
+    dim: int
 
     @classmethod
     def from_dense(cls, v: np.ndarray) -> "SparseVector":
-        entries = {int(i): float(x) for i, x in enumerate(v) if x != 0.0}
-        return cls(entries, len(v))
+        idx = np.flatnonzero(v)
+        return cls(idx, v[idx], len(v))
+
+    @classmethod
+    def from_mapping(cls, entries, dim: int) -> "SparseVector":
+        """From a ``{index: value}`` mapping; zero values are dropped."""
+        idx = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
+        val = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
+        order = np.argsort(idx)
+        idx, val = idx[order], val[order]
+        keep = val != 0.0
+        return cls(idx[keep], val[keep], dim)
 
     def to_dense(self) -> np.ndarray:
         out = np.zeros(self.dim)
-        for i, x in self.entries.items():
-            out[i] = x
+        out[self.idx] = self.val
         return out
 
     def get(self, i: int) -> float:
-        return self.entries.get(i, 0.0)
+        pos = np.searchsorted(self.idx, i)
+        if pos < len(self.idx) and self.idx[pos] == i:
+            return float(self.val[pos])
+        return 0.0
 
-    def support(self):
-        return self.entries.keys()
+    def support(self) -> np.ndarray:
+        return self.idx
 
     @property
     def nnz(self) -> int:
-        return len(self.entries)
+        return len(self.idx)
 
     def norm1(self) -> float:
-        return float(sum(abs(x) for x in self.entries.values()))
+        return float(np.abs(self.val).sum())
 
     def norm2(self) -> float:
-        return float(np.sqrt(sum(x * x for x in self.entries.values())))
+        return float(np.sqrt(self.val @ self.val))
 
 
 @dataclass
@@ -127,8 +144,12 @@ def apply_normalized_adjacency(g: Graph, v: np.ndarray) -> np.ndarray:
     """Return ``A v`` for the normalized adjacency A = D^{-1/2} W D^{-1/2}."""
     v = _check_dim(g, v)
     scaled = v * g.inv_sqrt_degrees
-    contrib = g.weights * scaled[g.neighbors]
-    return np.add.reduceat(contrib, g.offsets[:-1]) * g.inv_sqrt_degrees
+    contrib = scaled[g.neighbors]
+    if not g.is_unweighted:
+        contrib *= g.weights
+    # one pass over the arcs; np.add.reduceat pays a fixed cost per row,
+    # which dominates on low-degree graphs
+    return np.bincount(g.arc_sources, contrib, g.node_count) * g.inv_sqrt_degrees
 
 
 def apply_transition(g: Graph, v: np.ndarray) -> np.ndarray:
@@ -143,6 +164,51 @@ def apply_lazy_walk(g: Graph, v: np.ndarray) -> np.ndarray:
     """Return ``(I + P) v / 2``, one step of the lazy random walk."""
     v = _check_dim(g, v)
     return 0.5 * (v + apply_transition(g, v))
+
+
+def relax_arcs(g: Graph, v: SparseVector, eps: float):
+    """The pruned product of :func:`amv` and the number of arcs it relaxed.
+
+    One vectorised pass: gather the CSR slices of the sources that can
+    relax any arc, mask the arcs below threshold, and sum the survivors
+    per target.  Returns ``(SparseVector, relaxed)``.
+    """
+    inv_sqrt, sqrt_d = g.inv_sqrt_degrees, g.sqrt_degrees
+    # no arc of u relaxes unless |v(u)| beats the lightest threshold any
+    # arc can have
+    live = np.abs(v.val) > eps * sqrt_d[v.idx] * g.min_sqrt_degree
+    src, x = v.idx[live], v.val[live]
+    starts = g.offsets[src]
+    count = g.offsets[src + 1] - starts
+    # positions of the arcs of every live source, slice after slice
+    arc = np.repeat(starts + count - np.cumsum(count), count) + np.arange(count.sum())
+    src, x, nb = np.repeat(src, count), np.repeat(x, count), g.neighbors[arc]
+    keep = np.abs(x) > eps * sqrt_d[src] * sqrt_d[nb]
+    src, x, nb, wt = src[keep], x[keep], nb[keep], g.weights[arc[keep]]
+    targets, slot = np.unique(nb, return_inverse=True)
+    sums = np.bincount(slot, (x * inv_sqrt[src]) * (wt * inv_sqrt[nb]), len(targets))
+    nonzero = sums != 0.0
+    return SparseVector(targets[nonzero], sums[nonzero], g.node_count), len(nb)
+
+
+def amv(g: Graph, v: SparseVector, eps: float) -> SparseVector:
+    """Approximate matrix-vector product with the normalized adjacency.
+
+    Relaxes an arc (u, x) iff |v(u)| > eps * sqrt(d_u * d_x) (strict),
+    adding v(u) * w(u, x) / sqrt(d_u * d_x) at x.  With ``eps = 0`` this
+    is the exact product over the support of ``v``.
+    """
+    if eps < 0.0:
+        raise ValueError("eps must be >= 0")
+    return relax_arcs(g, v, eps)[0]
+
+
+def restrict(v: SparseVector, g: Graph, eps: float) -> SparseVector:
+    """Keep only the significant entries: those with |v(u)| > eps * d_u."""
+    if eps < 0.0:
+        raise ValueError("eps must be >= 0")
+    keep = np.abs(v.val) > eps * g.weighted_degrees[v.idx]
+    return SparseVector(v.idx[keep], v.val[keep], v.dim)
 
 
 # ---------------------------------------------------------------------------

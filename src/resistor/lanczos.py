@@ -1,4 +1,4 @@
-"""Global Lanczos estimator for single-pair resistance distance.
+"""The Lanczos recurrence, and the global Lanczos estimators built on it.
 
 The resistance distance can be written in the normalized adjacency A as
 
@@ -10,31 +10,51 @@ eigenvector of A, k steps of the Lanczos recurrence reduce the quadratic
 form to e_1^T (I - T)^{-1} e_1 on the k x k tridiagonal Rayleigh quotient
 T, computable in O(k) once T is known.
 
-Only three dense vectors are kept at any time.  The two-pass potential
-solver repeats the identical recurrence instead of storing the basis, so
-both passes see bit-identical coefficients.
+:func:`run_recurrence` is the one three-term recurrence of the package.
+With ``eps = 0`` it multiplies by A itself and is the global method
+(``lz``, :func:`lanczos_rd`, and both passes of :func:`lanczos_potential`);
+with ``eps > 0`` it multiplies by the pruned operator of
+:func:`resistor.kernels.amv` and is Lanczos Push (``lzpush``, see
+:mod:`resistor.push`).  Only three vectors are kept at any time.  The
+two-pass potential solver repeats the identical recurrence instead of
+storing the basis, so both passes see bit-identical coefficients.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .baselines import RDEstimate, _check_pair
 from .graph import Graph
-from .kernels import TridiagonalMatrix, apply_normalized_adjacency, tridiag_solve_e1
+from .kernels import (
+    SparseVector,
+    TridiagonalMatrix,
+    _sturm_count_below,
+    apply_normalized_adjacency,
+    relax_arcs,
+    restrict,
+    tridiag_solve_e1,
+)
 
 __all__ = [
     "LanczosRun",
+    "PushStats",
     "lanczos_rd",
     "lanczos_potential",
     "lanczos_iteration_bound",
+    "run_recurrence",
+    "solve_checked",
 ]
 
 BREAKDOWN_TOL = 1e-14
+
+# The support of a dense iterate (eps = 0): its nonzero entries, found by
+# mask where needed.  As an index it selects the whole vector.
+_DENSE = slice(None)
 
 
 @dataclass
@@ -54,6 +74,33 @@ class LanczosRun:
     breakdown: bool
 
 
+@dataclass
+class PushStats:
+    """Per-iteration and aggregate work counters for one recurrence.
+
+    ``edges_relaxed[i]`` counts arc relaxations in the product of
+    iteration i + 1 (every arc, 2m, at eps = 0); ``touched_edges`` is their
+    total.  ``support_sizes`` and ``subset_sizes`` count the nonzero
+    entries of v_i and the significant set S_i.  ``extra_ops`` counts the
+    O(support) bookkeeping (u_1 projections, subtractions and inner
+    products), kept separate from edge work.  ``c2_terms`` and
+    ``delta_degree_ratios`` are filled only when stats collection is on:
+    the former holds ||v_i||_1 + ||A v_i^+||_1 + ||A v_i^-||_1 per
+    iteration, the latter max_u |delta_i(u)| / d_u for the recurrence
+    residual delta_i.
+    """
+
+    n: int = 0
+    subset_sizes: list = field(default_factory=list)
+    support_sizes: list = field(default_factory=list)
+    edges_relaxed: list = field(default_factory=list)
+    c2_terms: list = field(default_factory=list)
+    delta_degree_ratios: list = field(default_factory=list)
+    touched_edges: int = 0
+    extra_ops: int = 0
+    peak_support: int = 0
+
+
 def lanczos_iteration_bound(kappa: float, eps: float) -> int:
     """Iterations sufficient for the Lanczos estimator to reach error
     ``eps``: ``ceil(sqrt(kappa) ln(kappa / eps))``."""
@@ -62,79 +109,190 @@ def lanczos_iteration_bound(kappa: float, eps: float) -> int:
     return max(1, math.ceil(math.sqrt(kappa) * math.log(kappa / eps)))
 
 
-def _recurrence(g: Graph, s: int, t: int, k: int, visit=None, reorthogonalize=False):
-    """Run k steps of Lanczos on A from the s,t start vector.
+def _project_u1(w: np.ndarray, supp, sqrt_d: np.ndarray) -> int:
+    """Project u_1 ~ D^{1/2} 1 out of w over w's own support, in place.
 
-    ``visit(i, v_i)`` is called with every basis vector as it is formed
-    (i starting at 1); callers must not mutate ``v_i``.  Returns
-    ``(alphas, betas, k_effective, breakdown, v1_scale)`` where ``betas``
-    holds the off-diagonals beta_2..beta_{k_effective}.
+    Subtracts c * D^{1/2} 1 restricted to the support, with
+    c = <D^{1/2} 1, w> / sum_{u in supp w} d_u.  The result is exactly
+    orthogonal to u_1 in real arithmetic and keeps the support unchanged.
+    Returns the support size.
+    """
+    if supp is _DENSE:
+        nonzero = w != 0.0
+        size = int(np.count_nonzero(nonzero))
+        sd = sqrt_d if size == len(w) else sqrt_d * nonzero
+    else:
+        sd, size = sqrt_d[supp], len(supp)
+    if size:
+        w[supp] -= (float(sd @ w[supp]) / float(sd @ sd)) * sd
+    return size
 
-    The function is deterministic: re-running it with the same arguments
-    replays the identical float sequence, which lanczos_potential relies
-    on for its store-nothing second pass.
 
-    The top eigenvector of A is known in closed form (u_1 proportional to
-    D^{1/2} 1).  The start vector is orthogonal to it, but rounding leaks
-    a u_1 component that every normalization by 1/beta amplifies; run
-    long enough (k near n, or a few dozen steps on ill-conditioned
-    graphs) and T grows a spurious eigenvalue at 1, making (I - T)
-    singular.  Projecting u_1 back out after each matvec is exact in real
-    arithmetic and suppresses the drift without storing any basis.
+def _orthogonal_to_u1(sqrt_d: np.ndarray, v: SparseVector) -> bool:
+    """Whether a start vector is orthogonal to u_1, up to rounding."""
+    terms = sqrt_d[v.idx] * v.val
+    return abs(float(terms.sum())) <= 1e-12 * float(np.linalg.norm(terms))
+
+
+def run_recurrence(
+    g: Graph,
+    v1: SparseVector,
+    k: int,
+    eps: float = 0.0,
+    s_overrides=None,
+    visit=None,
+    collect_stats: bool = False,
+):
+    """Run k steps of the (pruned) Lanczos recurrence from the unit vector v1.
+
+    Each iteration forms w = A~ v_i with A~ = A at ``eps = 0`` and the
+    pruned operator of :func:`amv` otherwise, projects u_1 out of it,
+    subtracts beta_i v_{i-1} on S_{i-1} and alpha_i v_i on S_i, where
+    S_i = {u : |v_i(u)| > eps * d_u} (:func:`restrict`; all of v_i at
+    eps = 0), projects u_1 out again and normalizes.  Both projections
+    run over the vector's own nonzero support, and only when v1 is
+    orthogonal to u_1; a v1 with a u_1 component runs unprojected.
+
+    ``s_overrides`` maps an iteration number (1-based) to the significant
+    set to use at that iteration instead of the threshold rule.
+    ``visit(i, supp, v)`` is called with every basis vector as it is
+    formed (i starting at 1): ``v`` is a dense n-vector and ``supp`` its
+    support, an index array, or ``slice(None)`` at eps = 0.  Callers must
+    not mutate or keep ``v``.
+
+    Returns ``(alphas, betas, first_row, breakdown, stats)``: ``betas``
+    holds beta_2..beta_{k_effective}, ``first_row`` the products
+    v_1^T v_j and ``stats`` the :class:`PushStats` work counters.
+
+    Iterates are dense buffers with their sorted support.  At eps > 0
+    every step but the buffer allocation costs O(support); at eps = 0
+    every step is a dense pass.  The function is deterministic: re-running
+    it with the same arguments replays the identical float sequence,
+    which :func:`lanczos_potential` relies on for its store-nothing second
+    pass.
     """
     n = g.node_count
-    sqrt_d = g.sqrt_degrees
-    total_d = float(g.weighted_degrees.sum())
+    deg, sqrt_d = g.weighted_degrees, g.sqrt_degrees
+    deflate = _orthogonal_to_u1(sqrt_d, v1)
+    dense = eps == 0.0
     v = np.zeros(n)
-    v[s] = g.inv_sqrt_degrees[s]
-    v[t] = -g.inv_sqrt_degrees[t]
-    scale = float(np.linalg.norm(v))
-    v = v / scale
-    if visit is not None:
-        visit(1, v)
-    basis = [v.copy()] if reorthogonalize else None
-    v_prev = np.zeros(n)
+    v[v1.idx] = v1.val
+    supp = _DENSE if dense else v1.idx
+    v_prev, supp_prev = np.zeros(n), v1.idx[:0]
+    spare = None if dense else np.zeros(n)
+    s_prev = supp_prev
+    size = len(v1.idx)
     beta = 0.0
     alphas: list = []
     betas: list = []
+    first_row = [float(v1.val @ v1.val)]
+    stats = PushStats(n=n)
     breakdown = False
+    if visit is not None:
+        visit(1, supp, v)
     for i in range(1, k + 1):
-        w = apply_normalized_adjacency(g, v)
-        w -= (float(sqrt_d @ w) / total_d) * sqrt_d
+        stats.support_sizes.append(size)
+        if s_overrides is not None and i in s_overrides:
+            s_cur = np.unique(np.asarray(list(s_overrides[i]), dtype=np.int64))
+        elif dense:
+            s_cur = supp
+        else:
+            s_cur = restrict(SparseVector(supp, v[supp], n), g, eps).idx
+        stats.subset_sizes.append(
+            stats.support_sizes[-1] if s_cur is supp else len(s_cur)
+        )
+
+        if dense:
+            w = apply_normalized_adjacency(g, v)
+            relaxed = 2 * g.edge_count
+            prod_supp = _DENSE
+        else:
+            prod, relaxed = relax_arcs(g, SparseVector(supp, v[supp], n), eps)
+            w, spare = spare, None
+            w[prod.idx] = prod.val
+            prod_supp = prod.idx
+        stats.edges_relaxed.append(relaxed)
+        stats.touched_edges += relaxed
+        if deflate:
+            # alpha comes from the deflated product
+            stats.extra_ops += _project_u1(w, prod_supp, sqrt_d)
+
         if beta != 0.0:
-            w -= beta * v_prev
-        alpha = float(w @ v)
-        w -= alpha * v
+            w[s_prev] -= beta * v_prev[s_prev]
+            stats.extra_ops += stats.subset_sizes[-2]
+        alpha = float(w[supp] @ v[supp])
         alphas.append(alpha)
-        if reorthogonalize:
-            for b in basis:
-                w -= (w @ b) * b
-        beta_next = float(np.linalg.norm(w))
+        w[s_cur] -= alpha * v[s_cur]
+        stats.extra_ops += stats.support_sizes[-1] + stats.subset_sizes[-1]
+
+        supp_w = _DENSE
+        if not dense:
+            candidates = np.unique(np.concatenate((prod_supp, s_prev, s_cur)))
+            supp_w = candidates[w[candidates] != 0.0]
+        if deflate:
+            # the S_i-restricted subtractions put u_1 mass back
+            size_w = _project_u1(w, supp_w, sqrt_d)
+            stats.extra_ops += size_w
+        else:
+            size_w = int(np.count_nonzero(w)) if dense else len(supp_w)
+
+        if collect_stats:
+            # residual against the exact recurrence, dense (opt-in, O(n))
+            a_pos = apply_normalized_adjacency(g, np.maximum(v, 0.0))
+            a_neg = apply_normalized_adjacency(g, np.maximum(-v, 0.0))
+            exact = a_pos - a_neg - alpha * v - beta * v_prev
+            stats.delta_degree_ratios.append(float(np.max(np.abs(w - exact) / deg)))
+            stats.c2_terms.append(
+                float(np.abs(v).sum() + np.abs(a_pos).sum() + np.abs(a_neg).sum())
+            )
+
+        beta_next = math.sqrt(float(w[supp_w] @ w[supp_w]))
         if i == k:
             break
         if beta_next < BREAKDOWN_TOL:
             breakdown = True
             break
         betas.append(beta_next)
-        v_prev = v
-        v = w / beta_next
+        w[supp_w] /= beta_next
+        if not dense:
+            # recycle the buffer of v_{i-1}, zeroed on its support
+            v_prev[supp_prev] = 0.0
+            spare = v_prev
+        v_prev, supp_prev, s_prev = v, supp, s_cur
+        v, supp, size = w, supp_w, size_w
         beta = beta_next
-        if reorthogonalize:
-            basis.append(v.copy())
+        first_row.append(float(v1.val @ v[v1.idx]))
         if visit is not None:
-            visit(i + 1, v)
-    return alphas, betas, len(alphas), breakdown, scale
+            visit(i + 1, supp, v)
+    stats.peak_support = max(stats.support_sizes)
+    return np.asarray(alphas), np.asarray(betas), np.asarray(first_row), breakdown, stats
 
 
-def lanczos_rd(
-    g: Graph, s: int, t: int, k: int, reorthogonalize: bool = False
-) -> tuple:
+def definitional_start(g: Graph, s: int, t: int) -> SparseVector:
+    """The unit start vector, proportional to e_s / sqrt(d_s) - e_t / sqrt(d_t)."""
+    scale = math.sqrt(1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t])
+    entries = {s: g.inv_sqrt_degrees[s] / scale, t: -g.inv_sqrt_degrees[t] / scale}
+    return SparseVector.from_mapping(entries, g.node_count)
+
+
+def solve_checked(tmat: TridiagonalMatrix):
+    """Solve ``(I - T) y = e_1`` and check that I - T is positive definite.
+
+    Returns ``(y, healthy)``; ``healthy`` is false when T has an eigenvalue
+    at or above 1 (a Sturm count at 1, O(k)), where the quadrature the
+    estimators rely on no longer holds.  Raises :class:`SingularSystemError`
+    on a near-zero pivot, as :func:`tridiag_solve_e1` does.
+    """
+    y = tridiag_solve_e1(tmat)
+    below_one = _sturm_count_below(tmat.alpha, tmat.beta * tmat.beta, 1.0)
+    return y, below_one == tmat.order
+
+
+def lanczos_rd(g: Graph, s: int, t: int, k: int) -> tuple:
     """Estimate the resistance distance with k Lanczos iterations.
 
-    Returns ``(RDEstimate, LanczosRun)``.  ``reorthogonalize`` is a debug
-    flag that orthogonalizes each new vector against the full stored
-    basis; the production path keeps only three vectors and does not
-    reorthogonalize.
+    Returns ``(RDEstimate, LanczosRun)``.  The estimate is flagged
+    (``healthy`` false) when I - T is indefinite.
     """
     _check_pair(g, s, t)
     if k < 1:
@@ -143,20 +301,20 @@ def lanczos_rd(
     if s == t:
         run = LanczosRun(TridiagonalMatrix([0.0], []), 0, 0.0, False)
         return RDEstimate(0.0, 0, 0, time.perf_counter() - start, "lz"), run
-    alphas, betas, k_eff, breakdown, scale = _recurrence(
-        g, s, t, k, reorthogonalize=reorthogonalize
-    )
+    alphas, betas, _, breakdown, _ = run_recurrence(g, definitional_start(g, s, t), k)
     tmat = TridiagonalMatrix(alphas, betas)
-    x = tridiag_solve_e1(tmat)
-    value = (1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]) * x[0]
+    y, healthy = solve_checked(tmat)
+    scale_sq = 1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]
+    k_eff = len(alphas)
     est = RDEstimate(
-        value=float(value),
+        value=float(scale_sq * y[0]),
         iterations=k_eff,
         touched_edges=k_eff * 2 * g.edge_count,
         wall_time=time.perf_counter() - start,
         method="lz",
+        healthy=healthy,
     )
-    return est, LanczosRun(tmat, k_eff, scale, breakdown)
+    return est, LanczosRun(tmat, k_eff, math.sqrt(scale_sq), breakdown)
 
 
 def lanczos_potential(g: Graph, s: int, t: int, k: int) -> np.ndarray:
@@ -177,15 +335,16 @@ def lanczos_potential(g: Graph, s: int, t: int, k: int) -> np.ndarray:
         raise ValueError("iteration count k must be >= 1")
     if s == t:
         return np.zeros(g.node_count)
-    alphas, betas, k_eff, _, _ = _recurrence(g, s, t, k)
+    v1 = definitional_start(g, s, t)
+    alphas, betas, _, _, _ = run_recurrence(g, v1, k)
     y = tridiag_solve_e1(TridiagonalMatrix(alphas, betas))
 
     acc = np.zeros(g.node_count)
 
-    def visit(i: int, v: np.ndarray) -> None:
-        acc[:] += y[i - 1] * v
+    def visit(i: int, supp, v: np.ndarray) -> None:
+        acc[supp] += y[i - 1] * v[supp]
 
-    _recurrence(g, s, t, k, visit=visit)
+    run_recurrence(g, v1, k, visit=visit)
     scale = math.sqrt(
         1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]
     )

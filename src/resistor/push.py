@@ -1,24 +1,26 @@
-"""Local Lanczos estimator: the recurrence restricted to significant entries.
+"""Local Lanczos estimator (Lanczos Push): the recurrence on significant entries.
 
 This is the only estimator whose per-iteration cost depends on the local
-neighborhood of s and t instead of the whole graph.  It runs the same
-three-term recurrence as the global Lanczos method but
+neighborhood of s and t instead of the whole graph.  It is the one
+recurrence of :func:`resistor.lanczos.run_recurrence`, run with
+``eps > 0``, which
 
 * multiplies through a pruned operator that relaxes an arc (u, x) only
-  when |v(u)| > eps * sqrt(d_u d_x)  (see :func:`amv`),
+  when |v(u)| > eps * sqrt(d_u d_x)  (see :func:`resistor.kernels.amv`),
 * applies the alpha/beta subtractions only on the significant set
-  S_i = {u : |v_i(u)| > eps * d_u}, with S_{i-1} cached from the previous
-  iteration, and
+  S_i = {u : |v_i(u)| > eps * d_u}  (see :func:`resistor.kernels.restrict`),
+  with S_{i-1} cached from the previous iteration, and
 * projects the trivial eigenvector u_1 ~ D^{1/2} 1 out of the pruned
   product before alpha is taken, and again out of each new iterate,
-  each time over that vector's own support (see :func:`_deflate_u1`).
+  each time over that vector's own support.
 
-The global recurrence projects u_1 out densely after every matvec; here
-both the pruned matvec and the S_i-restricted subtractions put u_1 mass
-back, which would give T a spurious eigenvalue at 1.  The projections
-cost O(support) and are applied only when v_1 is orthogonal to u_1, as
-the definitional start always is; for such a start every iterate is
-then exactly orthogonal to u_1 in real arithmetic.
+With ``eps = 0`` the same recurrence multiplies by A itself and is the
+global method ``lz`` of :func:`resistor.lanczos.lanczos_rd`.  Both the
+pruned matvec and the S_i-restricted subtractions put u_1 mass back,
+which would give T a spurious eigenvalue at 1.  The projections cost
+O(support) and are applied only when v_1 is orthogonal to u_1, as the
+definitional start always is; for such a start every iterate is then
+exactly orthogonal to u_1 in real arithmetic.
 
 Degree-scaled thresholds make the pruning error at a vertex proportional
 to its degree, which is what keeps the recurrence residual controlled:
@@ -38,15 +40,16 @@ accumulated online; no second pass and no stored basis.
 
 Everything here assumes the spectrum-containment property of the perturbed
 matrix: eigenvalues of T must stay within [lambda_min(A), lambda_2(A)], in
-particular below 1 so that (I - T) is positive definite.
-:func:`check_assumption` verifies this for a finished run.
+particular below 1 so that (I - T) is positive definite.  Every estimate
+carries ``healthy``, false when I - T is indefinite;
+:func:`check_assumption` verifies the full containment for a finished run.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -58,17 +61,14 @@ from .kernels import (
     TridiagonalMatrix,
     chebyshev_walk_norms,
     tridiag_eigen_range,
-    tridiag_solve_e1,
 )
-from .lanczos import BREAKDOWN_TOL
+from .lanczos import PushStats, definitional_start, run_recurrence, solve_checked
 
 __all__ = [
     "PushConfig",
     "PushStats",
     "PushTrace",
     "AssumptionReport",
-    "amv",
-    "restrict",
     "lanczos_push_rd",
     "subset_recurrence_trace",
     "check_assumption",
@@ -82,10 +82,10 @@ __all__ = [
 class PushConfig:
     """Parameters of a push run.
 
-    ``epsilon = 0`` disables all pruning and reproduces the global Lanczos
-    recurrence exactly (up to summation order).  ``collect_stats`` turns on
-    the expensive diagnostics (exact matvecs per iteration) used by the
-    locality studies; leave it off for production runs.
+    ``epsilon = 0`` disables all pruning: the run is the global Lanczos
+    recurrence of ``lz``.  ``collect_stats`` turns on the expensive
+    diagnostics (exact matvecs per iteration) used by the locality
+    studies; leave it off for production runs.
     """
 
     k: int
@@ -100,33 +100,12 @@ class PushConfig:
 
 
 @dataclass
-class PushStats:
-    """Per-iteration and aggregate work counters for one push run.
-
-    ``edges_relaxed[i]`` counts arc relaxations in the pruned matvec of
-    iteration i + 1; ``touched_edges`` is their total.  ``extra_ops``
-    counts the O(support) bookkeeping (subtractions and inner products),
-    kept separate from edge work.  ``c2_terms`` and
-    ``delta_degree_ratios`` are filled only when stats collection is on:
-    the former holds ||v_i||_1 + ||A v_i^+||_1 + ||A v_i^-||_1 per
-    iteration, the latter max_u |delta_i(u)| / d_u for the recurrence
-    residual delta_i.
-    """
-
-    n: int = 0
-    subset_sizes: list = field(default_factory=list)
-    support_sizes: list = field(default_factory=list)
-    edges_relaxed: list = field(default_factory=list)
-    c2_terms: list = field(default_factory=list)
-    delta_degree_ratios: list = field(default_factory=list)
-    touched_edges: int = 0
-    extra_ops: int = 0
-    peak_support: int = 0
-
-
-@dataclass
 class PushTrace:
-    """Full record of a subset recurrence, for replay and diagnostics."""
+    """Full record of a subset recurrence, for replay and diagnostics.
+
+    ``vectors`` holds the basis vectors v_1, v_2, ... as
+    :class:`SparseVector` objects of their nonzero entries.
+    """
 
     alphas: np.ndarray
     betas: np.ndarray
@@ -157,247 +136,9 @@ class AssumptionReport:
     tol: float
 
 
-def _entries_of(v) -> dict:
-    if isinstance(v, SparseVector):
-        return v.entries
-    return v
-
-
-def _amv_entries(g: Graph, entries: dict, eps: float):
-    """Pruned normalized-adjacency matvec on a sparse entry dict.
-
-    Returns ``(out_entries, relaxed)`` where ``relaxed`` counts relaxed
-    arcs.  Deterministic: sources in insertion order, targets in CSR
-    (ascending) order.
-    """
-    offsets, neighbors, weights = g.offsets, g.neighbors, g.weights
-    inv_sqrt = g.inv_sqrt_degrees
-    sqrt_d = g.sqrt_degrees
-    out: dict = {}
-    relaxed = 0
-    items = entries.items()
-    if eps > 0.0 and entries:
-        # no arc of u relaxes unless |v(u)| beats the lightest threshold
-        # any arc can have; skipping the rest changes no output bit
-        idx, val = _nonzero_arrays(entries)
-        live = np.abs(val) > eps * sqrt_d[idx] * g.min_sqrt_degree
-        items = zip(idx[live].tolist(), val[live].tolist())
-    for u, val in items:
-        lo, hi = offsets[u], offsets[u + 1]
-        nb = neighbors[lo:hi]
-        wt = weights[lo:hi]
-        if eps > 0.0:
-            mask = abs(val) > eps * sqrt_d[u] * sqrt_d[nb]
-            if not mask.any():
-                continue
-            nb = nb[mask]
-            wt = wt[mask]
-        adds = (val * inv_sqrt[u]) * (wt * inv_sqrt[nb])
-        for x, a in zip(nb.tolist(), adds.tolist()):
-            out[x] = out.get(x, 0.0) + a
-        relaxed += len(nb)
-    return out, relaxed
-
-
-def amv(g: Graph, v: SparseVector, eps: float) -> SparseVector:
-    """Approximate matrix-vector product with the normalized adjacency.
-
-    Relaxes an arc (u, x) iff |v(u)| > eps * sqrt(d_u * d_x) (strict),
-    adding v(u) * w(u, x) / sqrt(d_u * d_x) at x.  With ``eps = 0`` this
-    is the exact product over the support of ``v``.
-    """
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
-    out, _ = _amv_entries(g, _entries_of(v), eps)
-    out = {u: x for u, x in out.items() if x != 0.0}
-    return SparseVector(out, g.node_count)
-
-
-def restrict(v: SparseVector, g: Graph, eps: float) -> SparseVector:
-    """Keep only the significant entries: those with |v(u)| > eps * d_u."""
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
-    deg = g.weighted_degrees
-    kept = {u: x for u, x in _entries_of(v).items() if abs(x) > eps * deg[u]}
-    return SparseVector(kept, g.node_count)
-
-
-def _dot_entries(a: dict, b: dict) -> float:
-    if len(a) > len(b):
-        a, b = b, a
-    total = 0.0
-    for u, x in a.items():
-        y = b.get(u)
-        if y is not None:
-            total += x * y
-    return total
-
-
-def _split_exact_matvec(g: Graph, entries: dict):
-    """Exact A v together with ||A v^+||_1 and ||A v^-||_1 (stats only)."""
-    pos = {u: x for u, x in entries.items() if x > 0.0}
-    neg = {u: -x for u, x in entries.items() if x < 0.0}
-    apos, _ = _amv_entries(g, pos, 0.0)
-    aneg, _ = _amv_entries(g, neg, 0.0)
-    exact = dict(apos)
-    for u, x in aneg.items():
-        exact[u] = exact.get(u, 0.0) - x
-    pos_l1 = sum(abs(x) for x in apos.values())
-    neg_l1 = sum(abs(x) for x in aneg.values())
-    return exact, float(pos_l1), float(neg_l1)
-
-
-def _orthogonal_to_u1(sqrt_d: np.ndarray, entries: dict) -> bool:
-    """Whether a start vector is orthogonal to u_1, up to rounding."""
-    idx, val = _nonzero_arrays(entries)
-    terms = sqrt_d[idx] * val
-    return abs(float(terms.sum())) <= 1e-12 * float(np.linalg.norm(terms))
-
-
-def _nonzero_arrays(entries: dict):
-    """The nonzero entries of a sparse dict as ``(index, value)`` arrays."""
-    idx = np.fromiter(entries.keys(), dtype=np.int64, count=len(entries))
-    val = np.fromiter(entries.values(), dtype=np.float64, count=len(entries))
-    keep = val != 0.0
-    return idx[keep], val[keep]
-
-
-def _deflate_u1(sqrt_d: np.ndarray, idx: np.ndarray, val: np.ndarray) -> np.ndarray:
-    """Project u_1 out of a sparse vector over the vector's own support.
-
-    Subtracts c * D^{1/2} 1 restricted to the support, with
-    c = <D^{1/2} 1, w> / sum_{u in supp w} d_u.  The result is exactly
-    orthogonal to u_1 in real arithmetic, keeps the support unchanged and
-    costs O(support).
-    """
-    if not len(idx):
-        return val
-    sd = sqrt_d[idx]
-    return val - (float(sd @ val) / float(sd @ sd)) * sd
-
-
-def _run_subset_recurrence(
-    g: Graph,
-    s: int,
-    t: int,
-    k: int,
-    eps: float,
-    v1_entries: dict,
-    s_overrides=None,
-    collect_stats: bool = False,
-    keep_vectors: bool = False,
-):
-    deg = g.weighted_degrees
-    sqrt_d = g.sqrt_degrees
-    deflate = _orthogonal_to_u1(sqrt_d, v1_entries)
-    stats = PushStats(n=g.node_count)
-    v_prev: dict = {}
-    v_cur = {u: x for u, x in v1_entries.items() if x != 0.0}
-    cur_idx, cur_val = _nonzero_arrays(v_cur)
-    s_prev: list = []  # S_0 is empty
-    beta = 0.0
-    alphas: list = []
-    betas: list = []
-    first_row = [_dot_entries(v1_entries, v_cur)]
-    vectors = [dict(v_cur)] if keep_vectors else None
-    stats.peak_support = len(v_cur)
-    breakdown = False
-
-    for i in range(1, k + 1):
-        stats.support_sizes.append(len(v_cur))
-        if s_overrides is not None and i in s_overrides:
-            s_cur = list(s_overrides[i])
-        else:
-            s_cur = cur_idx[np.abs(cur_val) > eps * deg[cur_idx]].tolist()
-        stats.subset_sizes.append(len(s_cur))
-
-        out, relaxed = _amv_entries(g, v_cur, eps)
-        stats.edges_relaxed.append(relaxed)
-        stats.touched_edges += relaxed
-        if deflate:
-            # as in the global recurrence, alpha comes from the deflated
-            # product
-            idx, w = _nonzero_arrays(out)
-            out = dict(zip(idx.tolist(), _deflate_u1(sqrt_d, idx, w).tolist()))
-            stats.extra_ops += len(idx)
-        if collect_stats:
-            pruned_av = dict(out)
-            exact_av, pos_l1, neg_l1 = _split_exact_matvec(g, v_cur)
-            norm1 = sum(abs(x) for x in v_cur.values())
-            stats.c2_terms.append(norm1 + pos_l1 + neg_l1)
-
-        if beta != 0.0:
-            for u in s_prev:
-                pv = v_prev.get(u, 0.0)
-                if pv != 0.0:
-                    out[u] = out.get(u, 0.0) - beta * pv
-            stats.extra_ops += len(s_prev)
-
-        alpha = _dot_entries(out, v_cur)
-        stats.extra_ops += min(len(out), len(v_cur))
-        alphas.append(alpha)
-        for u in s_cur:
-            cv = v_cur.get(u, 0.0)
-            if cv != 0.0:
-                out[u] = out.get(u, 0.0) - alpha * cv
-        stats.extra_ops += len(s_cur)
-
-        idx, w = _nonzero_arrays(out)
-        if deflate:
-            # the S_i-restricted subtractions put u_1 mass back
-            w = _deflate_u1(sqrt_d, idx, w)
-            stats.extra_ops += len(idx)
-
-        if collect_stats:
-            # residual against the exact recurrence:
-            #   delta = (pruned and deflated - exact matvec)
-            #         + alpha * v_i off S_i + beta * v_{i-1} off S_{i-1}
-            #         + the second u_1 projection
-            s_cur_set = set(s_cur)
-            s_prev_set = set(s_prev)
-            keys = set(pruned_av) | set(exact_av) | set(v_cur) | set(v_prev)
-            deflated = dict(zip(idx.tolist(), w.tolist()))
-            worst = 0.0
-            for u in keys:
-                d_val = pruned_av.get(u, 0.0) - exact_av.get(u, 0.0)
-                if u not in s_cur_set:
-                    d_val += alpha * v_cur.get(u, 0.0)
-                if u not in s_prev_set:
-                    d_val += beta * v_prev.get(u, 0.0)
-                d_val += deflated.get(u, 0.0) - out.get(u, 0.0)
-                worst = max(worst, abs(d_val) / deg[u])
-            stats.delta_degree_ratios.append(worst)
-
-        beta_next = math.sqrt(float(w @ w))
-        if i == k:
-            break
-        if beta_next < BREAKDOWN_TOL:
-            breakdown = True
-            break
-        betas.append(beta_next)
-        v_prev = v_cur
-        s_prev = s_cur
-        cur_idx, cur_val = idx, w / beta_next
-        v_cur = dict(zip(cur_idx.tolist(), cur_val.tolist()))
-        stats.peak_support = max(stats.peak_support, len(v_cur))
-        beta = beta_next
-        first_row.append(_dot_entries(v1_entries, v_cur))
-        if keep_vectors:
-            vectors.append(dict(v_cur))
-
-    return (
-        np.asarray(alphas),
-        np.asarray(betas),
-        np.asarray(first_row),
-        vectors,
-        breakdown,
-        stats,
-    )
-
-
-def _solve_perturbed(tmat: TridiagonalMatrix) -> np.ndarray:
+def _solve_perturbed(tmat: TridiagonalMatrix):
     try:
-        return tridiag_solve_e1(tmat)
+        return solve_checked(tmat)
     except SingularSystemError:
         raise SingularSystemError(
             "(I - T) is numerically singular for the pruned recurrence; the "
@@ -406,21 +147,14 @@ def _solve_perturbed(tmat: TridiagonalMatrix) -> np.ndarray:
         ) from None
 
 
-def _definitional_start(g: Graph, s: int, t: int) -> dict:
-    scale = math.sqrt(1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t])
-    return {
-        s: g.inv_sqrt_degrees[s] / scale,
-        t: -g.inv_sqrt_degrees[t] / scale,
-    }
-
-
 def lanczos_push_rd(g: Graph, s: int, t: int, cfg: PushConfig):
     """Resistance distance through the pruned local recurrence.
 
     Returns ``(RDEstimate, TridiagonalMatrix, PushStats)``.  Work scales
     with the sizes of the significant sets, not with the graph, for
     epsilon large enough to prune; breakdown before ``cfg.k`` iterations
-    is benign (the reachable Krylov space was exhausted).
+    is benign (the reachable Krylov space was exhausted).  The estimate
+    is flagged (``healthy`` false) when I - T is indefinite.
     """
     _check_pair(g, s, t)
     start = time.perf_counter()
@@ -430,25 +164,23 @@ def lanczos_push_rd(g: Graph, s: int, t: int, cfg: PushConfig):
             TridiagonalMatrix([0.0], []),
             PushStats(n=g.node_count),
         )
-    alphas, betas, first_row, _, breakdown, stats = _run_subset_recurrence(
+    alphas, betas, first_row, _, stats = run_recurrence(
         g,
-        s,
-        t,
+        definitional_start(g, s, t),
         cfg.k,
         cfg.epsilon,
-        _definitional_start(g, s, t),
         collect_stats=cfg.collect_stats,
     )
     tmat = TridiagonalMatrix(alphas, betas)
-    y = _solve_perturbed(tmat)
+    y, healthy = _solve_perturbed(tmat)
     scale_sq = 1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]
-    value = scale_sq * float(first_row @ y)
     est = RDEstimate(
-        value=value,
+        value=scale_sq * float(first_row @ y),
         iterations=len(alphas),
         touched_edges=stats.touched_edges,
         wall_time=time.perf_counter() - start,
         method="lzpush",
+        healthy=healthy,
     )
     return est, tmat, stats
 
@@ -465,10 +197,10 @@ def subset_recurrence_trace(
 ) -> PushTrace:
     """Run the subset recurrence and keep every intermediate vector.
 
-    Diagnostic harness: ``v1`` (a SparseVector or entry dict) replaces the
-    definitional start vector and is used exactly as given (a ``v1`` with
-    a u_1 component runs without the u_1 projection, so its recurrence is
-    the plain pruned one), and
+    Diagnostic harness: ``v1`` (a SparseVector or a ``{vertex: value}``
+    mapping) replaces the definitional start vector and is used exactly
+    as given (a ``v1`` with a u_1 component runs without the u_1
+    projection, so its recurrence is the plain pruned one), and
     ``s_overrides`` maps an iteration number (1-based) to the significant
     set to use at that iteration instead of the threshold rule.  Together
     they allow replaying a recurrence from any recorded intermediate
@@ -479,24 +211,30 @@ def subset_recurrence_trace(
         raise ValueError("iteration count k must be >= 1")
     if eps < 0.0:
         raise ValueError("eps must be >= 0")
-    v1_entries = dict(_entries_of(v1)) if v1 is not None else _definitional_start(
-        g, s, t
-    )
-    alphas, betas, first_row, vectors, breakdown, stats = _run_subset_recurrence(
+    if v1 is None:
+        v1 = definitional_start(g, s, t)
+    elif not isinstance(v1, SparseVector):
+        v1 = SparseVector.from_mapping(v1, g.node_count)
+    vectors = []
+
+    def keep(i: int, supp, v: np.ndarray) -> None:
+        if isinstance(supp, slice):
+            vectors.append(SparseVector.from_dense(v))
+        else:
+            vectors.append(SparseVector(supp, v[supp], g.node_count))
+
+    alphas, betas, first_row, breakdown, stats = run_recurrence(
         g,
-        s,
-        t,
+        v1,
         k,
         eps,
-        v1_entries,
         s_overrides=s_overrides,
+        visit=keep,
         collect_stats=collect_stats,
-        keep_vectors=True,
     )
     tmat = TridiagonalMatrix(alphas, betas)
-    y = _solve_perturbed(tmat)
+    y, _ = _solve_perturbed(tmat)
     scale_sq = 1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]
-    estimate = scale_sq * float(first_row @ y)
     return PushTrace(
         alphas=alphas,
         betas=betas,
@@ -504,7 +242,7 @@ def subset_recurrence_trace(
         first_row=first_row,
         k_effective=len(alphas),
         breakdown=breakdown,
-        estimate=estimate,
+        estimate=scale_sq * float(first_row @ y),
         stats=stats,
     )
 

@@ -4,10 +4,14 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
+from resistor import save_edge_list
 from resistor.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE, cli, parse_bench_csv
+
+from conftest import grid_graph, random_pair
 
 TOY = "1 2\n2 3\n3 1\n1 4\n"
 
@@ -103,6 +107,22 @@ def test_query_malformed_file_is_io_error(runner, tmp_path):
 def test_query_unknown_method_is_usage_error(runner, toy_file):
     result = runner.invoke(cli, ["query", toy_file, "1", "4", "--method", "magic"])
     assert result.exit_code == EXIT_USAGE
+
+
+def test_query_unhealthy_estimate_exits_numerical(runner, tmp_path):
+    # the pruned run of test_push::test_indefinite_pruned_run_is_flagged
+    g = grid_graph(10, 30)
+    s, t = random_pair(np.random.default_rng(805), g.node_count)
+    path = tmp_path / "grid.txt"
+    save_edge_list(g, path)
+    result = runner.invoke(
+        cli,
+        ["query", str(path), str(s), str(t), "--method", "lzpush",
+         "--k", "348", "--eps", "1e-3"],
+    )
+    assert result.exit_code == EXIT_NUMERICAL
+    # the record is still emitted before the failure exit
+    assert _json_of(result)["healthy"] is False
 
 
 def test_query_weighted_graph(runner, tmp_path):
@@ -344,6 +364,14 @@ def test_console_script_runs(toy_file):
     )
     assert proc.returncode == 0
     assert "query" in proc.stdout and "bench" in proc.stdout
+
+
+def test_import_needs_no_scipy():
+    # the runtime dependencies are numpy and click; SciPy is for the
+    # benchmark's references only
+    code = "import sys; sys.modules['scipy'] = None; import resistor, resistor.cli"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_console_script_query(toy_file):

@@ -122,7 +122,7 @@ def test_operator_dimension_mismatch(toy):
 
 def test_sparse_vector_round_trip():
     v = R.SparseVector.from_dense(np.array([0.0, 2.0, 0.0, -1.5]))
-    assert v.entries == {1: 2.0, 3: -1.5}
+    assert v.idx.tolist() == [1, 3] and v.val.tolist() == [2.0, -1.5]
     assert v.dim == 4
     assert v.nnz == 2
     assert np.allclose(v.to_dense(), [0.0, 2.0, 0.0, -1.5])

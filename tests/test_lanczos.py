@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 import resistor as R
-from resistor.lanczos import _recurrence
+from resistor.kernels import TridiagonalMatrix
+from resistor.lanczos import definitional_start, run_recurrence, solve_checked
 
 from conftest import (
     dense_laplacian,
@@ -84,21 +85,13 @@ def test_iteration_bound_validates():
 def test_basis_is_orthonormal():
     g = random_connected(25, 9)
     basis = []
-    _recurrence(g, 0, 5, 12, visit=lambda i, v: basis.append(v.copy()))
-    V = np.array(basis).T
-    gram = V.T @ V
-    assert np.allclose(gram, np.eye(V.shape[1]), atol=1e-7)
-
-
-def test_reorthogonalized_basis_is_tighter():
-    g = random_connected(25, 9)
-    basis = []
-    _recurrence(
-        g, 0, 5, 12, visit=lambda i, v: basis.append(v.copy()), reorthogonalize=True
+    run_recurrence(
+        g, definitional_start(g, 0, 5), 12,
+        visit=lambda i, supp, v: basis.append(v.copy()),
     )
     V = np.array(basis).T
     gram = V.T @ V
-    assert np.allclose(gram, np.eye(V.shape[1]), atol=1e-12)
+    assert np.allclose(gram, np.eye(V.shape[1]), atol=1e-7)
 
 
 def test_same_vertex_short_circuits(toy):
@@ -116,6 +109,17 @@ def test_work_accounting(toy):
     est, run = R.lanczos_rd(toy, 0, 1, 2)
     assert est.method == "lz"
     assert est.touched_edges == run.k_effective * 2 * toy.edge_count
+    assert est.healthy
+
+
+def test_indefinite_system_is_flagged_not_raised():
+    # eigenvalues 1.1 and -0.1: the LDL^T pivots 0.5 and -0.22 clear the
+    # singularity floor, so only the Sturm count at 1 can tell
+    y, healthy = solve_checked(TridiagonalMatrix([0.5, 0.5], [0.6]))
+    assert not healthy
+    assert np.all(np.isfinite(y))
+    _, healthy = solve_checked(TridiagonalMatrix([0.5, 0.5], [0.3]))
+    assert healthy
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from conftest import (
     dense_weight_matrix,
     dense_spectrum,
     dense_transition,
+    grid_graph,
     random_connected,
     random_pair,
 )
@@ -32,7 +33,7 @@ def _paper_sign_start():
 
 
 def test_amv_prunes_light_arcs(toy):
-    v = SparseVector(_paper_sign_start(), 4)
+    v = SparseVector.from_mapping(_paper_sign_start(), 4)
     out = R.amv(toy, v, 0.25)
     # arcs from 0 into the triangle fall below 0.25 * sqrt(3 * 2) and drop;
     # both arcs on the pendant edge survive
@@ -53,32 +54,43 @@ def test_amv_zero_eps_is_exact():
 
 
 def test_amv_matches_dense_pruning_rule():
-    g = random_connected(40, 23)
-    w = dense_weight_matrix(g)
-    d = w.sum(axis=1)
+    # the hub-heavy BA graph covers sources that relax only some arcs,
+    # sources that relax none (eps = 1e-2) and an empty output (eps = 1)
+    cases = [
+        (random_connected(40, 23), (1e-3, 3e-3, 1e-2)),
+        (R.generate_ba(300, 3, 11), (1e-3, 1e-2, 1.0)),
+    ]
     rng = np.random.default_rng(7)
-    dense_v = rng.standard_normal(g.node_count) * 0.05
-    dense_v[rng.random(g.node_count) < 0.3] = 0.0
-    for eps in (1e-3, 3e-3, 1e-2):
-        keep = np.abs(dense_v)[:, None] > eps * np.sqrt(np.outer(d, d))
-        pruned = np.where(keep, w, 0.0) / np.sqrt(np.outer(d, d))
-        want = pruned.T @ dense_v
-        out = R.amv(g, SparseVector.from_dense(dense_v), eps)
-        assert np.allclose(out.to_dense(), want, atol=1e-15)
+    idle_source_seen = empty_seen = False
+    for g, eps_values in cases:
+        w = dense_weight_matrix(g)
+        d = w.sum(axis=1)
+        dense_v = rng.standard_normal(g.node_count) * 0.05
+        dense_v[rng.random(g.node_count) < 0.3] = 0.0
+        for eps in eps_values:
+            keep = np.abs(dense_v)[:, None] > eps * np.sqrt(np.outer(d, d))
+            pruned = np.where(keep, w, 0.0) / np.sqrt(np.outer(d, d))
+            want = pruned.T @ dense_v
+            out = R.amv(g, SparseVector.from_dense(dense_v), eps)
+            assert np.allclose(out.to_dense(), want, atol=1e-15)
+            relaxes = (keep & (w > 0)).any(axis=1)[dense_v != 0.0]
+            idle_source_seen |= bool(relaxes.any() and not relaxes.all())
+            empty_seen |= out.nnz == 0 and not want.any()
+    assert idle_source_seen and empty_seen
 
 
 def test_amv_large_eps_drops_everything(toy):
-    v = SparseVector(_paper_sign_start(), 4)
+    v = SparseVector.from_mapping(_paper_sign_start(), 4)
     assert R.amv(toy, v, 10.0).nnz == 0
 
 
 def test_amv_validates_eps(toy):
     with pytest.raises(ValueError):
-        R.amv(toy, SparseVector({0: 1.0}, 4), -0.1)
+        R.amv(toy, SparseVector.from_mapping({0: 1.0}, 4), -0.1)
 
 
 def test_restrict_thresholds_by_degree(toy):
-    v = SparseVector(_paper_sign_start(), 4)
+    v = SparseVector.from_mapping(_paper_sign_start(), 4)
     kept = R.restrict(v, toy, 0.25)
     # |v(0)| = 0.5 <= 0.25 * d_0 = 0.75 drops; |v(3)| = 0.866 > 0.25 stays
     assert set(kept.support()) == {3}
@@ -160,8 +172,8 @@ def test_config_validation():
 def test_trace_vectors_stay_normalized():
     g = random_connected(50, 17)
     trace = R.subset_recurrence_trace(g, 0, 1, 10, 1e-3)
-    for entries in trace.vectors:
-        norm = math.sqrt(sum(x * x for x in entries.values()))
+    for vec in trace.vectors:
+        norm = math.sqrt(sum(x * x for x in vec.val))
         assert norm == pytest.approx(1.0, abs=1e-12)
 
 
@@ -171,8 +183,8 @@ def test_trace_support_respects_hop_balls():
     hops_s = R.bfs_hops(g, s)
     hops_t = R.bfs_hops(g, t)
     trace = R.subset_recurrence_trace(g, s, t, 6, 0.0)
-    for i, entries in enumerate(trace.vectors):
-        for u in entries:
+    for i, vec in enumerate(trace.vectors):
+        for u in vec.idx:
             assert min(hops_s[u], hops_t[u]) <= i
 
 
@@ -184,7 +196,8 @@ def test_replay_from_recorded_state(toy):
     )
     assert trace.alphas == pytest.approx([0.5, -0.5], abs=1e-12)
     assert trace.betas == pytest.approx([1 / (2 * SQ3)], abs=1e-12)
-    assert trace.vectors[1] == pytest.approx({0: SQ3 / 2, 3: -0.5}, abs=1e-12)
+    assert trace.vectors[1].idx.tolist() == [0, 3]
+    assert trace.vectors[1].val == pytest.approx([SQ3 / 2, -0.5], abs=1e-12)
     assert trace.estimate == pytest.approx(3.0, abs=1e-12)
     assert trace.k_effective == 2
 
@@ -201,8 +214,8 @@ def test_pruned_recurrence_keeps_u1_out():
     assert hi <= lam2 + 1e-3
     sqrt_d = np.sqrt(g.weighted_degrees)
     trace = R.subset_recurrence_trace(g, s, t, 25, 1e-3)
-    for entries in trace.vectors:
-        leak = sum(sqrt_d[u] * x for u, x in entries.items())
+    for vec in trace.vectors:
+        leak = float(sqrt_d[vec.idx] @ vec.val)
         assert abs(leak) <= 1e-12 * math.sqrt(g.weighted_degrees.sum())
 
 
@@ -236,6 +249,16 @@ def test_containment_holds_at_zero_eps():
     assert report.passed
     assert report.lower_slack >= -report.tol
     assert report.upper_slack >= -report.tol
+
+
+def test_indefinite_pruned_run_is_flagged():
+    # criterion 8's grid10x30 run at eps = 1e-3 ends with lambda_max(T)
+    # = 1.0004, an indefinite I - T whose pivots all clear the floor
+    g = grid_graph(10, 30)
+    s, t = random_pair(np.random.default_rng(805), g.node_count)
+    est, tmat, _ = R.lanczos_push_rd(g, s, t, R.PushConfig(k=348, epsilon=1e-3))
+    assert R.tridiag_eigen_range(tmat)[1] > 1.0
+    assert not est.healthy
 
 
 def test_containment_detects_escape():
