@@ -339,7 +339,7 @@ def kappa(graph_path, tol, max_iter, seed, weighted, fmt, out):
     if not est.converged:
         _fail(
             EXIT_NUMERICAL,
-            f"power iteration did not converge within {max_iter} iterations "
+            f"Lanczos did not converge within {max_iter} steps per run "
             f"(last residual {est.residual:.3e})",
         )
 

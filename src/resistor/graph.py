@@ -104,10 +104,6 @@ class Graph:
         return 1.0 / self.sqrt_degrees
 
     @cached_property
-    def inv_degrees(self) -> np.ndarray:
-        return 1.0 / self.weighted_degrees
-
-    @cached_property
     def label_index(self) -> dict:
         """Original label -> contiguous id (inverse of ``old_ids``)."""
         return {int(old): new for new, old in enumerate(self.old_ids)}
@@ -163,17 +159,29 @@ def _bfs_layers(offsets, neighbors, source, hops):
 
 
 def _component_labels(offsets: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
+    """Component label of every vertex, numbered by each component's
+    smallest vertex.
+
+    Min-label hooking with pointer jumping: every root takes the smallest
+    root across its arcs, then every vertex jumps to its root.  Roots that
+    stay roots in one round are each the hook target of a distinct vertex
+    of the round before, so every two rounds at least halve the trees of a
+    component: O(log n) rounds of a few passes over the arcs.
+    """
     n = len(offsets) - 1
-    label = np.full(n, -1, dtype=np.int64)
-    current = 0
-    for seed in range(n):
-        if label[seed] >= 0:
-            continue
-        hops = np.full(n, -1, dtype=np.int64)
-        _bfs_layers(offsets, neighbors, seed, hops)
-        label[hops >= 0] = current
-        current += 1
-    return label
+    src = np.repeat(np.arange(n), np.diff(offsets))
+    parent = np.arange(n)
+    while True:
+        root_src, root_dst = parent[src], parent[neighbors]
+        if np.array_equal(root_src, root_dst):
+            return np.unique(parent, return_inverse=True)[1]
+        np.minimum.at(parent, root_src, root_dst)
+        # parents only ever point to smaller ids, so this ends at the roots
+        while True:
+            grand = parent[parent]
+            if np.array_equal(grand, parent):
+                break
+            parent = grand
 
 
 def _build_graph(u_raw: np.ndarray, v_raw: np.ndarray, w_raw: np.ndarray) -> Graph:

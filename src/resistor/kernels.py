@@ -153,11 +153,12 @@ def apply_normalized_adjacency(g: Graph, v: np.ndarray) -> np.ndarray:
 
 
 def apply_transition(g: Graph, v: np.ndarray) -> np.ndarray:
-    """Return ``P v`` for the column-stochastic transition P = W D^{-1}."""
+    """Return ``P v`` for the column-stochastic transition P = W D^{-1}.
+
+    Uses P = D^{1/2} A D^{-1/2}, so both operators share one gather.
+    """
     v = _check_dim(g, v)
-    scaled = v * g.inv_degrees
-    contrib = g.weights * scaled[g.neighbors]
-    return np.add.reduceat(contrib, g.offsets[:-1])
+    return g.sqrt_degrees * apply_normalized_adjacency(g, v * g.inv_sqrt_degrees)
 
 
 def apply_lazy_walk(g: Graph, v: np.ndarray) -> np.ndarray:

@@ -1,18 +1,22 @@
 """Spectral estimation: lambda_2(A), lambda_min(A), and the condition
 number kappa = 2 / (1 - lambda_2(A)) of the lazy walk.
 
-Both extreme eigenvalues are found by power iteration on nonnegative
-shifts of the normalized adjacency A, so the dominant-magnitude eigenvalue
-is always the wanted one regardless of sign:
+Both extreme eigenvalues come out of one Krylov space.  The Lanczos
+recurrence of :func:`resistor.lanczos.run_recurrence` runs on the
+normalized adjacency A from a seeded random start with the known top
+eigenvector u_1 = D^{1/2} 1 / ||D^{1/2} 1|| projected out, so A acts on
+the complement of u_1, whose extreme eigenvalues are lambda_min(A) and
+lambda_2(A).  The extreme eigenvalues of the tridiagonal T then converge
+to them, without reorthogonalization (Paige 1980), from almost every
+start (Kuczynski & Wozniakowski 1992).
 
-* lambda_2(A): iterate on (I + A) / 2 with the known top eigenvector
-  u_1 = D^{1/2} 1 / ||D^{1/2} 1|| deflated after every matvec,
-* lambda_min(A): iterate on (I - A) / 2, whose top eigenvalue is
-  (1 - lambda_min(A)) / 2 (no deflation needed; u_1 is its bottom).
-
-Convergence is declared when successive Rayleigh quotients agree to
-``tol``.  Hitting ``max_iter`` returns the best estimate flagged as
-unconverged instead of raising, so callers can decide what to do.
+The recurrence is run for k = 16, 32, 64, ... steps, capped at
+``max_iter``, each run replaying the previous one.  Convergence is
+declared when both extreme Ritz values move less than ``tol`` between
+runs, or when the recurrence breaks down (the Krylov space is exhausted
+and the Ritz values are exact).  Running out of ``max_iter`` returns the
+last estimate flagged as unconverged instead of raising, so callers can
+decide what to do.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .kernels import apply_normalized_adjacency
+from .kernels import SparseVector, TridiagonalMatrix, tridiag_eigen_range
+from .lanczos import run_recurrence
 
 __all__ = ["SpectralEstimate", "estimate_spectrum"]
 
@@ -33,11 +38,11 @@ class SpectralEstimate:
     """Spectral summary of the normalized adjacency.
 
     ``mu2 = 1 - lambda2_a`` is the normalized-Laplacian spectral gap and
-    ``kappa = 2 / mu2`` the lazy-walk condition number.  ``residual`` is
-    the largest final Rayleigh-quotient change across the two phases;
-    ``converged`` is False when either phase ran out of iterations.
-    ``lambda2_vector`` is the estimated eigenvector for lambda_2(A),
-    deflated against u_1.
+    ``kappa = 2 / mu2`` the lazy-walk condition number.  ``iterations``
+    counts the matrix-vector products over all runs; ``residual`` is the
+    larger move of the two extreme Ritz values in the last run (0 on a
+    breakdown, infinite after a single run); ``converged`` is False when
+    ``max_iter`` ran out first.
     """
 
     lambda2_a: float
@@ -47,80 +52,52 @@ class SpectralEstimate:
     iterations: int
     residual: float
     converged: bool
-    lambda2_vector: np.ndarray
     wall_time: float
-
-
-def _power_phase(g, u1, tol, max_iter, seed, deflate):
-    """Power iteration on (I +/- A)/2; returns (rayleigh, x, iters, resid, ok)."""
-    n = g.node_count
-    rng = np.random.default_rng(seed)
-    x = rng.standard_normal(n)
-    if deflate:
-        x -= (u1 @ x) * u1
-    nrm = np.linalg.norm(x)
-    if nrm == 0.0:  # pragma: no cover - measure-zero draw
-        x = np.ones(n)
-        if deflate:
-            x -= (u1 @ x) * u1
-        nrm = np.linalg.norm(x)
-    x /= nrm
-    sign = 1.0 if deflate else -1.0
-    rho_prev = np.inf
-    rho = 0.0
-    resid = np.inf
-    for it in range(1, max_iter + 1):
-        y = 0.5 * (x + sign * apply_normalized_adjacency(g, x))
-        if deflate:
-            y -= (u1 @ y) * u1
-        rho = float(x @ y)
-        resid = abs(rho - rho_prev)
-        if resid < tol:
-            return rho, x, it, resid, True
-        nrm = float(np.linalg.norm(y))
-        if nrm < 1e-300:
-            # the shifted operator annihilates the subspace: eigenvalue 0
-            return 0.0, x, it, 0.0, True
-        x = y / nrm
-        rho_prev = rho
-    return rho, x, max_iter, resid, False
 
 
 def estimate_spectrum(
     g: Graph, tol: float = 1e-9, max_iter: int = 200_000, seed: int = 0
 ) -> SpectralEstimate:
-    """Estimate lambda_2(A), lambda_min(A), and kappa by power iteration.
+    """Estimate lambda_2(A), lambda_min(A), and kappa by Lanczos.
 
-    Deterministic for a given seed.  ``tol`` bounds the change of the
-    Rayleigh quotient between accepted iterations, not the eigenvalue
-    error itself; for gap-free graphs the estimate can stall slightly
-    early, which the ``residual`` field makes visible.
+    Deterministic for a given seed.  ``max_iter`` caps the Lanczos steps
+    of one run.  ``tol`` bounds the move of the extreme Ritz values
+    between runs, not the eigenvalue error itself.  The Ritz values lie
+    inside [lambda_min(A), lambda_2(A)], so lambda_2 and kappa are
+    approached from below.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     start = time.perf_counter()
-    u1 = np.sqrt(g.weighted_degrees)
-    u1 /= np.linalg.norm(u1)
+    u1 = g.sqrt_degrees / np.linalg.norm(g.sqrt_degrees)
+    x = np.random.default_rng(seed).standard_normal(g.node_count)
+    x -= (u1 @ x) * u1
+    v1 = SparseVector.from_dense(x / np.linalg.norm(x))
 
-    rho2, vec2, it2, resid2, ok2 = _power_phase(g, u1, tol, max_iter, seed, True)
-    rho_min, _, it_min, resid_min, ok_min = _power_phase(
-        g, u1, tol, max_iter, seed + 1, False
-    )
+    k, iterations, previous = min(16, max_iter), 0, None
+    while True:
+        alphas, betas, _, breakdown, _ = run_recurrence(g, v1, k)
+        iterations += len(alphas)
+        extremes = tridiag_eigen_range(TridiagonalMatrix(alphas, betas), tol=tol / 10)
+        residual = 0.0 if breakdown else np.inf
+        if previous is not None and not breakdown:
+            residual = max(abs(a - b) for a, b in zip(extremes, previous))
+        converged = residual < tol
+        if converged or k == max_iter:
+            break
+        k, previous = min(2 * k, max_iter), extremes
 
-    lambda2 = 2.0 * rho2 - 1.0
-    lambda_min = 1.0 - 2.0 * rho_min
+    lambda_min, lambda2 = extremes
     mu2 = 1.0 - lambda2
-    kappa = 2.0 / mu2
     return SpectralEstimate(
         lambda2_a=float(lambda2),
         lambda_min_a=float(lambda_min),
         mu2=float(mu2),
-        kappa=float(kappa),
-        iterations=it2 + it_min,
-        residual=float(max(resid2, resid_min)),
-        converged=bool(ok2 and ok_min),
-        lambda2_vector=vec2,
+        kappa=float(2.0 / mu2),
+        iterations=iterations,
+        residual=float(residual),
+        converged=bool(converged),
         wall_time=time.perf_counter() - start,
     )

@@ -106,6 +106,20 @@ def test_largest_component_kept_and_ids_stable():
     # tie on size: the component containing the smallest label wins
     g2 = graph_from_text("5 6\n1 2\n")
     assert g2.old_ids.tolist() == [1, 2]
+    # many fragments: 3000 disjoint edges, then a triangle that beats them
+    # all, then only the fragments, where the smallest label wins the tie
+    pairs = "".join(f"{2 * i + 1} {2 * i}\n" for i in reversed(range(3000)))
+    g3 = graph_from_text(pairs + "9000 9001\n9001 9002\n9002 9000\n")
+    assert g3.old_ids.tolist() == [9000, 9001, 9002]
+    assert graph_from_text(pairs).old_ids.tolist() == [0, 1]
+    # a long path whose labels and lines are both shuffled, beside fragments
+    rng = np.random.default_rng(17)
+    order = rng.permutation(20_000)
+    lines = [f"{a} {b}\n" for a, b in zip(order[:-1], order[1:])]
+    lines += [f"{30_000 + 2 * i} {30_001 + 2 * i}\n" for i in range(500)]
+    g4 = graph_from_text("".join(lines[i] for i in rng.permutation(len(lines))))
+    assert g4.node_count == 20_000 and g4.edge_count == 19_999
+    assert g4.old_ids.tolist() == list(range(20_000))
 
 
 def test_csr_slices_sorted_and_symmetric(toy):

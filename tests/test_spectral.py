@@ -1,4 +1,6 @@
-"""Tests for the power-iteration spectral estimator."""
+"""Tests for the Lanczos spectral estimator: the extreme eigenvalues
+lambda_2(A) and lambda_min(A) and kappa against closed forms and a dense
+eigendecomposition, and its convergence flag, validation and seeding."""
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import resistor as R
 from conftest import (
     complete_graph,
     dense_spectrum,
+    graph_from_text,
     path_graph,
     random_connected,
 )
@@ -38,24 +41,31 @@ def test_single_edge_degenerate_spectrum(edge):
     assert est.kappa == pytest.approx(1.0, abs=1e-9)
 
 
+def _cut_lattice(side: int, cut: float, seed: int):
+    # a side x side lattice with a fraction `cut` of its edges removed;
+    # the loader keeps the largest component
+    ids = np.arange(side * side).reshape(side, side)
+    edges = np.concatenate(
+        [
+            np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1),
+            np.stack([ids[:-1, :].ravel(), ids[1:, :].ravel()], axis=1),
+        ]
+    )
+    edges = edges[np.random.default_rng(seed).random(len(edges)) >= cut]
+    return graph_from_text("".join(f"{a} {b}\n" for a, b in edges))
+
+
 def test_matches_dense_oracle_on_random_graphs():
-    for seed in range(10):
-        g = random_connected(12 + 3 * seed, 400 + seed)
+    graphs = [random_connected(12 + 3 * seed, 400 + seed) for seed in range(10)]
+    # small spectral gaps: kappa ~ 1.6e4 on the path
+    graphs += [path_graph(200), _cut_lattice(20, 0.1, 7)]
+    for g in graphs:
         lam2, lam_min, kappa = dense_spectrum(g)
         est = R.estimate_spectrum(g, tol=1e-12)
         assert est.converged
         assert est.lambda2_a == pytest.approx(lam2, abs=1e-5)
         assert est.lambda_min_a == pytest.approx(lam_min, abs=1e-5)
-        assert est.kappa == pytest.approx(kappa, rel=1e-4)
-
-
-def test_second_eigenvector_contract(toy):
-    est = R.estimate_spectrum(toy, tol=1e-13)
-    u1 = np.sqrt(np.array([3.0, 2.0, 2.0, 1.0]))
-    u1 /= np.linalg.norm(u1)
-    x = est.lambda2_vector
-    assert np.linalg.norm(x) == pytest.approx(1.0, abs=1e-10)
-    assert abs(u1 @ x) <= 1e-8
+        assert est.kappa == pytest.approx(kappa, rel=1e-6)
 
 
 def test_kappa_never_below_one():
