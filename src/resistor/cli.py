@@ -339,7 +339,7 @@ def kappa(graph_path, tol, max_iter, seed, weighted, fmt, out):
     if not est.converged:
         _fail(
             EXIT_NUMERICAL,
-            f"Lanczos did not converge within {max_iter} steps per run "
+            f"Lanczos did not converge within {max_iter} steps "
             f"(last residual {est.residual:.3e})",
         )
 

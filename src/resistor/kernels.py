@@ -217,6 +217,20 @@ def restrict(v: SparseVector, g: Graph, eps: float) -> SparseVector:
 # ---------------------------------------------------------------------------
 
 
+def _ldl_pivot(alpha: float, beta: float, d_prev: float) -> float:
+    """Extend the LDL^T factorization of I - T by one row.
+
+    Row i of I - T has diagonal 1 - alpha_i and off-diagonal -beta_i, so
+    its pivot is d_i = 1 - alpha_i - beta_i^2 / d_{i-1} (the first row
+    passes ``beta = 0``).  Raises :class:`SingularSystemError` when the
+    pivot falls below 1e-14 in magnitude.
+    """
+    d = (1.0 - alpha) - beta * (beta / d_prev)
+    if abs(d) < _PIVOT_FLOOR:
+        raise SingularSystemError("(I - T) is numerically singular (zero pivot)")
+    return d
+
+
 def tridiag_solve_e1(t: TridiagonalMatrix) -> np.ndarray:
     """Solve ``(I - T) x = e_1`` by an LDL^T factorization.
 
@@ -224,18 +238,11 @@ def tridiag_solve_e1(t: TridiagonalMatrix) -> np.ndarray:
     when a pivot falls below 1e-14 in magnitude.
     """
     k = t.order
-    diag = 1.0 - t.alpha
-    off = -t.beta
     d = np.empty(k)
-    lower = np.empty(max(k - 1, 0))
-    d[0] = diag[0]
-    if abs(d[0]) < _PIVOT_FLOOR:
-        raise SingularSystemError("(I - T) is numerically singular (zero pivot)")
-    for i in range(k - 1):
-        lower[i] = off[i] / d[i]
-        d[i + 1] = diag[i + 1] - off[i] * lower[i]
-        if abs(d[i + 1]) < _PIVOT_FLOOR:
-            raise SingularSystemError("(I - T) is numerically singular (zero pivot)")
+    d_prev = 1.0
+    for i, (alpha, beta) in enumerate(zip(t.alpha.tolist(), [0.0] + t.beta.tolist())):
+        d[i] = d_prev = _ldl_pivot(alpha, beta, d_prev)
+    lower = -t.beta / d[:-1]
     # forward substitution L z = e_1, then diagonal scale and back pass
     z = np.empty(k)
     z[0] = 1.0
@@ -290,6 +297,8 @@ def tridiag_eigen_range(t: TridiagonalMatrix, tol: float = 1e-10):
         a, b = lo - tol, hi + tol
         while b - a > tol:
             mid = 0.5 * (a + b)
+            if not a < mid < b:  # tol is below the float spacing here
+                break
             if _sturm_count_below(alpha, beta_sq, mid) >= target:
                 b = mid
             else:

@@ -12,12 +12,15 @@ T, computable in O(k) once T is known.
 
 :func:`run_recurrence` is the one three-term recurrence of the package.
 With ``eps = 0`` it multiplies by A itself and is the global method
-(``lz``, :func:`lanczos_rd`, and both passes of :func:`lanczos_potential`);
-with ``eps > 0`` it multiplies by the pruned operator of
+(``lz``, :func:`lanczos_rd` and :func:`lanczos_potential`); with
+``eps > 0`` it multiplies by the pruned operator of
 :func:`resistor.kernels.amv` and is Lanczos Push (``lzpush``, see
-:mod:`resistor.push`).  Only three vectors are kept at any time.  The
-two-pass potential solver repeats the identical recurrence instead of
-storing the basis, so both passes see bit-identical coefficients.
+:mod:`resistor.push`).  Only three vectors are kept at any time.  Its
+``visit`` hook sees each basis vector together with the coefficients
+computed so far and may stop the run, so callers that need more than T
+work inside the one run: the potential factors I - T as T grows (the
+D-Lanczos form of Saad 2003, section 6.7.1) and the spectrum estimator
+reads the extreme Ritz values off the leading blocks of T.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from .graph import Graph
 from .kernels import (
     SparseVector,
     TridiagonalMatrix,
+    _ldl_pivot,
     _sturm_count_below,
     apply_normalized_adjacency,
     relax_arcs,
@@ -155,10 +159,13 @@ def run_recurrence(
 
     ``s_overrides`` maps an iteration number (1-based) to the significant
     set to use at that iteration instead of the threshold rule.
-    ``visit(i, supp, v)`` is called with every basis vector as it is
-    formed (i starting at 1): ``v`` is a dense n-vector and ``supp`` its
-    support, an index array, or ``slice(None)`` at eps = 0.  Callers must
-    not mutate or keep ``v``.
+    ``visit(i, supp, v, alphas, betas)`` is called with every basis vector
+    v_i as it is formed (i starting at 1): ``v`` is a dense n-vector,
+    ``supp`` its support (an index array, or ``slice(None)`` at eps = 0),
+    and the lists ``alphas`` and ``betas`` hold alpha_1..alpha_{i-1} and
+    beta_2..beta_i.  Callers must not mutate or keep any of them.  A true
+    return for i > 1 stops the run before step i, with the result that
+    ``k = i - 1`` would have given.
 
     Returns ``(alphas, betas, first_row, breakdown, stats)``: ``betas``
     holds beta_2..beta_{k_effective}, ``first_row`` the products
@@ -166,10 +173,7 @@ def run_recurrence(
 
     Iterates are dense buffers with their sorted support.  At eps > 0
     every step but the buffer allocation costs O(support); at eps = 0
-    every step is a dense pass.  The function is deterministic: re-running
-    it with the same arguments replays the identical float sequence,
-    which :func:`lanczos_potential` relies on for its store-nothing second
-    pass.
+    every step is a dense pass.
     """
     n = g.node_count
     deg, sqrt_d = g.weighted_degrees, g.sqrt_degrees
@@ -189,7 +193,7 @@ def run_recurrence(
     stats = PushStats(n=n)
     breakdown = False
     if visit is not None:
-        visit(1, supp, v)
+        visit(1, supp, v, alphas, betas)
     for i in range(1, k + 1):
         stats.support_sizes.append(size)
         if s_overrides is not None and i in s_overrides:
@@ -261,9 +265,10 @@ def run_recurrence(
         v_prev, supp_prev, s_prev = v, supp, s_cur
         v, supp, size = w, supp_w, size_w
         beta = beta_next
+        if visit is not None and visit(i + 1, supp, v, alphas, betas):
+            betas.pop()
+            break
         first_row.append(float(v1.val @ v[v1.idx]))
-        if visit is not None:
-            visit(i + 1, supp, v)
     stats.peak_support = max(stats.support_sizes)
     return np.asarray(alphas), np.asarray(betas), np.asarray(first_row), breakdown, stats
 
@@ -320,10 +325,17 @@ def lanczos_rd(g: Graph, s: int, t: int, k: int) -> tuple:
 def lanczos_potential(g: Graph, s: int, t: int, k: int) -> np.ndarray:
     """Approximate electric potential phi with L phi = e_s - e_t.
 
-    Computed as sqrt(1/d_s + 1/d_t) * D^{-1/2} V (I - T)^{-1} e_1 with two
-    passes over the Lanczos recurrence: the first builds T, the second
-    replays the identical recurrence and accumulates V y on the fly, so
-    the basis is never stored.  Memory stays at O(n) regardless of k.
+    Computed as sqrt(1/d_s + 1/d_t) * D^{-1/2} x_k with
+    x_j = V_j (I - T_j)^{-1} e_1, in one pass over the Lanczos recurrence
+    (D-Lanczos: Saad, "Iterative Methods for Sparse Linear Systems",
+    section 6.7.1; Paige & Saunders 1975).  With I - T_j = L D L^T,
+    x_j = P_j z_j for P_j = V_j L^{-T} and z_j = D^{-1} L^{-1} e_1, and
+    neither the leading columns of P_j nor the leading entries of z_j
+    change as j grows.  So each step adds the pivot of the row of T it
+    completed (the same pivots and 1e-14 floor as
+    :func:`tridiag_solve_e1`, raising :class:`SingularSystemError`),
+    adds z_j p_j to x and forms p_{j+1} = v_{j+1} - l_j p_j: k products,
+    two n-vector updates per step, and O(n) memory regardless of k.
 
     The result is a genuine potential (its Laplacian image is e_s - e_t
     up to the recurrence truncation error); it is normalized against the
@@ -335,17 +347,30 @@ def lanczos_potential(g: Graph, s: int, t: int, k: int) -> np.ndarray:
         raise ValueError("iteration count k must be >= 1")
     if s == t:
         return np.zeros(g.node_count)
-    v1 = definitional_start(g, s, t)
-    alphas, betas, _, _, _ = run_recurrence(g, v1, k)
-    y = tridiag_solve_e1(TridiagonalMatrix(alphas, betas))
+    x, p = np.zeros(g.node_count), np.zeros(g.node_count)
+    d = zeta = 1.0  # last pivot d_j, and (L^{-1} e_1)_j, with z_j = zeta / d_j
 
-    acc = np.zeros(g.node_count)
+    def complete_row(alphas, betas) -> None:
+        # T gained row j = len(alphas): its pivot, and z_j p_j into x
+        nonlocal d, x
+        j = len(alphas)
+        d = _ldl_pivot(alphas[-1], betas[j - 2] if j > 1 else 0.0, d)
+        x += (zeta / d) * p
 
-    def visit(i: int, supp, v: np.ndarray) -> None:
-        acc[supp] += y[i - 1] * v[supp]
+    def visit(i: int, supp, v: np.ndarray, alphas, betas) -> None:
+        nonlocal zeta, p
+        if alphas:
+            complete_row(alphas, betas)
+            c = betas[-1] / d  # -l_{i-1}
+            zeta *= c
+            p *= c
+        p += v
 
-    run_recurrence(g, v1, k, visit=visit)
+    alphas, betas, _, _, _ = run_recurrence(
+        g, definitional_start(g, s, t), k, visit=visit
+    )
+    complete_row(alphas, betas)
     scale = math.sqrt(
         1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]
     )
-    return scale * (g.inv_sqrt_degrees * acc)
+    return scale * (g.inv_sqrt_degrees * x)

@@ -217,7 +217,7 @@ def subset_recurrence_trace(
         v1 = SparseVector.from_mapping(v1, g.node_count)
     vectors = []
 
-    def keep(i: int, supp, v: np.ndarray) -> None:
+    def keep(i: int, supp, v: np.ndarray, alphas, betas) -> None:
         if isinstance(supp, slice):
             vectors.append(SparseVector.from_dense(v))
         else:

@@ -53,10 +53,7 @@ class FlowMap:
     def from_potential(cls, g: Graph, phi: np.ndarray) -> "FlowMap":
         eu, ev, _ = edge_arrays(g)
         values = phi[eu] - phi[ev]
-        index = {
-            (int(a), int(b)): i
-            for i, (a, b) in enumerate(zip(eu.tolist(), ev.tolist()))
-        }
+        index = dict(zip(zip(eu.tolist(), ev.tolist()), range(len(eu))))
         return cls(eu, ev, values, index)
 
     def get(self, u: int, v: int) -> float:

@@ -10,13 +10,13 @@ lambda_2(A).  The extreme eigenvalues of the tridiagonal T then converge
 to them, without reorthogonalization (Paige 1980), from almost every
 start (Kuczynski & Wozniakowski 1992).
 
-The recurrence is run for k = 16, 32, 64, ... steps, capped at
-``max_iter``, each run replaying the previous one.  Convergence is
-declared when both extreme Ritz values move less than ``tol`` between
-runs, or when the recurrence breaks down (the Krylov space is exhausted
-and the Ritz values are exact).  Running out of ``max_iter`` returns the
-last estimate flagged as unconverged instead of raising, so callers can
-decide what to do.
+The recurrence runs once, for at most ``max_iter`` steps, and the
+extreme Ritz values are read off the leading k x k block of T at
+k = 16, 32, 64, ...  The run stops when both move less than ``tol``
+between two such checkpoints, or when the recurrence breaks down (the
+Krylov space is exhausted and the Ritz values are exact).  Running out
+of ``max_iter`` returns the estimate of the full T flagged as
+unconverged instead of raising, so callers can decide what to do.
 """
 
 from __future__ import annotations
@@ -39,10 +39,10 @@ class SpectralEstimate:
 
     ``mu2 = 1 - lambda2_a`` is the normalized-Laplacian spectral gap and
     ``kappa = 2 / mu2`` the lazy-walk condition number.  ``iterations``
-    counts the matrix-vector products over all runs; ``residual`` is the
-    larger move of the two extreme Ritz values in the last run (0 on a
-    breakdown, infinite after a single run); ``converged`` is False when
-    ``max_iter`` ran out first.
+    counts the matrix-vector products, which is the order of the final
+    T; ``residual`` is the larger move of the two extreme Ritz values
+    since the previous checkpoint (0 on a breakdown, infinite when there
+    was none); ``converged`` is False when ``max_iter`` ran out first.
     """
 
     lambda2_a: float
@@ -60,9 +60,9 @@ def estimate_spectrum(
 ) -> SpectralEstimate:
     """Estimate lambda_2(A), lambda_min(A), and kappa by Lanczos.
 
-    Deterministic for a given seed.  ``max_iter`` caps the Lanczos steps
-    of one run.  ``tol`` bounds the move of the extreme Ritz values
-    between runs, not the eigenvalue error itself.  The Ritz values lie
+    Deterministic for a given seed.  ``max_iter`` caps the Lanczos steps.
+    ``tol`` bounds the move of the extreme Ritz values between
+    checkpoints, not the eigenvalue error itself.  The Ritz values lie
     inside [lambda_min(A), lambda_2(A)], so lambda_2 and kappa are
     approached from below.
     """
@@ -76,18 +76,30 @@ def estimate_spectrum(
     x -= (u1 @ x) * u1
     v1 = SparseVector.from_dense(x / np.linalg.norm(x))
 
-    k, iterations, previous = min(16, max_iter), 0, None
-    while True:
-        alphas, betas, _, breakdown, _ = run_recurrence(g, v1, k)
-        iterations += len(alphas)
+    extremes, residual, converged = None, np.inf, False
+    checkpoint = 16
+
+    def settle(alphas, betas, breakdown: bool) -> bool:
+        # Ritz extremes of T and their move since the last checkpoint
+        nonlocal extremes, residual, converged
+        previous = extremes
         extremes = tridiag_eigen_range(TridiagonalMatrix(alphas, betas), tol=tol / 10)
         residual = 0.0 if breakdown else np.inf
         if previous is not None and not breakdown:
             residual = max(abs(a - b) for a, b in zip(extremes, previous))
         converged = residual < tol
-        if converged or k == max_iter:
-            break
-        k, previous = min(2 * k, max_iter), extremes
+        return converged
+
+    def visit(i: int, supp, v, alphas, betas) -> bool:
+        nonlocal checkpoint
+        if len(alphas) < checkpoint:
+            return False
+        checkpoint *= 2
+        return settle(alphas, betas[:-1], False)
+
+    alphas, betas, _, breakdown, _ = run_recurrence(g, v1, max_iter, visit=visit)
+    if not converged:
+        settle(alphas, betas, breakdown)
 
     lambda_min, lambda2 = extremes
     mu2 = 1.0 - lambda2
@@ -96,7 +108,7 @@ def estimate_spectrum(
         lambda_min_a=float(lambda_min),
         mu2=float(mu2),
         kappa=float(2.0 / mu2),
-        iterations=iterations,
+        iterations=len(alphas),
         residual=float(residual),
         converged=bool(converged),
         wall_time=time.perf_counter() - start,

@@ -66,6 +66,20 @@ def random_connected(n: int, seed: int, density: float = 2.2) -> Graph:
     return generate_er(n, m, seed)
 
 
+def cut_lattice(side: int, cut: float, seed: int) -> Graph:
+    """A side x side lattice with a fraction ``cut`` of its edges removed;
+    the loader keeps the largest component."""
+    ids = np.arange(side * side).reshape(side, side)
+    edges = np.concatenate(
+        [
+            np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1),
+            np.stack([ids[:-1, :].ravel(), ids[1:, :].ravel()], axis=1),
+        ]
+    )
+    edges = edges[np.random.default_rng(seed).random(len(edges)) >= cut]
+    return graph_from_text("".join(f"{a} {b}\n" for a, b in edges))
+
+
 # ---------------------------------------------------------------------------
 # dense oracles (built only from public neighbor queries)
 # ---------------------------------------------------------------------------

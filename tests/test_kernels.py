@@ -214,6 +214,16 @@ def test_eigen_range_matches_dense_eigensolver():
         assert hi == pytest.approx(evals[-1], abs=1e-8)
 
 
+def test_eigen_range_tol_below_float_spacing():
+    # a tol finer than the spacing of doubles near the extremes must still
+    # end the bisection
+    t = R.TridiagonalMatrix([0.9, 0.5], [0.3])
+    evals = np.linalg.eigvalsh(t.to_dense())
+    lo, hi = R.tridiag_eigen_range(t, tol=1e-17)
+    assert lo == pytest.approx(evals[0], abs=1e-15)
+    assert hi == pytest.approx(evals[-1], abs=1e-15)
+
+
 def test_eigen_range_handles_zero_offdiagonals():
     t = R.TridiagonalMatrix([0.3, -0.2, 0.5], [0.0, 0.0])
     lo, hi = R.tridiag_eigen_range(t)

@@ -1,13 +1,19 @@
-"""Tests for the global Lanczos estimator and the two-pass potential solver."""
+"""Tests for the Lanczos recurrence, the global Lanczos estimator and the
+one-pass potential solver."""
+
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
 
 import resistor as R
-from resistor.kernels import TridiagonalMatrix
+import resistor.lanczos as lanczos_mod
+from resistor.errors import SingularSystemError
+from resistor.kernels import TridiagonalMatrix, tridiag_solve_e1
 from resistor.lanczos import definitional_start, run_recurrence, solve_checked
 
 from conftest import (
+    cut_lattice,
     dense_laplacian,
     dense_spectrum,
     path_graph,
@@ -87,11 +93,33 @@ def test_basis_is_orthonormal():
     basis = []
     run_recurrence(
         g, definitional_start(g, 0, 5), 12,
-        visit=lambda i, supp, v: basis.append(v.copy()),
+        visit=lambda i, supp, v, alphas, betas: basis.append(v.copy()),
     )
     V = np.array(basis).T
     gram = V.T @ V
     assert np.allclose(gram, np.eye(V.shape[1]), atol=1e-7)
+
+
+def test_visit_can_stop_the_run():
+    # stopping when v_{j+1} is formed gives exactly the k = j run
+    g = random_connected(40, 12)
+    for eps in (0.0, 1e-3):
+        for j in (1, 5, 9):
+            seen = []
+
+            def stop(i, supp, v, alphas, betas):
+                seen.append((len(alphas), len(betas)))
+                return i == j + 1
+
+            v1 = definitional_start(g, 0, 7)
+            stopped = run_recurrence(g, v1, 20, eps, visit=stop)
+            full = run_recurrence(g, v1, j, eps)
+            assert seen == [(i - 1, i - 1) for i in range(1, j + 2)]
+            for a, b in zip(stopped[:3], full[:3]):
+                assert np.array_equal(a, b)
+            assert stopped[3] == full[3]
+            assert stopped[4].support_sizes == full[4].support_sizes
+            assert stopped[4].touched_edges == full[4].touched_edges
 
 
 def test_same_vertex_short_circuits(toy):
@@ -159,6 +187,77 @@ def test_potential_solves_laplacian_system():
         ref = pinv_potential(g, s, t)
         shifted = phi - phi.mean() + ref.mean()
         assert np.allclose(shifted, ref, atol=1e-8)
+
+
+def _two_pass_potential(g, s, t, k):
+    # reference: keep the basis, solve (I - T) y = e_1, then V y
+    basis = []
+    alphas, betas, _, _, _ = run_recurrence(
+        g, definitional_start(g, s, t), k,
+        visit=lambda i, supp, v, alphas, betas: basis.append(v.copy()),
+    )
+    y = tridiag_solve_e1(TridiagonalMatrix(alphas, betas))
+    scale = np.sqrt(1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t])
+    return scale * g.inv_sqrt_degrees * (np.array(basis).T @ y)
+
+
+def test_potential_matches_two_pass_reference():
+    cases = []
+    for seed in (3, 8, 21):
+        g = random_connected(50, 300 + seed)
+        cases.append((g, *random_pair(np.random.default_rng(seed), g.node_count), 15))
+    path = path_graph(200)
+    cases.append((path, 0, 199, 200))
+    lattice = cut_lattice(20, 0.1, 7)
+    s, t = random_pair(np.random.default_rng(4), lattice.node_count)
+    cases.append((lattice, s, t, 200))
+    for g, s, t, k in cases:
+        ref = _two_pass_potential(g, s, t, k)
+        phi = R.lanczos_potential(g, s, t, k)
+        assert np.max(np.abs((phi - phi[t]) - (ref - ref[t]))) <= 1e-12 * np.max(
+            np.abs(ref - ref[t])
+        )
+    # the path run ends on a breakdown (the Krylov space is exhausted)
+    assert R.lanczos_rd(path, 0, 199, 200)[1].breakdown
+
+
+def test_potential_makes_one_product_per_step(monkeypatch):
+    calls = []
+    real = lanczos_mod.apply_normalized_adjacency
+
+    def counted(g, v):
+        calls.append(1)
+        return real(g, v)
+
+    # the path run breaks down after 100 of its 200 steps
+    cases = [
+        (cut_lattice(20, 0.1, 7), 3, 250, 40, 40),
+        (path_graph(200), 0, 199, 200, 100),
+    ]
+    for g, s, t, k, k_effective in cases:
+        assert R.lanczos_rd(g, s, t, k)[1].k_effective == k_effective
+        calls.clear()
+        monkeypatch.setattr(lanczos_mod, "apply_normalized_adjacency", counted)
+        R.lanczos_potential(g, s, t, k)
+        monkeypatch.setattr(lanczos_mod, "apply_normalized_adjacency", real)
+        assert len(calls) == k_effective
+
+
+def test_potential_raises_on_the_pivot_floor(monkeypatch, toy):
+    # A~ = c I makes alpha_1 = c and the first pivot 1 - c; the floor is
+    # the one tridiag_solve_e1 applies
+    for c, singular in ((1.0 - 1e-15, True), (1.0 - 1e-13, False)):
+
+        def scaled(g, v, c=c):
+            return c * v
+
+        monkeypatch.setattr(lanczos_mod, "apply_normalized_adjacency", scaled)
+        with pytest.raises(SingularSystemError) if singular else nullcontext():
+            phi = R.lanczos_potential(toy, 0, 3, 3)
+            assert np.all(np.isfinite(phi))
+        alphas, betas, _, _, _ = run_recurrence(toy, definitional_start(toy, 0, 3), 3)
+        with pytest.raises(SingularSystemError) if singular else nullcontext():
+            tridiag_solve_e1(TridiagonalMatrix(alphas, betas))
 
 
 def test_potential_same_vertex_is_flat(toy):

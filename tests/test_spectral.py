@@ -1,16 +1,19 @@
 """Tests for the Lanczos spectral estimator: the extreme eigenvalues
 lambda_2(A) and lambda_min(A) and kappa against closed forms and a dense
-eigendecomposition, and its convergence flag, validation and seeding."""
+eigendecomposition, and against T read off a fresh recurrence, and its
+convergence flag, validation and seeding."""
 
 import numpy as np
 import pytest
 
 import resistor as R
+from resistor.kernels import SparseVector, TridiagonalMatrix, tridiag_eigen_range
+from resistor.lanczos import run_recurrence
 
 from conftest import (
     complete_graph,
+    cut_lattice,
     dense_spectrum,
-    graph_from_text,
     path_graph,
     random_connected,
 )
@@ -41,24 +44,10 @@ def test_single_edge_degenerate_spectrum(edge):
     assert est.kappa == pytest.approx(1.0, abs=1e-9)
 
 
-def _cut_lattice(side: int, cut: float, seed: int):
-    # a side x side lattice with a fraction `cut` of its edges removed;
-    # the loader keeps the largest component
-    ids = np.arange(side * side).reshape(side, side)
-    edges = np.concatenate(
-        [
-            np.stack([ids[:, :-1].ravel(), ids[:, 1:].ravel()], axis=1),
-            np.stack([ids[:-1, :].ravel(), ids[1:, :].ravel()], axis=1),
-        ]
-    )
-    edges = edges[np.random.default_rng(seed).random(len(edges)) >= cut]
-    return graph_from_text("".join(f"{a} {b}\n" for a, b in edges))
-
-
 def test_matches_dense_oracle_on_random_graphs():
     graphs = [random_connected(12 + 3 * seed, 400 + seed) for seed in range(10)]
     # small spectral gaps: kappa ~ 1.6e4 on the path
-    graphs += [path_graph(200), _cut_lattice(20, 0.1, 7)]
+    graphs += [path_graph(200), cut_lattice(20, 0.1, 7)]
     for g in graphs:
         lam2, lam_min, kappa = dense_spectrum(g)
         est = R.estimate_spectrum(g, tol=1e-12)
@@ -66,6 +55,30 @@ def test_matches_dense_oracle_on_random_graphs():
         assert est.lambda2_a == pytest.approx(lam2, abs=1e-5)
         assert est.lambda_min_a == pytest.approx(lam_min, abs=1e-5)
         assert est.kappa == pytest.approx(kappa, rel=1e-6)
+
+
+def test_extremes_are_those_of_the_final_t():
+    # the run stops at a checkpoint, on a breakdown or at max_iter; its
+    # extremes are, bit for bit, those of T from a fresh run of that length
+    cases = [
+        (random_connected(30, 401), 1e-9, 200_000),
+        (complete_graph(4), 1e-9, 200_000),
+        (path_graph(200), 1e-12, 200_000),
+        (cut_lattice(20, 0.1, 7), 1e-9, 200_000),
+        (random_connected(40, 2), 1e-15, 40),  # stops at max_iter
+    ]
+    for g, tol, max_iter in cases:
+        est = R.estimate_spectrum(g, tol=tol, max_iter=max_iter, seed=3)
+        u1 = g.sqrt_degrees / np.linalg.norm(g.sqrt_degrees)
+        x = np.random.default_rng(3).standard_normal(g.node_count)
+        x -= (u1 @ x) * u1
+        v1 = SparseVector.from_dense(x / np.linalg.norm(x))
+        alphas, betas, _, _, _ = run_recurrence(g, v1, est.iterations)
+        assert len(alphas) == est.iterations
+        tmat = TridiagonalMatrix(alphas, betas)
+        lam_min, lam2 = tridiag_eigen_range(tmat, tol=tol / 10)
+        assert (est.lambda_min_a, est.lambda2_a) == (lam_min, lam2)
+        assert est.kappa == 2.0 / (1.0 - lam2)
 
 
 def test_kappa_never_below_one():
