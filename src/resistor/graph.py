@@ -99,6 +99,16 @@ class Graph:
         return np.repeat(np.arange(self.node_count), np.diff(self.offsets))
 
     @cached_property
+    def reverse_arcs(self) -> np.ndarray:
+        """Arc id of (x, u) for every arc (u, x), aligned with ``neighbors``.
+
+        Arcs are sorted by (source, head), so sorting them by (head,
+        source) lists the reverse of each arc in its place.  On a
+        symmetric graph this is an involution.
+        """
+        return np.lexsort((self.arc_sources, self.neighbors))
+
+    @cached_property
     def inv_sqrt_degrees(self) -> np.ndarray:
         """1 / sqrt(weighted degree), used by the normalized operators."""
         return 1.0 / self.sqrt_degrees
@@ -364,36 +374,81 @@ def save_cache(g: Graph, path: Union[str, Path]) -> None:
 
 
 def load_cache(path: Union[str, Path]) -> Graph:
-    """Read a graph previously written by :func:`save_cache`."""
+    """Read a graph previously written by :func:`save_cache`.
+
+    The file is checked against every invariant of :class:`Graph`: exact
+    length for its header, CSR offsets from 0 to 2m, neighbor ids in
+    range, sorted slices without self loops, positive finite weights,
+    symmetric arcs and a single component.
+
+    Raises
+    ------
+    GraphFormatError
+        If the file is not a well-formed graph cache.
+    EmptyGraphError
+        If the cached graph has no edges.
+    """
     with open(path, "rb") as fh:
         blob = fh.read()
     if blob[:4] != _CACHE_MAGIC:
         raise GraphFormatError(1, "not a graph cache file (bad magic)")
-    try:
-        n, m = struct.unpack_from("<QQ", blob, 4)
-    except struct.error:
-        raise GraphFormatError(1, "truncated graph cache file") from None
-    pos = 4 + 16
+    header = 4 + 16
+    if len(blob) < header:
+        raise GraphFormatError(1, "truncated graph cache file")
+    n, m = struct.unpack_from("<QQ", blob, 4)
+    need = header + 8 * (n + 1) + 8 * 2 * m + 8 * 2 * m + 8 * n
+    if len(blob) != need:
+        raise GraphFormatError(
+            1, f"graph cache holds {len(blob)} bytes, its header (n={n}, m={m}) needs {need}"
+        )
+    if m == 0:
+        raise EmptyGraphError("graph cache holds no edges")
+    pos = header
 
     def take(count, dtype):
         nonlocal pos
         arr = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
         pos += arr.nbytes
-        return arr.copy()
+        return arr.astype(arr.dtype.newbyteorder("="))  # a native copy
 
-    try:
-        offsets = take(n + 1, "<i8")
-        neighbors = take(2 * m, "<i8")
-        weights = take(2 * m, "<f8")
-        old_ids = take(n, "<i8")
-    except ValueError:
-        raise GraphFormatError(1, "truncated graph cache file") from None
+    offsets = take(n + 1, "<i8")
+    neighbors = take(2 * m, "<i8")
+    weights = take(2 * m, "<f8")
+    old_ids = take(n, "<i8")
+    if offsets[0] != 0 or offsets[-1] != 2 * m or np.any(np.diff(offsets) < 0):
+        raise GraphFormatError(1, "graph cache offsets are not monotone from 0 to 2m")
     degrees = np.bincount(
         np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets)),
         weights=weights,
         minlength=n,
     )
-    return Graph(offsets, neighbors, weights, degrees, old_ids)
+    g = Graph(offsets, neighbors, weights, degrees, old_ids)
+    _check_cached_arcs(g)
+    return g
+
+
+def _check_cached_arcs(g: Graph) -> None:
+    """Raise GraphFormatError unless the arcs of ``g`` (whose offsets are
+    already checked) form a connected simple undirected graph with
+    positive finite weights."""
+    n, src, dst, w = g.node_count, g.arc_sources, g.neighbors, g.weights
+    if dst.min() < 0 or dst.max() >= n:
+        raise GraphFormatError(1, f"graph cache neighbor id outside [0, {n})")
+    if np.any(src == dst):
+        raise GraphFormatError(1, "graph cache holds a self loop")
+    if np.any((src[1:] == src[:-1]) & (dst[1:] <= dst[:-1])):
+        raise GraphFormatError(1, "graph cache neighbor slices are not strictly ascending")
+    if not np.all(np.isfinite(w) & (w > 0.0)):
+        raise GraphFormatError(1, "graph cache weights must be positive and finite")
+    rev = g.reverse_arcs
+    if not (
+        np.array_equal(dst[rev], src)
+        and np.array_equal(src[rev], dst)
+        and np.array_equal(w[rev], w)
+    ):
+        raise GraphFormatError(1, "graph cache arcs are not symmetric")
+    if _component_labels(g.offsets, dst).max() != 0:
+        raise GraphFormatError(1, "graph cache holds more than one component")
 
 
 # ---------------------------------------------------------------------------
@@ -430,6 +485,35 @@ def bfs_hops(g: Graph, source: int) -> np.ndarray:
     hops = np.full(g.node_count, -1, dtype=np.int64)
     _bfs_layers(g.offsets, g.neighbors, source, hops)
     return hops
+
+
+def _hop_distance(g: Graph, s: int, t: int) -> int:
+    """Hop distance from ``s`` to ``t`` (-1 if unreachable).
+
+    A BFS that stops at the first arc reaching ``t``.  It walks one vertex
+    at a time through memoryviews: on the narrow frontiers of sparse,
+    long-diameter graphs a vectorised layer would pay several numpy calls
+    for a handful of arcs.
+    """
+    if s == t:
+        return 0
+    offsets, neighbors = memoryview(g.offsets), memoryview(g.neighbors)
+    seen = bytearray(g.node_count)
+    seen[s] = 1
+    frontier = [s]
+    d = 0
+    while frontier:
+        d += 1
+        nxt = []
+        for u in frontier:
+            for x in neighbors[offsets[u] : offsets[u + 1]]:
+                if not seen[x]:
+                    if x == t:
+                        return d
+                    seen[x] = 1
+                    nxt.append(x)
+        frontier = nxt
+    return -1
 
 
 # ---------------------------------------------------------------------------

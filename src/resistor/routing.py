@@ -1,12 +1,17 @@
 """Electric-flow alternate routing.
 
 The approximate electric potential from the Lanczos solver induces a flow
-f(u, v) = phi(u) - phi(v) on every edge (oriented canonically u < v).  The
-router repeatedly extracts the widest path from s to t through the
-remaining positive flow, subtracts its bottleneck uniformly along the
-path, and keeps the l cheapest of the paths found.  Because electric flow
-spreads over every s-t cut in proportion to conductance, the extracted
-paths are naturally short and physically diverse.
+f(u, v) = w(u, v) (phi(u) - phi(v)) on every edge, conductance times
+potential difference (oriented canonically u < v).  The router repeatedly
+extracts the widest path from s to t through the remaining positive flow,
+subtracts its bottleneck uniformly along the path, and keeps the l
+cheapest of the paths found.  Because electric flow spreads over every s-t
+cut in proportion to conductance, the extracted paths are naturally short
+and physically diverse.
+
+The search runs on the flow of every arc, aligned with ``Graph.neighbors``:
+arc (u, x) carries f(u, x) and its reverse ``Graph.reverse_arcs`` carries
+-f(u, x), so a bottleneck is subtracted by arc id.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import _check_pair
-from .graph import Graph, bfs_hops, edge_arrays
+from .graph import Graph, _hop_distance
 from .lanczos import lanczos_potential
 
 __all__ = [
@@ -41,23 +46,26 @@ class FlowMap:
 
     ``values[i]`` is the flow on edge (``edge_u[i]``, ``edge_v[i]``) with
     ``edge_u[i] < edge_v[i]``; a positive value flows from the smaller to
-    the larger endpoint.  ``index`` maps an edge pair to its position.
+    the larger endpoint.  ``index`` maps an edge pair to its position; it
+    is built on the first :meth:`get`.
     """
 
     edge_u: np.ndarray
     edge_v: np.ndarray
     values: np.ndarray
-    index: dict
+    index: dict | None = None
 
     @classmethod
     def from_potential(cls, g: Graph, phi: np.ndarray) -> "FlowMap":
-        eu, ev, _ = edge_arrays(g)
-        values = phi[eu] - phi[ev]
-        index = dict(zip(zip(eu.tolist(), ev.tolist()), range(len(eu))))
-        return cls(eu, ev, values, index)
+        """The flow w(u, v) (phi(u) - phi(v)) on every edge."""
+        up = g.arc_sources < g.neighbors
+        return cls(g.arc_sources[up], g.neighbors[up], _arc_flow(g, phi)[up])
 
     def get(self, u: int, v: int) -> float:
         """Flow from u to v (signed; negates when the pair is reversed)."""
+        if self.index is None:
+            pairs = zip(self.edge_u.tolist(), self.edge_v.tolist())
+            self.index = dict(zip(pairs, range(len(self.edge_u))))
         if u < v:
             return float(self.values[self.index[(u, v)]])
         return -float(self.values[self.index[(v, u)]])
@@ -145,6 +153,92 @@ def kirchhoff_residuals(g: Graph, flow: FlowMap, s: int, t: int) -> np.ndarray:
     return net
 
 
+def _arc_flow(g: Graph, phi: np.ndarray) -> np.ndarray:
+    """The flow w(u, x) (phi(u) - phi(x)) along every arc (u, x), aligned
+    with ``g.neighbors``.  IEEE subtraction and multiplication round
+    symmetrically, so every reverse arc carries exactly the negated flow."""
+    flow = phi[g.arc_sources] - phi[g.neighbors]
+    if not g.is_unweighted:
+        flow *= g.weights
+    return flow
+
+
+def _flow_on_arcs(g: Graph, flow: FlowMap) -> np.ndarray:
+    """Expand an edge flow to the arcs of ``g``: arc (u, x) with u < x
+    carries its edge's value, the reverse arc the negated value."""
+    up = g.arc_sources < g.neighbors
+    if not (
+        np.array_equal(flow.edge_u, g.arc_sources[up])
+        and np.array_equal(flow.edge_v, g.neighbors[up])
+    ):
+        raise ValueError("the flow is not on the canonical edges of this graph")
+    arc_flow = np.empty(len(g.neighbors))
+    arc_flow[up] = flow.values
+    down = ~up
+    arc_flow[down] = -arc_flow[g.reverse_arcs[down]]
+    return arc_flow
+
+
+def _widest_path(g: Graph, arc_flow: np.ndarray, s: int, t: int):
+    """Widest s-t path through the arcs of positive ``arc_flow``.
+
+    Returns the :class:`Route` and its arc ids in path order, or None.
+    A best-first search maximizing the minimum capacity along the path,
+    with heap keys ``(-width, vertex)`` so that ties go to the smaller
+    vertex id; neighbors are scanned in CSR order.  The arrays are read
+    through memoryviews, which yield Python scalars without a numpy call
+    per arc.
+    """
+    offsets, neighbors = memoryview(g.offsets), memoryview(g.neighbors)
+    flow = memoryview(arc_flow)
+    n = g.node_count
+    width = [0.0] * n
+    width[s] = math.inf
+    parent_arc = [-1] * n
+    done = [False] * n
+    heap = [(-math.inf, s)]
+    while heap:
+        neg_w, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if u == t:
+            break
+        wu = -neg_w
+        for j in range(offsets[u], offsets[u + 1]):
+            cap = flow[j]
+            if cap <= 0.0:
+                continue
+            x = neighbors[j]
+            if done[x]:
+                continue
+            nw = wu if wu < cap else cap
+            if nw > width[x]:
+                width[x] = nw
+                parent_arc[x] = j
+                heapq.heappush(heap, (-nw, x))
+    if not done[t] or not math.isfinite(width[t]) or width[t] <= 0.0:
+        return None
+    arcs = []
+    x = t
+    while x != s:
+        arcs.append(parent_arc[x])
+        x = int(g.arc_sources[parent_arc[x]])
+    arcs.reverse()
+    path = [s] + [neighbors[j] for j in arcs]
+    wlen = 0.0
+    for w in g.weights[arcs].tolist():
+        wlen += w
+    route = Route(
+        vertices=tuple(path),
+        edges=frozenset((min(a, b), max(a, b)) for a, b in zip(path[:-1], path[1:])),
+        length=len(path) - 1,
+        weighted_length=wlen,
+        bottleneck=width[t],
+    )
+    return route, arcs
+
+
 def max_bottleneck_path(g: Graph, flow: FlowMap, s: int, t: int):
     """Widest s-t path through the positive remaining flow, or None.
 
@@ -156,52 +250,8 @@ def max_bottleneck_path(g: Graph, flow: FlowMap, s: int, t: int):
     _check_pair(g, s, t)
     if s == t:
         raise ValueError("routes need distinct endpoints")
-    n = g.node_count
-    offsets, neighbors = g.offsets, g.neighbors
-    width = np.zeros(n)
-    width[s] = np.inf
-    parent = np.full(n, -1, dtype=np.int64)
-    done = np.zeros(n, dtype=bool)
-    heap = [(-np.inf, s)]
-    while heap:
-        neg_w, u = heapq.heappop(heap)
-        if done[u]:
-            continue
-        done[u] = True
-        if u == t:
-            break
-        wu = -neg_w
-        for x in neighbors[offsets[u] : offsets[u + 1]].tolist():
-            if done[x]:
-                continue
-            cap = flow.get(u, x)
-            if cap <= 0.0:
-                continue
-            nw = min(wu, cap)
-            if nw > width[x]:
-                width[x] = nw
-                parent[x] = u
-                heapq.heappush(heap, (-nw, x))
-    if not done[t] or not np.isfinite(width[t]) or width[t] <= 0.0:
-        return None
-    path = [t]
-    while path[-1] != s:
-        path.append(int(parent[path[-1]]))
-    path.reverse()
-    edges = []
-    wlen = 0.0
-    for a, b in zip(path[:-1], path[1:]):
-        lo, hi = min(a, b), max(a, b)
-        edges.append((lo, hi))
-        arc = np.searchsorted(g.neighbors[g.offsets[a] : g.offsets[a + 1]], b)
-        wlen += float(g.weights[g.offsets[a] + arc])
-    return Route(
-        vertices=tuple(path),
-        edges=frozenset(edges),
-        length=len(path) - 1,
-        weighted_length=wlen,
-        bottleneck=float(width[t]),
-    )
+    found = _widest_path(g, _flow_on_arcs(g, flow), s, t)
+    return None if found is None else found[0]
 
 
 def extract_routes(g: Graph, s: int, t: int, k: int, l: int) -> RouteExtraction:
@@ -217,18 +267,17 @@ def extract_routes(g: Graph, s: int, t: int, k: int, l: int) -> RouteExtraction:
         raise ValueError("routes need distinct endpoints")
     if l < 1:
         raise ValueError("the number of routes l must be >= 1")
-    flow = electric_flow(g, s, t, k)
+    arc_flow = _arc_flow(g, lanczos_potential(g, s, t, k))
     unweighted = g.is_unweighted
     found = []
     for _ in range(2 * l):
-        route = max_bottleneck_path(g, flow, s, t)
-        if route is None:
+        widest = _widest_path(g, arc_flow, s, t)
+        if widest is None:
             break
-        for a, b in zip(route.vertices[:-1], route.vertices[1:]):
-            if a < b:
-                flow.values[flow.index[(a, b)]] -= route.bottleneck
-            else:
-                flow.values[flow.index[(b, a)]] += route.bottleneck
+        route, arcs = widest
+        # a simple path holds each arc and its reverse at most once
+        arc_flow[arcs] -= route.bottleneck
+        arc_flow[g.reverse_arcs[arcs]] += route.bottleneck
         found.append(route)
     cost = (
         (lambda r: r.length) if unweighted else (lambda r: r.weighted_length)
@@ -262,8 +311,7 @@ def route_metrics(
         raise ValueError("p_delete must be a probability")
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    hops = bfs_hops(g, s)
-    shortest = int(hops[t])
+    shortest = _hop_distance(g, s, t)
     if shortest <= 0:
         raise ValueError(
             "stretch is undefined: endpoints are not connected by any path"
@@ -283,16 +331,16 @@ def route_metrics(
 
     edge_pool = sorted(set().union(*(r.edges for r in routes)))
     edge_pos = {e: i for i, e in enumerate(edge_pool)}
-    route_masks = [
-        np.fromiter((edge_pos[e] for e in r.edges), dtype=np.int64) for r in routes
-    ]
-    survived = 0
+    on_route = np.zeros((len(edge_pool), len(routes)), dtype=bool)
+    for i, r in enumerate(routes):
+        on_route[[edge_pos[e] for e in r.edges], i] = True
     children = np.random.SeedSequence(seed).spawn(trials)
-    for child in children:
-        rng = np.random.default_rng(child)
-        deleted = rng.random(len(edge_pool)) < p_delete
-        if any(not deleted[mask].any() for mask in route_masks):
-            survived += 1
+    deleted = np.array(
+        [np.random.default_rng(c).random(len(edge_pool)) < p_delete for c in children]
+    )
+    # hit[i, r]: round i deleted at least one edge of route r
+    hit = deleted @ on_route
+    survived = int(np.count_nonzero(~hit.all(axis=1)))
     return RouteMetrics(
         stretch=float(stretch),
         diversity=float(diversity),

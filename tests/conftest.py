@@ -66,6 +66,20 @@ def random_connected(n: int, seed: int, density: float = 2.2) -> Graph:
     return generate_er(n, m, seed)
 
 
+def random_weighted(n: int, seed: int) -> Graph:
+    """``random_connected(n, seed)`` with edge weights drawn from [0.25, 4)."""
+    g = random_connected(n, seed)
+    eu, ev = [], []
+    for u in range(g.node_count):
+        for v, _ in neighbor_slice(g, u):
+            if u < v:
+                eu.append(u)
+                ev.append(v)
+    w = np.random.default_rng(seed).uniform(0.25, 4.0, len(eu))
+    text = "".join(f"{a} {b} {x!r}\n" for a, b, x in zip(eu, ev, w.tolist()))
+    return graph_from_text(text, weighted=True)
+
+
 def cut_lattice(side: int, cut: float, seed: int) -> Graph:
     """A side x side lattice with a fraction ``cut`` of its edges removed;
     the loader keeps the largest component."""

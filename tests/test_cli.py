@@ -189,6 +189,24 @@ def test_gen_rdg_cache_loads_back(runner, tmp_path):
     assert _json_of(result)["value"] > 0.0
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["query", "{path}", "0", "1", "--method", "lz"], ["route", "{path}", "0", "1"]],
+    ids=["query", "route"],
+)
+def test_corrupt_cache_is_an_input_error(runner, tmp_path, command):
+    path = tmp_path / "g.rdg"
+    assert runner.invoke(cli, ["gen", "er", "30", str(path), "--m", "70"]).exit_code == 0
+    blob = bytearray(path.read_bytes())
+    n = int(np.frombuffer(bytes(blob[4:12]), dtype="<u8")[0])
+    first_neighbor = 4 + 16 + 8 * (n + 1)
+    blob[first_neighbor : first_neighbor + 8] = np.int64(10**6).astype("<i8").tobytes()
+    path.write_bytes(bytes(blob))
+    result = runner.invoke(cli, [arg.format(path=path) for arg in command])
+    assert result.exit_code == EXIT_IO, result.output
+    assert "neighbor id" in result.output
+
+
 def test_gen_validates_family(runner, tmp_path):
     result = runner.invoke(cli, ["gen", "tree", "30", str(tmp_path / "x.txt")])
     assert result.exit_code == EXIT_USAGE

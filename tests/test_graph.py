@@ -1,6 +1,7 @@
 """Graph loading, cleaning, generation, and query tests."""
 
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -9,11 +10,17 @@ from hypothesis import strategies as st
 
 import resistor as R
 
+from resistor.graph import _hop_distance
+
 from conftest import (
+    cut_lattice,
     dense_degrees,
     graph_from_text,
     grid_graph,
     path_graph,
+    random_connected,
+    random_pair,
+    random_weighted,
     toy_graph,
 )
 
@@ -185,6 +192,40 @@ def test_bfs_hops_path():
     assert R.bfs_hops(g, 3).tolist() == [3, 2, 1, 0, 1, 2]
 
 
+def test_hop_distance_matches_bfs_hops():
+    rng = np.random.default_rng(2)
+    for g in (cut_lattice(15, 0.2, 4), random_connected(60, 9), path_graph(30)):
+        for _ in range(10):
+            s, t = random_pair(rng, g.node_count)
+            assert _hop_distance(g, s, t) == R.bfs_hops(g, s)[t]
+        assert _hop_distance(g, 3, 3) == 0
+
+
+def test_hop_distance_unreachable():
+    two_edges = R.Graph(
+        offsets=np.array([0, 1, 2, 3, 4], dtype=np.int64),
+        neighbors=np.array([1, 0, 3, 2], dtype=np.int64),
+        weights=np.ones(4),
+        weighted_degrees=np.ones(4),
+        old_ids=np.arange(4, dtype=np.int64),
+    )
+    assert _hop_distance(two_edges, 0, 1) == 1
+    assert _hop_distance(two_edges, 0, 2) == -1
+
+
+@pytest.mark.parametrize(
+    "g",
+    [random_connected(50, 3), random_weighted(30, 8), cut_lattice(15, 0.2, 4)],
+    ids=["random", "weighted", "cut-lattice"],
+)
+def test_reverse_arcs_is_an_involution(g):
+    rev = g.reverse_arcs
+    assert np.array_equal(rev[rev], np.arange(len(g.neighbors)))
+    assert np.array_equal(g.neighbors[rev], g.arc_sources)
+    assert np.array_equal(g.arc_sources[rev], g.neighbors)
+    assert np.array_equal(g.weights[rev], g.weights)
+
+
 def test_round_trip_text(tmp_path):
     g = toy_graph()
     p = tmp_path / "toy.txt"
@@ -226,6 +267,87 @@ def test_cache_rejects_garbage(tmp_path):
         R.load_cache(p)
     p.write_bytes(b"RDG1" + b"\x00" * 4)
     with pytest.raises(R.GraphFormatError):
+        R.load_cache(p)
+
+
+def _write_cache(path, offsets, neighbors, weights, old_ids, n=None, m=None):
+    """Write the cache layout by hand, header counts overridable."""
+    n = len(offsets) - 1 if n is None else n
+    m = len(neighbors) // 2 if m is None else m
+    with open(path, "wb") as fh:
+        fh.write(b"RDG1" + struct.pack("<QQ", n, m))
+        for arr, dtype in ((offsets, "<i8"), (neighbors, "<i8"), (weights, "<f8"), (old_ids, "<i8")):
+            fh.write(np.asarray(arr, dtype=dtype).tobytes())
+
+
+# the path 0-1-2-3 as cache arrays, and one corruption per rejection path
+PATH_CACHE = {
+    "offsets": [0, 1, 3, 5, 6],
+    "neighbors": [1, 0, 2, 1, 3, 2],
+    "weights": [1.0] * 6,
+    "old_ids": [0, 1, 2, 3],
+}
+CACHE_CORRUPTIONS = {
+    "offsets-start": ("offsets", 0, 1, "offsets"),
+    "offsets-end": ("offsets", 4, 5, "offsets"),
+    "offsets-order": ("offsets", 2, 0, "offsets"),
+    "id-too-large": ("neighbors", 0, 10**6, "neighbor id"),
+    "id-negative": ("neighbors", 5, -1, "neighbor id"),
+    "self-loop": ("neighbors", 0, 0, "self loop"),
+    "unsorted": ("neighbors", 1, 3, "ascending"),
+    "zero-weight": ("weights", 2, 0.0, "weights"),
+    "nan-weight": ("weights", 2, float("nan"), "weights"),
+    "inf-weight": ("weights", 2, float("inf"), "weights"),
+    "one-way-arc": ("neighbors", 0, 2, "symmetric"),
+    "one-way-weight": ("weights", 0, 2.0, "symmetric"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CACHE_CORRUPTIONS))
+def test_cache_rejects_corrupt_arrays(tmp_path, case):
+    field, i, value, message = CACHE_CORRUPTIONS[case]
+    arrays = {k: list(v) for k, v in PATH_CACHE.items()}
+    arrays[field][i] = value
+    p = tmp_path / "bad.rdg"
+    _write_cache(p, **arrays)
+    with pytest.raises(R.GraphFormatError, match=message):
+        R.load_cache(p)
+    _write_cache(p, **PATH_CACHE)
+    assert R.load_cache(p).edge_count == 3
+
+
+def test_cache_rejects_wrong_length(tmp_path):
+    p = tmp_path / "bad.rdg"
+    _write_cache(p, **PATH_CACHE, m=4)
+    with pytest.raises(R.GraphFormatError, match="bytes"):
+        R.load_cache(p)
+    p.write_bytes(p.read_bytes() + b"\x00")
+    with pytest.raises(R.GraphFormatError, match="bytes"):
+        R.load_cache(p)
+    _write_cache(p, **PATH_CACHE, n=2**62)
+    with pytest.raises(R.GraphFormatError, match="bytes"):
+        R.load_cache(p)
+
+
+def test_cache_rejects_one_way_cycle(tmp_path):
+    # every vertex has one arc in and one out, but no arc has a reverse
+    p = tmp_path / "bad.rdg"
+    _write_cache(p, [0, 1, 2, 3, 4], [1, 2, 3, 0], [1.0] * 4, [0, 1, 2, 3])
+    with pytest.raises(R.GraphFormatError, match="symmetric"):
+        R.load_cache(p)
+
+
+def test_cache_rejects_two_components(tmp_path):
+    p = tmp_path / "bad.rdg"
+    _write_cache(p, [0, 1, 2, 3, 4], [1, 0, 3, 2], [1.0] * 4, [0, 1, 2, 3])
+    with pytest.raises(R.GraphFormatError, match="component"):
+        R.load_cache(p)
+
+
+def test_cache_rejects_no_edges(tmp_path):
+    p = tmp_path / "bad.rdg"
+    _write_cache(p, [0, 0], [], [], [7])
+    with pytest.raises(R.EmptyGraphError):
         R.load_cache(p)
 
 

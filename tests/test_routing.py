@@ -1,5 +1,6 @@
 """Tests for electric-flow routing: flows, widest paths, and metrics."""
 
+import heapq
 import math
 
 import numpy as np
@@ -9,13 +10,19 @@ import resistor as R
 from resistor.graph import Graph
 
 from conftest import (
+    cut_lattice,
     cycle_graph,
     graph_from_text,
     path_graph,
     pinv_potential,
     random_connected,
     random_pair,
+    random_weighted,
 )
+
+# a weighted graph whose unit flow needs the conductances: dropping them
+# leaves net outflows (0.75, 0.5, -0.5, -0.75)
+WEIGHTED_TEXT = "0 1 2.0\n1 2 1.0\n0 2 1.0\n2 3 3.0\n1 3 0.5\n"
 
 
 def _flow_from_values(g, pairs_to_values):
@@ -51,6 +58,98 @@ def _brute_force_widest(g, flow, s, t):
     return best
 
 
+def _reference_widest(g, flow, index, s, t):
+    """The widest-path search as first written: a heap search over
+    per-arc dict lookups, kept to pin routes and tie-breaks."""
+
+    def get(u, v):
+        if u < v:
+            return float(flow.values[index[(u, v)]])
+        return -float(flow.values[index[(v, u)]])
+
+    n = g.node_count
+    offsets, neighbors = g.offsets, g.neighbors
+    width = np.zeros(n)
+    width[s] = np.inf
+    parent = np.full(n, -1, dtype=np.int64)
+    done = np.zeros(n, dtype=bool)
+    heap = [(-np.inf, s)]
+    while heap:
+        neg_w, u = heapq.heappop(heap)
+        if done[u]:
+            continue
+        done[u] = True
+        if u == t:
+            break
+        wu = -neg_w
+        for x in neighbors[offsets[u] : offsets[u + 1]].tolist():
+            if done[x]:
+                continue
+            cap = get(u, x)
+            if cap <= 0.0:
+                continue
+            nw = min(wu, cap)
+            if nw > width[x]:
+                width[x] = nw
+                parent[x] = u
+                heapq.heappush(heap, (-nw, x))
+    if not done[t] or not np.isfinite(width[t]) or width[t] <= 0.0:
+        return None
+    path = [t]
+    while path[-1] != s:
+        path.append(int(parent[path[-1]]))
+    path.reverse()
+    edges = []
+    wlen = 0.0
+    for a, b in zip(path[:-1], path[1:]):
+        edges.append((min(a, b), max(a, b)))
+        arc = np.searchsorted(g.neighbors[g.offsets[a] : g.offsets[a + 1]], b)
+        wlen += float(g.weights[g.offsets[a] + arc])
+    return R.Route(
+        vertices=tuple(path),
+        edges=frozenset(edges),
+        length=len(path) - 1,
+        weighted_length=wlen,
+        bottleneck=float(width[t]),
+    )
+
+
+def _reference_extract(g, s, t, k, l):
+    """``extract_routes`` as first written, on the reference search, with
+    bottlenecks subtracted through the edge dict."""
+    flow = R.electric_flow(g, s, t, k)
+    index = {
+        (a, b): i
+        for i, (a, b) in enumerate(zip(flow.edge_u.tolist(), flow.edge_v.tolist()))
+    }
+    found = []
+    for _ in range(2 * l):
+        route = _reference_widest(g, flow, index, s, t)
+        if route is None:
+            break
+        for a, b in zip(route.vertices[:-1], route.vertices[1:]):
+            if a < b:
+                flow.values[index[(a, b)]] -= route.bottleneck
+            else:
+                flow.values[index[(b, a)]] += route.bottleneck
+        found.append(route)
+    cost = (lambda r: r.length) if g.is_unweighted else (lambda r: r.weighted_length)
+    order = sorted(range(len(found)), key=lambda i: (cost(found[i]), i))
+    return [found[i] for i in order[:l]], len(found) >= l
+
+
+def _reference_survivals(routes, p_delete, trials, seed):
+    """Rounds in which some route survives, one round at a time."""
+    edge_pool = sorted(set().union(*(r.edges for r in routes)))
+    edge_pos = {e: i for i, e in enumerate(edge_pool)}
+    masks = [np.array([edge_pos[e] for e in r.edges]) for r in routes]
+    survived = 0
+    for child in np.random.SeedSequence(seed).spawn(trials):
+        deleted = np.random.default_rng(child).random(len(edge_pool)) < p_delete
+        survived += any(not deleted[m].any() for m in masks)
+    return survived
+
+
 # ---------------------------------------------------------------------------
 # electric_flow / kirchhoff_residuals
 # ---------------------------------------------------------------------------
@@ -80,8 +179,9 @@ def test_cycle_splits_evenly():
 
 
 def test_flow_matches_potential_oracle():
-    for seed in (7, 23):
-        g = random_connected(25, seed)
+    graphs = [random_connected(25, seed) for seed in (7, 23)]
+    graphs += [random_weighted(25, seed) for seed in (7, 23)]
+    for seed, g in enumerate(graphs):
         rng = np.random.default_rng(seed)
         s, t = random_pair(rng, g.node_count)
         flow = R.electric_flow(g, s, t, g.node_count)
@@ -92,14 +192,18 @@ def test_flow_matches_potential_oracle():
 
 
 def test_kirchhoff_balance_at_full_order():
-    g = random_connected(30, 31)
-    s, t = 2, 17
-    flow = R.electric_flow(g, s, t, g.node_count)
-    net = R.kirchhoff_residuals(g, flow, s, t)
-    assert net[s] == pytest.approx(1.0, abs=1e-9)
-    assert net[t] == pytest.approx(-1.0, abs=1e-9)
-    internal = np.delete(net, [s, t])
-    assert np.abs(internal).max() <= 1e-9
+    cases = [
+        (random_connected(30, 31), 2, 17),
+        (random_weighted(30, 31), 2, 17),
+        (graph_from_text(WEIGHTED_TEXT, weighted=True), 0, 3),
+    ]
+    for g, s, t in cases:
+        flow = R.electric_flow(g, s, t, g.node_count)
+        net = R.kirchhoff_residuals(g, flow, s, t)
+        assert net[s] == pytest.approx(1.0, abs=1e-9)
+        assert net[t] == pytest.approx(-1.0, abs=1e-9)
+        internal = np.delete(net, [s, t])
+        assert np.abs(internal).max() <= 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -173,6 +277,66 @@ def test_routes_are_sorted_by_cost():
     assert lengths == sorted(lengths)
 
 
+@pytest.mark.parametrize(
+    "g, k",
+    [
+        (random_connected(40, 13), 60),
+        (cut_lattice(12, 0.1, 5), 80),
+        (random_weighted(40, 17), 60),
+    ],
+    ids=["random", "cut-lattice", "weighted"],
+)
+def test_routes_match_reference_search(g, k):
+    rng = np.random.default_rng(11)
+    for _ in range(4):
+        s, t = random_pair(rng, g.node_count)
+        for l in range(1, 5):
+            found = R.extract_routes(g, s, t, k, l)
+            routes, complete = _reference_extract(g, s, t, k, l)
+            assert found.routes == routes
+            assert found.complete == complete
+
+
+def test_max_bottleneck_path_matches_reference_search():
+    g = cut_lattice(12, 0.1, 5)
+    rng = np.random.default_rng(3)
+    for _ in range(6):
+        s, t = random_pair(rng, g.node_count)
+        flow = R.electric_flow(g, s, t, 80)
+        index = {
+            (a, b): i
+            for i, (a, b) in enumerate(zip(flow.edge_u.tolist(), flow.edge_v.tolist()))
+        }
+        assert R.max_bottleneck_path(g, flow, s, t) == _reference_widest(
+            g, flow, index, s, t
+        )
+
+
+def test_extraction_reads_arcs_not_the_edge_dict(monkeypatch):
+    def refuse(self, u, v):
+        raise AssertionError("FlowMap.get called on the routing path")
+
+    g = cut_lattice(12, 0.1, 5)
+    flow = R.FlowMap.from_potential(g, np.arange(g.node_count, dtype=float))
+    assert flow.index is None
+    monkeypatch.setattr(R.FlowMap, "get", refuse)
+    assert len(R.extract_routes(g, 0, g.node_count - 1, 80, 3)) == 3
+
+
+def test_flow_map_get_builds_its_index_on_demand():
+    g = path_graph(4)
+    flow = R.FlowMap.from_potential(g, np.array([3.0, 2.0, 0.5, 0.0]))
+    assert flow.index is None
+    assert flow.get(2, 1) == -1.5
+    assert flow.index == {(0, 1): 0, (1, 2): 1, (2, 3): 2}
+
+
+def test_max_bottleneck_path_rejects_a_flow_of_another_graph():
+    flow = R.electric_flow(path_graph(4), 0, 3, 4)
+    with pytest.raises(ValueError, match="canonical edges"):
+        R.max_bottleneck_path(cycle_graph(4), flow, 0, 2)
+
+
 def test_extract_validates_arguments(toy):
     with pytest.raises(ValueError):
         R.extract_routes(toy, 0, 0, 4, 2)
@@ -215,6 +379,17 @@ def test_robustness_extremes(toy):
     doomed = R.route_metrics(toy, routes, 1, 3, p_delete=1.0, trials=20, seed=0)
     assert sure.robustness == 1.0
     assert doomed.robustness == 0.0
+
+
+def test_robustness_matches_round_by_round_reference():
+    g = cut_lattice(12, 0.1, 5)
+    rng = np.random.default_rng(5)
+    for seed in range(4):
+        s, t = random_pair(rng, g.node_count)
+        routes = list(R.extract_routes(g, s, t, 80, 3))
+        for p_delete in (0.0, 0.05, 0.3, 1.0):
+            m = R.route_metrics(g, routes, s, t, p_delete, 100, seed)
+            assert m.robustness == _reference_survivals(routes, p_delete, 100, seed) / 100
 
 
 def test_robustness_is_deterministic_per_seed(toy):
