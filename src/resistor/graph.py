@@ -103,10 +103,10 @@ class Graph:
         """Arc id of (x, u) for every arc (u, x), aligned with ``neighbors``.
 
         Arcs are sorted by (source, head), so sorting them by (head,
-        source) lists the reverse of each arc in its place.  On a
-        symmetric graph this is an involution.
+        source), one distinct int64 key per arc, lists the reverse of each
+        arc in its place.  On a symmetric graph this is an involution.
         """
-        return np.lexsort((self.arc_sources, self.neighbors))
+        return np.argsort(self.neighbors * self.node_count + self.arc_sources)
 
     @cached_property
     def inv_sqrt_degrees(self) -> np.ndarray:
@@ -128,12 +128,31 @@ class Graph:
 # ---------------------------------------------------------------------------
 
 
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-d array, ascending: ``np.unique(a)``.
+
+    A sort and an adjacent-difference mask.  Since numpy 2.3, ``np.unique``
+    without ``return_inverse`` (or index or counts) builds a hash table and
+    then sorts its output, which costs 8-25x more on the int64 id arrays of
+    the graph build and the pruned Lanczos step.
+    """
+    c = np.sort(a)
+    if c.size == 0:
+        return c
+    keep = np.empty(c.size, dtype=bool)
+    keep[0] = True
+    np.not_equal(c[1:], c[:-1], out=keep[1:])
+    return c[keep]
+
+
 def _csr_from_canonical(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray):
     """Assemble CSR arrays from deduplicated canonical edges (eu < ev)."""
     src = np.concatenate([eu, ev])
     dst = np.concatenate([ev, eu])
     ww = np.concatenate([w, w])
-    order = np.lexsort((dst, src))
+    # the arcs are distinct, so their flat keys are too and any sort gives
+    # the (source, head) order
+    order = np.argsort(src * n + dst)
     src, dst, ww = src[order], dst[order], ww[order]
     counts = np.bincount(src, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
@@ -161,7 +180,7 @@ def _bfs_layers(offsets, neighbors, source, hops):
     frontier = np.array([source], dtype=np.int64)
     d = 0
     while frontier.size:
-        nxt = np.unique(_gather_frontier(offsets, neighbors, frontier))
+        nxt = _sorted_unique(_gather_frontier(offsets, neighbors, frontier))
         nxt = nxt[hops[nxt] < 0]
         d += 1
         hops[nxt] = d
@@ -206,17 +225,21 @@ def _build_graph(u_raw: np.ndarray, v_raw: np.ndarray, w_raw: np.ndarray) -> Gra
     if u_raw.size == 0:
         raise EmptyGraphError("no edges remain after removing self loops")
 
-    labels = np.unique(np.concatenate([u_raw, v_raw]))
+    labels = _sorted_unique(np.concatenate([u_raw, v_raw]))
     u = np.searchsorted(labels, u_raw)
     v = np.searchsorted(labels, v_raw)
 
-    pairs = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
-    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
-    merged_w = np.bincount(inverse, weights=w_raw, minlength=len(uniq))
-
+    # one int64 key per unordered pair, ordered as the pairs are; the keys
+    # stay below n_all^2 <= (2m)^2, inside int64 for m below 1.5e9
     n_all = len(labels)
+    keys, inverse = np.unique(
+        np.minimum(u, v) * n_all + np.maximum(u, v), return_inverse=True
+    )
+    merged_w = np.bincount(inverse, weights=w_raw, minlength=len(keys))
+    uniq_u, uniq_v = np.divmod(keys, n_all)
+
     offsets, neighbors, weights, _ = _csr_from_canonical(
-        n_all, uniq[:, 0], uniq[:, 1], merged_w
+        n_all, uniq_u, uniq_v, merged_w
     )
 
     comp = _component_labels(offsets, neighbors)
@@ -224,9 +247,9 @@ def _build_graph(u_raw: np.ndarray, v_raw: np.ndarray, w_raw: np.ndarray) -> Gra
     best = int(np.argmax(counts))
     kept = np.where(comp == best)[0]
 
-    edge_mask = comp[uniq[:, 0]] == best
-    eu = np.searchsorted(kept, uniq[edge_mask, 0])
-    ev = np.searchsorted(kept, uniq[edge_mask, 1])
+    edge_mask = comp[uniq_u] == best
+    eu = np.searchsorted(kept, uniq_u[edge_mask])
+    ev = np.searchsorted(kept, uniq_v[edge_mask])
     ew = merged_w[edge_mask]
 
     offsets, neighbors, weights, degrees = _csr_from_canonical(len(kept), eu, ev, ew)

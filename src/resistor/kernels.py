@@ -9,8 +9,10 @@ adjacency W:
 * lazy walk             (I + P) / 2.
 
 The graph operators work on dense float64 vectors of length n, except the
-pruned product :func:`amv` and :func:`restrict`, which work on the sorted
-index and value arrays of a :class:`SparseVector`.
+pruned ones, which work on a sorted index array and its value array: the
+pruned product :func:`relax_arcs` and the significant-set test
+:func:`significant`.  The recurrence calls those two on plain arrays;
+:func:`amv` and :func:`restrict` are their :class:`SparseVector` forms.
 """
 
 from __future__ import annotations
@@ -167,18 +169,19 @@ def apply_lazy_walk(g: Graph, v: np.ndarray) -> np.ndarray:
     return 0.5 * (v + apply_transition(g, v))
 
 
-def relax_arcs(g: Graph, v: SparseVector, eps: float):
-    """The pruned product of :func:`amv` and the number of arcs it relaxed.
+def relax_arcs(g: Graph, idx: np.ndarray, val: np.ndarray, eps: float):
+    """The pruned product of :func:`amv` on the sparse vector ``(idx, val)``.
 
     One vectorised pass: gather the CSR slices of the sources that can
     relax any arc, mask the arcs below threshold, and sum the survivors
-    per target.  Returns ``(SparseVector, relaxed)``.
+    per target.  Returns ``(targets, sums, relaxed)``: the sorted support
+    of the product, its nonzero values and the number of arcs relaxed.
     """
     inv_sqrt, sqrt_d = g.inv_sqrt_degrees, g.sqrt_degrees
     # no arc of u relaxes unless |v(u)| beats the lightest threshold any
     # arc can have
-    live = np.abs(v.val) > eps * sqrt_d[v.idx] * g.min_sqrt_degree
-    src, x = v.idx[live], v.val[live]
+    live = np.abs(val) > eps * sqrt_d[idx] * g.min_sqrt_degree
+    src, x = idx[live], val[live]
     starts = g.offsets[src]
     count = g.offsets[src + 1] - starts
     # positions of the arcs of every live source, slice after slice
@@ -189,7 +192,13 @@ def relax_arcs(g: Graph, v: SparseVector, eps: float):
     targets, slot = np.unique(nb, return_inverse=True)
     sums = np.bincount(slot, (x * inv_sqrt[src]) * (wt * inv_sqrt[nb]), len(targets))
     nonzero = sums != 0.0
-    return SparseVector(targets[nonzero], sums[nonzero], g.node_count), len(nb)
+    return targets[nonzero], sums[nonzero], len(nb)
+
+
+def significant(g: Graph, idx: np.ndarray, val: np.ndarray, eps: float) -> np.ndarray:
+    """Mask of the significant entries of the sparse vector ``(idx, val)``:
+    those with |v(u)| > eps * d_u."""
+    return np.abs(val) > eps * g.weighted_degrees[idx]
 
 
 def amv(g: Graph, v: SparseVector, eps: float) -> SparseVector:
@@ -201,14 +210,15 @@ def amv(g: Graph, v: SparseVector, eps: float) -> SparseVector:
     """
     if eps < 0.0:
         raise ValueError("eps must be >= 0")
-    return relax_arcs(g, v, eps)[0]
+    idx, val, _ = relax_arcs(g, v.idx, v.val, eps)
+    return SparseVector(idx, val, g.node_count)
 
 
 def restrict(v: SparseVector, g: Graph, eps: float) -> SparseVector:
     """Keep only the significant entries: those with |v(u)| > eps * d_u."""
     if eps < 0.0:
         raise ValueError("eps must be >= 0")
-    keep = np.abs(v.val) > eps * g.weighted_degrees[v.idx]
+    keep = significant(g, v.idx, v.val, eps)
     return SparseVector(v.idx[keep], v.val[keep], v.dim)
 
 

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import RDEstimate, _check_pair
-from .graph import Graph
+from .graph import Graph, _sorted_unique
 from .kernels import (
     SparseVector,
     TridiagonalMatrix,
@@ -40,7 +40,7 @@ from .kernels import (
     _sturm_count_below,
     apply_normalized_adjacency,
     relax_arcs,
-    restrict,
+    significant,
     tridiag_solve_e1,
 )
 
@@ -153,7 +153,10 @@ def run_recurrence(
     pruned operator of :func:`amv` otherwise, projects u_1 out of it,
     subtracts beta_i v_{i-1} on S_{i-1} and alpha_i v_i on S_i, where
     S_i = {u : |v_i(u)| > eps * d_u} (:func:`restrict`; all of v_i at
-    eps = 0), projects u_1 out again and normalizes.  Both projections
+    eps = 0), projects u_1 out again and normalizes.  At eps > 0 the
+    pruned product and the S_i test run on the support's index and
+    value arrays (:func:`resistor.kernels.relax_arcs` and
+    :func:`resistor.kernels.significant`).  Both projections
     run over the vector's own nonzero support, and only when v1 is
     orthogonal to u_1; a v1 with a u_1 component runs unprojected.
 
@@ -172,8 +175,9 @@ def run_recurrence(
     v_1^T v_j and ``stats`` the :class:`PushStats` work counters.
 
     Iterates are dense buffers with their sorted support.  At eps > 0
-    every step but the buffer allocation costs O(support); at eps = 0
-    every step is a dense pass.
+    every step but the buffer allocation costs O(support log support),
+    the log from sorting the union of the supports; at eps = 0 every
+    step is a dense pass.
     """
     n = g.node_count
     deg, sqrt_d = g.weighted_degrees, g.sqrt_degrees
@@ -196,12 +200,13 @@ def run_recurrence(
         visit(1, supp, v, alphas, betas)
     for i in range(1, k + 1):
         stats.support_sizes.append(size)
+        v_supp = v[supp]
         if s_overrides is not None and i in s_overrides:
-            s_cur = np.unique(np.asarray(list(s_overrides[i]), dtype=np.int64))
+            s_cur = _sorted_unique(np.asarray(list(s_overrides[i]), dtype=np.int64))
         elif dense:
             s_cur = supp
         else:
-            s_cur = restrict(SparseVector(supp, v[supp], n), g, eps).idx
+            s_cur = supp[significant(g, supp, v_supp, eps)]
         stats.subset_sizes.append(
             stats.support_sizes[-1] if s_cur is supp else len(s_cur)
         )
@@ -211,10 +216,9 @@ def run_recurrence(
             relaxed = 2 * g.edge_count
             prod_supp = _DENSE
         else:
-            prod, relaxed = relax_arcs(g, SparseVector(supp, v[supp], n), eps)
+            prod_supp, prod_val, relaxed = relax_arcs(g, supp, v_supp, eps)
             w, spare = spare, None
-            w[prod.idx] = prod.val
-            prod_supp = prod.idx
+            w[prod_supp] = prod_val
         stats.edges_relaxed.append(relaxed)
         stats.touched_edges += relaxed
         if deflate:
@@ -224,14 +228,14 @@ def run_recurrence(
         if beta != 0.0:
             w[s_prev] -= beta * v_prev[s_prev]
             stats.extra_ops += stats.subset_sizes[-2]
-        alpha = float(w[supp] @ v[supp])
+        alpha = float(w[supp] @ v_supp)
         alphas.append(alpha)
         w[s_cur] -= alpha * v[s_cur]
         stats.extra_ops += stats.support_sizes[-1] + stats.subset_sizes[-1]
 
         supp_w = _DENSE
         if not dense:
-            candidates = np.unique(np.concatenate((prod_supp, s_prev, s_cur)))
+            candidates = _sorted_unique(np.concatenate((prod_supp, s_prev, s_cur)))
             supp_w = candidates[w[candidates] != 0.0]
         if deflate:
             # the S_i-restricted subtractions put u_1 mass back

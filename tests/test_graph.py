@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 import resistor as R
 
-from resistor.graph import _hop_distance
+from resistor.graph import _build_graph, _component_labels, _hop_distance
 
 from conftest import (
     cut_lattice,
@@ -162,6 +162,72 @@ def test_cleaning_invariants_random_edge_lists(pairs):
     assert (R.bfs_hops(g, 0) >= 0).all()
     # degrees match the dense rebuild
     assert np.allclose(g.weighted_degrees, dense_degrees(g))
+
+
+def _reference_build(u_raw, v_raw, w_raw):
+    """The five Graph arrays as built by structured-row np.unique and
+    np.lexsort: the reference for the flat-key build of _build_graph."""
+    keep = u_raw != v_raw
+    u_raw, v_raw, w_raw = u_raw[keep], v_raw[keep], w_raw[keep]
+    labels = np.unique(np.concatenate([u_raw, v_raw]))
+    u, v = np.searchsorted(labels, u_raw), np.searchsorted(labels, v_raw)
+    pairs = np.stack([np.minimum(u, v), np.maximum(u, v)], axis=1)
+    uniq, inverse = np.unique(pairs, axis=0, return_inverse=True)
+    merged_w = np.bincount(inverse, weights=w_raw, minlength=len(uniq))
+
+    def csr(n, eu, ev, w):
+        src, dst = np.concatenate([eu, ev]), np.concatenate([ev, eu])
+        ww = np.concatenate([w, w])
+        order = np.lexsort((dst, src))
+        src, dst, ww = src[order], dst[order], ww[order]
+        offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(src, minlength=n), out=offsets[1:])
+        degrees = np.bincount(src, weights=ww, minlength=n)
+        return offsets, dst.astype(np.int64), ww.astype(np.float64), degrees
+
+    offsets, neighbors, _, _ = csr(len(labels), uniq[:, 0], uniq[:, 1], merged_w)
+    comp = _component_labels(offsets, neighbors)
+    best = int(np.argmax(np.bincount(comp)))
+    kept = np.where(comp == best)[0]
+    edge_mask = comp[uniq[:, 0]] == best
+    eu = np.searchsorted(kept, uniq[edge_mask, 0])
+    ev = np.searchsorted(kept, uniq[edge_mask, 1])
+    return (*csr(len(kept), eu, ev, merged_w[edge_mask]), labels[kept].astype(np.int64))
+
+
+@st.composite
+def _raw_edge_lists(draw):
+    # a small pool of labels up to 2^40, so that self loops and several
+    # components come up; each pair is repeated up to four times with
+    # full-mantissa weights, whose sums show the merge order
+    labels = draw(st.lists(st.integers(0, 2 ** 40), min_size=2, max_size=14, unique=True))
+    end = st.sampled_from(labels)
+    weight = st.integers(1, 2 ** 30).map(lambda k: k / 7919.0)
+    edges = []
+    for a, b in draw(st.lists(st.tuples(end, end), min_size=1, max_size=25)):
+        edges += [(a, b, x) for x in draw(st.lists(weight, min_size=1, max_size=4))]
+    u, v, w = zip(*draw(st.permutations(edges)))
+    return (
+        np.asarray(u, dtype=np.int64),
+        np.asarray(v, dtype=np.int64),
+        np.asarray(w, dtype=np.float64),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(_raw_edge_lists())
+def test_build_matches_structured_unique_reference(raw):
+    u, v, w = raw
+    if np.all(u == v):
+        with pytest.raises(R.EmptyGraphError):
+            _build_graph(u, v, w)
+        return
+    g = _build_graph(u, v, w)
+    fields = ("offsets", "neighbors", "weights", "weighted_degrees", "old_ids")
+    for name, ref in zip(fields, _reference_build(u, v, w)):
+        got = getattr(g, name)
+        assert got.dtype == ref.dtype, name
+        assert np.array_equal(got, ref), name
 
 
 def test_degree_and_neighbor_slice(toy):

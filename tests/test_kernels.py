@@ -1,6 +1,9 @@
-"""Kernel tests: operators, tridiagonal solvers, Chebyshev norms."""
+"""Kernel tests: operators, set operations, tridiagonal solvers, Chebyshev
+norms."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +12,7 @@ from hypothesis import strategies as st
 
 import resistor as R
 from resistor.errors import SingularSystemError
+from resistor.graph import _sorted_unique
 
 from conftest import (
     dense_lazy_walk,
@@ -113,6 +117,67 @@ def test_operator_dimension_mismatch(toy):
         R.apply_normalized_adjacency(toy, np.zeros(3))
     with pytest.raises(ValueError):
         R.apply_lazy_walk(toy, np.zeros(5))
+
+
+# ---------------------------------------------------------------------------
+# set operations
+# ---------------------------------------------------------------------------
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(-4, 4) | st.integers(-(2 ** 62), 2 ** 62), max_size=60))
+def test_sorted_unique_matches_np_unique(values):
+    a = np.asarray(values, dtype=np.int64)
+    got = _sorted_unique(a)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.unique(a))
+
+
+def _unique_calls_off_the_sort_path(source: str) -> list:
+    """Line numbers of the ``np.unique(...)`` calls in ``source`` that do
+    not pass ``return_inverse=True``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if not (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == "unique"
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+        ):
+            continue
+        if not any(
+            kw.arg == "return_inverse"
+            and isinstance(kw.value, ast.Constant)
+            and kw.value.value is True
+            for kw in node.keywords
+        ):
+            lines.append(node.lineno)
+    return lines
+
+
+def test_unique_tripwire_flags_hash_path_calls():
+    source = (
+        "a = np.unique(x)\n"
+        "b = np.unique(x, return_inverse=True)\n"
+        "c = np.unique(\n    x, axis=0, return_counts=True\n)\n"
+        "d = numpy.unique(x, return_inverse=False)\n"
+    )
+    assert _unique_calls_off_the_sort_path(source) == [1, 3, 6]
+
+
+def test_no_hash_path_unique_in_the_package():
+    # since numpy 2.3 a plain np.unique on integers builds a hash table and
+    # sorts its output, 8-25x slower on the id arrays of the pruned step
+    # and the graph build than one sort; graph._sorted_unique is the
+    # sanctioned form, and return_inverse=True keeps numpy on its sort path
+    package = Path(R.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if (lines := _unique_calls_off_the_sort_path(path.read_text()))
+    }
+    assert found == {}
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 
 import resistor as R
+import resistor.lanczos as lanczos_mod
 from resistor.kernels import SparseVector, TridiagonalMatrix
+from resistor.lanczos import definitional_start, run_recurrence
 from resistor.push import _solve_perturbed
 
 from conftest import (
@@ -17,6 +19,7 @@ from conftest import (
     grid_graph,
     random_connected,
     random_pair,
+    random_weighted,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -162,6 +165,45 @@ def test_config_validation():
         R.PushConfig(k=0, epsilon=0.1)
     with pytest.raises(ValueError):
         R.PushConfig(k=3, epsilon=-1.0)
+
+
+@pytest.mark.parametrize("eps", [5e-3, 1e-3])
+@pytest.mark.parametrize(
+    "make_graph",
+    [lambda: R.generate_ba(2000, 5, 11), lambda: random_weighted(300, 5)],
+    ids=["ba2000", "weighted300"],
+)
+def test_pruned_step_matches_numpy_unique(monkeypatch, make_graph, eps):
+    # the support union and the significant-set override of every pruned
+    # step go through _sorted_unique; with numpy's own unique in its place
+    # the run must be bit for bit the same
+    g = make_graph()
+    rng = np.random.default_rng(23)
+    helper = lanczos_mod._sorted_unique
+    calls = []
+
+    def reference(a):
+        calls.append(len(a))
+        return np.unique(a)
+
+    for _ in range(3):
+        s, t = random_pair(rng, g.node_count)
+        # unsorted, with repeats, and partly off the support
+        overrides = {2: [t, s, t, int(g.neighbors[g.offsets[s]]), s]}
+        runs = []
+        for unique in (helper, reference):
+            monkeypatch.setattr(lanczos_mod, "_sorted_unique", unique)
+            runs.append(
+                run_recurrence(g, definitional_start(g, s, t), 20, eps, s_overrides=overrides)
+            )
+        (a0, b0, f0, k0, st0), (a1, b1, f1, k1, st1) = runs
+        assert np.array_equal(a0, a1)
+        assert np.array_equal(b0, b1)
+        assert np.array_equal(f0, f1)
+        assert k0 == k1
+        assert st0 == st1
+        assert st0.touched_edges > 0
+    assert calls
 
 
 # ---------------------------------------------------------------------------
