@@ -57,8 +57,6 @@ from .lanczos import (
 from .push import (
     AssumptionReport,
     PushConfig,
-    PushStats,
-    PushTrace,
     check_assumption,
     lanczos_push_rd,
     measure_c1,
@@ -115,8 +113,6 @@ __all__ = [
     "lanczos_potential",
     "lanczos_iteration_bound",
     "PushConfig",
-    "PushStats",
-    "PushTrace",
     "AssumptionReport",
     "amv",
     "restrict",

@@ -89,8 +89,7 @@ def exact_rd(g: Graph, s: int, t: int, cap: int = EXACT_NODE_CAP) -> float:
     if s == t:
         return 0.0
     lap = np.zeros((n, n))
-    rows = np.repeat(np.arange(n), np.diff(g.offsets))
-    lap[rows, g.neighbors] = -g.weights
+    lap[g.arc_sources, g.neighbors] = -g.weights
     np.fill_diagonal(lap, g.weighted_degrees)
     eigvals, eigvecs = np.linalg.eigh(lap)
     scale = max(1.0, float(eigvals[-1]))

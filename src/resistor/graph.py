@@ -187,9 +187,10 @@ def _bfs_layers(offsets, neighbors, source, hops):
         frontier = nxt
 
 
-def _component_labels(offsets: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
-    """Component label of every vertex, numbered by each component's
-    smallest vertex.
+def _component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+    """Component label of every vertex of the arcs ``(src, dst)`` on
+    ``0..n-1``, numbered by each component's smallest vertex; every edge
+    must appear as both its arcs.
 
     Min-label hooking with pointer jumping: every root takes the smallest
     root across its arcs, then every vertex jumps to its root.  Roots that
@@ -197,11 +198,9 @@ def _component_labels(offsets: np.ndarray, neighbors: np.ndarray) -> np.ndarray:
     of the round before, so every two rounds at least halve the trees of a
     component: O(log n) rounds of a few passes over the arcs.
     """
-    n = len(offsets) - 1
-    src = np.repeat(np.arange(n), np.diff(offsets))
     parent = np.arange(n)
     while True:
-        root_src, root_dst = parent[src], parent[neighbors]
+        root_src, root_dst = parent[src], parent[dst]
         if np.array_equal(root_src, root_dst):
             return np.unique(parent, return_inverse=True)[1]
         np.minimum.at(parent, root_src, root_dst)
@@ -238,11 +237,9 @@ def _build_graph(u_raw: np.ndarray, v_raw: np.ndarray, w_raw: np.ndarray) -> Gra
     merged_w = np.bincount(inverse, weights=w_raw, minlength=len(keys))
     uniq_u, uniq_v = np.divmod(keys, n_all)
 
-    offsets, neighbors, weights, _ = _csr_from_canonical(
-        n_all, uniq_u, uniq_v, merged_w
+    comp = _component_labels(
+        n_all, np.concatenate([uniq_u, uniq_v]), np.concatenate([uniq_v, uniq_u])
     )
-
-    comp = _component_labels(offsets, neighbors)
     counts = np.bincount(comp)
     best = int(np.argmax(counts))
     kept = np.where(comp == best)[0]
@@ -369,8 +366,7 @@ def edge_arrays(g: Graph):
 
     Edges are ordered lexicographically by ``(eu, ev)``.
     """
-    n = g.node_count
-    rows = np.repeat(np.arange(n, dtype=np.int64), np.diff(g.offsets))
+    rows = g.arc_sources
     mask = rows < g.neighbors
     return rows[mask], g.neighbors[mask], g.weights[mask]
 
@@ -440,12 +436,9 @@ def load_cache(path: Union[str, Path]) -> Graph:
     old_ids = take(n, "<i8")
     if offsets[0] != 0 or offsets[-1] != 2 * m or np.any(np.diff(offsets) < 0):
         raise GraphFormatError(1, "graph cache offsets are not monotone from 0 to 2m")
-    degrees = np.bincount(
-        np.repeat(np.arange(n, dtype=np.int64), np.diff(offsets)),
-        weights=weights,
-        minlength=n,
-    )
-    g = Graph(offsets, neighbors, weights, degrees, old_ids)
+    g = Graph(offsets, neighbors, weights, np.empty(n), old_ids)
+    # the degrees read the arc sources that the arc checks read too
+    g.weighted_degrees[:] = np.bincount(g.arc_sources, weights=weights, minlength=n)
     _check_cached_arcs(g)
     return g
 
@@ -470,7 +463,7 @@ def _check_cached_arcs(g: Graph) -> None:
         and np.array_equal(w[rev], w)
     ):
         raise GraphFormatError(1, "graph cache arcs are not symmetric")
-    if _component_labels(g.offsets, dst).max() != 0:
+    if _component_labels(n, src, dst).max() != 0:
         raise GraphFormatError(1, "graph cache holds more than one component")
 
 

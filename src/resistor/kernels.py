@@ -17,6 +17,7 @@ pruned product :func:`relax_arcs` and the significant-set test
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -169,6 +170,12 @@ def apply_lazy_walk(g: Graph, v: np.ndarray) -> np.ndarray:
     return 0.5 * (v + apply_transition(g, v))
 
 
+def _check_eps(eps: float) -> None:
+    """Raise ValueError unless the pruning threshold is finite and >= 0."""
+    if not (math.isfinite(eps) and eps >= 0.0):
+        raise ValueError("eps must be finite and >= 0")
+
+
 def relax_arcs(g: Graph, idx: np.ndarray, val: np.ndarray, eps: float):
     """The pruned product of :func:`amv` on the sparse vector ``(idx, val)``.
 
@@ -208,16 +215,14 @@ def amv(g: Graph, v: SparseVector, eps: float) -> SparseVector:
     adding v(u) * w(u, x) / sqrt(d_u * d_x) at x.  With ``eps = 0`` this
     is the exact product over the support of ``v``.
     """
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
+    _check_eps(eps)
     idx, val, _ = relax_arcs(g, v.idx, v.val, eps)
     return SparseVector(idx, val, g.node_count)
 
 
 def restrict(v: SparseVector, g: Graph, eps: float) -> SparseVector:
     """Keep only the significant entries: those with |v(u)| > eps * d_u."""
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
+    _check_eps(eps)
     keep = significant(g, v.idx, v.val, eps)
     return SparseVector(v.idx[keep], v.val[keep], v.dim)
 
@@ -233,19 +238,26 @@ def _ldl_pivot(alpha: float, beta: float, d_prev: float) -> float:
     Row i of I - T has diagonal 1 - alpha_i and off-diagonal -beta_i, so
     its pivot is d_i = 1 - alpha_i - beta_i^2 / d_{i-1} (the first row
     passes ``beta = 0``).  Raises :class:`SingularSystemError` when the
-    pivot falls below 1e-14 in magnitude.
+    pivot falls below 1e-14 in magnitude: T has an eigenvalue at 1, which
+    the eigenvalue-containment assumption of the Lanczos estimators
+    excludes.
     """
     d = (1.0 - alpha) - beta * (beta / d_prev)
     if abs(d) < _PIVOT_FLOOR:
-        raise SingularSystemError("(I - T) is numerically singular (zero pivot)")
+        raise SingularSystemError(
+            "(I - T) is numerically singular (zero pivot); the eigenvalue-"
+            "containment assumption (eigenvalues of T inside "
+            "[lambda_min(A), lambda_2(A)]) appears violated"
+        )
     return d
 
 
-def tridiag_solve_e1(t: TridiagonalMatrix) -> np.ndarray:
+def _ldl_solve_e1(t: TridiagonalMatrix):
     """Solve ``(I - T) x = e_1`` by an LDL^T factorization.
 
-    Runs in O(k) time and memory.  Raises :class:`SingularSystemError`
-    when a pivot falls below 1e-14 in magnitude.
+    Returns ``(x, d)`` with the pivots ``d`` of I - T = L D L^T.  Raises
+    :class:`SingularSystemError` when a pivot falls below 1e-14 in
+    magnitude.
     """
     k = t.order
     d = np.empty(k)
@@ -263,7 +275,16 @@ def tridiag_solve_e1(t: TridiagonalMatrix) -> np.ndarray:
     x[k - 1] = z[k - 1]
     for i in range(k - 2, -1, -1):
         x[i] = z[i] - lower[i] * x[i + 1]
-    return x
+    return x, d
+
+
+def tridiag_solve_e1(t: TridiagonalMatrix) -> np.ndarray:
+    """Solve ``(I - T) x = e_1`` by an LDL^T factorization.
+
+    Runs in O(k) time and memory.  Raises :class:`SingularSystemError`
+    when a pivot falls below 1e-14 in magnitude.
+    """
+    return _ldl_solve_e1(t)[0]
 
 
 def _sturm_count_below(alpha: np.ndarray, beta_sq: np.ndarray, x: float) -> int:

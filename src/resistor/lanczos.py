@@ -20,7 +20,9 @@ With ``eps = 0`` it multiplies by A itself and is the global method
 computed so far and may stop the run, so callers that need more than T
 work inside the one run: the potential factors I - T as T grows (the
 D-Lanczos form of Saad 2003, section 6.7.1) and the spectrum estimator
-reads the extreme Ritz values off the leading blocks of T.
+reads the extreme Ritz values off the leading blocks of T.  Every run
+returns one :class:`LanczosRun` record, and ``lz``, ``lzpush`` and the
+trace of :mod:`resistor.push` build their estimates on it along one path.
 """
 
 from __future__ import annotations
@@ -36,8 +38,9 @@ from .graph import Graph, _sorted_unique
 from .kernels import (
     SparseVector,
     TridiagonalMatrix,
+    _check_eps,
     _ldl_pivot,
-    _sturm_count_below,
+    _ldl_solve_e1,
     apply_normalized_adjacency,
     relax_arcs,
     significant,
@@ -46,7 +49,6 @@ from .kernels import (
 
 __all__ = [
     "LanczosRun",
-    "PushStats",
     "lanczos_rd",
     "lanczos_potential",
     "lanczos_iteration_bound",
@@ -61,26 +63,16 @@ BREAKDOWN_TOL = 1e-14
 _DENSE = slice(None)
 
 
-@dataclass
+@dataclass(eq=False)
 class LanczosRun:
-    """Diagnostics from one Lanczos recurrence.
+    """The record of one Lanczos recurrence: its T, its work counters and,
+    for a trace, its basis.
 
-    ``k_effective`` is the number of completed iterations (equal to the
-    order of ``t``); ``breakdown`` is set when the recurrence terminated
-    early because the next off-diagonal fell below 1e-14, which means the
-    Krylov space is exhausted and the estimate is exact.
-    ``v1_scale`` is ||e_s / sqrt(d_s) - e_t / sqrt(d_t)||_2.
-    """
-
-    t: TridiagonalMatrix
-    k_effective: int
-    v1_scale: float
-    breakdown: bool
-
-
-@dataclass
-class PushStats:
-    """Per-iteration and aggregate work counters for one recurrence.
+    ``t`` is the tridiagonal matrix of the run, of order ``k_effective``,
+    with ``alphas`` and ``betas`` views of its diagonal and off-diagonal;
+    ``first_row`` holds the products v_1^T v_j.  ``breakdown`` is set when
+    the recurrence ended early because the next off-diagonal fell below
+    1e-14: the Krylov space is exhausted and the estimate is exact.
 
     ``edges_relaxed[i]`` counts arc relaxations in the product of
     iteration i + 1 (every arc, 2m, at eps = 0); ``touched_edges`` is their
@@ -92,8 +84,17 @@ class PushStats:
     the former holds ||v_i||_1 + ||A v_i^+||_1 + ||A v_i^-||_1 per
     iteration, the latter max_u |delta_i(u)| / d_u for the recurrence
     residual delta_i.
+
+    ``vectors`` holds the basis vectors v_1, v_2, ... as
+    :class:`SparseVector` objects, kept only by
+    :func:`resistor.push.subset_recurrence_trace`, and ``estimate`` the
+    resistance estimate built on the run.  A query with s == t does no
+    work: its run has ``k_effective`` 0 and estimate 0.
     """
 
+    t: TridiagonalMatrix = None  # set, with first_row, when the run ends
+    first_row: np.ndarray = None
+    breakdown: bool = False
     n: int = 0
     subset_sizes: list = field(default_factory=list)
     support_sizes: list = field(default_factory=list)
@@ -103,6 +104,20 @@ class PushStats:
     touched_edges: int = 0
     extra_ops: int = 0
     peak_support: int = 0
+    vectors: list = field(default_factory=list)
+    estimate: float = math.nan
+
+    @property
+    def alphas(self) -> np.ndarray:
+        return self.t.alpha
+
+    @property
+    def betas(self) -> np.ndarray:
+        return self.t.beta
+
+    @property
+    def k_effective(self) -> int:
+        return len(self.first_row)
 
 
 def lanczos_iteration_bound(kappa: float, eps: float) -> int:
@@ -170,9 +185,9 @@ def run_recurrence(
     return for i > 1 stops the run before step i, with the result that
     ``k = i - 1`` would have given.
 
-    Returns ``(alphas, betas, first_row, breakdown, stats)``: ``betas``
-    holds beta_2..beta_{k_effective}, ``first_row`` the products
-    v_1^T v_j and ``stats`` the :class:`PushStats` work counters.
+    Returns the :class:`LanczosRun` of the run: T with alpha_1..alpha_k
+    and beta_2..beta_k for k = ``k_effective``, the products v_1^T v_j
+    and the work counters.
 
     Iterates are dense buffers with their sorted support.  At eps > 0
     every step but the buffer allocation costs O(support log support),
@@ -194,12 +209,11 @@ def run_recurrence(
     alphas: list = []
     betas: list = []
     first_row = [float(v1.val @ v1.val)]
-    stats = PushStats(n=n)
-    breakdown = False
+    run = LanczosRun(n=n)
     if visit is not None:
         visit(1, supp, v, alphas, betas)
     for i in range(1, k + 1):
-        stats.support_sizes.append(size)
+        run.support_sizes.append(size)
         v_supp = v[supp]
         if s_overrides is not None and i in s_overrides:
             s_cur = _sorted_unique(np.asarray(list(s_overrides[i]), dtype=np.int64))
@@ -207,8 +221,8 @@ def run_recurrence(
             s_cur = supp
         else:
             s_cur = supp[significant(g, supp, v_supp, eps)]
-        stats.subset_sizes.append(
-            stats.support_sizes[-1] if s_cur is supp else len(s_cur)
+        run.subset_sizes.append(
+            run.support_sizes[-1] if s_cur is supp else len(s_cur)
         )
 
         if dense:
@@ -219,19 +233,19 @@ def run_recurrence(
             prod_supp, prod_val, relaxed = relax_arcs(g, supp, v_supp, eps)
             w, spare = spare, None
             w[prod_supp] = prod_val
-        stats.edges_relaxed.append(relaxed)
-        stats.touched_edges += relaxed
+        run.edges_relaxed.append(relaxed)
+        run.touched_edges += relaxed
         if deflate:
             # alpha comes from the deflated product
-            stats.extra_ops += _project_u1(w, prod_supp, sqrt_d)
+            run.extra_ops += _project_u1(w, prod_supp, sqrt_d)
 
         if beta != 0.0:
             w[s_prev] -= beta * v_prev[s_prev]
-            stats.extra_ops += stats.subset_sizes[-2]
+            run.extra_ops += run.subset_sizes[-2]
         alpha = float(w[supp] @ v_supp)
         alphas.append(alpha)
         w[s_cur] -= alpha * v[s_cur]
-        stats.extra_ops += stats.support_sizes[-1] + stats.subset_sizes[-1]
+        run.extra_ops += run.support_sizes[-1] + run.subset_sizes[-1]
 
         supp_w = _DENSE
         if not dense:
@@ -240,7 +254,7 @@ def run_recurrence(
         if deflate:
             # the S_i-restricted subtractions put u_1 mass back
             size_w = _project_u1(w, supp_w, sqrt_d)
-            stats.extra_ops += size_w
+            run.extra_ops += size_w
         else:
             size_w = int(np.count_nonzero(w)) if dense else len(supp_w)
 
@@ -249,8 +263,8 @@ def run_recurrence(
             a_pos = apply_normalized_adjacency(g, np.maximum(v, 0.0))
             a_neg = apply_normalized_adjacency(g, np.maximum(-v, 0.0))
             exact = a_pos - a_neg - alpha * v - beta * v_prev
-            stats.delta_degree_ratios.append(float(np.max(np.abs(w - exact) / deg)))
-            stats.c2_terms.append(
+            run.delta_degree_ratios.append(float(np.max(np.abs(w - exact) / deg)))
+            run.c2_terms.append(
                 float(np.abs(v).sum() + np.abs(a_pos).sum() + np.abs(a_neg).sum())
             )
 
@@ -258,7 +272,7 @@ def run_recurrence(
         if i == k:
             break
         if beta_next < BREAKDOWN_TOL:
-            breakdown = True
+            run.breakdown = True
             break
         betas.append(beta_next)
         w[supp_w] /= beta_next
@@ -273,8 +287,10 @@ def run_recurrence(
             betas.pop()
             break
         first_row.append(float(v1.val @ v[v1.idx]))
-    stats.peak_support = max(stats.support_sizes)
-    return np.asarray(alphas), np.asarray(betas), np.asarray(first_row), breakdown, stats
+    run.peak_support = max(run.support_sizes)
+    run.t = TridiagonalMatrix(alphas, betas)
+    run.first_row = np.asarray(first_row)
+    return run
 
 
 def definitional_start(g: Graph, s: int, t: int) -> SparseVector:
@@ -287,14 +303,54 @@ def definitional_start(g: Graph, s: int, t: int) -> SparseVector:
 def solve_checked(tmat: TridiagonalMatrix):
     """Solve ``(I - T) y = e_1`` and check that I - T is positive definite.
 
-    Returns ``(y, healthy)``; ``healthy`` is false when T has an eigenvalue
-    at or above 1 (a Sturm count at 1, O(k)), where the quadrature the
-    estimators rely on no longer holds.  Raises :class:`SingularSystemError`
-    on a near-zero pivot, as :func:`tridiag_solve_e1` does.
+    Returns ``(y, healthy)``.  By Sylvester's law of inertia the LDL^T
+    pivots of I - T have the signs of its eigenvalues, so ``healthy`` is
+    false, and the quadrature the estimators rely on no longer holds,
+    exactly when a pivot is negative: T has an eigenvalue above 1.
+    Raises :class:`SingularSystemError` on a near-zero pivot, as
+    :func:`tridiag_solve_e1` does.
     """
-    y = tridiag_solve_e1(tmat)
-    below_one = _sturm_count_below(tmat.alpha, tmat.beta * tmat.beta, 1.0)
-    return y, below_one == tmat.order
+    y, pivots = _ldl_solve_e1(tmat)
+    return y, bool(np.all(pivots > 0.0))
+
+
+def _estimate(
+    g: Graph, s: int, t: int, k: int, eps: float, method: str, v1=None, **recurrence
+):
+    """The one Lanczos estimate of ``lz``, ``lzpush`` and the trace.
+
+    Validates the query, answers s == t with 0 at no work, runs the
+    recurrence from ``v1`` (the definitional start when None; the other
+    keywords go to :func:`run_recurrence`), solves (I - T) y = e_1 and
+    returns ``(RDEstimate, LanczosRun)``.  The value is
+    (1/d_s + 1/d_t) * first_row @ y; at eps = 0 the basis is orthonormal
+    in exact arithmetic, so y[0] stands for first_row @ y.
+    """
+    _check_pair(g, s, t)
+    if k < 1:
+        raise ValueError("iteration count k must be >= 1")
+    _check_eps(eps)
+    start = time.perf_counter()
+    if s == t:
+        run = LanczosRun(
+            TridiagonalMatrix([0.0], []), np.zeros(0), n=g.node_count, estimate=0.0
+        )
+        return RDEstimate(0.0, 0, 0, time.perf_counter() - start, method), run
+    if v1 is None:
+        v1 = definitional_start(g, s, t)
+    run = run_recurrence(g, v1, k, eps, **recurrence)
+    y, healthy = solve_checked(run.t)
+    scale_sq = 1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]
+    run.estimate = float(scale_sq * (run.first_row @ y if eps > 0.0 else y[0]))
+    est = RDEstimate(
+        value=run.estimate,
+        iterations=run.k_effective,
+        touched_edges=run.touched_edges,
+        wall_time=time.perf_counter() - start,
+        method=method,
+        healthy=healthy,
+    )
+    return est, run
 
 
 def lanczos_rd(g: Graph, s: int, t: int, k: int) -> tuple:
@@ -303,27 +359,7 @@ def lanczos_rd(g: Graph, s: int, t: int, k: int) -> tuple:
     Returns ``(RDEstimate, LanczosRun)``.  The estimate is flagged
     (``healthy`` false) when I - T is indefinite.
     """
-    _check_pair(g, s, t)
-    if k < 1:
-        raise ValueError("iteration count k must be >= 1")
-    start = time.perf_counter()
-    if s == t:
-        run = LanczosRun(TridiagonalMatrix([0.0], []), 0, 0.0, False)
-        return RDEstimate(0.0, 0, 0, time.perf_counter() - start, "lz"), run
-    alphas, betas, _, breakdown, _ = run_recurrence(g, definitional_start(g, s, t), k)
-    tmat = TridiagonalMatrix(alphas, betas)
-    y, healthy = solve_checked(tmat)
-    scale_sq = 1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]
-    k_eff = len(alphas)
-    est = RDEstimate(
-        value=float(scale_sq * y[0]),
-        iterations=k_eff,
-        touched_edges=k_eff * 2 * g.edge_count,
-        wall_time=time.perf_counter() - start,
-        method="lz",
-        healthy=healthy,
-    )
-    return est, LanczosRun(tmat, k_eff, math.sqrt(scale_sq), breakdown)
+    return _estimate(g, s, t, k, 0.0, "lz")
 
 
 def lanczos_potential(g: Graph, s: int, t: int, k: int) -> np.ndarray:
@@ -370,10 +406,8 @@ def lanczos_potential(g: Graph, s: int, t: int, k: int) -> np.ndarray:
             p *= c
         p += v
 
-    alphas, betas, _, _, _ = run_recurrence(
-        g, definitional_start(g, s, t), k, visit=visit
-    )
-    complete_row(alphas, betas)
+    run = run_recurrence(g, definitional_start(g, s, t), k, visit=visit)
+    complete_row(run.alphas, run.betas)
     scale = math.sqrt(
         1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]
     )

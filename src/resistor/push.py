@@ -48,26 +48,23 @@ carries ``healthy``, false when I - T is indefinite;
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import RDEstimate, _check_pair
-from .errors import SingularSystemError
+from .baselines import _check_pair
 from .graph import Graph
 from .kernels import (
     SparseVector,
     TridiagonalMatrix,
+    _check_eps,
     chebyshev_walk_norms,
     tridiag_eigen_range,
 )
-from .lanczos import PushStats, definitional_start, run_recurrence, solve_checked
+from .lanczos import LanczosRun, _estimate
 
 __all__ = [
     "PushConfig",
-    "PushStats",
-    "PushTrace",
     "AssumptionReport",
     "lanczos_push_rd",
     "subset_recurrence_trace",
@@ -95,26 +92,7 @@ class PushConfig:
     def __post_init__(self):
         if self.k < 1:
             raise ValueError("iteration count k must be >= 1")
-        if not (math.isfinite(self.epsilon) and self.epsilon >= 0.0):
-            raise ValueError("epsilon must be finite and >= 0")
-
-
-@dataclass
-class PushTrace:
-    """Full record of a subset recurrence, for replay and diagnostics.
-
-    ``vectors`` holds the basis vectors v_1, v_2, ... as
-    :class:`SparseVector` objects of their nonzero entries.
-    """
-
-    alphas: np.ndarray
-    betas: np.ndarray
-    vectors: list
-    first_row: np.ndarray
-    k_effective: int
-    breakdown: bool
-    estimate: float
-    stats: PushStats
+        _check_eps(self.epsilon)
 
 
 @dataclass
@@ -136,53 +114,20 @@ class AssumptionReport:
     tol: float
 
 
-def _solve_perturbed(tmat: TridiagonalMatrix):
-    try:
-        return solve_checked(tmat)
-    except SingularSystemError:
-        raise SingularSystemError(
-            "(I - T) is numerically singular for the pruned recurrence; the "
-            "eigenvalue-containment assumption (eigenvalues of T inside "
-            "[lambda_min(A), lambda_2(A)]) appears violated at this epsilon"
-        ) from None
-
-
 def lanczos_push_rd(g: Graph, s: int, t: int, cfg: PushConfig):
     """Resistance distance through the pruned local recurrence.
 
-    Returns ``(RDEstimate, TridiagonalMatrix, PushStats)``.  Work scales
-    with the sizes of the significant sets, not with the graph, for
-    epsilon large enough to prune; breakdown before ``cfg.k`` iterations
-    is benign (the reachable Krylov space was exhausted).  The estimate
-    is flagged (``healthy`` false) when I - T is indefinite.
+    Returns ``(RDEstimate, TridiagonalMatrix, LanczosRun)``, the matrix
+    being the run's ``t``.  Work scales with the sizes of the significant
+    sets, not with the graph, for epsilon large enough to prune;
+    breakdown before ``cfg.k`` iterations is benign (the reachable Krylov
+    space was exhausted).  The estimate is flagged (``healthy`` false)
+    when I - T is indefinite.
     """
-    _check_pair(g, s, t)
-    start = time.perf_counter()
-    if s == t:
-        return (
-            RDEstimate(0.0, 0, 0, time.perf_counter() - start, "lzpush"),
-            TridiagonalMatrix([0.0], []),
-            PushStats(n=g.node_count),
-        )
-    alphas, betas, first_row, _, stats = run_recurrence(
-        g,
-        definitional_start(g, s, t),
-        cfg.k,
-        cfg.epsilon,
-        collect_stats=cfg.collect_stats,
+    est, run = _estimate(
+        g, s, t, cfg.k, cfg.epsilon, "lzpush", collect_stats=cfg.collect_stats
     )
-    tmat = TridiagonalMatrix(alphas, betas)
-    y, healthy = _solve_perturbed(tmat)
-    scale_sq = 1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]
-    est = RDEstimate(
-        value=scale_sq * float(first_row @ y),
-        iterations=len(alphas),
-        touched_edges=stats.touched_edges,
-        wall_time=time.perf_counter() - start,
-        method="lzpush",
-        healthy=healthy,
-    )
-    return est, tmat, stats
+    return est, run.t, run
 
 
 def subset_recurrence_trace(
@@ -194,9 +139,10 @@ def subset_recurrence_trace(
     v1=None,
     s_overrides=None,
     collect_stats: bool = False,
-) -> PushTrace:
+) -> LanczosRun:
     """Run the subset recurrence and keep every intermediate vector.
 
+    Returns the :class:`LanczosRun` with its ``vectors`` and ``estimate``.
     Diagnostic harness: ``v1`` (a SparseVector or a ``{vertex: value}``
     mapping) replaces the definitional start vector and is used exactly
     as given (a ``v1`` with a u_1 component runs without the u_1
@@ -206,14 +152,7 @@ def subset_recurrence_trace(
     they allow replaying a recurrence from any recorded intermediate
     state.
     """
-    _check_pair(g, s, t)
-    if k < 1:
-        raise ValueError("iteration count k must be >= 1")
-    if eps < 0.0:
-        raise ValueError("eps must be >= 0")
-    if v1 is None:
-        v1 = definitional_start(g, s, t)
-    elif not isinstance(v1, SparseVector):
+    if v1 is not None and not isinstance(v1, SparseVector):
         v1 = SparseVector.from_mapping(v1, g.node_count)
     vectors = []
 
@@ -223,28 +162,12 @@ def subset_recurrence_trace(
         else:
             vectors.append(SparseVector(supp, v[supp], g.node_count))
 
-    alphas, betas, first_row, breakdown, stats = run_recurrence(
-        g,
-        v1,
-        k,
-        eps,
-        s_overrides=s_overrides,
-        visit=keep,
-        collect_stats=collect_stats,
+    _, run = _estimate(
+        g, s, t, k, eps, "lzpush", v1,
+        s_overrides=s_overrides, visit=keep, collect_stats=collect_stats,
     )
-    tmat = TridiagonalMatrix(alphas, betas)
-    y, _ = _solve_perturbed(tmat)
-    scale_sq = 1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]
-    return PushTrace(
-        alphas=alphas,
-        betas=betas,
-        vectors=vectors,
-        first_row=first_row,
-        k_effective=len(alphas),
-        breakdown=breakdown,
-        estimate=scale_sq * float(first_row @ y),
-        stats=stats,
-    )
+    run.vectors = vectors
+    return run
 
 
 def check_assumption(
@@ -312,7 +235,7 @@ def measure_c1_plain(g: Graph, s: int, t: int, k: int) -> float:
     )
 
 
-def measure_c2(stats: PushStats) -> float:
+def measure_c2(stats: LanczosRun) -> float:
     """Largest per-iteration 1-norm term over a stats-collecting run.
 
     Requires a run made with ``collect_stats=True``.  Asserts the

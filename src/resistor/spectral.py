@@ -97,9 +97,9 @@ def estimate_spectrum(
         checkpoint *= 2
         return settle(alphas, betas[:-1], False)
 
-    alphas, betas, _, breakdown, _ = run_recurrence(g, v1, max_iter, visit=visit)
+    run = run_recurrence(g, v1, max_iter, visit=visit)
     if not converged:
-        settle(alphas, betas, breakdown)
+        settle(run.alphas, run.betas, run.breakdown)
 
     lambda_min, lambda2 = extremes
     mu2 = 1.0 - lambda2
@@ -108,7 +108,7 @@ def estimate_spectrum(
         lambda_min_a=float(lambda_min),
         mu2=float(mu2),
         kappa=float(2.0 / mu2),
-        iterations=len(alphas),
+        iterations=run.k_effective,
         residual=float(residual),
         converged=bool(converged),
         wall_time=time.perf_counter() - start,

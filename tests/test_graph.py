@@ -186,7 +186,8 @@ def _reference_build(u_raw, v_raw, w_raw):
         return offsets, dst.astype(np.int64), ww.astype(np.float64), degrees
 
     offsets, neighbors, _, _ = csr(len(labels), uniq[:, 0], uniq[:, 1], merged_w)
-    comp = _component_labels(offsets, neighbors)
+    n = len(labels)
+    comp = _component_labels(n, np.repeat(np.arange(n), np.diff(offsets)), neighbors)
     best = int(np.argmax(np.bincount(comp)))
     kept = np.where(comp == best)[0]
     edge_mask = comp[uniq[:, 0]] == best

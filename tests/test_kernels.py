@@ -2,7 +2,9 @@
 norms."""
 
 import ast
+import importlib
 import math
+import pkgutil
 from pathlib import Path
 
 import numpy as np
@@ -154,6 +156,17 @@ def _unique_calls_off_the_sort_path(source: str) -> list:
         ):
             lines.append(node.lineno)
     return lines
+
+
+def test_every_exported_name_resolves():
+    # a deleted type left in an __all__ breaks `from resistor import *`
+    modules = [R] + [
+        importlib.import_module(f"resistor.{info.name}")
+        for info in pkgutil.iter_modules(R.__path__)
+    ]
+    for module in modules:
+        for name in getattr(module, "__all__", ()):
+            assert hasattr(module, name), f"{module.__name__}.{name}"
 
 
 def test_unique_tripwire_flags_hash_path_calls():

@@ -9,7 +9,7 @@ import pytest
 import resistor as R
 import resistor.lanczos as lanczos_mod
 from resistor.errors import SingularSystemError
-from resistor.kernels import TridiagonalMatrix, tridiag_solve_e1
+from resistor.kernels import TridiagonalMatrix, _sturm_count_below, tridiag_solve_e1
 from resistor.lanczos import definitional_start, run_recurrence, solve_checked
 
 from conftest import (
@@ -115,11 +115,11 @@ def test_visit_can_stop_the_run():
             stopped = run_recurrence(g, v1, 20, eps, visit=stop)
             full = run_recurrence(g, v1, j, eps)
             assert seen == [(i - 1, i - 1) for i in range(1, j + 2)]
-            for a, b in zip(stopped[:3], full[:3]):
-                assert np.array_equal(a, b)
-            assert stopped[3] == full[3]
-            assert stopped[4].support_sizes == full[4].support_sizes
-            assert stopped[4].touched_edges == full[4].touched_edges
+            for name in ("alphas", "betas", "first_row"):
+                assert np.array_equal(getattr(stopped, name), getattr(full, name))
+            assert stopped.breakdown == full.breakdown
+            assert stopped.support_sizes == full.support_sizes
+            assert stopped.touched_edges == full.touched_edges
 
 
 def test_same_vertex_short_circuits(toy):
@@ -142,12 +142,27 @@ def test_work_accounting(toy):
 
 def test_indefinite_system_is_flagged_not_raised():
     # eigenvalues 1.1 and -0.1: the LDL^T pivots 0.5 and -0.22 clear the
-    # singularity floor, so only the Sturm count at 1 can tell
+    # singularity floor, so only the sign of the second pivot can tell
     y, healthy = solve_checked(TridiagonalMatrix([0.5, 0.5], [0.6]))
     assert not healthy
     assert np.all(np.isfinite(y))
     _, healthy = solve_checked(TridiagonalMatrix([0.5, 0.5], [0.3]))
     assert healthy
+
+
+def test_healthy_agrees_with_sturm_count_at_one():
+    # Sylvester's law of inertia: the LDL^T pivots of I - T have the signs
+    # of its eigenvalues, so solve_checked's verdict is the Sturm count of
+    # T at 1, on definite and indefinite I - T alike
+    rng = np.random.default_rng(17)
+    verdicts = []
+    for _ in range(2000):
+        k = int(rng.integers(1, 12))
+        tmat = TridiagonalMatrix(rng.uniform(-1.2, 1.2, k), rng.uniform(-0.8, 0.8, k - 1))
+        _, healthy = solve_checked(tmat)
+        assert healthy == (_sturm_count_below(tmat.alpha, tmat.beta**2, 1.0) == k)
+        verdicts.append(healthy)
+    assert 100 < sum(verdicts) < len(verdicts) - 100
 
 
 # ---------------------------------------------------------------------------
@@ -192,11 +207,11 @@ def test_potential_solves_laplacian_system():
 def _two_pass_potential(g, s, t, k):
     # reference: keep the basis, solve (I - T) y = e_1, then V y
     basis = []
-    alphas, betas, _, _, _ = run_recurrence(
+    run = run_recurrence(
         g, definitional_start(g, s, t), k,
         visit=lambda i, supp, v, alphas, betas: basis.append(v.copy()),
     )
-    y = tridiag_solve_e1(TridiagonalMatrix(alphas, betas))
+    y = tridiag_solve_e1(TridiagonalMatrix(run.alphas, run.betas))
     scale = np.sqrt(1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t])
     return scale * g.inv_sqrt_degrees * (np.array(basis).T @ y)
 
@@ -255,9 +270,9 @@ def test_potential_raises_on_the_pivot_floor(monkeypatch, toy):
         with pytest.raises(SingularSystemError) if singular else nullcontext():
             phi = R.lanczos_potential(toy, 0, 3, 3)
             assert np.all(np.isfinite(phi))
-        alphas, betas, _, _, _ = run_recurrence(toy, definitional_start(toy, 0, 3), 3)
+        run = run_recurrence(toy, definitional_start(toy, 0, 3), 3)
         with pytest.raises(SingularSystemError) if singular else nullcontext():
-            tridiag_solve_e1(TridiagonalMatrix(alphas, betas))
+            tridiag_solve_e1(TridiagonalMatrix(run.alphas, run.betas))
 
 
 def test_potential_same_vertex_is_flat(toy):

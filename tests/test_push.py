@@ -7,9 +7,8 @@ import pytest
 
 import resistor as R
 import resistor.lanczos as lanczos_mod
-from resistor.kernels import SparseVector, TridiagonalMatrix
-from resistor.lanczos import definitional_start, run_recurrence
-from resistor.push import _solve_perturbed
+from resistor.kernels import SparseVector, TridiagonalMatrix, _sturm_count_below
+from resistor.lanczos import definitional_start, run_recurrence, solve_checked
 
 from conftest import (
     dense_normalized_adjacency,
@@ -160,11 +159,49 @@ def test_same_vertex_short_circuits(toy):
     assert stats.touched_edges == 0
 
 
+def test_every_entry_point_returns_one_run_record():
+    g = R.generate_er(200, 600, 1)
+    est_lz, run_lz = R.lanczos_rd(g, 0, 9, 10)
+    est_push, tmat, run_push = R.lanczos_push_rd(g, 0, 9, R.PushConfig(k=10, epsilon=1e-3))
+    trace = R.subset_recurrence_trace(g, 0, 9, 10, 1e-3)
+    for run in (run_lz, run_push, trace):
+        assert isinstance(run, R.LanczosRun)
+    assert tmat is run_push.t
+    assert run_lz.touched_edges == est_lz.touched_edges
+    assert est_lz.touched_edges == run_lz.k_effective * 2 * g.edge_count
+    assert run_lz.estimate == est_lz.value
+    # the trace is the push run with its basis kept
+    assert trace.estimate == run_push.estimate == est_push.value
+    assert np.array_equal(trace.alphas, run_push.alphas)
+    assert len(trace.vectors) == trace.k_effective
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         R.PushConfig(k=0, epsilon=0.1)
     with pytest.raises(ValueError):
         R.PushConfig(k=3, epsilon=-1.0)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
+def test_eps_must_be_finite_and_nonnegative(toy, eps):
+    v = SparseVector.from_mapping(_paper_sign_start(), 4)
+    calls = (
+        lambda: R.PushConfig(k=3, epsilon=eps),
+        lambda: R.subset_recurrence_trace(toy, 0, 3, 2, eps),
+        lambda: R.amv(toy, v, eps),
+        lambda: R.restrict(v, toy, eps),
+    )
+    for call in calls:
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            call()
+
+
+def _counters(run):
+    # every work counter of a run, for bit-for-bit comparison
+    names = ("n", "subset_sizes", "support_sizes", "edges_relaxed", "c2_terms",
+             "delta_degree_ratios", "touched_edges", "extra_ops", "peak_support")
+    return [getattr(run, name) for name in names]
 
 
 @pytest.mark.parametrize("eps", [5e-3, 1e-3])
@@ -196,13 +233,13 @@ def test_pruned_step_matches_numpy_unique(monkeypatch, make_graph, eps):
             runs.append(
                 run_recurrence(g, definitional_start(g, s, t), 20, eps, s_overrides=overrides)
             )
-        (a0, b0, f0, k0, st0), (a1, b1, f1, k1, st1) = runs
-        assert np.array_equal(a0, a1)
-        assert np.array_equal(b0, b1)
-        assert np.array_equal(f0, f1)
-        assert k0 == k1
-        assert st0 == st1
-        assert st0.touched_edges > 0
+        r0, r1 = runs
+        assert np.array_equal(r0.alphas, r1.alphas)
+        assert np.array_equal(r0.betas, r1.betas)
+        assert np.array_equal(r0.first_row, r1.first_row)
+        assert r0.breakdown == r1.breakdown
+        assert _counters(r0) == _counters(r1)
+        assert r0.touched_edges > 0
     assert calls
 
 
@@ -217,6 +254,17 @@ def test_trace_vectors_stay_normalized():
     for vec in trace.vectors:
         norm = math.sqrt(sum(x * x for x in vec.val))
         assert norm == pytest.approx(1.0, abs=1e-12)
+
+
+def test_trace_same_vertex_short_circuits():
+    # the trace shares the s == t answer of lanczos_push_rd: 0, at no work
+    g = R.generate_er(200, 600, 1)
+    trace = R.subset_recurrence_trace(g, 5, 5, 10, 1e-3)
+    est, _, _ = R.lanczos_push_rd(g, 5, 5, R.PushConfig(k=10, epsilon=1e-3))
+    assert trace.estimate == est.value == 0.0
+    assert trace.k_effective == 0
+    assert trace.touched_edges == 0
+    assert trace.vectors == []
 
 
 def test_trace_support_respects_hop_balls():
@@ -301,6 +349,8 @@ def test_indefinite_pruned_run_is_flagged():
     est, tmat, _ = R.lanczos_push_rd(g, s, t, R.PushConfig(k=348, epsilon=1e-3))
     assert R.tridiag_eigen_range(tmat)[1] > 1.0
     assert not est.healthy
+    # the pivot verdict is the Sturm count of T at 1
+    assert _sturm_count_below(tmat.alpha, tmat.beta**2, 1.0) < tmat.order
 
 
 def test_containment_detects_escape():
@@ -312,7 +362,7 @@ def test_containment_detects_escape():
 
 def test_singular_solve_names_the_assumption():
     with pytest.raises(R.SingularSystemError, match="eigenvalue-containment"):
-        _solve_perturbed(TridiagonalMatrix([1.0], []))
+        solve_checked(TridiagonalMatrix([1.0], []))
 
 
 # ---------------------------------------------------------------------------

@@ -73,9 +73,9 @@ def test_extremes_are_those_of_the_final_t():
         x = np.random.default_rng(3).standard_normal(g.node_count)
         x -= (u1 @ x) * u1
         v1 = SparseVector.from_dense(x / np.linalg.norm(x))
-        alphas, betas, _, _, _ = run_recurrence(g, v1, est.iterations)
-        assert len(alphas) == est.iterations
-        tmat = TridiagonalMatrix(alphas, betas)
+        run = run_recurrence(g, v1, est.iterations)
+        assert len(run.alphas) == est.iterations
+        tmat = TridiagonalMatrix(run.alphas, run.betas)
         lam_min, lam2 = tridiag_eigen_range(tmat, tol=tol / 10)
         assert (est.lambda_min_a, est.lambda2_a) == (lam_min, lam2)
         assert est.kappa == 2.0 / (1.0 - lam2)
