@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import resource
@@ -35,9 +36,8 @@ from .errors import (
     UnsupportedInputError,
 )
 from .graph import Graph, generate_ba, generate_er, load_cache, load_edge_list, save_cache, save_edge_list
-from .kernels import chebyshev_walk_norms
 from .lanczos import lanczos_rd
-from .push import PushConfig, check_assumption, lanczos_push_rd, measure_c1_plain
+from .push import PushConfig, _walk_norm_peak, _within_cap, check_assumption, lanczos_push_rd
 from .routing import extract_routes, route_metrics
 from .spectral import estimate_spectrum
 
@@ -46,15 +46,6 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 BENCH_COLUMNS = ("method", "param", "pair", "abs_err", "seconds", "touched_edges")
-
-
-@dataclass(frozen=True)
-class QuerySet:
-    """The (s, t) pairs a benchmark runs on, in internal vertex ids."""
-
-    pairs: tuple
-    policy: str
-    seed: int
 
 
 @dataclass
@@ -192,40 +183,19 @@ def _run_lzpush(g: Graph, s: int, t: int, params: dict):
 
 class Method(NamedTuple):
     """An estimator of the CLI.  ``run(g, s, t, params)`` returns the
-    estimate and the extra fields of its query record; ``grid(grids, seed)``
-    maps the parsed ``--*-grid`` values to the ``bench`` tasks, as
-    (param string, params, sort key) triples."""
+    estimate and the extra fields of its query record; ``sweeps`` names
+    the ``--*-grid`` values that ``bench`` crosses for it, in order."""
 
     run: Callable
-    grid: Callable
+    sweeps: tuple = ()
 
 
 METHODS = {
-    "exact": Method(_run_exact, lambda grids, seed: [("dense", {}, (0.0,))]),
-    "pm": Method(
-        _run_pm,
-        lambda grids, seed: [(f"l={l}", {"l": l}, (float(l),)) for l in grids["l"]],
-    ),
-    "rw": Method(
-        _run_rw,
-        lambda grids, seed: [
-            (f"l={l};nr={nr}", {"l": l, "nr": nr, "seed": seed}, (float(l), float(nr)))
-            for l in grids["l"]
-            for nr in grids["nr"]
-        ],
-    ),
-    "lz": Method(
-        _run_lz,
-        lambda grids, seed: [(f"k={k}", {"k": k}, (float(k),)) for k in grids["k"]],
-    ),
-    "lzpush": Method(
-        _run_lzpush,
-        lambda grids, seed: [
-            (f"k={k};eps={eps:g}", {"k": k, "eps": eps}, (float(k), eps))
-            for k in grids["k"]
-            for eps in grids["eps"]
-        ],
-    ),
+    "exact": Method(_run_exact),
+    "pm": Method(_run_pm, ("l",)),
+    "rw": Method(_run_rw, ("l", "nr")),
+    "lz": Method(_run_lz, ("k",)),
+    "lzpush": Method(_run_lzpush, ("k", "eps")),
 }
 
 
@@ -455,12 +425,7 @@ def check_assumption_cmd(graph_path, s, t, k, eps, tol, weighted, out):
     # locality statistics, computed directly so a cap excursion is reported
     # rather than raised
     k_eff = max(est.iterations, 1)
-    c1 = float(
-        max(
-            chebyshev_walk_norms(g, si, k_eff).max(),
-            chebyshev_walk_norms(g, ti, k_eff).max(),
-        )
-    )
+    c1 = _walk_norm_peak(g, si, ti, k_eff)
     c2 = float(max(stats.c2_terms))
     c1_cap = math.sqrt(g.edge_count)
     c2_cap = 3.0 * math.sqrt(g.node_count)
@@ -477,11 +442,11 @@ def check_assumption_cmd(graph_path, s, t, k, eps, tol, weighted, out):
         "k_effective": est.iterations,
         "c1": c1,
         "c1_cap": c1_cap,
-        "c1_within_cap": bool(c1 <= c1_cap + 1e-9),
-        "c1_plain": measure_c1_plain(g, si, ti, k_eff),
+        "c1_within_cap": _within_cap(c1, c1_cap),
+        "c1_plain": _walk_norm_peak(g, si, ti, k_eff, weighted=False),
         "c2": c2,
         "c2_cap": c2_cap,
-        "c2_within_cap": bool(c2 <= c2_cap + 1e-9),
+        "c2_within_cap": _within_cap(c2, c2_cap),
         "spectrum_converged": spec.converged,
     }
     _emit(json.dumps(record, indent=2, sort_keys=True), out)
@@ -499,8 +464,8 @@ def check_assumption_cmd(graph_path, s, t, k, eps, tol, weighted, out):
 # ---------------------------------------------------------------------------
 
 
-def build_query_set(g: Graph, count: int, policy: str, seed: int, cross: bool) -> QuerySet:
-    """Choose benchmark pairs.
+def build_query_set(g: Graph, count: int, policy: str, seed: int, cross: bool) -> tuple:
+    """Choose benchmark pairs, as a tuple of (s, t) internal vertex ids.
 
     ``uniform-random`` samples distinct pairs; ``top-degree`` takes the
     2 * count highest-degree vertices (ties by id) and zips the first
@@ -543,7 +508,7 @@ def build_query_set(g: Graph, count: int, policy: str, seed: int, cross: bool) -
         pairs = tuple(zip(sources, targets))
     if not pairs:
         raise ValueError("query-set construction produced no pairs")
-    return QuerySet(pairs=pairs, policy=policy, seed=seed)
+    return pairs
 
 
 def _parse_grid(text: str, kind, name: str):
@@ -556,11 +521,26 @@ def _parse_grid(text: str, kind, name: str):
     return values
 
 
-def _bench_tasks(methods, grids: dict, seed: int):
-    """The (method, param-string, params, sort-key) grid, in a canonical order."""
-    return [
-        (method, *task) for method in methods for task in METHODS[method].grid(grids, seed)
-    ]
+def _bench_tasks(g: Graph, methods, grids: dict, seed: int, pairs) -> list:
+    """One (method, sort key, pair labels, param string, params, s, t) task
+    per grid point and pair, in output order.  Each method crosses the
+    grids its ``sweeps`` name; one with none runs once per pair."""
+    old = g.old_ids
+    tasks = []
+    for method in methods:
+        sweeps = METHODS[method].sweeps
+        for values in itertools.product(*(grids[name] for name in sweeps)):
+            param = ";".join(
+                f"{name}={v:g}" if isinstance(v, float) else f"{name}={v}"
+                for name, v in zip(sweeps, values)
+            )
+            params = dict(zip(sweeps, values), seed=seed)
+            sort_key = tuple(map(float, values)) or (0.0,)
+            tasks.extend(
+                (method, sort_key, (int(old[s]), int(old[t])), param or "dense", params, s, t)
+                for s, t in pairs
+            )
+    return sorted(tasks, key=lambda task: task[:3])
 
 
 _WORKER_GRAPH = None
@@ -571,10 +551,9 @@ def _init_worker(graph: Graph):
     _WORKER_GRAPH = graph
 
 
-def _bench_one(job):
-    method, params, s, t = job
-    g = _WORKER_GRAPH
-    est, _ = METHODS[method].run(g, s, t, params)
+def _bench_one(task):
+    method, _, _, _, params, s, t = task
+    est, _ = METHODS[method].run(_WORKER_GRAPH, s, t, params)
     return est.value, est.touched_edges, est.wall_time
 
 
@@ -629,73 +608,58 @@ def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
         "eps": _parse_grid(eps_grid, float, "eps-grid"),
         "nr": _parse_grid(nr_grid, int, "nr-grid"),
     }
-    qs = build_query_set(g, pair_count, policy, seed, cross)
+    pairs = build_query_set(g, pair_count, policy, seed, cross)
+
+    def check_budget(projected: float, what: str, advice: str):
+        if budget is not None and projected > budget:
+            _fail(
+                EXIT_USAGE,
+                f"projected {what} time {projected:.1f}s exceeds budget "
+                f"{budget:.1f}s; {advice}",
+            )
 
     # ground truth per pair (dense when small, long power method otherwise)
     truths = {}
-    for idx, (s, t) in enumerate(qs.pairs):
+    for idx, (s, t) in enumerate(pairs):
         if g.node_count <= gt_cap:
             truths[(s, t)] = exact_rd(g, s, t, cap=gt_cap)
         else:
             truths[(s, t)] = power_method_rd(g, s, t, gt_l).value
-        if budget is not None and idx == 0:
-            projected = (time.perf_counter() - total_start) * len(qs.pairs)
-            if projected > budget:
-                _fail(
-                    EXIT_USAGE,
-                    f"projected ground-truth time {projected:.1f}s exceeds "
-                    f"budget {budget:.1f}s; raise --budget or lower --pairs",
-                )
+        if idx == 0:
+            check_budget(
+                (time.perf_counter() - total_start) * len(pairs),
+                "ground-truth", "raise --budget or lower --pairs",
+            )
 
-    grid = _bench_tasks(method_list, grids, seed)
-    jobs_list = []
-    for method, param, params, sort_key in grid:
-        for s, t in qs.pairs:
-            jobs_list.append((method, param, params, sort_key, s, t))
-
-    results = []
+    tasks = _bench_tasks(g, method_list, grids, seed, pairs)
+    # the first task runs here and calibrates the projection for the rest
+    _init_worker(g)
+    first = _bench_one(tasks[0])
+    check_budget(
+        time.perf_counter() - total_start + first[2] * (len(tasks) - 1) / max(jobs, 1),
+        "sweep", "shrink the grids or raise --budget",
+    )
     if jobs > 1:
         with ProcessPoolExecutor(
             max_workers=jobs, initializer=_init_worker, initargs=(g,)
         ) as pool:
-            payload = [(m, p, s, t) for m, _, p, _, s, t in jobs_list]
-            results = list(pool.map(_bench_one, payload, chunksize=4))
+            results = [first, *pool.map(_bench_one, tasks[1:], chunksize=4)]
     else:
-        _init_worker(g)
-        first_done = False
-        for m, _, p, _, s, t in jobs_list:
-            results.append(_bench_one((m, p, s, t)))
-            if budget is not None and not first_done:
-                first_done = True
-                elapsed = time.perf_counter() - total_start
-                projected = elapsed + results[-1][2] * (len(jobs_list) - 1)
-                if projected > budget:
-                    _fail(
-                        EXIT_USAGE,
-                        f"projected sweep time {projected:.1f}s exceeds budget "
-                        f"{budget:.1f}s; shrink the grids or raise --budget",
-                    )
+        results = [first, *map(_bench_one, tasks[1:])]
 
-    old = g.old_ids
-    records = []
-    for (method, param, params, sort_key, s, t), (value, touched, seconds) in zip(
-        jobs_list, results
-    ):
-        records.append(
-            (
-                (method, sort_key, (int(old[s]), int(old[t]))),
-                BenchRecord(
-                    method=method,
-                    param=param,
-                    pair=f"{int(old[s])}-{int(old[t])}",
-                    abs_err=abs(value - truths[(s, t)]),
-                    seconds=seconds,
-                    touched_edges=touched,
-                ),
-            )
+    rows = [
+        BenchRecord(
+            method=method,
+            param=param,
+            pair=f"{a}-{b}",
+            abs_err=abs(value - truths[(s, t)]),
+            seconds=seconds,
+            touched_edges=touched,
         )
-    records.sort(key=lambda pair: pair[0])
-    rows = [r for _, r in records]
+        for (method, _, (a, b), param, _, s, t), (value, touched, seconds) in zip(
+            tasks, results
+        )
+    ]
     _emit(bench_records_to_csv(rows), out)
 
     by_method = {}
@@ -704,7 +668,7 @@ def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
     total = time.perf_counter() - total_start
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     click.echo(
-        f"bench: n={g.node_count} m={g.edge_count} pairs={len(qs.pairs)} "
+        f"bench: n={g.node_count} m={g.edge_count} pairs={len(pairs)} "
         f"rows={len(rows)} total={total:.2f}s peak_rss={rss_mb:.1f}MB",
         err=True,
     )

@@ -37,6 +37,7 @@ __all__ = [
 ]
 
 _CACHE_MAGIC = b"RDG1"
+_MAX_LABEL = 2**63 - 1  # labels are stored as int64
 
 Source = Union[str, Path, IO]
 
@@ -250,13 +251,25 @@ def _build_graph(u_raw: np.ndarray, v_raw: np.ndarray, w_raw: np.ndarray) -> Gra
     ew = merged_w[edge_mask]
 
     offsets, neighbors, weights, degrees = _csr_from_canonical(len(kept), eu, ev, ew)
+    old_ids = labels[kept].astype(np.int64)
+    _check_finite_degrees(degrees, old_ids)
     return Graph(
         offsets=offsets,
         neighbors=neighbors,
         weights=weights,
         weighted_degrees=degrees,
-        old_ids=labels[kept].astype(np.int64),
+        old_ids=old_ids,
     )
+
+
+def _check_finite_degrees(degrees: np.ndarray, old_ids: np.ndarray) -> None:
+    """Raise UnsupportedInputError if a weighted degree overflows float64."""
+    finite = np.isfinite(degrees)
+    if not finite.all():
+        label = int(old_ids[np.argmin(finite)])
+        raise UnsupportedInputError(
+            f"the weighted degree of vertex {label} overflows float64"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +291,8 @@ def _iter_lines(source: Source):
 def load_edge_list(source: Source, weighted: bool = False) -> Graph:
     """Parse a whitespace-delimited edge list and return the cleaned graph.
 
-    Each non-blank line is ``u v`` or ``u v w`` with nonnegative integer
-    vertex labels; lines starting with ``#`` are comments.  With
+    Each non-blank line is ``u v`` or ``u v w`` with integer vertex labels
+    in [0, 2^63 - 1]; lines starting with ``#`` are comments.  With
     ``weighted=True`` the third column is required and must be positive;
     otherwise any third column is ignored.
 
@@ -296,6 +309,8 @@ def load_edge_list(source: Source, weighted: bool = False) -> Graph:
         On any malformed line (carries the line number).
     EmptyGraphError
         If no edges remain after cleaning.
+    UnsupportedInputError
+        If a weighted degree overflows float64.
     """
     us, vs, ws = [], [], []
     for lineno, raw in enumerate(_iter_lines(source), start=1):
@@ -312,8 +327,8 @@ def load_edge_list(source: Source, weighted: bool = False) -> Graph:
             raise GraphFormatError(
                 lineno, f"vertex labels must be integers, got {line!r}"
             ) from None
-        if u < 0 or v < 0:
-            raise GraphFormatError(lineno, "vertex labels must be nonnegative")
+        if not (0 <= u <= _MAX_LABEL and 0 <= v <= _MAX_LABEL):
+            raise GraphFormatError(lineno, "vertex labels must be in [0, 2^63 - 1]")
         if weighted:
             if len(parts) < 3:
                 raise GraphFormatError(lineno, "weighted load requires a third column")
@@ -396,9 +411,9 @@ def load_cache(path: Union[str, Path]) -> Graph:
     """Read a graph previously written by :func:`save_cache`.
 
     The file is checked against every invariant of :class:`Graph`: exact
-    length for its header, CSR offsets from 0 to 2m, neighbor ids in
-    range, sorted slices without self loops, positive finite weights,
-    symmetric arcs and a single component.
+    length for its header, CSR offsets from 0 to 2m, nonnegative strictly
+    ascending labels, neighbor ids in range, sorted slices without self
+    loops, positive finite weights, symmetric arcs and a single component.
 
     Raises
     ------
@@ -406,6 +421,8 @@ def load_cache(path: Union[str, Path]) -> Graph:
         If the file is not a well-formed graph cache.
     EmptyGraphError
         If the cached graph has no edges.
+    UnsupportedInputError
+        If a weighted degree overflows float64.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -436,10 +453,16 @@ def load_cache(path: Union[str, Path]) -> Graph:
     old_ids = take(n, "<i8")
     if offsets[0] != 0 or offsets[-1] != 2 * m or np.any(np.diff(offsets) < 0):
         raise GraphFormatError(1, "graph cache offsets are not monotone from 0 to 2m")
+    # offsets ending at 2m > 0 make n >= 1
+    if old_ids[0] < 0 or np.any(np.diff(old_ids) <= 0):
+        raise GraphFormatError(
+            1, "graph cache labels are not nonnegative and strictly ascending"
+        )
     g = Graph(offsets, neighbors, weights, np.empty(n), old_ids)
     # the degrees read the arc sources that the arc checks read too
     g.weighted_degrees[:] = np.bincount(g.arc_sources, weights=weights, minlength=n)
     _check_cached_arcs(g)
+    _check_finite_degrees(g.weighted_degrees, old_ids)
     return g
 
 

@@ -198,7 +198,19 @@ def check_assumption(
     )
 
 
-_CAP_SLACK = 1e-9
+def _walk_norm_peak(g: Graph, s: int, t: int, k: int, weighted: bool = True) -> float:
+    """Largest Chebyshev walk norm from s or t up to order k."""
+    return float(
+        max(
+            chebyshev_walk_norms(g, s, k, weighted=weighted).max(),
+            chebyshev_walk_norms(g, t, k, weighted=weighted).max(),
+        )
+    )
+
+
+def _within_cap(value: float, cap: float) -> bool:
+    """Whether a locality statistic respects its cap, up to rounding."""
+    return bool(value <= cap + 1e-9 * (1.0 + cap))
 
 
 def measure_c1(g: Graph, s: int, t: int, k: int) -> float:
@@ -211,14 +223,9 @@ def measure_c1(g: Graph, s: int, t: int, k: int) -> float:
     (sqrt(3) + 4 sqrt(2)) / 3 > 2 = sqrt(m) at k = 3.
     """
     _check_pair(g, s, t)
-    c1 = float(
-        max(
-            chebyshev_walk_norms(g, s, k).max(),
-            chebyshev_walk_norms(g, t, k).max(),
-        )
-    )
+    c1 = _walk_norm_peak(g, s, t, k)
     cap = math.sqrt(g.edge_count)
-    if c1 > cap + _CAP_SLACK * (1.0 + cap):
+    if not _within_cap(c1, cap):
         raise AssertionError(f"walk-norm cap violated: C1 = {c1} > sqrt(m) = {cap}")
     return c1
 
@@ -227,12 +234,7 @@ def measure_c1_plain(g: Graph, s: int, t: int, k: int) -> float:
     """Companion statistic to :func:`measure_c1` without the degree
     scaling (no cap applies)."""
     _check_pair(g, s, t)
-    return float(
-        max(
-            chebyshev_walk_norms(g, s, k, weighted=False).max(),
-            chebyshev_walk_norms(g, t, k, weighted=False).max(),
-        )
-    )
+    return _walk_norm_peak(g, s, t, k, weighted=False)
 
 
 def measure_c2(stats: LanczosRun) -> float:
@@ -247,7 +249,7 @@ def measure_c2(stats: LanczosRun) -> float:
         )
     c2 = float(max(stats.c2_terms))
     cap = 3.0 * math.sqrt(stats.n)
-    if c2 > cap + _CAP_SLACK * (1.0 + cap):
+    if not _within_cap(c2, cap):
         raise AssertionError(
             f"1-norm cap violated: C2 = {c2} > 3 sqrt(n) = {cap}"
         )

@@ -104,6 +104,14 @@ def test_query_malformed_file_is_io_error(runner, tmp_path):
     assert result.exit_code == EXIT_IO
 
 
+def test_query_overflowing_weights_is_usage_error(runner, tmp_path):
+    path = tmp_path / "w.txt"
+    path.write_text("0 1 1e308\n1 0 1e308\n")
+    result = runner.invoke(cli, ["query", str(path), "0", "1", "--weighted"])
+    assert result.exit_code == EXIT_USAGE
+    assert "overflows" in result.output
+
+
 def test_query_unknown_method_is_usage_error(runner, toy_file):
     result = runner.invoke(cli, ["query", toy_file, "1", "4", "--method", "magic"])
     assert result.exit_code == EXIT_USAGE
@@ -360,9 +368,17 @@ def test_bench_parallel_matches_serial(runner, toy_file):
             for r in prows]
 
 
-def test_bench_budget_abort(runner, toy_file):
-    result = runner.invoke(cli, _bench_args(toy_file, ["--budget", "1e-9"]))
-    assert result.exit_code == EXIT_USAGE
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_bench_budget_abort(runner, toy_file, monkeypatch, jobs):
+    # every task claims 1e6 s, so the projected sweep exceeds any budget
+    monkeypatch.setattr(
+        "resistor.cli._bench_one", lambda task: (0.0, 0, 1e6)
+    )
+    result = runner.invoke(
+        cli, _bench_args(toy_file, ["--budget", "1000", "--jobs", jobs])
+    )
+    assert result.exit_code == EXIT_USAGE, result.output
+    assert "projected sweep time" in result.output
 
 
 def test_bench_unknown_method_rejected(runner, toy_file):

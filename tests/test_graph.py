@@ -82,6 +82,18 @@ def test_malformed_line_reports_line_number():
         graph_from_text("0\n")
     with pytest.raises(R.GraphFormatError):
         graph_from_text("-1 2\n")
+    # a label past int64 is a format error, not an OverflowError
+    with pytest.raises(R.GraphFormatError) as err:
+        graph_from_text("0 1\n1 18446744073709551616\n")
+    assert err.value.line_number == 2
+
+
+def test_overflowing_weighted_degree_is_unsupported():
+    # each weight is finite, their merged parallel edge is not
+    with pytest.raises(R.UnsupportedInputError, match="vertex 0"):
+        graph_from_text("0 1 1e308\n1 0 1e308\n", weighted=True)
+    with pytest.raises(R.UnsupportedInputError, match="vertex 8"):
+        graph_from_text("7 8 1e308\n8 9 1e308\n", weighted=True)
 
 
 def test_weighted_load_requires_positive_weight():
@@ -358,6 +370,9 @@ CACHE_CORRUPTIONS = {
     "offsets-start": ("offsets", 0, 1, "offsets"),
     "offsets-end": ("offsets", 4, 5, "offsets"),
     "offsets-order": ("offsets", 2, 0, "offsets"),
+    "label-repeat": ("old_ids", 1, 0, "labels"),
+    "label-order": ("old_ids", 3, 1, "labels"),
+    "label-negative": ("old_ids", 0, -1, "labels"),
     "id-too-large": ("neighbors", 0, 10**6, "neighbor id"),
     "id-negative": ("neighbors", 5, -1, "neighbor id"),
     "self-loop": ("neighbors", 0, 0, "self loop"),
@@ -408,6 +423,14 @@ def test_cache_rejects_two_components(tmp_path):
     p = tmp_path / "bad.rdg"
     _write_cache(p, [0, 1, 2, 3, 4], [1, 0, 3, 2], [1.0] * 4, [0, 1, 2, 3])
     with pytest.raises(R.GraphFormatError, match="component"):
+        R.load_cache(p)
+
+
+def test_cache_rejects_overflowing_degree(tmp_path):
+    # every weight is finite, but the middle vertex of the path sums to inf
+    p = tmp_path / "bad.rdg"
+    _write_cache(p, [0, 1, 3, 4], [1, 0, 2, 1], [1e308] * 4, [5, 6, 7])
+    with pytest.raises(R.UnsupportedInputError, match="vertex 6"):
         R.load_cache(p)
 
 
