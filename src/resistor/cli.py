@@ -621,13 +621,16 @@ def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
     # ground truth per pair (dense when small, long power method otherwise)
     truths = {}
     for idx, (s, t) in enumerate(pairs):
+        solve_start = time.perf_counter()
         if g.node_count <= gt_cap:
             truths[(s, t)] = exact_rd(g, s, t, cap=gt_cap)
         else:
             truths[(s, t)] = power_method_rd(g, s, t, gt_l).value
         if idx == 0:
+            # the graph load is paid once; the first solve stands for the rest
+            now = time.perf_counter()
             check_budget(
-                (time.perf_counter() - total_start) * len(pairs),
+                now - total_start + (now - solve_start) * (len(pairs) - 1),
                 "ground-truth", "raise --budget or lower --pairs",
             )
 

@@ -110,6 +110,12 @@ class Graph:
         return np.argsort(self.neighbors * self.node_count + self.arc_sources)
 
     @cached_property
+    def jagged(self) -> "JaggedLayout":
+        """The arcs in jagged-diagonal order (see :class:`JaggedLayout`),
+        built on first use."""
+        return _jagged_layout(self)
+
+    @cached_property
     def inv_sqrt_degrees(self) -> np.ndarray:
         """1 / sqrt(weighted degree), used by the normalized operators."""
         return 1.0 / self.sqrt_degrees
@@ -122,6 +128,85 @@ class Graph:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "unweighted" if self.is_unweighted else "weighted"
         return f"Graph(n={self.node_count}, m={self.edge_count}, {kind})"
+
+
+# A jagged-diagonal column is kept while at least this many rows have an arc
+# in it.  Any value from 32 to 1024 ran the dense product within 10% of the
+# best on ER and BA graphs at n = 50k, m = 250k (2-vCPU Xeon).
+JAGGED_MIN_ROWS = 64
+
+
+@dataclass(frozen=True)
+class JaggedLayout:
+    """The arcs of a graph in jagged-diagonal order (Saad, "Iterative
+    Methods for Sparse Linear Systems", 2003, section 3.4), with the
+    highest-degree rows kept apart, as in the ELL + COO split of Bell and
+    Garland's HYB format (SC'09).
+
+    Rows are sorted by degree, descending and stable: ``position[u]`` is
+    the sorted position of vertex u.  Column j is kept while at least
+    ``JAGGED_MIN_ROWS`` rows have degree above j, so there are at most
+    2m / ``JAGGED_MIN_ROWS`` columns.  The ``hubs`` rows of degree above
+    the column count, fewer than ``JAGGED_MIN_ROWS``, take the first
+    sorted positions.  Column j holds the j-th arc, in CSR order, of every
+    other row of degree above j; those rows are the first ``length`` after
+    the hubs, and their arcs sit at ``start:start + length`` for
+    ``columns[j] = (start, length)``.  After the columns come the hubs'
+    arcs in CSR order, from ``hub_start`` on, with their rows' sorted
+    positions in ``hub_rows``.  ``neighbors`` and ``weights`` hold the arc
+    heads and weights in this order; ``weights`` is None on an unweighted
+    graph.
+    """
+
+    position: np.ndarray
+    hubs: int
+    columns: tuple
+    hub_start: int
+    hub_rows: np.ndarray
+    neighbors: np.ndarray
+    weights: np.ndarray | None
+
+
+def _jagged_layout(g: Graph) -> JaggedLayout:
+    """Lay the arcs of ``g`` out in jagged-diagonal order, in one scatter.
+
+    An arc's rank in its row is its id less ``offsets`` of its source, so
+    a non-hub arc goes to the start of the column of its rank plus its
+    row's position among the non-hub rows.
+    """
+    n, deg, src = g.node_count, np.diff(g.offsets), g.arc_sources
+    order = np.argsort(-deg, kind="stable")
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    width = int(deg[order[JAGGED_MIN_ROWS - 1]]) if n >= JAGGED_MIN_ROWS else 0
+    hubs = int(np.count_nonzero(deg > width))
+    # rows of degree above j, for j < width, less the hubs
+    lengths = n - np.cumsum(np.bincount(deg, minlength=width + 1)[:width]) - hubs
+    starts = np.zeros(width, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    hub_start = int(lengths.sum())
+
+    row = position[src]
+    dest = np.empty(len(src), dtype=np.int64)
+    hub = row < hubs
+    body = np.flatnonzero(~hub)
+    dest[body] = starts[body - g.offsets[src[body]]] + (row[body] - hubs)
+    dest[hub] = np.arange(hub_start, len(src))
+    neighbors = np.empty_like(g.neighbors)
+    neighbors[dest] = g.neighbors
+    weights = None
+    if not g.is_unweighted:
+        weights = np.empty_like(g.weights)
+        weights[dest] = g.weights
+    return JaggedLayout(
+        position=position,
+        hubs=hubs,
+        columns=tuple(zip(starts.tolist(), lengths.tolist())),
+        hub_start=hub_start,
+        hub_rows=row[hub],
+        neighbors=neighbors,
+        weights=weights,
+    )
 
 
 # ---------------------------------------------------------------------------

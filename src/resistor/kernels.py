@@ -13,12 +13,20 @@ pruned ones, which work on a sorted index array and its value array: the
 pruned product :func:`relax_arcs` and the significant-set test
 :func:`significant`.  The recurrence calls those two on plain arrays;
 :func:`amv` and :func:`restrict` are their :class:`SparseVector` forms.
+
+The dense product :func:`apply_normalized_adjacency` sums each row in
+contiguous column passes over the jagged-diagonal layout of
+:class:`resistor.graph.JaggedLayout`, built on a graph's first dense
+product and cached on it (``Graph.jagged``).  Every row is summed from 0.0
+in CSR arc order, as one ``np.bincount`` over the arc sources sums it, so
+the product is bit-identical to that one-pass form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -146,13 +154,20 @@ def _check_dim(g: Graph, v: np.ndarray) -> np.ndarray:
 def apply_normalized_adjacency(g: Graph, v: np.ndarray) -> np.ndarray:
     """Return ``A v`` for the normalized adjacency A = D^{-1/2} W D^{-1/2}."""
     v = _check_dim(g, v)
-    scaled = v * g.inv_sqrt_degrees
-    contrib = scaled[g.neighbors]
-    if not g.is_unweighted:
-        contrib *= g.weights
-    # one pass over the arcs; np.add.reduceat pays a fixed cost per row,
-    # which dominates on low-degree graphs
-    return np.bincount(g.arc_sources, contrib, g.node_count) * g.inv_sqrt_degrees
+    lay = g.jagged
+    contrib = np.take(v * g.inv_sqrt_degrees, lay.neighbors)
+    if lay.weights is not None:
+        contrib *= lay.weights
+    # every row is summed from 0.0 in CSR arc order, as np.bincount over
+    # the arc sources sums it, so the result is the same to the bit
+    rows = np.zeros(g.node_count)
+    body = rows[lay.hubs :]
+    for start, length in lay.columns:
+        body[:length] += contrib[start : start + length]
+    rows[: lay.hubs] = np.bincount(lay.hub_rows, contrib[lay.hub_start :], lay.hubs)
+    out = np.take(rows, lay.position)
+    out *= g.inv_sqrt_degrees
+    return out
 
 
 def apply_transition(g: Graph, v: np.ndarray) -> np.ndarray:
@@ -287,14 +302,19 @@ def tridiag_solve_e1(t: TridiagonalMatrix) -> np.ndarray:
     return _ldl_solve_e1(t)[0]
 
 
-def _sturm_count_below(alpha: np.ndarray, beta_sq: np.ndarray, x: float) -> int:
-    """Number of eigenvalues of the tridiagonal matrix strictly below x."""
-    # pivot floor large enough that beta_sq / d cannot overflow
+def _sturm_count_below(alpha, beta_sq, x: float) -> int:
+    """Number of eigenvalues of the tridiagonal matrix strictly below x.
+
+    ``alpha`` is the diagonal and ``beta_sq`` the squared off-diagonal.
+    Pass them as Python float lists when counting often: indexing numpy
+    scalars costs several times the arithmetic of this loop.
+    """
+    # pivot floor large enough that b2 / d cannot overflow
     floor = 1e-154
     count = 0
     d = 1.0
-    for i in range(len(alpha)):
-        d = alpha[i] - x - (beta_sq[i - 1] / d if i > 0 else 0.0)
+    for a, b2 in zip(alpha, chain((0.0,), beta_sq)):
+        d = a - x - b2 / d
         if abs(d) < floor:
             d = -floor if d <= 0.0 else floor
         if d < 0.0:
@@ -315,7 +335,7 @@ def tridiag_eigen_range(t: TridiagonalMatrix, tol: float = 1e-10):
     if k == 1:
         a = float(alpha[0])
         return a, a
-    beta_sq = beta * beta
+    alpha_list, beta_sq = alpha.tolist(), (beta * beta).tolist()
     radius = np.zeros(k)
     radius[:-1] += np.abs(beta)
     radius[1:] += np.abs(beta)
@@ -330,7 +350,7 @@ def tridiag_eigen_range(t: TridiagonalMatrix, tol: float = 1e-10):
             mid = 0.5 * (a + b)
             if not a < mid < b:  # tol is below the float spacing here
                 break
-            if _sturm_count_below(alpha, beta_sq, mid) >= target:
+            if _sturm_count_below(alpha_list, beta_sq, mid) >= target:
                 b = mid
             else:
                 a = mid

@@ -128,22 +128,26 @@ def lanczos_iteration_bound(kappa: float, eps: float) -> int:
     return max(1, math.ceil(math.sqrt(kappa) * math.log(kappa / eps)))
 
 
-def _project_u1(w: np.ndarray, supp, sqrt_d: np.ndarray) -> int:
+def _project_u1(w: np.ndarray, supp, sqrt_d: np.ndarray, u1_norm_sq) -> int:
     """Project u_1 ~ D^{1/2} 1 out of w over w's own support, in place.
 
     Subtracts c * D^{1/2} 1 restricted to the support, with
     c = <D^{1/2} 1, w> / sum_{u in supp w} d_u.  The result is exactly
     orthogonal to u_1 in real arithmetic and keeps the support unchanged.
+    ``u1_norm_sq`` is ``sqrt_d @ sqrt_d``, the denominator whenever the
+    support is all of w (a dense iterate; None is fine for index supports).
     Returns the support size.
     """
     if supp is _DENSE:
+        # a bool mask and its count cost less than np.count_nonzero(w)
         nonzero = w != 0.0
         size = int(np.count_nonzero(nonzero))
         sd = sqrt_d if size == len(w) else sqrt_d * nonzero
     else:
         sd, size = sqrt_d[supp], len(supp)
     if size:
-        w[supp] -= (float(sd @ w[supp]) / float(sd @ sd)) * sd
+        norm_sq = u1_norm_sq if sd is sqrt_d else float(sd @ sd)
+        w[supp] -= (float(sd @ w[supp]) / norm_sq) * sd
     return size
 
 
@@ -198,6 +202,7 @@ def run_recurrence(
     deg, sqrt_d = g.weighted_degrees, g.sqrt_degrees
     deflate = _orthogonal_to_u1(sqrt_d, v1)
     dense = eps == 0.0
+    u1_norm_sq = float(sqrt_d @ sqrt_d) if dense and deflate else None
     v = np.zeros(n)
     v[v1.idx] = v1.val
     supp = _DENSE if dense else v1.idx
@@ -237,7 +242,7 @@ def run_recurrence(
         run.touched_edges += relaxed
         if deflate:
             # alpha comes from the deflated product
-            run.extra_ops += _project_u1(w, prod_supp, sqrt_d)
+            run.extra_ops += _project_u1(w, prod_supp, sqrt_d, u1_norm_sq)
 
         if beta != 0.0:
             w[s_prev] -= beta * v_prev[s_prev]
@@ -253,7 +258,7 @@ def run_recurrence(
             supp_w = candidates[w[candidates] != 0.0]
         if deflate:
             # the S_i-restricted subtractions put u_1 mass back
-            size_w = _project_u1(w, supp_w, sqrt_d)
+            size_w = _project_u1(w, supp_w, sqrt_d, u1_norm_sq)
             run.extra_ops += size_w
         else:
             size_w = int(np.count_nonzero(w)) if dense else len(supp_w)

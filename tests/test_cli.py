@@ -3,11 +3,13 @@
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import resistor.cli as cli_mod
 from resistor import save_edge_list
 from resistor.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE, cli, parse_bench_csv
 
@@ -379,6 +381,31 @@ def test_bench_budget_abort(runner, toy_file, monkeypatch, jobs):
     )
     assert result.exit_code == EXIT_USAGE, result.output
     assert "projected sweep time" in result.output
+
+
+def test_bench_budget_ignores_a_slow_load(runner, toy_file, monkeypatch):
+    # the load is paid once: 0.5 s of it times 3 pairs would project 1.5 s
+    real_load = cli_mod._load_graph
+
+    def slow_load(path, weighted):
+        time.sleep(0.5)
+        return real_load(path, weighted)
+
+    monkeypatch.setattr(cli_mod, "_load_graph", slow_load)
+    result = runner.invoke(cli, _bench_args(toy_file, ["--budget", "1.25"]))
+    assert result.exit_code == 0, result.output
+
+
+def test_bench_budget_aborts_on_a_slow_ground_truth(runner, toy_file, monkeypatch):
+    # 0.3 s per pair projects at least 0.9 s for the 3 pairs
+    def slow_truth(g, s, t, cap):
+        time.sleep(0.3)
+        return 1.0
+
+    monkeypatch.setattr(cli_mod, "exact_rd", slow_truth)
+    result = runner.invoke(cli, _bench_args(toy_file, ["--budget", "0.5"]))
+    assert result.exit_code == EXIT_USAGE, result.output
+    assert "projected ground-truth time" in result.output
 
 
 def test_bench_unknown_method_rejected(runner, toy_file):

@@ -2,6 +2,7 @@
 norms."""
 
 import ast
+import functools
 import importlib
 import math
 import pkgutil
@@ -13,16 +14,20 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resistor as R
+import resistor.lanczos as lanczos_mod
 from resistor.errors import SingularSystemError
-from resistor.graph import _sorted_unique
+from resistor.graph import JAGGED_MIN_ROWS, _sorted_unique
+from resistor.lanczos import definitional_start, run_recurrence
 
 from conftest import (
+    cut_lattice,
     dense_lazy_walk,
     dense_normalized_adjacency,
     dense_transition,
     graph_from_text,
     path_graph,
     random_connected,
+    random_weighted,
     single_edge,
     toy_graph,
 )
@@ -96,6 +101,115 @@ def test_adjacency_self_adjoint_and_contractive(seed, vec_seed):
     ay = R.apply_normalized_adjacency(g, y)
     assert ax @ y == pytest.approx(x @ ay, abs=1e-10 * (1 + abs(ax @ y)))
     assert np.linalg.norm(ax) <= np.linalg.norm(x) * (1 + 1e-12)
+
+
+# ---------------------------------------------------------------------------
+# jagged-diagonal product against the CSR bincount
+# ---------------------------------------------------------------------------
+
+
+def csr_bincount_product(g, v):
+    """A v summed per row with one np.bincount over the CSR arcs: each row
+    from 0.0 in arc order, the association the jagged product keeps."""
+    contrib = (v * g.inv_sqrt_degrees)[g.neighbors]
+    if not g.is_unweighted:
+        contrib *= g.weights
+    return np.bincount(g.arc_sources, contrib, g.node_count) * g.inv_sqrt_degrees
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@functools.cache
+def jagged_test_graphs():
+    star = graph_from_text("".join(f"0 {i}\n" for i in range(1, 3 * JAGGED_MIN_ROWS)))
+    # the repeated pairs merge into one edge of summed weight
+    weighted = graph_from_text(
+        "0 1 2.0\n1 2 0.5\n2 0 1.25\n1 0 0.75\n2 3 3.0\n3 2 0.125\n3 4 1.5\n",
+        weighted=True,
+    )
+    return {
+        "path": path_graph(9),
+        "edge": single_edge(),
+        "star": star,
+        "ba": R.generate_ba(2000, 3, 5),
+        "lattice": cut_lattice(30, 0.1, 4),
+        "weighted": weighted,
+        "weighted-er": random_weighted(150, 3),
+    }
+
+
+@pytest.mark.parametrize("name", list(jagged_test_graphs()))
+def test_jagged_product_matches_csr_bincount(name):
+    g = jagged_test_graphs()[name]
+    rng = np.random.default_rng(17)
+    for _ in range(3):
+        v = rng.standard_normal(g.node_count)
+        v[rng.random(g.node_count) < 0.2] = -0.0
+        assert same_bits(R.apply_normalized_adjacency(g, v), csr_bincount_product(g, v))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(10, 200), st.integers(0, 2 ** 31 - 1))
+def test_jagged_product_matches_csr_bincount_on_random_graphs(n, seed):
+    g = random_connected(n, seed % 1000)
+    v = np.random.default_rng(seed).standard_normal(g.node_count)
+    assert same_bits(R.apply_normalized_adjacency(g, v), csr_bincount_product(g, v))
+
+
+@pytest.mark.parametrize("name", list(jagged_test_graphs()))
+def test_jagged_layout_structure(name):
+    g = jagged_test_graphs()[name]
+    lay = g.jagged
+    assert g.jagged is lay  # built once and cached
+    deg = np.diff(g.offsets)
+    width = len(lay.columns)
+    assert width <= 2 * g.edge_count // JAGGED_MIN_ROWS + 1
+    assert lay.hubs < JAGGED_MIN_ROWS
+    # the hubs are exactly the rows of degree above the column count
+    assert np.count_nonzero(deg > width) == lay.hubs
+    assert np.all(deg[lay.position < lay.hubs] > width)
+    assert np.array_equal(np.sort(lay.position), np.arange(g.node_count))
+    # column j: at least JAGGED_MIN_ROWS rows have degree above j, and it
+    # holds the non-hub ones, packed from the start of the layout
+    nonhub = np.sort(deg[lay.position >= lay.hubs])[::-1]
+    start = 0
+    for j, (col_start, length) in enumerate(lay.columns):
+        assert np.count_nonzero(deg > j) >= JAGGED_MIN_ROWS
+        assert length == np.count_nonzero(nonhub > j)
+        assert col_start == start
+        start += length
+    assert lay.hub_start == start
+    assert len(lay.hub_rows) == len(g.neighbors) - start
+    assert np.array_equal(np.sort(lay.neighbors), np.sort(g.neighbors))
+    assert (lay.weights is None) == g.is_unweighted
+
+
+def test_star_has_one_column_and_one_hub():
+    lay = jagged_test_graphs()["star"].jagged
+    assert (len(lay.columns), lay.hubs) == (1, 1)
+
+
+def test_dense_callers_unchanged_by_the_jagged_product(monkeypatch):
+    # every dense caller gets the bits the CSR bincount product gives
+    g = cut_lattice(24, 0.1, 9)
+    s, t = 3, g.node_count - 5
+
+    def outputs():
+        run = run_recurrence(g, definitional_start(g, s, t), 60)
+        spec = R.estimate_spectrum(g)
+        return [
+            run.alphas, run.betas, run.first_row,
+            R.lanczos_potential(g, s, t, 60),
+            np.array([spec.lambda2_a, spec.lambda_min_a, spec.residual, spec.iterations]),
+        ]
+
+    jagged = outputs()
+    monkeypatch.setattr(lanczos_mod, "apply_normalized_adjacency", csr_bincount_product)
+    reference = outputs()
+    for got, want in zip(jagged, reference):
+        assert same_bits(got, want)
 
 
 def test_lazy_walk_frozen_values(edge):
