@@ -59,6 +59,7 @@ from .push import (
     PushConfig,
     check_assumption,
     lanczos_push_rd,
+    locality_statistics,
     measure_c1,
     measure_c1_plain,
     measure_c2,
@@ -119,6 +120,7 @@ __all__ = [
     "lanczos_push_rd",
     "subset_recurrence_trace",
     "check_assumption",
+    "locality_statistics",
     "measure_c1",
     "measure_c1_plain",
     "measure_c2",

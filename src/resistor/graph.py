@@ -247,17 +247,13 @@ def _csr_from_canonical(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray):
     return offsets, dst.astype(np.int64), ww.astype(np.float64), degrees
 
 
-def _gather_frontier(offsets: np.ndarray, neighbors: np.ndarray, frontier: np.ndarray):
-    """Concatenate the neighbor slices of every vertex in ``frontier``."""
-    starts = offsets[frontier]
-    counts = offsets[frontier + 1] - starts
-    total = int(counts.sum())
-    if total == 0:
-        return neighbors[:0]
-    group_starts = np.repeat(starts, counts)
-    group_bases = np.concatenate([[0], np.cumsum(counts)[:-1]])
-    within = np.arange(total, dtype=np.int64) - np.repeat(group_bases, counts)
-    return neighbors[group_starts + within]
+def _arc_positions(offsets: np.ndarray, sources: np.ndarray) -> tuple:
+    """Positions in the CSR arc arrays of the arcs of every vertex in
+    ``sources``, slice after slice, and the arc count of each source."""
+    starts = offsets[sources]
+    count = offsets[sources + 1] - starts
+    arc = np.repeat(starts + count - np.cumsum(count), count) + np.arange(count.sum())
+    return arc, count
 
 
 def _bfs_layers(offsets, neighbors, source, hops):
@@ -266,7 +262,7 @@ def _bfs_layers(offsets, neighbors, source, hops):
     frontier = np.array([source], dtype=np.int64)
     d = 0
     while frontier.size:
-        nxt = _sorted_unique(_gather_frontier(offsets, neighbors, frontier))
+        nxt = _sorted_unique(neighbors[_arc_positions(offsets, frontier)[0]])
         nxt = nxt[hops[nxt] < 0]
         d += 1
         hops[nxt] = d

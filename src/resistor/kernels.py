@@ -31,7 +31,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import SingularSystemError
-from .graph import Graph
+from .graph import Graph, _arc_positions
 
 __all__ = [
     "SparseVector",
@@ -204,10 +204,7 @@ def relax_arcs(g: Graph, idx: np.ndarray, val: np.ndarray, eps: float):
     # arc can have
     live = np.abs(val) > eps * sqrt_d[idx] * g.min_sqrt_degree
     src, x = idx[live], val[live]
-    starts = g.offsets[src]
-    count = g.offsets[src + 1] - starts
-    # positions of the arcs of every live source, slice after slice
-    arc = np.repeat(starts + count - np.cumsum(count), count) + np.arange(count.sum())
+    arc, count = _arc_positions(g.offsets, src)
     src, x, nb = np.repeat(src, count), np.repeat(x, count), g.neighbors[arc]
     keep = np.abs(x) > eps * sqrt_d[src] * sqrt_d[nb]
     src, x, nb, wt = src[keep], x[keep], nb[keep], g.weights[arc[keep]]

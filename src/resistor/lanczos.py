@@ -19,10 +19,12 @@ With ``eps = 0`` it multiplies by A itself and is the global method
 ``visit`` hook sees each basis vector together with the coefficients
 computed so far and may stop the run, so callers that need more than T
 work inside the one run: the potential factors I - T as T grows (the
-D-Lanczos form of Saad 2003, section 6.7.1) and the spectrum estimator
-reads the extreme Ritz values off the leading blocks of T.  Every run
-returns one :class:`LanczosRun` record, and ``lz``, ``lzpush`` and the
-trace of :mod:`resistor.push` build their estimates on it along one path.
+D-Lanczos form of Saad 2003, section 6.7.1), the spectrum estimator
+reads the extreme Ritz values off the leading blocks of T, and the
+locality statistics of :mod:`resistor.push` form each step's residual.
+Every run returns one :class:`LanczosRun` record, and ``lz``,
+``lzpush`` and the trace of :mod:`resistor.push` build their estimates
+on it along one path.
 """
 
 from __future__ import annotations
@@ -80,10 +82,12 @@ class LanczosRun:
     entries of v_i and the significant set S_i.  ``extra_ops`` counts the
     O(support) bookkeeping (u_1 projections, subtractions and inner
     products), kept separate from edge work.  ``c2_terms`` and
-    ``delta_degree_ratios`` are filled only when stats collection is on:
-    the former holds ||v_i||_1 + ||A v_i^+||_1 + ||A v_i^-||_1 per
-    iteration, the latter max_u |delta_i(u)| / d_u for the recurrence
-    residual delta_i.
+    ``delta_degree_ratios`` stay empty here; the locality hook of
+    :func:`resistor.push.lanczos_push_rd` fills them, one entry per
+    iteration, when ``PushConfig.collect_stats`` is set, at one dense
+    product per step.  The former holds the 1-norm term
+    ||v_i||_1 + ||A v_i^+||_1 + ||A v_i^-||_1 = <|v_i|, 1 + A 1>, the
+    latter max_u |delta_i(u)| / d_u for the recurrence residual delta_i.
 
     ``vectors`` holds the basis vectors v_1, v_2, ... as
     :class:`SparseVector` objects, kept only by
@@ -164,7 +168,6 @@ def run_recurrence(
     eps: float = 0.0,
     s_overrides=None,
     visit=None,
-    collect_stats: bool = False,
 ):
     """Run k steps of the (pruned) Lanczos recurrence from the unit vector v1.
 
@@ -199,7 +202,7 @@ def run_recurrence(
     step is a dense pass.
     """
     n = g.node_count
-    deg, sqrt_d = g.weighted_degrees, g.sqrt_degrees
+    sqrt_d = g.sqrt_degrees
     deflate = _orthogonal_to_u1(sqrt_d, v1)
     dense = eps == 0.0
     u1_norm_sq = float(sqrt_d @ sqrt_d) if dense and deflate else None
@@ -262,16 +265,6 @@ def run_recurrence(
             run.extra_ops += size_w
         else:
             size_w = int(np.count_nonzero(w)) if dense else len(supp_w)
-
-        if collect_stats:
-            # residual against the exact recurrence, dense (opt-in, O(n))
-            a_pos = apply_normalized_adjacency(g, np.maximum(v, 0.0))
-            a_neg = apply_normalized_adjacency(g, np.maximum(-v, 0.0))
-            exact = a_pos - a_neg - alpha * v - beta * v_prev
-            run.delta_degree_ratios.append(float(np.max(np.abs(w - exact) / deg)))
-            run.c2_terms.append(
-                float(np.abs(v).sum() + np.abs(a_pos).sum() + np.abs(a_neg).sum())
-            )
 
         beta_next = math.sqrt(float(w[supp_w] @ w[supp_w]))
         if i == k:

@@ -25,9 +25,13 @@ exactly orthogonal to u_1 in real arithmetic.
 Degree-scaled thresholds make the pruning error at a vertex proportional
 to its degree, which is what keeps the recurrence residual controlled:
 with unit coefficient bounds the per-entry deviation from the exact
-recurrence is at most 3 * eps * d_u per iteration (recorded per run when
-``collect_stats`` is set; the recorded residual includes the u_1
-projections, which that bound does not cover).
+recurrence is at most 3 * eps * d_u per iteration.  When
+``PushConfig.collect_stats`` is set, a ``visit`` hook of this module
+records that residual (it includes the u_1 projections, which the bound
+does not cover) and the 1-norm term C2 = <|v_i|, 1 + A 1> of every
+iteration, at one dense product per step; the recurrence itself does no
+diagnostic work.  :func:`locality_statistics` reads the constants C1 and
+C2 and their caps off such a run.
 
 The resulting perturbed tridiagonal matrix T changes the estimate formula:
 the perturbed basis is no longer orthogonal, so the output uses the full
@@ -58,6 +62,7 @@ from .kernels import (
     SparseVector,
     TridiagonalMatrix,
     _check_eps,
+    apply_normalized_adjacency,
     chebyshev_walk_norms,
     tridiag_eigen_range,
 )
@@ -69,6 +74,7 @@ __all__ = [
     "lanczos_push_rd",
     "subset_recurrence_trace",
     "check_assumption",
+    "locality_statistics",
     "measure_c1",
     "measure_c1_plain",
     "measure_c2",
@@ -80,9 +86,9 @@ class PushConfig:
     """Parameters of a push run.
 
     ``epsilon = 0`` disables all pruning: the run is the global Lanczos
-    recurrence of ``lz``.  ``collect_stats`` turns on the expensive
-    diagnostics (exact matvecs per iteration) used by the locality
-    studies; leave it off for production runs.
+    recurrence of ``lz``.  ``collect_stats`` records the locality
+    statistics of the run (``c2_terms`` and ``delta_degree_ratios``) at
+    one dense product per iteration; leave it off for production runs.
     """
 
     k: int
@@ -122,12 +128,70 @@ def lanczos_push_rd(g: Graph, s: int, t: int, cfg: PushConfig):
     sets, not with the graph, for epsilon large enough to prune;
     breakdown before ``cfg.k`` iterations is benign (the reachable Krylov
     space was exhausted).  The estimate is flagged (``healthy`` false)
-    when I - T is indefinite.
+    when I - T is indefinite.  With ``cfg.collect_stats`` the run carries
+    its locality statistics; T, the estimate and the work counters are
+    those of the run without them.
     """
-    est, run = _estimate(
-        g, s, t, cfg.k, cfg.epsilon, "lzpush", collect_stats=cfg.collect_stats
-    )
+    if not cfg.collect_stats:
+        est, run = _estimate(g, s, t, cfg.k, cfg.epsilon, "lzpush")
+        return est, run.t, run
+    hook = _LocalityHook(g, cfg.k)
+    # the hook stops the (k + 1)-step run at v_{k+1}: the k-step run
+    est, run = _estimate(g, s, t, cfg.k + 1, cfg.epsilon, "lzpush", visit=hook)
+    hook.finish(run)
     return est, run.t, run
+
+
+class _LocalityHook:
+    """The ``visit`` hook that records the locality statistics of a run.
+
+    A is symmetric with nonnegative entries, so the 1-norm term of v_i is
+    ||v_i||_1 + ||A v_i^+||_1 + ||A v_i^-||_1 = <|v_i|, 1 + A 1>: with
+    1 + A 1 formed once per run, each term costs O(support).  The
+    residual of step i, beta_{i+1} v_{i+1} - (A v_i - alpha_i v_i -
+    beta_i v_{i-1}), is formed when v_{i+1} arrives, from the kept
+    v_{i-1}, v_i and A v_i: one dense product per step.  Installed on a
+    run of k + 1 steps, it stops the run at v_{k+1}, the last vector the
+    residual of step k needs.
+    """
+
+    def __init__(self, g: Graph, k: int):
+        self.g, self.k = g, k
+        self.weight = 1.0 + apply_normalized_adjacency(g, np.ones(g.node_count))
+        # v_{i-1}, v_i and A v_i of the step in flight (v_0 = 0)
+        self.v_prev = self.v = self.av = np.zeros(g.node_count)
+        self.c2_terms: list = []
+        self.delta_degree_ratios: list = []
+
+    def __call__(self, i: int, supp, v: np.ndarray, alphas, betas) -> bool:
+        if i > 1:
+            beta = betas[-2] if len(betas) > 1 else 0.0
+            self._residual(betas[-1] * v, alphas[-1], beta)
+        if i > self.k:
+            return True
+        self.c2_terms.append(float(np.abs(v[supp]) @ self.weight[supp]))
+        self.v_prev, self.v = self.v, v.copy()
+        self.av = apply_normalized_adjacency(self.g, self.v)
+        return False
+
+    def _residual(self, w, alpha: float, beta: float) -> None:
+        exact = self.av - alpha * self.v - beta * self.v_prev
+        self.delta_degree_ratios.append(
+            float(np.max(np.abs(w - exact) / self.g.weighted_degrees))
+        )
+
+    def finish(self, run: LanczosRun) -> None:
+        """Complete the statistics of the finished (k + 1)-step ``run`` and
+        hand them to it, with the breakdown flag of the k-step run."""
+        if len(self.delta_degree_ratios) < len(self.c2_terms):
+            # the run broke down after its last step, whose w had a norm
+            # below 1e-14: take it as 0
+            beta = run.betas[-1] if len(run.betas) else 0.0
+            self._residual(0.0, run.alphas[-1], beta)
+        run.c2_terms = self.c2_terms
+        run.delta_degree_ratios = self.delta_degree_ratios
+        # a k-step run never breaks down at step k
+        run.breakdown = run.breakdown and run.k_effective < self.k
 
 
 def subset_recurrence_trace(
@@ -138,7 +202,6 @@ def subset_recurrence_trace(
     eps: float,
     v1=None,
     s_overrides=None,
-    collect_stats: bool = False,
 ) -> LanczosRun:
     """Run the subset recurrence and keep every intermediate vector.
 
@@ -163,8 +226,7 @@ def subset_recurrence_trace(
             vectors.append(SparseVector(supp, v[supp], g.node_count))
 
     _, run = _estimate(
-        g, s, t, k, eps, "lzpush", v1,
-        s_overrides=s_overrides, visit=keep, collect_stats=collect_stats,
+        g, s, t, k, eps, "lzpush", v1, s_overrides=s_overrides, visit=keep
     )
     run.vectors = vectors
     return run
@@ -208,9 +270,53 @@ def _walk_norm_peak(g: Graph, s: int, t: int, k: int, weighted: bool = True) -> 
     )
 
 
+def _c1(g: Graph, s: int, t: int, k: int) -> tuple:
+    """C1 and its nominal cap sqrt(m)."""
+    return _walk_norm_peak(g, s, t, k), math.sqrt(g.edge_count)
+
+
+def _c2(run: LanczosRun) -> tuple:
+    """C2 of a stats-collecting run and its cap 3 sqrt(n)."""
+    if not run.c2_terms:
+        raise ValueError(
+            "stats carry no 1-norm terms; run with collect_stats enabled"
+        )
+    return float(max(run.c2_terms)), 3.0 * math.sqrt(run.n)
+
+
 def _within_cap(value: float, cap: float) -> bool:
     """Whether a locality statistic respects its cap, up to rounding."""
     return bool(value <= cap + 1e-9 * (1.0 + cap))
+
+
+def _capped(value: float, cap: float, message: str) -> float:
+    """``value``, or an AssertionError with ``message`` formatted on
+    (value, cap) when it is above its cap."""
+    if not _within_cap(value, cap):
+        raise AssertionError(message.format(value, cap))
+    return value
+
+
+def locality_statistics(g: Graph, s: int, t: int, run: LanczosRun) -> dict:
+    """C1 and C2 of a finished stats-collecting push run, against their caps.
+
+    Returns ``c1``, ``c1_cap``, ``c1_within_cap``, ``c1_plain``, ``c2``,
+    ``c2_cap`` and ``c2_within_cap``, with C1 taken up to order
+    max(k_effective, 1).  Reports a cap excursion where
+    :func:`measure_c1` and :func:`measure_c2` raise.
+    """
+    k = max(run.k_effective, 1)
+    c1, c1_cap = _c1(g, s, t, k)
+    c2, c2_cap = _c2(run)
+    return {
+        "c1": c1,
+        "c1_cap": c1_cap,
+        "c1_within_cap": _within_cap(c1, c1_cap),
+        "c1_plain": _walk_norm_peak(g, s, t, k, weighted=False),
+        "c2": c2,
+        "c2_cap": c2_cap,
+        "c2_within_cap": _within_cap(c2, c2_cap),
+    }
 
 
 def measure_c1(g: Graph, s: int, t: int, k: int) -> float:
@@ -223,11 +329,9 @@ def measure_c1(g: Graph, s: int, t: int, k: int) -> float:
     (sqrt(3) + 4 sqrt(2)) / 3 > 2 = sqrt(m) at k = 3.
     """
     _check_pair(g, s, t)
-    c1 = _walk_norm_peak(g, s, t, k)
-    cap = math.sqrt(g.edge_count)
-    if not _within_cap(c1, cap):
-        raise AssertionError(f"walk-norm cap violated: C1 = {c1} > sqrt(m) = {cap}")
-    return c1
+    return _capped(
+        *_c1(g, s, t, k), "walk-norm cap violated: C1 = {} > sqrt(m) = {}"
+    )
 
 
 def measure_c1_plain(g: Graph, s: int, t: int, k: int) -> float:
@@ -243,14 +347,4 @@ def measure_c2(stats: LanczosRun) -> float:
     Requires a run made with ``collect_stats=True``.  Asserts the
     theoretical cap 3 * sqrt(n).
     """
-    if not stats.c2_terms:
-        raise ValueError(
-            "stats carry no 1-norm terms; run with collect_stats enabled"
-        )
-    c2 = float(max(stats.c2_terms))
-    cap = 3.0 * math.sqrt(stats.n)
-    if not _within_cap(c2, cap):
-        raise AssertionError(
-            f"1-norm cap violated: C2 = {c2} > 3 sqrt(n) = {cap}"
-        )
-    return c2
+    return _capped(*_c2(stats), "1-norm cap violated: C2 = {} > 3 sqrt(n) = {}")

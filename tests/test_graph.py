@@ -10,7 +10,12 @@ from hypothesis import strategies as st
 
 import resistor as R
 
-from resistor.graph import _build_graph, _component_labels, _hop_distance
+from resistor.graph import (
+    _arc_positions,
+    _build_graph,
+    _component_labels,
+    _hop_distance,
+)
 
 from conftest import (
     cut_lattice,
@@ -269,6 +274,19 @@ def test_bfs_hops_path():
     g = path_graph(6)
     assert R.bfs_hops(g, 0).tolist() == [0, 1, 2, 3, 4, 5]
     assert R.bfs_hops(g, 3).tolist() == [3, 2, 1, 0, 1, 2]
+
+
+def test_arc_positions_concatenate_the_csr_slices():
+    g = R.generate_ba(300, 3, 7)
+    rng = np.random.default_rng(3)
+    # unsorted, with repeats, and empty
+    empty = np.zeros(0, np.int64)
+    for sources in (rng.integers(0, g.node_count, 40), np.array([5, 5, 0]), empty):
+        arc, count = _arc_positions(g.offsets, sources)
+        want = [np.arange(g.offsets[u], g.offsets[u + 1]) for u in sources]
+        assert np.array_equal(arc, np.concatenate([empty, *want]))
+        assert arc.dtype == np.int64
+        assert count.tolist() == [len(w) for w in want]
 
 
 def test_hop_distance_matches_bfs_hops():

@@ -7,7 +7,13 @@ import pytest
 
 import resistor as R
 import resistor.lanczos as lanczos_mod
-from resistor.kernels import SparseVector, TridiagonalMatrix, _sturm_count_below
+import resistor.push as push_mod
+from resistor.kernels import (
+    SparseVector,
+    TridiagonalMatrix,
+    _sturm_count_below,
+    apply_normalized_adjacency,
+)
 from resistor.lanczos import definitional_start, run_recurrence, solve_checked
 
 from conftest import (
@@ -19,6 +25,7 @@ from conftest import (
     random_connected,
     random_pair,
     random_weighted,
+    toy_graph,
 )
 
 SQ3 = math.sqrt(3.0)
@@ -197,11 +204,14 @@ def test_eps_must_be_finite_and_nonnegative(toy, eps):
             call()
 
 
-def _counters(run):
+_STATS = ("c2_terms", "delta_degree_ratios")
+
+
+def _counters(run, skip=()):
     # every work counter of a run, for bit-for-bit comparison
-    names = ("n", "subset_sizes", "support_sizes", "edges_relaxed", "c2_terms",
-             "delta_degree_ratios", "touched_edges", "extra_ops", "peak_support")
-    return [getattr(run, name) for name in names]
+    names = ("n", "subset_sizes", "support_sizes", "edges_relaxed", *_STATS,
+             "touched_edges", "extra_ops", "peak_support")
+    return [getattr(run, name) for name in names if name not in skip]
 
 
 @pytest.mark.parametrize("eps", [5e-3, 1e-3])
@@ -314,6 +324,126 @@ def test_trace_validates_arguments(toy):
         R.subset_recurrence_trace(toy, 0, 3, 0, 0.1)
     with pytest.raises(ValueError):
         R.subset_recurrence_trace(toy, 0, 3, 2, -0.5)
+
+
+def _count_dense_products(monkeypatch) -> list:
+    # every dense product the recurrence or the push hooks make
+    calls = []
+
+    def counted(g, v):
+        calls.append(len(v))
+        return apply_normalized_adjacency(g, v)
+
+    for module in (lanczos_mod, push_mod):
+        # patched even where a module imports no product of its own
+        monkeypatch.setattr(
+            module, "apply_normalized_adjacency", counted, raising=False
+        )
+    return calls
+
+
+@pytest.mark.parametrize(
+    "make_graph, pair, k",
+    [(lambda: R.generate_ba(2000, 5, 11), None, 20), (toy_graph, (0, 3), 3)],
+    ids=["ba2000", "toy-breakdown"],
+)
+def test_stats_make_one_dense_product_per_step(monkeypatch, make_graph, pair, k):
+    g = make_graph()
+    s, t = pair or random_pair(np.random.default_rng(31), g.node_count)
+    calls = _count_dense_products(monkeypatch)
+    cfg = R.PushConfig(k=k, epsilon=1e-3, collect_stats=True)
+    _, _, run = R.lanczos_push_rd(g, s, t, cfg)
+    # A v_i for every step, and 1 + A 1 once
+    assert len(calls) == run.k_effective + 1
+    calls.clear()
+    R.lanczos_push_rd(g, s, t, R.PushConfig(k=k, epsilon=1e-3))
+    run_recurrence(g, definitional_start(g, s, t), k, 1e-3)
+    assert calls == []
+
+
+def _reference_stats(g, s, t, k, eps):
+    # the dense two-product formulas, on the basis of a trace one step
+    # longer: it keeps v_{k+1} unless the run broke down, whose last w is 0
+    trace = R.subset_recurrence_trace(g, s, t, k + 1, eps)
+    a, deg = dense_normalized_adjacency(g), g.weighted_degrees
+    vs = [v.to_dense() for v in trace.vectors]
+    alphas, betas = trace.alphas, trace.betas
+    c2, delta = [], []
+    v_prev = np.zeros(g.node_count)
+    for i in range(min(k, len(alphas))):
+        v = vs[i]
+        a_pos, a_neg = a @ np.maximum(v, 0.0), a @ np.maximum(-v, 0.0)
+        c2.append(np.abs(v).sum() + np.abs(a_pos).sum() + np.abs(a_neg).sum())
+        w = betas[i] * vs[i + 1] if i + 1 < len(vs) else 0.0
+        exact = a_pos - a_neg - alphas[i] * v - (betas[i - 1] if i else 0.0) * v_prev
+        delta.append(np.max(np.abs(w - exact) / deg))
+        v_prev = v
+    return np.array(c2), np.array(delta)
+
+
+@pytest.mark.parametrize(
+    "make_graph, pair, k",
+    [
+        (lambda: R.generate_ba(2000, 5, 11), None, 20),
+        (lambda: random_weighted(300, 5), None, 20),
+        # the toy pair's Krylov space has dimension 2: the recurrence breaks
+        # down exactly at k = 2 (no breakdown for a 2-step run) and before
+        # k = 3
+        (toy_graph, (0, 3), 2),
+        (toy_graph, (0, 3), 3),
+    ],
+    ids=["ba2000", "weighted300", "toy-k2", "toy-k3"],
+)
+def test_stats_hook_leaves_the_run_unchanged(make_graph, pair, k):
+    g = make_graph()
+    s, t = pair or random_pair(np.random.default_rng(37), g.node_count)
+    eps = 1e-3
+    runs = [
+        R.lanczos_push_rd(g, s, t, R.PushConfig(k=k, epsilon=eps, collect_stats=on))
+        for on in (False, True)
+    ]
+    (est_off, t_off, off), (est_on, t_on, on) = runs
+    assert t_on.alpha.tobytes() == t_off.alpha.tobytes()
+    assert t_on.beta.tobytes() == t_off.beta.tobytes()
+    assert on.first_row.tobytes() == off.first_row.tobytes()
+    assert (est_on.value, est_on.healthy, on.breakdown) == (
+        est_off.value, est_off.healthy, off.breakdown
+    )
+    assert (est_on.iterations, est_on.touched_edges) == (
+        est_off.iterations, est_off.touched_edges
+    )
+    assert _counters(on, skip=_STATS) == _counters(off, skip=_STATS)
+    assert off.breakdown == (pair is not None and k == 3)
+    assert len(on.c2_terms) == len(on.delta_degree_ratios) == on.k_effective
+    want_c2, want_delta = _reference_stats(g, s, t, k, eps)
+    np.testing.assert_allclose(on.c2_terms, want_c2, rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(on.delta_degree_ratios, want_delta, rtol=0.0, atol=1e-12)
+
+
+def test_locality_statistics_flag_what_measure_raises(toy):
+    _, _, run = R.lanczos_push_rd(
+        toy, 0, 3, R.PushConfig(k=3, epsilon=1e-3, collect_stats=True)
+    )
+    record = R.locality_statistics(toy, 0, 3, run)
+    assert set(record) == {"c1", "c1_cap", "c1_within_cap", "c1_plain",
+                           "c2", "c2_cap", "c2_within_cap"}
+    # C1 up to order k_effective = 2 already exceeds sqrt(m) = 2 on the toy
+    # graph: a flag here, an AssertionError in measure_c1
+    assert run.k_effective == 2
+    assert record["c1"] == max(
+        R.chebyshev_walk_norms(toy, 0, 2).max(), R.chebyshev_walk_norms(toy, 3, 2).max()
+    )
+    assert record["c1_cap"] == 2.0 and record["c1_within_cap"] is False
+    with pytest.raises(AssertionError, match="walk-norm cap violated"):
+        R.measure_c1(toy, 0, 3, 2)
+    assert record["c1_plain"] == R.measure_c1_plain(toy, 0, 3, 2)
+    assert record["c2"] == R.measure_c2(run)
+    assert record["c2_cap"] == 6.0 and record["c2_within_cap"] is True
+    # the same for a C2 excursion
+    run.c2_terms = [6.01]
+    assert R.locality_statistics(toy, 0, 3, run)["c2_within_cap"] is False
+    with pytest.raises(AssertionError, match="1-norm cap violated"):
+        R.measure_c2(run)
 
 
 def test_delta_residual_obeys_degree_bound():
