@@ -19,7 +19,16 @@ contiguous column passes over the jagged-diagonal layout of
 :class:`resistor.graph.JaggedLayout`, built on a graph's first dense
 product and cached on it (``Graph.jagged``).  Every row is summed from 0.0
 in CSR arc order, as one ``np.bincount`` over the arc sources sums it, so
-the product is bit-identical to that one-pass form.
+the product is bit-identical to that one-pass form.  It is a thin wrapper
+over :func:`_adjacency_into`, which writes the product into a caller's
+output buffer through the caller's n-length scratch and 2m-length gather
+buffers; the dense Lanczos step owns those buffers for its whole run and
+allocates no vector per step.
+
+Every inner product that feeds T, a potential or a spectrum goes through
+:func:`_dot`, ``np.einsum('i,i->', a, b)``, which never calls BLAS: the
+sum does not depend on how many threads BLAS would split it over (it may
+still differ between CPU families, whose SIMD paths differ).
 """
 
 from __future__ import annotations
@@ -48,6 +57,17 @@ __all__ = [
 ]
 
 _PIVOT_FLOOR = 1e-14
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product of two 1-d arrays, summed by ``np.einsum``.
+
+    Never calls BLAS, whose threaded ``ddot`` splits a long sum over a
+    thread count set by the environment and so changes its last bits
+    with that count.  The package's one reduction for T, potentials and
+    spectra.
+    """
+    return float(np.einsum("i,i->", a, b))
 
 
 @dataclass
@@ -100,7 +120,7 @@ class SparseVector:
         return float(np.abs(self.val).sum())
 
     def norm2(self) -> float:
-        return float(np.sqrt(self.val @ self.val))
+        return math.sqrt(_dot(self.val, self.val))
 
 
 @dataclass
@@ -154,18 +174,39 @@ def _check_dim(g: Graph, v: np.ndarray) -> np.ndarray:
 def apply_normalized_adjacency(g: Graph, v: np.ndarray) -> np.ndarray:
     """Return ``A v`` for the normalized adjacency A = D^{-1/2} W D^{-1/2}."""
     v = _check_dim(g, v)
+    n = g.node_count
+    return _adjacency_into(g, v, np.empty(n), np.empty(n), np.empty(len(g.neighbors)))
+
+
+def _adjacency_into(
+    g: Graph, v: np.ndarray, out: np.ndarray, scratch: np.ndarray, gather: np.ndarray
+) -> np.ndarray:
+    """Write ``A v`` into ``out`` and return it.
+
+    Allocates no n- or 2m-length array: only the hubs' ``bincount``
+    returns a new one, of fewer than ``JAGGED_MIN_ROWS`` sums.
+
+    ``scratch`` (length n) holds D^{-1/2} v and then the row sums, and
+    ``gather`` (length 2m) the arc contributions; their contents on entry
+    do not matter.  ``v`` is a float64 n-vector, and no two of the four
+    arrays may overlap.
+    """
     lay = g.jagged
-    contrib = np.take(v * g.inv_sqrt_degrees, lay.neighbors)
+    np.multiply(v, g.inv_sqrt_degrees, out=scratch)
+    # the default mode="raise" buffers the output, about twice as slow
+    contrib = scratch.take(lay.neighbors, out=gather, mode="wrap")
     if lay.weights is not None:
         contrib *= lay.weights
     # every row is summed from 0.0 in CSR arc order, as np.bincount over
     # the arc sources sums it, so the result is the same to the bit
-    rows = np.zeros(g.node_count)
+    rows = scratch
+    rows.fill(0.0)
     body = rows[lay.hubs :]
     for start, length in lay.columns:
         body[:length] += contrib[start : start + length]
-    rows[: lay.hubs] = np.bincount(lay.hub_rows, contrib[lay.hub_start :], lay.hubs)
-    out = np.take(rows, lay.position)
+    if lay.hubs:
+        rows[: lay.hubs] = np.bincount(lay.hub_rows, contrib[lay.hub_start :], lay.hubs)
+    rows.take(lay.position, out=out, mode="wrap")
     out *= g.inv_sqrt_degrees
     return out
 
@@ -207,9 +248,13 @@ def relax_arcs(g: Graph, idx: np.ndarray, val: np.ndarray, eps: float):
     arc, count = _arc_positions(g.offsets, src)
     src, x, nb = np.repeat(src, count), np.repeat(x, count), g.neighbors[arc]
     keep = np.abs(x) > eps * sqrt_d[src] * sqrt_d[nb]
-    src, x, nb, wt = src[keep], x[keep], nb[keep], g.weights[arc[keep]]
+    src, x, nb = src[keep], x[keep], nb[keep]
+    arc_scale = inv_sqrt[nb]
+    if not g.is_unweighted:
+        # an unweighted graph's weights are exactly 1.0
+        arc_scale *= g.weights[arc[keep]]
     targets, slot = np.unique(nb, return_inverse=True)
-    sums = np.bincount(slot, (x * inv_sqrt[src]) * (wt * inv_sqrt[nb]), len(targets))
+    sums = np.bincount(slot, (x * inv_sqrt[src]) * arc_scale, len(targets))
     nonzero = sums != 0.0
     return targets[nonzero], sums[nonzero], len(nb)
 

@@ -25,6 +25,16 @@ locality statistics of :mod:`resistor.push` form each step's residual.
 Every run returns one :class:`LanczosRun` record, and ``lz``,
 ``lzpush`` and the trace of :mod:`resistor.push` build their estimates
 on it along one path.
+
+A dense run (``eps = 0``) owns its workspace: three n-vectors that take
+turns as v_{i-1}, v_i and the next product, one n-vector of scratch and
+one 2m-vector for the product's arc gather
+(:func:`resistor.kernels._adjacency_into`).  Its steps write the product
+into the buffer of v_{i-2} and make the u_1 projections and the
+alpha/beta subtractions through the scratch vector, so a dense step
+allocates no vector but the bool mask of its support.  Every inner
+product goes through :func:`resistor.kernels._dot`, so T does not depend
+on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -40,10 +50,11 @@ from .graph import Graph, _sorted_unique
 from .kernels import (
     SparseVector,
     TridiagonalMatrix,
+    _adjacency_into,
     _check_eps,
+    _dot,
     _ldl_pivot,
     _ldl_solve_e1,
-    apply_normalized_adjacency,
     relax_arcs,
     significant,
     tridiag_solve_e1,
@@ -132,33 +143,52 @@ def lanczos_iteration_bound(kappa: float, eps: float) -> int:
     return max(1, math.ceil(math.sqrt(kappa) * math.log(kappa / eps)))
 
 
-def _project_u1(w: np.ndarray, supp, sqrt_d: np.ndarray, u1_norm_sq) -> int:
+def _subtract(w: np.ndarray, supp, c: float, x: np.ndarray, scratch) -> None:
+    """``w -= c * x`` on ``supp``, in place; a dense ``supp`` forms c * x
+    in ``scratch`` (which may be ``x`` itself)."""
+    if supp is _DENSE:
+        np.subtract(w, np.multiply(x, c, out=scratch), out=w)
+    else:
+        w[supp] -= c * x[supp]
+
+
+def _project_u1(w: np.ndarray, supp, sqrt_d: np.ndarray, u1_norm_sq, scratch) -> int:
     """Project u_1 ~ D^{1/2} 1 out of w over w's own support, in place.
 
     Subtracts c * D^{1/2} 1 restricted to the support, with
     c = <D^{1/2} 1, w> / sum_{u in supp w} d_u.  The result is exactly
     orthogonal to u_1 in real arithmetic and keeps the support unchanged.
-    ``u1_norm_sq`` is ``sqrt_d @ sqrt_d``, the denominator whenever the
-    support is all of w (a dense iterate; None is fine for index supports).
-    Returns the support size.
+    ``u1_norm_sq`` is ``_dot(sqrt_d, sqrt_d)``, the denominator whenever
+    the support is all of w, and ``scratch`` an n-vector the projection
+    of a dense iterate works through (both None are fine for index
+    supports).  Returns the support size.
     """
-    if supp is _DENSE:
-        # a bool mask and its count cost less than np.count_nonzero(w)
-        nonzero = w != 0.0
-        size = int(np.count_nonzero(nonzero))
-        sd = sqrt_d if size == len(w) else sqrt_d * nonzero
+    if supp is not _DENSE:
+        size = len(supp)
+        if size:
+            sd = sqrt_d[supp]
+            w[supp] -= (_dot(sd, w[supp]) / _dot(sd, sd)) * sd
+        return size
+    # a bool mask and its count cost less than np.count_nonzero(w)
+    nonzero = w != 0.0
+    size = int(np.count_nonzero(nonzero))
+    if size == len(w):
+        sd, norm_sq = sqrt_d, u1_norm_sq
     else:
-        sd, size = sqrt_d[supp], len(supp)
+        # the mask as 0.0 / 1.0 first: multiplying by the bool mask itself
+        # would cast it through a buffer the ufunc allocates
+        np.copyto(scratch, nonzero)
+        sd = np.multiply(scratch, sqrt_d, out=scratch)
+        norm_sq = _dot(sd, sd)
     if size:
-        norm_sq = u1_norm_sq if sd is sqrt_d else float(sd @ sd)
-        w[supp] -= (float(sd @ w[supp]) / norm_sq) * sd
+        _subtract(w, _DENSE, _dot(sd, w) / norm_sq, sd, scratch)
     return size
 
 
 def _orthogonal_to_u1(sqrt_d: np.ndarray, v: SparseVector) -> bool:
     """Whether a start vector is orthogonal to u_1, up to rounding."""
     terms = sqrt_d[v.idx] * v.val
-    return abs(float(terms.sum())) <= 1e-12 * float(np.linalg.norm(terms))
+    return abs(float(terms.sum())) <= 1e-12 * math.sqrt(_dot(terms, terms))
 
 
 def run_recurrence(
@@ -196,27 +226,35 @@ def run_recurrence(
     and beta_2..beta_k for k = ``k_effective``, the products v_1^T v_j
     and the work counters.
 
-    Iterates are dense buffers with their sorted support.  At eps > 0
-    every step but the buffer allocation costs O(support log support),
-    the log from sorting the union of the supports; at eps = 0 every
-    step is a dense pass.
+    Iterates are dense buffers with their sorted support, three of them
+    recycled in turn.  At eps > 0 every step costs
+    O(support log support), the log from sorting the union of the
+    supports; at eps = 0 every step is a dense pass through the run's
+    workspace (the module docstring lists it).
     """
     n = g.node_count
     sqrt_d = g.sqrt_degrees
     deflate = _orthogonal_to_u1(sqrt_d, v1)
     dense = eps == 0.0
-    u1_norm_sq = float(sqrt_d @ sqrt_d) if dense and deflate else None
+    u1_norm_sq = _dot(sqrt_d, sqrt_d) if dense and deflate else None
+    # the dense product's scratch and arc gather, and the buffer the next
+    # product or pruned product goes into
+    scratch = gather = None
+    if dense:
+        scratch, gather = np.empty(n), np.empty(len(g.neighbors))
+    spare = np.zeros(n)
     v = np.zeros(n)
     v[v1.idx] = v1.val
     supp = _DENSE if dense else v1.idx
+    # a sorted support of n entries is all of v: read v_j there by view
+    v1_supp = _DENSE if len(v1.idx) == n else v1.idx
     v_prev, supp_prev = np.zeros(n), v1.idx[:0]
-    spare = None if dense else np.zeros(n)
     s_prev = supp_prev
     size = len(v1.idx)
     beta = 0.0
     alphas: list = []
     betas: list = []
-    first_row = [float(v1.val @ v1.val)]
+    first_row = [_dot(v1.val, v1.val)]
     run = LanczosRun(n=n)
     if visit is not None:
         visit(1, supp, v, alphas, betas)
@@ -233,26 +271,26 @@ def run_recurrence(
             run.support_sizes[-1] if s_cur is supp else len(s_cur)
         )
 
+        w, spare = spare, None
         if dense:
-            w = apply_normalized_adjacency(g, v)
+            _adjacency_into(g, v, w, scratch, gather)
             relaxed = 2 * g.edge_count
             prod_supp = _DENSE
         else:
             prod_supp, prod_val, relaxed = relax_arcs(g, supp, v_supp, eps)
-            w, spare = spare, None
             w[prod_supp] = prod_val
         run.edges_relaxed.append(relaxed)
         run.touched_edges += relaxed
         if deflate:
             # alpha comes from the deflated product
-            run.extra_ops += _project_u1(w, prod_supp, sqrt_d, u1_norm_sq)
+            run.extra_ops += _project_u1(w, prod_supp, sqrt_d, u1_norm_sq, scratch)
 
         if beta != 0.0:
-            w[s_prev] -= beta * v_prev[s_prev]
+            _subtract(w, s_prev, beta, v_prev, scratch)
             run.extra_ops += run.subset_sizes[-2]
-        alpha = float(w[supp] @ v_supp)
+        alpha = _dot(w[supp], v_supp)
         alphas.append(alpha)
-        w[s_cur] -= alpha * v[s_cur]
+        _subtract(w, s_cur, alpha, v, scratch)
         run.extra_ops += run.support_sizes[-1] + run.subset_sizes[-1]
 
         supp_w = _DENSE
@@ -261,12 +299,13 @@ def run_recurrence(
             supp_w = candidates[w[candidates] != 0.0]
         if deflate:
             # the S_i-restricted subtractions put u_1 mass back
-            size_w = _project_u1(w, supp_w, sqrt_d, u1_norm_sq)
+            size_w = _project_u1(w, supp_w, sqrt_d, u1_norm_sq, scratch)
             run.extra_ops += size_w
         else:
             size_w = int(np.count_nonzero(w)) if dense else len(supp_w)
 
-        beta_next = math.sqrt(float(w[supp_w] @ w[supp_w]))
+        w_supp = w[supp_w]
+        beta_next = math.sqrt(_dot(w_supp, w_supp))
         if i == k:
             break
         if beta_next < BREAKDOWN_TOL:
@@ -274,17 +313,18 @@ def run_recurrence(
             break
         betas.append(beta_next)
         w[supp_w] /= beta_next
+        # recycle the buffer of v_{i-1}; the dense product overwrites it
+        # whole, the pruned one only on its support, so zero that first
         if not dense:
-            # recycle the buffer of v_{i-1}, zeroed on its support
             v_prev[supp_prev] = 0.0
-            spare = v_prev
+        spare = v_prev
         v_prev, supp_prev, s_prev = v, supp, s_cur
         v, supp, size = w, supp_w, size_w
         beta = beta_next
         if visit is not None and visit(i + 1, supp, v, alphas, betas):
             betas.pop()
             break
-        first_row.append(float(v1.val @ v[v1.idx]))
+        first_row.append(_dot(v1.val, v[v1_supp]))
     run.peak_support = max(run.support_sizes)
     run.t = TridiagonalMatrix(alphas, betas)
     run.first_row = np.asarray(first_row)
@@ -321,8 +361,8 @@ def _estimate(
     recurrence from ``v1`` (the definitional start when None; the other
     keywords go to :func:`run_recurrence`), solves (I - T) y = e_1 and
     returns ``(RDEstimate, LanczosRun)``.  The value is
-    (1/d_s + 1/d_t) * first_row @ y; at eps = 0 the basis is orthonormal
-    in exact arithmetic, so y[0] stands for first_row @ y.
+    (1/d_s + 1/d_t) * <first_row, y>; at eps = 0 the basis is orthonormal
+    in exact arithmetic, so y[0] stands for <first_row, y>.
     """
     _check_pair(g, s, t)
     if k < 1:
@@ -339,7 +379,7 @@ def _estimate(
     run = run_recurrence(g, v1, k, eps, **recurrence)
     y, healthy = solve_checked(run.t)
     scale_sq = 1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]
-    run.estimate = float(scale_sq * (run.first_row @ y if eps > 0.0 else y[0]))
+    run.estimate = float(scale_sq * (_dot(run.first_row, y) if eps > 0.0 else y[0]))
     est = RDEstimate(
         value=run.estimate,
         iterations=run.k_effective,
@@ -383,9 +423,10 @@ def lanczos_potential(g: Graph, s: int, t: int, k: int) -> np.ndarray:
     _check_pair(g, s, t)
     if k < 1:
         raise ValueError("iteration count k must be >= 1")
+    n = g.node_count
     if s == t:
-        return np.zeros(g.node_count)
-    x, p = np.zeros(g.node_count), np.zeros(g.node_count)
+        return np.zeros(n)
+    x, p, scratch = np.zeros(n), np.zeros(n), np.empty(n)
     d = zeta = 1.0  # last pivot d_j, and (L^{-1} e_1)_j, with z_j = zeta / d_j
 
     def complete_row(alphas, betas) -> None:
@@ -393,7 +434,7 @@ def lanczos_potential(g: Graph, s: int, t: int, k: int) -> np.ndarray:
         nonlocal d, x
         j = len(alphas)
         d = _ldl_pivot(alphas[-1], betas[j - 2] if j > 1 else 0.0, d)
-        x += (zeta / d) * p
+        x += np.multiply(p, zeta / d, out=scratch)
 
     def visit(i: int, supp, v: np.ndarray, alphas, betas) -> None:
         nonlocal zeta, p

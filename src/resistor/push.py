@@ -62,6 +62,7 @@ from .kernels import (
     SparseVector,
     TridiagonalMatrix,
     _check_eps,
+    _dot,
     apply_normalized_adjacency,
     chebyshev_walk_norms,
     tridiag_eigen_range,
@@ -169,7 +170,7 @@ class _LocalityHook:
             self._residual(betas[-1] * v, alphas[-1], beta)
         if i > self.k:
             return True
-        self.c2_terms.append(float(np.abs(v[supp]) @ self.weight[supp]))
+        self.c2_terms.append(_dot(np.abs(v[supp]), self.weight[supp]))
         self.v_prev, self.v = self.v, v.copy()
         self.av = apply_normalized_adjacency(self.g, self.v)
         return False

@@ -21,13 +21,14 @@ unconverged instead of raising, so callers can decide what to do.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
 from .graph import Graph
-from .kernels import SparseVector, TridiagonalMatrix, tridiag_eigen_range
+from .kernels import SparseVector, TridiagonalMatrix, _dot, tridiag_eigen_range
 from .lanczos import run_recurrence
 
 __all__ = ["SpectralEstimate", "estimate_spectrum"]
@@ -55,6 +56,15 @@ class SpectralEstimate:
     wall_time: float
 
 
+def _start_vector(g: Graph, seed: int) -> SparseVector:
+    """The seeded random unit start vector, with u_1 projected out."""
+    sqrt_d = g.sqrt_degrees
+    u1 = sqrt_d / math.sqrt(_dot(sqrt_d, sqrt_d))
+    x = np.random.default_rng(seed).standard_normal(g.node_count)
+    x -= _dot(u1, x) * u1
+    return SparseVector.from_dense(x / math.sqrt(_dot(x, x)))
+
+
 def estimate_spectrum(
     g: Graph, tol: float = 1e-9, max_iter: int = 200_000, seed: int = 0
 ) -> SpectralEstimate:
@@ -71,10 +81,7 @@ def estimate_spectrum(
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     start = time.perf_counter()
-    u1 = g.sqrt_degrees / np.linalg.norm(g.sqrt_degrees)
-    x = np.random.default_rng(seed).standard_normal(g.node_count)
-    x -= (u1 @ x) * u1
-    v1 = SparseVector.from_dense(x / np.linalg.norm(x))
+    v1 = _start_vector(g, seed)
 
     extremes, residual, converged = None, np.inf, False
     checkpoint = 16

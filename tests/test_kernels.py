@@ -4,8 +4,12 @@ norms."""
 import ast
 import functools
 import importlib
+import json
 import math
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,6 +21,7 @@ import resistor as R
 import resistor.lanczos as lanczos_mod
 from resistor.errors import SingularSystemError
 from resistor.graph import JAGGED_MIN_ROWS, _sorted_unique
+from resistor.kernels import _adjacency_into
 from resistor.lanczos import definitional_start, run_recurrence
 
 from conftest import (
@@ -191,6 +196,35 @@ def test_star_has_one_column_and_one_hub():
     assert (len(lay.columns), lay.hubs) == (1, 1)
 
 
+def test_graph_set_has_a_layout_without_hubs():
+    # the product's hub bincount then sums an empty slice
+    assert jagged_test_graphs()["lattice"].jagged.hubs == 0
+
+
+@pytest.mark.parametrize("name", list(jagged_test_graphs()))
+def test_workspace_product_matches_the_public_one_and_the_csr_bincount(name):
+    # the buffers are reused across calls and start out as NaN, so no
+    # value may leak from their contents on entry
+    g = jagged_test_graphs()[name]
+    n = g.node_count
+    out, scratch = np.full(n, np.nan), np.full(n, np.nan)
+    gather = np.full(2 * g.edge_count, np.nan)
+    rng = np.random.default_rng(23)
+    for _ in range(3):
+        v = rng.standard_normal(n)
+        v[rng.random(n) < 0.2] = -0.0
+        assert _adjacency_into(g, v, out, scratch, gather) is out
+        assert same_bits(out, R.apply_normalized_adjacency(g, v))
+        assert same_bits(out, csr_bincount_product(g, v))
+
+
+def csr_bincount_into(g, v, out, scratch, gather):
+    """:func:`csr_bincount_product` with the signature of the workspace
+    product the recurrence calls."""
+    out[:] = csr_bincount_product(g, v)
+    return out
+
+
 def test_dense_callers_unchanged_by_the_jagged_product(monkeypatch):
     # every dense caller gets the bits the CSR bincount product gives
     g = cut_lattice(24, 0.1, 9)
@@ -206,7 +240,7 @@ def test_dense_callers_unchanged_by_the_jagged_product(monkeypatch):
         ]
 
     jagged = outputs()
-    monkeypatch.setattr(lanczos_mod, "apply_normalized_adjacency", csr_bincount_product)
+    monkeypatch.setattr(lanczos_mod, "_adjacency_into", csr_bincount_into)
     reference = outputs()
     for got, want in zip(jagged, reference):
         assert same_bits(got, want)
@@ -291,6 +325,111 @@ def test_unique_tripwire_flags_hash_path_calls():
         "d = numpy.unique(x, return_inverse=False)\n"
     )
     assert _unique_calls_off_the_sort_path(source) == [1, 3, 6]
+
+
+# names whose calls can reach a BLAS routine, which threads long sums
+_BLAS_REDUCTIONS = {"np.dot", "np.inner", "np.vdot", "np.matmul", "np.linalg.norm"}
+
+
+def _dotted_name(node) -> str:
+    """``np.linalg.norm`` for that attribute chain, with ``numpy`` spelled
+    ``np``; "" for anything that is not a chain of names."""
+    parts = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if not isinstance(node, ast.Name):
+        return ""
+    parts.append("np" if node.id == "numpy" else node.id)
+    return ".".join(reversed(parts))
+
+
+def _blas_reductions(source: str) -> list:
+    """Line numbers of the ``@`` and ``@=`` operators in ``source`` and of
+    its references to the numpy functions in ``_BLAS_REDUCTIONS``."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        matmul = isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(
+            node.op, ast.MatMult
+        )
+        if matmul or (
+            isinstance(node, ast.Attribute) and _dotted_name(node) in _BLAS_REDUCTIONS
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_blas_tripwire_flags_planted_reductions():
+    source = (
+        "a = x @ y\n"
+        "a @= y\n"
+        "b = np.dot(x, y)\n"
+        "c = numpy.inner(x, y) + np.vdot(x, y)\n"
+        "d = np.matmul(\n    x, y\n)\n"
+        "e = np.linalg.norm(x)\n"
+        "f = np.einsum('i,i->', x, y) + np.linalg.eigh(m)[0] + x.sum() * y\n"
+        "g = np.multiply(x, y, out=z)\n"
+    )
+    assert _blas_reductions(source) == [1, 2, 3, 4, 4, 5, 8]
+
+
+def test_no_blas_reduction_in_the_recurrence_modules():
+    # every reduction feeding T, a potential or a spectrum goes through
+    # kernels._dot, whose sum does not depend on the BLAS thread count
+    package = Path(R.__file__).parent
+    found = {
+        name: lines
+        for name in ("kernels.py", "lanczos.py", "push.py", "spectral.py")
+        if (lines := _blas_reductions((package / name).read_text()))
+    }
+    assert found == {}
+
+
+# run in a fresh interpreter: BLAS reads its thread count once, at import
+_THREAD_PROBE = """
+import hashlib, json
+import numpy as np
+import resistor as R
+
+g = R.generate_er(20000, 100000, 5)
+s, t = 11, g.node_count - 7
+_, lz = R.lanczos_rd(g, s, t, 20)
+_, _, push = R.lanczos_push_rd(g, s, t, R.PushConfig(k=20, epsilon=1e-4))
+spec = R.estimate_spectrum(g)
+outputs = {
+    "lz": (lz.alphas, lz.betas, lz.first_row),
+    "lzpush": (push.alphas, push.betas, push.first_row),
+    "potential": (R.lanczos_potential(g, s, t, 20),),
+    "spectrum": (np.array([
+        spec.lambda2_a, spec.lambda_min_a, spec.mu2, spec.kappa,
+        spec.residual, spec.iterations,
+    ]),),
+}
+print(json.dumps({
+    name: hashlib.sha256(b"".join(a.tobytes() for a in arrays)).hexdigest()
+    for name, arrays in outputs.items()
+}))
+"""
+
+
+def _outputs_under_blas_threads(threads: int) -> dict:
+    src = str(Path(R.__file__).parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", _THREAD_PROBE],
+        env=env, capture_output=True, text=True, timeout=600, check=True,
+    )
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def test_outputs_do_not_depend_on_the_blas_thread_count():
+    # n = 20000 is above the length from which OpenBLAS splits a ddot over
+    # threads; the claim is thread independence on one host, not equality
+    # across CPU families, whose SIMD sums may differ
+    one, two = _outputs_under_blas_threads(1), _outputs_under_blas_threads(2)
+    assert sorted(one) == ["lz", "lzpush", "potential", "spectrum"]
+    assert one == two
 
 
 def test_no_hash_path_unique_in_the_package():

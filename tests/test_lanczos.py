@@ -1,6 +1,7 @@
 """Tests for the Lanczos recurrence, the global Lanczos estimator and the
 one-pass potential solver."""
 
+import tracemalloc
 from contextlib import nullcontext
 
 import numpy as np
@@ -11,6 +12,7 @@ import resistor.lanczos as lanczos_mod
 from resistor.errors import SingularSystemError
 from resistor.kernels import TridiagonalMatrix, _sturm_count_below, tridiag_solve_e1
 from resistor.lanczos import definitional_start, run_recurrence, solve_checked
+from resistor.spectral import _start_vector
 
 from conftest import (
     cut_lattice,
@@ -238,11 +240,11 @@ def test_potential_matches_two_pass_reference():
 
 def test_potential_makes_one_product_per_step(monkeypatch):
     calls = []
-    real = lanczos_mod.apply_normalized_adjacency
+    real = lanczos_mod._adjacency_into
 
-    def counted(g, v):
+    def counted(g, v, out, scratch, gather):
         calls.append(1)
-        return real(g, v)
+        return real(g, v, out, scratch, gather)
 
     # the path run breaks down after 100 of its 200 steps
     cases = [
@@ -252,10 +254,43 @@ def test_potential_makes_one_product_per_step(monkeypatch):
     for g, s, t, k, k_effective in cases:
         assert R.lanczos_rd(g, s, t, k)[1].k_effective == k_effective
         calls.clear()
-        monkeypatch.setattr(lanczos_mod, "apply_normalized_adjacency", counted)
+        monkeypatch.setattr(lanczos_mod, "_adjacency_into", counted)
         R.lanczos_potential(g, s, t, k)
-        monkeypatch.setattr(lanczos_mod, "apply_normalized_adjacency", real)
+        monkeypatch.setattr(lanczos_mod, "_adjacency_into", real)
         assert len(calls) == k_effective
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [lambda: R.generate_er(3000, 15000, 2), lambda: cut_lattice(60, 0.1, 3)],
+    ids=["er3000", "lattice60"],
+)
+def test_dense_step_allocates_no_vector(make_graph):
+    # a dense step works in its run's workspace: within a step it allocates
+    # and frees the bool mask of its support (n bytes) and small objects,
+    # never an n-length float vector (8n bytes).  The far pair keeps the
+    # support partial for the first steps, which take the masked projection.
+    g = make_graph()
+    n = g.node_count
+    R.apply_normalized_adjacency(g, np.ones(n))  # builds the cached layout
+    transient = []
+
+    def visit(i, supp, v, alphas, betas):
+        current, peak = tracemalloc.get_traced_memory()
+        transient.append(peak - current)
+        tracemalloc.reset_peak()
+
+    # the definitional start and the dense one of the spectrum estimator
+    for v1 in (definitional_start(g, 0, n - 1), _start_vector(g, 0)):
+        transient.clear()
+        tracemalloc.start()
+        try:
+            run = run_recurrence(g, v1, 30, visit=visit)
+        finally:
+            tracemalloc.stop()
+        assert run.k_effective == 30
+        # the first entry covers the set-up before step 1
+        assert max(transient[1:]) < 4 * n
 
 
 def test_potential_raises_on_the_pivot_floor(monkeypatch, toy):
@@ -263,10 +298,10 @@ def test_potential_raises_on_the_pivot_floor(monkeypatch, toy):
     # the one tridiag_solve_e1 applies
     for c, singular in ((1.0 - 1e-15, True), (1.0 - 1e-13, False)):
 
-        def scaled(g, v, c=c):
-            return c * v
+        def scaled(g, v, out, scratch, gather, c=c):
+            return np.multiply(v, c, out=out)
 
-        monkeypatch.setattr(lanczos_mod, "apply_normalized_adjacency", scaled)
+        monkeypatch.setattr(lanczos_mod, "_adjacency_into", scaled)
         with pytest.raises(SingularSystemError) if singular else nullcontext():
             phi = R.lanczos_potential(toy, 0, 3, 3)
             assert np.all(np.isfinite(phi))

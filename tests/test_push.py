@@ -327,18 +327,25 @@ def test_trace_validates_arguments(toy):
 
 
 def _count_dense_products(monkeypatch) -> list:
-    # every dense product the recurrence or the push hooks make
+    # every dense product the recurrence or the push hooks make: the
+    # recurrence calls the workspace product, the hooks the public one
     calls = []
+    into = lanczos_mod._adjacency_into
 
     def counted(g, v):
         calls.append(len(v))
         return apply_normalized_adjacency(g, v)
+
+    def counted_into(g, v, out, scratch, gather):
+        calls.append(len(v))
+        return into(g, v, out, scratch, gather)
 
     for module in (lanczos_mod, push_mod):
         # patched even where a module imports no product of its own
         monkeypatch.setattr(
             module, "apply_normalized_adjacency", counted, raising=False
         )
+    monkeypatch.setattr(lanczos_mod, "_adjacency_into", counted_into)
     return calls
 
 

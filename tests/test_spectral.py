@@ -7,8 +7,9 @@ import numpy as np
 import pytest
 
 import resistor as R
-from resistor.kernels import SparseVector, TridiagonalMatrix, tridiag_eigen_range
+from resistor.kernels import TridiagonalMatrix, tridiag_eigen_range
 from resistor.lanczos import run_recurrence
+from resistor.spectral import _start_vector
 
 from conftest import (
     complete_graph,
@@ -69,11 +70,7 @@ def test_extremes_are_those_of_the_final_t():
     ]
     for g, tol, max_iter in cases:
         est = R.estimate_spectrum(g, tol=tol, max_iter=max_iter, seed=3)
-        u1 = g.sqrt_degrees / np.linalg.norm(g.sqrt_degrees)
-        x = np.random.default_rng(3).standard_normal(g.node_count)
-        x -= (u1 @ x) * u1
-        v1 = SparseVector.from_dense(x / np.linalg.norm(x))
-        run = run_recurrence(g, v1, est.iterations)
+        run = run_recurrence(g, _start_vector(g, 3), est.iterations)
         assert len(run.alphas) == est.iterations
         tmat = TridiagonalMatrix(run.alphas, run.betas)
         lam_min, lam2 = tridiag_eigen_range(tmat, tol=tol / 10)
