@@ -273,8 +273,9 @@ def query(graph_path, s, t, method, l, k, eps, nr, seed, weighted, fmt, out):
     if not est.healthy:
         _fail(
             EXIT_NUMERICAL,
-            "I - T is indefinite (a Ritz value at or above 1); the estimate "
-            "cannot be trusted, try fewer iterations or a smaller --eps",
+            "I - T is indefinite (a Ritz value at or above 1) or pruning "
+            "emptied the iterate; the estimate cannot be trusted, try fewer "
+            "iterations or a smaller --eps",
         )
 
 

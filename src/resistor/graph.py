@@ -49,7 +49,10 @@ class Graph:
     Each undirected edge {u, v} is stored as the two arcs (u, v) and (v, u).
     The neighbor slice of a vertex is sorted ascending and contains neither
     duplicates nor the vertex itself.  Instances are immutable and safe to
-    share across workers.
+    share across workers.  Some arrays are derived and cached on first
+    use, such as the jagged-diagonal layout (``jagged``).  One cache is
+    mutable: a free list of zeroed scratch n-vectors
+    (``scratch_vectors``), which a pickled copy leaves out.
 
     Attributes
     ----------
@@ -114,6 +117,43 @@ class Graph:
         """The arcs in jagged-diagonal order (see :class:`JaggedLayout`),
         built on first use."""
         return _jagged_layout(self)
+
+    @cached_property
+    def arc_sqrt_degrees(self) -> np.ndarray:
+        """sqrt(d_x) of the head x of every arc, aligned with ``neighbors``.
+
+        With :attr:`arc_scales`, built on the first pruned product: the
+        product reads the arcs it gathers in row slices instead of at
+        heads scattered over all n vertices.
+        """
+        return self.sqrt_degrees[self.neighbors]
+
+    @cached_property
+    def arc_scales(self) -> np.ndarray:
+        """w(u, x) / sqrt(d_x) for every arc (u, x), aligned with
+        ``neighbors``."""
+        scales = self.inv_sqrt_degrees[self.neighbors]
+        if not self.is_unweighted:
+            # an unweighted graph's weights are exactly 1.0
+            scales *= self.weights
+        return scales
+
+    @cached_property
+    def scratch_vectors(self) -> list:
+        """A free list of zeroed float64 n-vectors for the pruned Lanczos
+        step, so that a query does no O(n) allocation or zeroing.
+
+        A user pops one (or allocates one when the list is empty), writes
+        on a few entries, zeroes those again and appends it back; a run
+        that raises drops its vectors instead.  ``list.pop`` and
+        ``list.append`` are atomic, so threads never share a vector.
+        """
+        return []
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("scratch_vectors", None)
+        return state
 
     @cached_property
     def inv_sqrt_degrees(self) -> np.ndarray:

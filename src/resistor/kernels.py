@@ -11,8 +11,15 @@ adjacency W:
 The graph operators work on dense float64 vectors of length n, except the
 pruned ones, which work on a sorted index array and its value array: the
 pruned product :func:`relax_arcs` and the significant-set test
-:func:`significant`.  The recurrence calls those two on plain arrays;
-:func:`amv` and :func:`restrict` are their :class:`SparseVector` forms.
+:func:`significant`.  The recurrence calls those two on the compact
+arrays of its iterates; :func:`amv` and :func:`restrict` are their
+:class:`SparseVector` forms.  The pruned product forms its per-source
+terms once, repeats them over the arcs it gathers and sums the survivors
+in arc order by ``np.add.at`` into a zeroed n-vector from the graph's
+free list (``Graph.scratch_vectors``), reading its targets back and
+zeroing them again: its time and memory follow the arcs it gathers, not
+n, and every target is summed from 0.0 in ascending source order, as
+``np.bincount`` over the gathered arcs sums it.
 
 The dense product :func:`apply_normalized_adjacency` sums each row in
 contiguous column passes over the jagged-diagonal layout of
@@ -40,7 +47,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import SingularSystemError
-from .graph import Graph, _arc_positions
+from .graph import Graph, _arc_positions, _sorted_unique
 
 __all__ = [
     "SparseVector",
@@ -232,29 +239,55 @@ def _check_eps(eps: float) -> None:
         raise ValueError("eps must be finite and >= 0")
 
 
-def relax_arcs(g: Graph, idx: np.ndarray, val: np.ndarray, eps: float):
+def _take_zeroed(g: Graph) -> np.ndarray:
+    """A zeroed float64 n-vector from the graph's free list
+    (``Graph.scratch_vectors``), or a new one when the list is empty."""
+    try:
+        return g.scratch_vectors.pop()
+    except IndexError:
+        return np.zeros(g.node_count)
+
+
+def _give_back(g: Graph, *vectors: np.ndarray) -> None:
+    """Return n-vectors taken by :func:`_take_zeroed`, zeroed again."""
+    g.scratch_vectors.extend(vectors)
+
+
+def relax_arcs(g: Graph, idx: np.ndarray, val: np.ndarray, sd: np.ndarray, eps: float):
     """The pruned product of :func:`amv` on the sparse vector ``(idx, val)``.
 
-    One vectorised pass: gather the CSR slices of the sources that can
-    relax any arc, mask the arcs below threshold, and sum the survivors
-    per target.  Returns ``(targets, sums, relaxed)``: the sorted support
-    of the product, its nonzero values and the number of arcs relaxed.
+    ``sd`` is ``g.sqrt_degrees[idx]``, which the Lanczos step already holds
+    from its last u_1 projection.  One vectorised pass: the per-source
+    terms |v(u)|, eps * sqrt(d_u) and v(u) / sqrt(d_u) are formed once and
+    repeated over the CSR slices of the sources that can relax any arc,
+    and the arcs below threshold are masked.  The per-arc factors
+    sqrt(d_x) and w(u, x) / sqrt(d_x) are read in row slices from the
+    caches ``Graph.arc_sqrt_degrees`` and ``Graph.arc_scales``.  The
+    survivors are summed in arc order by ``np.add.at`` into a zeroed
+    n-vector of the graph's free list, whose targets are then read and
+    zeroed again, so each target is summed from 0.0 in ascending source
+    order.  Returns ``(targets, sums, relaxed)``: the sorted support of
+    the product, its nonzero values and the number of arcs relaxed.
+    O(arcs gathered) time and memory, none of it O(n).
     """
-    inv_sqrt, sqrt_d = g.inv_sqrt_degrees, g.sqrt_degrees
+    size = np.abs(val)
+    bar = eps * sd
     # no arc of u relaxes unless |v(u)| beats the lightest threshold any
     # arc can have
-    live = np.abs(val) > eps * sqrt_d[idx] * g.min_sqrt_degree
-    src, x = idx[live], val[live]
+    live = size > bar * g.min_sqrt_degree
+    src = idx[live]
     arc, count = _arc_positions(g.offsets, src)
-    src, x, nb = np.repeat(src, count), np.repeat(x, count), g.neighbors[arc]
-    keep = np.abs(x) > eps * sqrt_d[src] * sqrt_d[nb]
-    src, x, nb = src[keep], x[keep], nb[keep]
-    arc_scale = inv_sqrt[nb]
-    if not g.is_unweighted:
-        # an unweighted graph's weights are exactly 1.0
-        arc_scale *= g.weights[arc[keep]]
-    targets, slot = np.unique(nb, return_inverse=True)
-    sums = np.bincount(slot, (x * inv_sqrt[src]) * arc_scale, len(targets))
+    keep = np.repeat(size[live], count) > np.repeat(bar[live], count) * g.arc_sqrt_degrees[arc]
+    arc = arc[keep]
+    nb = g.neighbors[arc]
+    terms = np.repeat(val[live] * g.inv_sqrt_degrees[src], count)[keep]
+    terms *= g.arc_scales[arc]
+    acc = _take_zeroed(g)
+    np.add.at(acc, nb, terms)
+    targets = _sorted_unique(nb)
+    sums = acc[targets]
+    acc[targets] = 0.0
+    _give_back(g, acc)
     nonzero = sums != 0.0
     return targets[nonzero], sums[nonzero], len(nb)
 
@@ -273,7 +306,7 @@ def amv(g: Graph, v: SparseVector, eps: float) -> SparseVector:
     is the exact product over the support of ``v``.
     """
     _check_eps(eps)
-    idx, val, _ = relax_arcs(g, v.idx, v.val, eps)
+    idx, val, _ = relax_arcs(g, v.idx, v.val, g.sqrt_degrees[v.idx], eps)
     return SparseVector(idx, val, g.node_count)
 
 

@@ -15,13 +15,14 @@ With ``eps = 0`` it multiplies by A itself and is the global method
 (``lz``, :func:`lanczos_rd` and :func:`lanczos_potential`); with
 ``eps > 0`` it multiplies by the pruned operator of
 :func:`resistor.kernels.amv` and is Lanczos Push (``lzpush``, see
-:mod:`resistor.push`).  Only three vectors are kept at any time.  Its
-``visit`` hook sees each basis vector together with the coefficients
-computed so far and may stop the run, so callers that need more than T
-work inside the one run: the potential factors I - T as T grows (the
-D-Lanczos form of Saad 2003, section 6.7.1), the spectrum estimator
-reads the extreme Ritz values off the leading blocks of T, and the
-locality statistics of :mod:`resistor.push` form each step's residual.
+:mod:`resistor.push`).  Only v_{i-1}, v_i and the next product are
+kept at any time.  Its ``visit`` hook sees each basis vector together
+with the coefficients computed so far and may stop the run, so callers
+that need more than T work inside the one run: the potential factors
+I - T as T grows (the D-Lanczos form of Saad 2003, section 6.7.1), the
+spectrum estimator reads the extreme Ritz values off the leading blocks
+of T, and the locality statistics of :mod:`resistor.push` form each
+step's residual.
 Every run returns one :class:`LanczosRun` record, and ``lz``,
 ``lzpush`` and the trace of :mod:`resistor.push` build their estimates
 on it along one path.
@@ -32,9 +33,24 @@ one 2m-vector for the product's arc gather
 (:func:`resistor.kernels._adjacency_into`).  Its steps write the product
 into the buffer of v_{i-2} and make the u_1 projections and the
 alpha/beta subtractions through the scratch vector, so a dense step
-allocates no vector but the bool mask of its support.  Every inner
-product goes through :func:`resistor.kernels._dot`, so T does not depend
-on the BLAS thread count.
+allocates no vector but the bool mask of its support.
+
+A pruned run (``eps > 0``) carries each iterate as its sorted support
+and the values on it (:class:`_PrunedIterates`).  It keeps the values on
+S_i as the S_{i-1} values of the next step, projects u_1 out of the
+pruned product's compact values and then scatters them once into a
+zeroed accumulator, where the subtractions land; the new support's
+values are read back, the accumulator is zeroed again on the entries
+the step wrote, and the second projection and the normalization run on
+the compact values.  The accumulator and a dense copy of v_i (for the
+``visit`` hook and the first row) are n-vectors from the graph's free
+list of zeroed vectors (``Graph.scratch_vectors``), given back zeroed
+on their support only, so a query does no O(n) work once the list holds
+them.  The pruned run gives the same T, first row and work counters, to
+the bit, as one with dense iterates.
+
+Every inner product goes through :func:`resistor.kernels._dot`, so T
+does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -55,6 +71,8 @@ from .kernels import (
     _dot,
     _ldl_pivot,
     _ldl_solve_e1,
+    _give_back,
+    _take_zeroed,
     relax_arcs,
     significant,
     tridiag_solve_e1,
@@ -85,7 +103,11 @@ class LanczosRun:
     with ``alphas`` and ``betas`` views of its diagonal and off-diagonal;
     ``first_row`` holds the products v_1^T v_j.  ``breakdown`` is set when
     the recurrence ended early because the next off-diagonal fell below
-    1e-14: the Krylov space is exhausted and the estimate is exact.
+    1e-14.  ``pruned`` is set when some step of an eps > 0 run skipped an
+    arc or had S_i smaller than its support.  A breakdown of a run that
+    pruned nothing means the Krylov space is exhausted, and the estimate
+    is exact; after pruning it means the pruning emptied the iterate, and
+    the estimate is flagged (``healthy`` false).
 
     ``edges_relaxed[i]`` counts arc relaxations in the product of
     iteration i + 1 (every arc, 2m, at eps = 0); ``touched_edges`` is their
@@ -110,6 +132,7 @@ class LanczosRun:
     t: TridiagonalMatrix = None  # set, with first_row, when the run ends
     first_row: np.ndarray = None
     breakdown: bool = False
+    pruned: bool = False
     n: int = 0
     subset_sizes: list = field(default_factory=list)
     support_sizes: list = field(default_factory=list)
@@ -152,23 +175,17 @@ def _subtract(w: np.ndarray, supp, c: float, x: np.ndarray, scratch) -> None:
         w[supp] -= c * x[supp]
 
 
-def _project_u1(w: np.ndarray, supp, sqrt_d: np.ndarray, u1_norm_sq, scratch) -> int:
-    """Project u_1 ~ D^{1/2} 1 out of w over w's own support, in place.
+def _project_u1(w: np.ndarray, sqrt_d: np.ndarray, u1_norm_sq: float, scratch) -> int:
+    """Project u_1 ~ D^{1/2} 1 out of the dense vector w over its nonzero
+    support, in place.
 
     Subtracts c * D^{1/2} 1 restricted to the support, with
     c = <D^{1/2} 1, w> / sum_{u in supp w} d_u.  The result is exactly
     orthogonal to u_1 in real arithmetic and keeps the support unchanged.
     ``u1_norm_sq`` is ``_dot(sqrt_d, sqrt_d)``, the denominator whenever
     the support is all of w, and ``scratch`` an n-vector the projection
-    of a dense iterate works through (both None are fine for index
-    supports).  Returns the support size.
+    works through.  Returns the support size.
     """
-    if supp is not _DENSE:
-        size = len(supp)
-        if size:
-            sd = sqrt_d[supp]
-            w[supp] -= (_dot(sd, w[supp]) / _dot(sd, sd)) * sd
-        return size
     # a bool mask and its count cost less than np.count_nonzero(w)
     nonzero = w != 0.0
     size = int(np.count_nonzero(nonzero))
@@ -185,10 +202,164 @@ def _project_u1(w: np.ndarray, supp, sqrt_d: np.ndarray, u1_norm_sq, scratch) ->
     return size
 
 
+def _project_u1_compact(val: np.ndarray, sd: np.ndarray) -> int:
+    """:func:`_project_u1` on the values ``val`` of a sparse vector, in
+    place, with ``sd`` the square-rooted degrees on its support.  Returns
+    the support size."""
+    if len(val):
+        val -= (_dot(sd, val) / _dot(sd, sd)) * sd
+    return len(val)
+
+
 def _orthogonal_to_u1(sqrt_d: np.ndarray, v: SparseVector) -> bool:
     """Whether a start vector is orthogonal to u_1, up to rounding."""
     terms = sqrt_d[v.idx] * v.val
     return abs(float(terms.sum())) <= 1e-12 * math.sqrt(_dot(terms, terms))
+
+
+class _DenseIterates:
+    """The iterates of a run at eps = 0, as n-vectors.
+
+    Owns the workspace of the module docstring: three n-vectors that take
+    turns as v_{i-1}, v_i and the next product, one n-vector of scratch
+    and one 2m-vector for the product's arc gather.  ``supp`` is always
+    ``_DENSE``; a significant set given by ``s_overrides`` is an index
+    array.
+    """
+
+    pruned = False
+
+    def __init__(self, g: Graph, v1: SparseVector, deflate: bool):
+        n = g.node_count
+        self.g, self.deflate = g, deflate
+        self.u1_norm_sq = _dot(g.sqrt_degrees, g.sqrt_degrees) if deflate else None
+        self.scratch, self.gather = np.empty(n), np.empty(len(g.neighbors))
+        self.spare, self.v_prev, self.v = np.zeros(n), np.zeros(n), np.zeros(n)
+        self.v[v1.idx] = v1.val
+        self.supp, self.size = _DENSE, len(v1.idx)
+        self.s_prev = v1.idx[:0]
+
+    def step(self, run: LanczosRun, beta: float, s_cur) -> tuple:
+        """One step from v_i: ``(alpha_i, beta_{i+1})``, with the work
+        counted on ``run``; ``s_cur`` is S_i, or None for all of v_i."""
+        g, v, w, scratch = self.g, self.v, self.spare, self.scratch
+        if s_cur is None:
+            s_cur = _DENSE
+        run.subset_sizes.append(self.size if s_cur is _DENSE else len(s_cur))
+        _adjacency_into(g, v, w, scratch, self.gather)
+        run.edges_relaxed.append(2 * g.edge_count)
+        if self.deflate:
+            # alpha comes from the deflated product
+            run.extra_ops += _project_u1(w, g.sqrt_degrees, self.u1_norm_sq, scratch)
+        if beta != 0.0:
+            _subtract(w, self.s_prev, beta, self.v_prev, scratch)
+            run.extra_ops += run.subset_sizes[-2]
+        alpha = _dot(w, v)
+        _subtract(w, s_cur, alpha, v, scratch)
+        run.extra_ops += run.support_sizes[-1] + run.subset_sizes[-1]
+        if self.deflate:
+            # the S_i-restricted subtractions put u_1 mass back
+            self.size_w = _project_u1(w, g.sqrt_degrees, self.u1_norm_sq, scratch)
+            run.extra_ops += self.size_w
+        else:
+            self.size_w = int(np.count_nonzero(w))
+        self.s_cur = s_cur
+        return alpha, math.sqrt(_dot(w, w))
+
+    def advance(self, beta_next: float) -> None:
+        """Normalize the last step's w into v_{i+1} and recycle the buffer
+        of v_{i-1}, which the next product overwrites whole."""
+        w = self.spare
+        w /= beta_next
+        self.spare, self.v_prev, self.v = self.v_prev, self.v, w
+        self.s_prev, self.size = self.s_cur, self.size_w
+
+    def release(self) -> None:
+        pass
+
+
+class _PrunedIterates:
+    """The iterates of a run at eps > 0, as compact arrays.
+
+    v_i is its sorted support ``supp`` with the values ``val`` on it and
+    ``sd``, the square-rooted degrees there, which the next pruned product
+    reuses.  The values on S_i are kept as the S_{i-1} values of the next
+    step, so no subtraction gathers from a basis vector.  Two n-vectors
+    come from the graph's free list (``Graph.scratch_vectors``): the
+    accumulator each step sums w in, zeroed again on the entries the step
+    wrote, and ``v``, a dense copy of v_i for the ``visit`` hook, the
+    first row and ``s_overrides``.  :meth:`release` gives both back
+    zeroed; a run that raises drops them.  Every step costs
+    O(support log support), the log from sorting the union of the
+    supports, and no step or query does O(n) work.
+    """
+
+    def __init__(self, g: Graph, v1: SparseVector, eps: float, deflate: bool):
+        self.g, self.eps, self.deflate = g, eps, deflate
+        self.acc, self.v = _take_zeroed(g), _take_zeroed(g)
+        self.supp, self.val, self.size = v1.idx, v1.val, len(v1.idx)
+        self.sd = g.sqrt_degrees[self.supp]
+        self.v[self.supp] = self.val
+        self.s_prev, self.s_prev_val = self.supp[:0], self.val[:0]
+        # whether any step so far skipped an arc or had S_i smaller than
+        # its support
+        self.pruned = False
+
+    def step(self, run: LanczosRun, beta: float, s_cur) -> tuple:
+        """One step from v_i: ``(alpha_i, beta_{i+1})``, with the work
+        counted on ``run``; ``s_cur`` is S_i, or None for the threshold
+        rule."""
+        g, acc, supp, val = self.g, self.acc, self.supp, self.val
+        if s_cur is None:
+            keep = significant(g, supp, val, self.eps)
+            s_cur, s_val = supp[keep], val[keep]
+        else:
+            s_val = self.v[s_cur]
+        run.subset_sizes.append(len(s_cur))
+        prod_supp, prod_val, relaxed = relax_arcs(g, supp, val, self.sd, self.eps)
+        run.edges_relaxed.append(relaxed)
+        if not self.pruned:
+            arcs = int((g.offsets[supp + 1] - g.offsets[supp]).sum())
+            self.pruned = len(s_cur) < self.size or relaxed < arcs
+        if self.deflate:
+            # alpha comes from the deflated product
+            sd_prod = g.sqrt_degrees[prod_supp]
+            run.extra_ops += _project_u1_compact(prod_val, sd_prod)
+        acc[prod_supp] = prod_val
+        if beta != 0.0:
+            acc[self.s_prev] -= beta * self.s_prev_val
+            run.extra_ops += run.subset_sizes[-2]
+        alpha = _dot(acc[supp], val)
+        acc[s_cur] -= alpha * s_val
+        run.extra_ops += run.support_sizes[-1] + run.subset_sizes[-1]
+
+        touched = _sorted_unique(np.concatenate((prod_supp, self.s_prev, s_cur)))
+        w = acc[touched]
+        acc[touched] = 0.0
+        nonzero = w != 0.0
+        supp_w, w = touched[nonzero], w[nonzero]
+        sd = g.sqrt_degrees[supp_w]
+        if self.deflate:
+            # the S_i-restricted subtractions put u_1 mass back
+            run.extra_ops += _project_u1_compact(w, sd)
+        self.pending = supp_w, w, sd, s_cur, s_val
+        return alpha, math.sqrt(_dot(w, w))
+
+    def advance(self, beta_next: float) -> None:
+        """Normalize the last step's w into v_{i+1} and move its values
+        into the dense copy."""
+        supp_w, w, sd, s_cur, s_val = self.pending
+        w /= beta_next
+        self.v[self.supp] = 0.0
+        self.v[supp_w] = w
+        self.s_prev, self.s_prev_val = s_cur, s_val
+        self.supp, self.val, self.sd, self.size = supp_w, w, sd, len(supp_w)
+
+    def release(self) -> None:
+        """Give the accumulator and the zeroed dense copy back to the
+        graph's free list."""
+        self.v[self.supp] = 0.0
+        _give_back(self.g, self.acc, self.v)
 
 
 def run_recurrence(
@@ -226,105 +397,51 @@ def run_recurrence(
     and beta_2..beta_k for k = ``k_effective``, the products v_1^T v_j
     and the work counters.
 
-    Iterates are dense buffers with their sorted support, three of them
-    recycled in turn.  At eps > 0 every step costs
-    O(support log support), the log from sorting the union of the
-    supports; at eps = 0 every step is a dense pass through the run's
-    workspace (the module docstring lists it).
+    At eps = 0 the iterates are n-vectors and every step is a dense pass
+    through the run's workspace (the module docstring lists it).  At
+    eps > 0 they are compact index and value arrays
+    (:class:`_PrunedIterates`): every step costs O(support log support),
+    the log from sorting the union of the supports, and the run's two
+    n-vectors come zeroed from the graph's free list, so a query does no
+    O(n) work.
     """
     n = g.node_count
-    sqrt_d = g.sqrt_degrees
-    deflate = _orthogonal_to_u1(sqrt_d, v1)
-    dense = eps == 0.0
-    u1_norm_sq = _dot(sqrt_d, sqrt_d) if dense and deflate else None
-    # the dense product's scratch and arc gather, and the buffer the next
-    # product or pruned product goes into
-    scratch = gather = None
-    if dense:
-        scratch, gather = np.empty(n), np.empty(len(g.neighbors))
-    spare = np.zeros(n)
-    v = np.zeros(n)
-    v[v1.idx] = v1.val
-    supp = _DENSE if dense else v1.idx
+    deflate = _orthogonal_to_u1(g.sqrt_degrees, v1)
+    if eps == 0.0:
+        it = _DenseIterates(g, v1, deflate)
+    else:
+        it = _PrunedIterates(g, v1, eps, deflate)
     # a sorted support of n entries is all of v: read v_j there by view
     v1_supp = _DENSE if len(v1.idx) == n else v1.idx
-    v_prev, supp_prev = np.zeros(n), v1.idx[:0]
-    s_prev = supp_prev
-    size = len(v1.idx)
     beta = 0.0
     alphas: list = []
     betas: list = []
     first_row = [_dot(v1.val, v1.val)]
     run = LanczosRun(n=n)
     if visit is not None:
-        visit(1, supp, v, alphas, betas)
+        visit(1, it.supp, it.v, alphas, betas)
     for i in range(1, k + 1):
-        run.support_sizes.append(size)
-        v_supp = v[supp]
+        run.support_sizes.append(it.size)
+        s_cur = None
         if s_overrides is not None and i in s_overrides:
             s_cur = _sorted_unique(np.asarray(list(s_overrides[i]), dtype=np.int64))
-        elif dense:
-            s_cur = supp
-        else:
-            s_cur = supp[significant(g, supp, v_supp, eps)]
-        run.subset_sizes.append(
-            run.support_sizes[-1] if s_cur is supp else len(s_cur)
-        )
-
-        w, spare = spare, None
-        if dense:
-            _adjacency_into(g, v, w, scratch, gather)
-            relaxed = 2 * g.edge_count
-            prod_supp = _DENSE
-        else:
-            prod_supp, prod_val, relaxed = relax_arcs(g, supp, v_supp, eps)
-            w[prod_supp] = prod_val
-        run.edges_relaxed.append(relaxed)
-        run.touched_edges += relaxed
-        if deflate:
-            # alpha comes from the deflated product
-            run.extra_ops += _project_u1(w, prod_supp, sqrt_d, u1_norm_sq, scratch)
-
-        if beta != 0.0:
-            _subtract(w, s_prev, beta, v_prev, scratch)
-            run.extra_ops += run.subset_sizes[-2]
-        alpha = _dot(w[supp], v_supp)
+        alpha, beta_next = it.step(run, beta, s_cur)
+        run.touched_edges += run.edges_relaxed[-1]
         alphas.append(alpha)
-        _subtract(w, s_cur, alpha, v, scratch)
-        run.extra_ops += run.support_sizes[-1] + run.subset_sizes[-1]
-
-        supp_w = _DENSE
-        if not dense:
-            candidates = _sorted_unique(np.concatenate((prod_supp, s_prev, s_cur)))
-            supp_w = candidates[w[candidates] != 0.0]
-        if deflate:
-            # the S_i-restricted subtractions put u_1 mass back
-            size_w = _project_u1(w, supp_w, sqrt_d, u1_norm_sq, scratch)
-            run.extra_ops += size_w
-        else:
-            size_w = int(np.count_nonzero(w)) if dense else len(supp_w)
-
-        w_supp = w[supp_w]
-        beta_next = math.sqrt(_dot(w_supp, w_supp))
         if i == k:
             break
         if beta_next < BREAKDOWN_TOL:
             run.breakdown = True
             break
         betas.append(beta_next)
-        w[supp_w] /= beta_next
-        # recycle the buffer of v_{i-1}; the dense product overwrites it
-        # whole, the pruned one only on its support, so zero that first
-        if not dense:
-            v_prev[supp_prev] = 0.0
-        spare = v_prev
-        v_prev, supp_prev, s_prev = v, supp, s_cur
-        v, supp, size = w, supp_w, size_w
+        it.advance(beta_next)
         beta = beta_next
-        if visit is not None and visit(i + 1, supp, v, alphas, betas):
+        if visit is not None and visit(i + 1, it.supp, it.v, alphas, betas):
             betas.pop()
             break
-        first_row.append(_dot(v1.val, v[v1_supp]))
+        first_row.append(_dot(v1.val, it.v[v1_supp]))
+    it.release()
+    run.pruned = it.pruned
     run.peak_support = max(run.support_sizes)
     run.t = TridiagonalMatrix(alphas, betas)
     run.first_row = np.asarray(first_row)
@@ -353,16 +470,26 @@ def solve_checked(tmat: TridiagonalMatrix):
 
 
 def _estimate(
-    g: Graph, s: int, t: int, k: int, eps: float, method: str, v1=None, **recurrence
+    g: Graph,
+    s: int,
+    t: int,
+    k: int,
+    eps: float,
+    method: str,
+    v1=None,
+    finish=None,
+    **recurrence,
 ):
     """The one Lanczos estimate of ``lz``, ``lzpush`` and the trace.
 
     Validates the query, answers s == t with 0 at no work, runs the
     recurrence from ``v1`` (the definitional start when None; the other
-    keywords go to :func:`run_recurrence`), solves (I - T) y = e_1 and
-    returns ``(RDEstimate, LanczosRun)``.  The value is
-    (1/d_s + 1/d_t) * <first_row, y>; at eps = 0 the basis is orthonormal
-    in exact arithmetic, so y[0] stands for <first_row, y>.
+    keywords go to :func:`run_recurrence`), calls ``finish(run)`` when
+    given, solves (I - T) y = e_1 and returns ``(RDEstimate, LanczosRun)``.
+    The value is (1/d_s + 1/d_t) * <first_row, y>; at eps = 0 the basis
+    is orthonormal in exact arithmetic, so y[0] stands for
+    <first_row, y>.  The estimate is flagged (``healthy`` false) when
+    I - T is indefinite or the run broke down after pruning.
     """
     _check_pair(g, s, t)
     if k < 1:
@@ -377,7 +504,10 @@ def _estimate(
     if v1 is None:
         v1 = definitional_start(g, s, t)
     run = run_recurrence(g, v1, k, eps, **recurrence)
+    if finish is not None:
+        finish(run)
     y, healthy = solve_checked(run.t)
+    healthy = healthy and not (run.breakdown and run.pruned)
     scale_sq = 1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]
     run.estimate = float(scale_sq * (_dot(run.first_row, y) if eps > 0.0 else y[0]))
     est = RDEstimate(

@@ -126,10 +126,12 @@ def lanczos_push_rd(g: Graph, s: int, t: int, cfg: PushConfig):
 
     Returns ``(RDEstimate, TridiagonalMatrix, LanczosRun)``, the matrix
     being the run's ``t``.  Work scales with the sizes of the significant
-    sets, not with the graph, for epsilon large enough to prune;
-    breakdown before ``cfg.k`` iterations is benign (the reachable Krylov
-    space was exhausted).  The estimate is flagged (``healthy`` false)
-    when I - T is indefinite.  With ``cfg.collect_stats`` the run carries
+    sets, not with the graph, for epsilon large enough to prune.  A
+    breakdown before ``cfg.k`` iterations is exact when nothing was
+    pruned (the reachable Krylov space was exhausted); after pruning it
+    means the pruning emptied the iterate.  The estimate is flagged
+    (``healthy`` false) when I - T is indefinite or the run broke down
+    after pruning.  With ``cfg.collect_stats`` the run carries
     its locality statistics; T, the estimate and the work counters are
     those of the run without them.
     """
@@ -138,8 +140,9 @@ def lanczos_push_rd(g: Graph, s: int, t: int, cfg: PushConfig):
         return est, run.t, run
     hook = _LocalityHook(g, cfg.k)
     # the hook stops the (k + 1)-step run at v_{k+1}: the k-step run
-    est, run = _estimate(g, s, t, cfg.k + 1, cfg.epsilon, "lzpush", visit=hook)
-    hook.finish(run)
+    est, run = _estimate(
+        g, s, t, cfg.k + 1, cfg.epsilon, "lzpush", finish=hook.finish, visit=hook
+    )
     return est, run.t, run
 
 
