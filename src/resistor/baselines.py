@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, UnsupportedInputError
-from .graph import Graph
+from .graph import Graph, _check_vertex
 from .kernels import apply_lazy_walk
 
 __all__ = [
@@ -58,10 +58,8 @@ class RDEstimate:
 
 
 def _check_pair(g: Graph, s: int, t: int) -> None:
-    n = g.node_count
-    for u in (s, t):
-        if not 0 <= u < n:
-            raise IndexError(f"vertex {u} out of range for graph with n={n}")
+    _check_vertex(g, s)
+    _check_vertex(g, t)
 
 
 def power_method_iteration_bound(kappa: float, eps: float) -> int:

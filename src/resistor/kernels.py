@@ -15,11 +15,13 @@ pruned product :func:`relax_arcs` and the significant-set test
 arrays of its iterates; :func:`amv` and :func:`restrict` are their
 :class:`SparseVector` forms.  The pruned product forms its per-source
 terms once, repeats them over the arcs it gathers and sums the survivors
-in arc order by ``np.add.at`` into a zeroed n-vector from the graph's
-free list (``Graph.scratch_vectors``), reading its targets back and
-zeroing them again: its time and memory follow the arcs it gathers, not
-n, and every target is summed from 0.0 in ascending source order, as
-``np.bincount`` over the gathered arcs sums it.
+in arc order by ``np.add.at`` into the caller's zeroed n-vector, reading
+its targets back and zeroing them again: its time and memory follow the
+arcs it gathers, not n, and every target is summed from 0.0 in
+ascending source order, as ``np.bincount`` over the gathered arcs sums
+it.  The pruned Lanczos step passes its own accumulator and :func:`amv`
+one from the graph's free list of zeroed n-vectors
+(``Graph.scratch_vectors``); the vector comes back zeroed either way.
 
 The dense product :func:`apply_normalized_adjacency` sums each row in
 contiguous column passes over the jagged-diagonal layout of
@@ -47,7 +49,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import SingularSystemError
-from .graph import Graph, _arc_positions, _sorted_unique
+from .graph import Graph, _arc_positions, _check_vertex, _sorted_unique
 
 __all__ = [
     "SparseVector",
@@ -253,7 +255,9 @@ def _give_back(g: Graph, *vectors: np.ndarray) -> None:
     g.scratch_vectors.extend(vectors)
 
 
-def relax_arcs(g: Graph, idx: np.ndarray, val: np.ndarray, sd: np.ndarray, eps: float):
+def relax_arcs(
+    g: Graph, idx: np.ndarray, val: np.ndarray, sd: np.ndarray, eps: float, acc: np.ndarray
+):
     """The pruned product of :func:`amv` on the sparse vector ``(idx, val)``.
 
     ``sd`` is ``g.sqrt_degrees[idx]``, which the Lanczos step already holds
@@ -263,12 +267,13 @@ def relax_arcs(g: Graph, idx: np.ndarray, val: np.ndarray, sd: np.ndarray, eps: 
     and the arcs below threshold are masked.  The per-arc factors
     sqrt(d_x) and w(u, x) / sqrt(d_x) are read in row slices from the
     caches ``Graph.arc_sqrt_degrees`` and ``Graph.arc_scales``.  The
-    survivors are summed in arc order by ``np.add.at`` into a zeroed
-    n-vector of the graph's free list, whose targets are then read and
+    survivors are summed in arc order by ``np.add.at`` into ``acc``, the
+    caller's zeroed float64 n-vector, whose targets are then read and
     zeroed again, so each target is summed from 0.0 in ascending source
-    order.  Returns ``(targets, sums, relaxed)``: the sorted support of
-    the product, its nonzero values and the number of arcs relaxed.
-    O(arcs gathered) time and memory, none of it O(n).
+    order and ``acc`` is handed back zeroed.  Returns
+    ``(targets, sums, relaxed)``: the sorted support of the product, its
+    nonzero values and the number of arcs relaxed.  O(arcs gathered) time
+    and memory, none of it O(n).
     """
     size = np.abs(val)
     bar = eps * sd
@@ -282,12 +287,10 @@ def relax_arcs(g: Graph, idx: np.ndarray, val: np.ndarray, sd: np.ndarray, eps: 
     nb = g.neighbors[arc]
     terms = np.repeat(val[live] * g.inv_sqrt_degrees[src], count)[keep]
     terms *= g.arc_scales[arc]
-    acc = _take_zeroed(g)
     np.add.at(acc, nb, terms)
     targets = _sorted_unique(nb)
     sums = acc[targets]
     acc[targets] = 0.0
-    _give_back(g, acc)
     nonzero = sums != 0.0
     return targets[nonzero], sums[nonzero], len(nb)
 
@@ -306,7 +309,9 @@ def amv(g: Graph, v: SparseVector, eps: float) -> SparseVector:
     is the exact product over the support of ``v``.
     """
     _check_eps(eps)
-    idx, val, _ = relax_arcs(g, v.idx, v.val, g.sqrt_degrees[v.idx], eps)
+    acc = _take_zeroed(g)
+    idx, val, _ = relax_arcs(g, v.idx, v.val, g.sqrt_degrees[v.idx], eps, acc)
+    _give_back(g, acc)
     return SparseVector(idx, val, g.node_count)
 
 
@@ -465,8 +470,7 @@ def chebyshev_walk_norms(g: Graph, u: int, k: int, weighted: bool = True) -> np.
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    if not 0 <= u < g.node_count:
-        raise IndexError(f"vertex {u} out of range for graph with n={g.node_count}")
+    _check_vertex(g, u)
     sqrt_d = np.sqrt(g.weighted_degrees) if weighted else None
 
     def measure(vec: np.ndarray) -> float:

@@ -16,13 +16,14 @@ With ``eps = 0`` it multiplies by A itself and is the global method
 ``eps > 0`` it multiplies by the pruned operator of
 :func:`resistor.kernels.amv` and is Lanczos Push (``lzpush``, see
 :mod:`resistor.push`).  Only v_{i-1}, v_i and the next product are
-kept at any time.  Its ``visit`` hook sees each basis vector together
-with the coefficients computed so far and may stop the run, so callers
-that need more than T work inside the one run: the potential factors
-I - T as T grows (the D-Lanczos form of Saad 2003, section 6.7.1), the
-spectrum estimator reads the extreme Ritz values off the leading blocks
-of T, and the locality statistics of :mod:`resistor.push` form each
-step's residual.
+kept at any time.  Its ``visit`` hook sees each basis vector (its
+support and the values on it, the dense n-vector at ``eps = 0``)
+together with the coefficients computed so far and may stop the run,
+so callers that need more than T work inside the one run: the
+potential factors I - T as T grows (the D-Lanczos form of Saad 2003,
+section 6.7.1), the spectrum estimator reads the extreme Ritz values
+off the leading blocks of T, and the locality statistics of
+:mod:`resistor.push` form each step's residual.
 Every run returns one :class:`LanczosRun` record, and ``lz``,
 ``lzpush`` and the trace of :mod:`resistor.push` build their estimates
 on it along one path.
@@ -35,19 +36,21 @@ into the buffer of v_{i-2} and make the u_1 projections and the
 alpha/beta subtractions through the scratch vector, so a dense step
 allocates no vector but the bool mask of its support.
 
-A pruned run (``eps > 0``) carries each iterate as its sorted support
-and the values on it (:class:`_PrunedIterates`).  It keeps the values on
-S_i as the S_{i-1} values of the next step, projects u_1 out of the
-pruned product's compact values and then scatters them once into a
-zeroed accumulator, where the subtractions land; the new support's
+A pruned run (``eps > 0``) carries each iterate only as its sorted
+support and the values on it (:class:`_PrunedIterates`).  It keeps the
+values on S_i as the S_{i-1} values of the next step, projects u_1 out
+of the pruned product's compact values and then scatters them once into
+a zeroed accumulator, where the subtractions land; the new support's
 values are read back, the accumulator is zeroed again on the entries
 the step wrote, and the second projection and the normalization run on
-the compact values.  The accumulator and a dense copy of v_i (for the
-``visit`` hook and the first row) are n-vectors from the graph's free
-list of zeroed vectors (``Graph.scratch_vectors``), given back zeroed
-on their support only, so a query does no O(n) work once the list holds
-them.  The pruned run gives the same T, first row and work counters, to
-the bit, as one with dense iterates.
+the compact values.  The accumulator, in which the pruned product sums
+its arcs too, is the run's one n-vector.  It comes from the graph's
+free list of zeroed vectors (``Graph.scratch_vectors``) and goes back
+zeroed on the entries written only, so a query does no O(n) work once
+the list holds it.  The ``visit`` hook gets the compact arrays, and the
+first row and the override values are read off them by binary search
+(``values_at``).  The pruned run gives the same T, first row and work
+counters, to the bit, as one with dense iterates.
 
 Every inner product goes through :func:`resistor.kernels._dot`, so T
 does not depend on the BLAS thread count.
@@ -62,7 +65,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .baselines import RDEstimate, _check_pair
-from .graph import Graph, _sorted_unique
+from .graph import Graph, _check_vertex, _sorted_unique
 from .kernels import (
     SparseVector,
     TridiagonalMatrix,
@@ -123,7 +126,8 @@ class LanczosRun:
     latter max_u |delta_i(u)| / d_u for the recurrence residual delta_i.
 
     ``vectors`` holds the basis vectors v_1, v_2, ... as
-    :class:`SparseVector` objects, kept only by
+    :class:`SparseVector` objects (at eps > 0 the compact arrays the run
+    carried, copied), kept only by
     :func:`resistor.push.subset_recurrence_trace`, and ``estimate`` the
     resistance estimate built on the run.  A query with s == t does no
     work: its run has ``k_effective`` 0 and estimate 0.
@@ -166,15 +170,6 @@ def lanczos_iteration_bound(kappa: float, eps: float) -> int:
     return max(1, math.ceil(math.sqrt(kappa) * math.log(kappa / eps)))
 
 
-def _subtract(w: np.ndarray, supp, c: float, x: np.ndarray, scratch) -> None:
-    """``w -= c * x`` on ``supp``, in place; a dense ``supp`` forms c * x
-    in ``scratch`` (which may be ``x`` itself)."""
-    if supp is _DENSE:
-        np.subtract(w, np.multiply(x, c, out=scratch), out=w)
-    else:
-        w[supp] -= c * x[supp]
-
-
 def _project_u1(w: np.ndarray, sqrt_d: np.ndarray, u1_norm_sq: float, scratch) -> int:
     """Project u_1 ~ D^{1/2} 1 out of the dense vector w over its nonzero
     support, in place.
@@ -198,7 +193,7 @@ def _project_u1(w: np.ndarray, sqrt_d: np.ndarray, u1_norm_sq: float, scratch) -
         sd = np.multiply(scratch, sqrt_d, out=scratch)
         norm_sq = _dot(sd, sd)
     if size:
-        _subtract(w, _DENSE, _dot(sd, w) / norm_sq, sd, scratch)
+        np.subtract(w, np.multiply(sd, _dot(sd, w) / norm_sq, out=scratch), out=w)
     return size
 
 
@@ -223,8 +218,7 @@ class _DenseIterates:
     Owns the workspace of the module docstring: three n-vectors that take
     turns as v_{i-1}, v_i and the next product, one n-vector of scratch
     and one 2m-vector for the product's arc gather.  ``supp`` is always
-    ``_DENSE``; a significant set given by ``s_overrides`` is an index
-    array.
+    ``_DENSE`` and ``val`` the n-vector of v_i; S_i is all of v_i.
     """
 
     pruned = False
@@ -234,36 +228,38 @@ class _DenseIterates:
         self.g, self.deflate = g, deflate
         self.u1_norm_sq = _dot(g.sqrt_degrees, g.sqrt_degrees) if deflate else None
         self.scratch, self.gather = np.empty(n), np.empty(len(g.neighbors))
-        self.spare, self.v_prev, self.v = np.zeros(n), np.zeros(n), np.zeros(n)
-        self.v[v1.idx] = v1.val
+        self.spare, self.val_prev, self.val = np.zeros(n), np.zeros(n), np.zeros(n)
+        self.val[v1.idx] = v1.val
         self.supp, self.size = _DENSE, len(v1.idx)
-        self.s_prev = v1.idx[:0]
+
+    def values_at(self, idx: np.ndarray) -> np.ndarray:
+        """v_i on the sorted vertex ids ``idx``; a view when ``idx`` is
+        every vertex."""
+        return self.val if len(idx) == len(self.val) else self.val[idx]
 
     def step(self, run: LanczosRun, beta: float, s_cur) -> tuple:
         """One step from v_i: ``(alpha_i, beta_{i+1})``, with the work
-        counted on ``run``; ``s_cur`` is S_i, or None for all of v_i."""
-        g, v, w, scratch = self.g, self.v, self.spare, self.scratch
-        if s_cur is None:
-            s_cur = _DENSE
-        run.subset_sizes.append(self.size if s_cur is _DENSE else len(s_cur))
+        counted on ``run``.  ``s_cur`` is None: :func:`run_recurrence`
+        refuses significant-set overrides at eps = 0."""
+        g, v, w, scratch = self.g, self.val, self.spare, self.scratch
+        run.subset_sizes.append(self.size)
         _adjacency_into(g, v, w, scratch, self.gather)
         run.edges_relaxed.append(2 * g.edge_count)
         if self.deflate:
             # alpha comes from the deflated product
             run.extra_ops += _project_u1(w, g.sqrt_degrees, self.u1_norm_sq, scratch)
         if beta != 0.0:
-            _subtract(w, self.s_prev, beta, self.v_prev, scratch)
+            np.subtract(w, np.multiply(self.val_prev, beta, out=scratch), out=w)
             run.extra_ops += run.subset_sizes[-2]
         alpha = _dot(w, v)
-        _subtract(w, s_cur, alpha, v, scratch)
+        np.subtract(w, np.multiply(v, alpha, out=scratch), out=w)
         run.extra_ops += run.support_sizes[-1] + run.subset_sizes[-1]
         if self.deflate:
-            # the S_i-restricted subtractions put u_1 mass back
+            # the subtractions put back the u_1 mass of rounding
             self.size_w = _project_u1(w, g.sqrt_degrees, self.u1_norm_sq, scratch)
             run.extra_ops += self.size_w
         else:
             self.size_w = int(np.count_nonzero(w))
-        self.s_cur = s_cur
         return alpha, math.sqrt(_dot(w, w))
 
     def advance(self, beta_next: float) -> None:
@@ -271,8 +267,8 @@ class _DenseIterates:
         of v_{i-1}, which the next product overwrites whole."""
         w = self.spare
         w /= beta_next
-        self.spare, self.v_prev, self.v = self.v_prev, self.v, w
-        self.s_prev, self.size = self.s_cur, self.size_w
+        self.spare, self.val_prev, self.val = self.val_prev, self.val, w
+        self.size = self.size_w
 
     def release(self) -> None:
         pass
@@ -283,27 +279,33 @@ class _PrunedIterates:
 
     v_i is its sorted support ``supp`` with the values ``val`` on it and
     ``sd``, the square-rooted degrees there, which the next pruned product
-    reuses.  The values on S_i are kept as the S_{i-1} values of the next
-    step, so no subtraction gathers from a basis vector.  Two n-vectors
-    come from the graph's free list (``Graph.scratch_vectors``): the
-    accumulator each step sums w in, zeroed again on the entries the step
-    wrote, and ``v``, a dense copy of v_i for the ``visit`` hook, the
-    first row and ``s_overrides``.  :meth:`release` gives both back
-    zeroed; a run that raises drops them.  Every step costs
-    O(support log support), the log from sorting the union of the
-    supports, and no step or query does O(n) work.
+    reuses; no dense copy of it exists.  The values on S_i are kept as the
+    S_{i-1} values of the next step, so no subtraction gathers from a
+    basis vector.  One n-vector comes from the graph's free list
+    (``Graph.scratch_vectors``): the accumulator in which the pruned
+    product sums its arcs and then each step sums w, zeroed again on the
+    entries it wrote.  :meth:`release` gives it back zeroed; a run that
+    raises drops it.  Every step costs O(support log support), the log
+    from sorting the union of the supports, and no step or query does
+    O(n) work.
     """
 
     def __init__(self, g: Graph, v1: SparseVector, eps: float, deflate: bool):
         self.g, self.eps, self.deflate = g, eps, deflate
-        self.acc, self.v = _take_zeroed(g), _take_zeroed(g)
+        self.acc = _take_zeroed(g)
         self.supp, self.val, self.size = v1.idx, v1.val, len(v1.idx)
         self.sd = g.sqrt_degrees[self.supp]
-        self.v[self.supp] = self.val
         self.s_prev, self.s_prev_val = self.supp[:0], self.val[:0]
         # whether any step so far skipped an arc or had S_i smaller than
         # its support
         self.pruned = False
+
+    def values_at(self, idx: np.ndarray) -> np.ndarray:
+        """v_i on the sorted vertex ids ``idx``, 0.0 off its support,
+        which must not be empty (no step leaves it so)."""
+        supp = self.supp
+        pos = np.minimum(np.searchsorted(supp, idx), len(supp) - 1)
+        return np.where(supp[pos] == idx, self.val[pos], 0.0)
 
     def step(self, run: LanczosRun, beta: float, s_cur) -> tuple:
         """One step from v_i: ``(alpha_i, beta_{i+1})``, with the work
@@ -314,9 +316,9 @@ class _PrunedIterates:
             keep = significant(g, supp, val, self.eps)
             s_cur, s_val = supp[keep], val[keep]
         else:
-            s_val = self.v[s_cur]
+            s_val = self.values_at(s_cur)
         run.subset_sizes.append(len(s_cur))
-        prod_supp, prod_val, relaxed = relax_arcs(g, supp, val, self.sd, self.eps)
+        prod_supp, prod_val, relaxed = relax_arcs(g, supp, val, self.sd, self.eps, acc)
         run.edges_relaxed.append(relaxed)
         if not self.pruned:
             arcs = int((g.offsets[supp + 1] - g.offsets[supp]).sum())
@@ -346,20 +348,23 @@ class _PrunedIterates:
         return alpha, math.sqrt(_dot(w, w))
 
     def advance(self, beta_next: float) -> None:
-        """Normalize the last step's w into v_{i+1} and move its values
-        into the dense copy."""
+        """Normalize the last step's w into v_{i+1}."""
         supp_w, w, sd, s_cur, s_val = self.pending
         w /= beta_next
-        self.v[self.supp] = 0.0
-        self.v[supp_w] = w
         self.s_prev, self.s_prev_val = s_cur, s_val
         self.supp, self.val, self.sd, self.size = supp_w, w, sd, len(supp_w)
 
     def release(self) -> None:
-        """Give the accumulator and the zeroed dense copy back to the
-        graph's free list."""
-        self.v[self.supp] = 0.0
-        _give_back(self.g, self.acc, self.v)
+        """Give the zeroed accumulator back to the graph's free list."""
+        _give_back(self.g, self.acc)
+
+
+def _check_ids(g: Graph, ids: np.ndarray) -> None:
+    """Raise IndexError unless the ascending vertex ids ``ids`` are all
+    in [0, n): only the two ends need testing."""
+    if len(ids):
+        _check_vertex(g, int(ids[0]))
+        _check_vertex(g, int(ids[-1]))
 
 
 def run_recurrence(
@@ -384,14 +389,16 @@ def run_recurrence(
     orthogonal to u_1; a v1 with a u_1 component runs unprojected.
 
     ``s_overrides`` maps an iteration number (1-based) to the significant
-    set to use at that iteration instead of the threshold rule.
-    ``visit(i, supp, v, alphas, betas)`` is called with every basis vector
-    v_i as it is formed (i starting at 1): ``v`` is a dense n-vector,
-    ``supp`` its support (an index array, or ``slice(None)`` at eps = 0),
-    and the lists ``alphas`` and ``betas`` hold alpha_1..alpha_{i-1} and
-    beta_2..beta_i.  Callers must not mutate or keep any of them.  A true
-    return for i > 1 stops the run before step i, with the result that
-    ``k = i - 1`` would have given.
+    set to use at that iteration instead of the threshold rule; it needs
+    eps > 0 (ValueError otherwise), and an id outside [0, n) raises
+    IndexError.  ``visit(i, supp, val, alphas, betas)`` is called with
+    every basis vector v_i as it is formed (i starting at 1): at eps > 0
+    ``supp`` is its strictly ascending support and ``val`` the values on
+    it; at eps = 0 ``supp`` is ``slice(None)`` and ``val`` the dense
+    n-vector.  The lists ``alphas`` and ``betas`` hold
+    alpha_1..alpha_{i-1} and beta_2..beta_i.  Callers must not mutate or
+    keep any of them.  A true return for i > 1 stops the run before step
+    i, with the result that ``k = i - 1`` would have given.
 
     Returns the :class:`LanczosRun` of the run: T with alpha_1..alpha_k
     and beta_2..beta_k for k = ``k_effective``, the products v_1^T v_j
@@ -401,30 +408,33 @@ def run_recurrence(
     through the run's workspace (the module docstring lists it).  At
     eps > 0 they are compact index and value arrays
     (:class:`_PrunedIterates`): every step costs O(support log support),
-    the log from sorting the union of the supports, and the run's two
-    n-vectors come zeroed from the graph's free list, so a query does no
+    the log from sorting the union of the supports, and the run's one
+    n-vector comes zeroed from the graph's free list, so a query does no
     O(n) work.
     """
     n = g.node_count
+    if s_overrides and eps == 0.0:
+        # a dense run has no significant set to replace, and its estimate
+        # reads the first row as that of an orthonormal basis
+        raise ValueError("significant-set overrides need eps > 0")
     deflate = _orthogonal_to_u1(g.sqrt_degrees, v1)
     if eps == 0.0:
         it = _DenseIterates(g, v1, deflate)
     else:
         it = _PrunedIterates(g, v1, eps, deflate)
-    # a sorted support of n entries is all of v: read v_j there by view
-    v1_supp = _DENSE if len(v1.idx) == n else v1.idx
     beta = 0.0
     alphas: list = []
     betas: list = []
     first_row = [_dot(v1.val, v1.val)]
     run = LanczosRun(n=n)
     if visit is not None:
-        visit(1, it.supp, it.v, alphas, betas)
+        visit(1, it.supp, it.val, alphas, betas)
     for i in range(1, k + 1):
         run.support_sizes.append(it.size)
         s_cur = None
         if s_overrides is not None and i in s_overrides:
             s_cur = _sorted_unique(np.asarray(list(s_overrides[i]), dtype=np.int64))
+            _check_ids(g, s_cur)
         alpha, beta_next = it.step(run, beta, s_cur)
         run.touched_edges += run.edges_relaxed[-1]
         alphas.append(alpha)
@@ -436,10 +446,10 @@ def run_recurrence(
         betas.append(beta_next)
         it.advance(beta_next)
         beta = beta_next
-        if visit is not None and visit(i + 1, it.supp, it.v, alphas, betas):
+        if visit is not None and visit(i + 1, it.supp, it.val, alphas, betas):
             betas.pop()
             break
-        first_row.append(_dot(v1.val, it.v[v1_supp]))
+        first_row.append(_dot(v1.val, it.values_at(v1.idx)))
     it.release()
     run.pruned = it.pruned
     run.peak_support = max(run.support_sizes)

@@ -67,7 +67,7 @@ from .kernels import (
     chebyshev_walk_norms,
     tridiag_eigen_range,
 )
-from .lanczos import LanczosRun, _estimate
+from .lanczos import LanczosRun, _check_ids, _estimate
 
 __all__ = [
     "PushConfig",
@@ -154,7 +154,8 @@ class _LocalityHook:
     1 + A 1 formed once per run, each term costs O(support).  The
     residual of step i, beta_{i+1} v_{i+1} - (A v_i - alpha_i v_i -
     beta_i v_{i-1}), is formed when v_{i+1} arrives, from the kept
-    v_{i-1}, v_i and A v_i: one dense product per step.  Installed on a
+    v_{i-1}, v_i and A v_i: one dense vector, scattered from the compact
+    values, and one dense product per step.  Installed on a
     run of k + 1 steps, it stops the run at v_{k+1}, the last vector the
     residual of step k needs.
     """
@@ -167,15 +168,17 @@ class _LocalityHook:
         self.c2_terms: list = []
         self.delta_degree_ratios: list = []
 
-    def __call__(self, i: int, supp, v: np.ndarray, alphas, betas) -> bool:
+    def __call__(self, i: int, supp, val: np.ndarray, alphas, betas) -> bool:
+        v = np.zeros(self.g.node_count)
+        v[supp] = val
         if i > 1:
             beta = betas[-2] if len(betas) > 1 else 0.0
             self._residual(betas[-1] * v, alphas[-1], beta)
         if i > self.k:
             return True
-        self.c2_terms.append(_dot(np.abs(v[supp]), self.weight[supp]))
-        self.v_prev, self.v = self.v, v.copy()
-        self.av = apply_normalized_adjacency(self.g, self.v)
+        self.c2_terms.append(_dot(np.abs(val), self.weight[supp]))
+        self.v_prev, self.v = self.v, v
+        self.av = apply_normalized_adjacency(self.g, v)
         return False
 
     def _residual(self, w, alpha: float, beta: float) -> None:
@@ -215,25 +218,45 @@ def subset_recurrence_trace(
     as given (a ``v1`` with a u_1 component runs without the u_1
     projection, so its recurrence is the plain pruned one), and
     ``s_overrides`` maps an iteration number (1-based) to the significant
-    set to use at that iteration instead of the threshold rule.  Together
-    they allow replaying a recurrence from any recorded intermediate
-    state.
+    set to use at that iteration instead of the threshold rule (eps > 0
+    only).  Together they allow replaying a recurrence from any recorded
+    intermediate state.  A ``v1`` or an override set with an id outside
+    [0, n) raises IndexError; a ``v1`` of another dimension, with
+    indices not strictly ascending or of norm 0, and overrides at
+    eps = 0, raise ValueError.
     """
-    if v1 is not None and not isinstance(v1, SparseVector):
-        v1 = SparseVector.from_mapping(v1, g.node_count)
+    if v1 is not None:
+        if not isinstance(v1, SparseVector):
+            v1 = SparseVector.from_mapping(v1, g.node_count)
+        _check_start(g, v1)
     vectors = []
 
-    def keep(i: int, supp, v: np.ndarray, alphas, betas) -> None:
+    def keep(i: int, supp, val: np.ndarray, alphas, betas) -> None:
         if isinstance(supp, slice):
-            vectors.append(SparseVector.from_dense(v))
+            vectors.append(SparseVector.from_dense(val))
         else:
-            vectors.append(SparseVector(supp, v[supp], g.node_count))
+            vectors.append(SparseVector(supp, val.copy(), g.node_count))
 
     _, run = _estimate(
         g, s, t, k, eps, "lzpush", v1, s_overrides=s_overrides, visit=keep
     )
     run.vectors = vectors
     return run
+
+
+def _check_start(g: Graph, v1: SparseVector) -> None:
+    """Raise unless ``v1`` is a nonzero vector on the vertices of ``g``
+    with strictly ascending indices."""
+    if v1.dim != g.node_count:
+        raise ValueError(
+            f"start vector of dimension {v1.dim} does not match graph "
+            f"with n={g.node_count}"
+        )
+    if np.any(np.diff(v1.idx) <= 0):
+        raise ValueError("start vector indices must be strictly ascending")
+    _check_ids(g, v1.idx)
+    if not _dot(v1.val, v1.val) > 0.0:
+        raise ValueError("start vector must have a nonzero norm")
 
 
 def check_assumption(

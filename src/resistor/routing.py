@@ -299,9 +299,10 @@ def route_metrics(
     """Stretch, diversity, and deletion robustness of a route set.
 
     Robustness deletes each edge independently with probability
-    ``p_delete`` in each of ``trials`` Monte Carlo rounds (per-round
-    substreams spawned from ``seed``) and reports the fraction of rounds
-    in which at least one route survives intact.
+    ``p_delete`` in each of ``trials`` Monte Carlo rounds (drawn one
+    after another from one generator seeded with ``seed``, so round i does
+    not depend on ``trials``) and reports the fraction of rounds in which
+    at least one route survives intact.
     """
     _check_pair(g, s, t)
     routes = list(routes)
@@ -334,10 +335,7 @@ def route_metrics(
     on_route = np.zeros((len(edge_pool), len(routes)), dtype=bool)
     for i, r in enumerate(routes):
         on_route[[edge_pos[e] for e in r.edges], i] = True
-    children = np.random.SeedSequence(seed).spawn(trials)
-    deleted = np.array(
-        [np.random.default_rng(c).random(len(edge_pool)) < p_delete for c in children]
-    )
+    deleted = np.random.default_rng(seed).random((trials, len(edge_pool))) < p_delete
     # hit[i, r]: round i deleted at least one edge of route r
     hit = deleted @ on_route
     survived = int(np.count_nonzero(~hit.all(axis=1)))

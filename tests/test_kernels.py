@@ -446,6 +446,70 @@ def test_no_hash_path_unique_in_the_package():
     assert found == {}
 
 
+# the free list of zeroed n-vectors and its two helpers
+_FREE_LIST_NAMES = {"scratch_vectors", "_take_zeroed", "_give_back"}
+
+
+def _free_list_uses(source: str, defines_the_cache: bool = False) -> list:
+    """Line numbers of the names, attributes, imports and string constants
+    in ``source`` that name the free list or its helpers.  With
+    ``defines_the_cache`` the cached property ``Graph.scratch_vectors`` and
+    the ``Graph.__getstate__`` that leaves it out of a pickle are skipped."""
+    tree = ast.parse(source)
+    if defines_the_cache:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and node.name == "Graph":
+                node.body = [
+                    b for b in node.body
+                    if getattr(b, "name", None) not in ("scratch_vectors", "__getstate__")
+                ]
+    lines = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            name = node.value
+        else:
+            continue
+        if name in _FREE_LIST_NAMES:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_only_the_pruned_step_touches_the_free_list():
+    # a vector given back dirty corrupts every later query on its graph
+    # without an error, so the free list stays within the two modules whose
+    # tests check that it comes back zeroed
+    package = Path(R.__file__).parent
+    found = {
+        path.name: lines
+        for path in sorted(package.glob("*.py"))
+        if path.name not in ("kernels.py", "lanczos.py")
+        if (lines := _free_list_uses(path.read_text(), path.name == "graph.py"))
+    }
+    assert found == {}
+
+
+def test_free_list_tripwire_flags_every_way_of_naming_it():
+    source = (
+        "from .kernels import _take_zeroed as take\n"
+        "acc = g.scratch_vectors.pop()\n"
+        "_give_back(g, acc)\n"
+        "getattr(g, 'scratch_vectors')\n"
+        "class Graph:\n"
+        "    def scratch_vectors(self):\n"
+        "        return []\n"
+        "    def __getstate__(self):\n"
+        "        return {'scratch_vectors': None}\n"
+    )
+    assert _free_list_uses(source) == [1, 2, 3, 4, 9]
+    assert _free_list_uses(source, defines_the_cache=True) == [1, 2, 3, 4]
+
+
 # ---------------------------------------------------------------------------
 # SparseVector
 # ---------------------------------------------------------------------------

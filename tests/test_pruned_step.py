@@ -1,8 +1,8 @@
 """Tests for the compact pruned Lanczos step (eps > 0).
 
-The step carries each iterate as its sorted support and values, sums the
-pruned product in a zeroed n-vector of the graph's free list and takes
-its run's n-vectors from that list too.  ``_reference_recurrence`` below
+The step carries each iterate only as its sorted support and values, and
+sums the pruned product and then w in one zeroed n-vector that it takes
+from the graph's free list.  ``_reference_recurrence`` below
 is a frozen copy of the former step, which kept every iterate in a dense
 n-vector and summed the product through ``np.unique`` and ``bincount``;
 the new step must match it byte for byte.
@@ -69,7 +69,7 @@ def _reference_recurrence(g, v1, k, eps=0.0, s_overrides=None, visit=None):
     alphas, betas, first_row = [], [], [_dot(v1.val, v1.val)]
     run = LanczosRun(n=n)
     if visit is not None:
-        visit(1, supp, v, alphas, betas)
+        visit(1, supp, v[supp], alphas, betas)
     for i in range(1, k + 1):
         run.support_sizes.append(size)
         v_supp = v[supp]
@@ -110,7 +110,7 @@ def _reference_recurrence(g, v1, k, eps=0.0, s_overrides=None, visit=None):
         v_prev, supp_prev, s_prev = v, supp, s_cur
         v, supp, size = w, supp_w, len(supp_w)
         beta = beta_next
-        if visit is not None and visit(i + 1, supp, v, alphas, betas):
+        if visit is not None and visit(i + 1, supp, v[supp], alphas, betas):
             betas.pop()
             break
         first_row.append(_dot(v1.val, v[v1.idx]))
@@ -199,16 +199,18 @@ def test_amv_is_the_reference_product():
 
 
 def test_push_query_allocates_no_vector():
-    # after one warm-up query the run's accumulator and dense copy and the
-    # product's accumulator come from the graph's free list, and the query
-    # hands the same vectors back.  What it allocates scales with the arcs
-    # it gathers (about 75 bytes each, up to ~2500 arcs a step here), not
-    # with n: its peak stays below one float n-vector, where the dense
-    # iterates took three (24n bytes) and peaked at about 35n.
+    # the first query of a fresh graph leaves one zeroed vector on its free
+    # list: the run's accumulator, which the pruned product sums in too.
+    # Later queries take and hand back that same vector.  What a query
+    # allocates scales with the arcs it gathers (about 75 bytes each, up to
+    # ~2500 arcs a step here), not with n: its peak stays below one float
+    # n-vector, where the dense iterates took three (24n bytes) and peaked
+    # at about 35n.
     g = R.generate_ba(50000, 5, 3)
     n = g.node_count
     cfg = R.PushConfig(k=20, epsilon=5e-3)
     R.lanczos_push_rd(g, 17, 41234, cfg)
+    assert len(g.scratch_vectors) == 1 and not g.scratch_vectors[0].any()
     pool = {id(v) for v in g.scratch_vectors}
     tracemalloc.start()
     try:
@@ -237,6 +239,50 @@ def test_a_raising_hook_leaves_no_dirty_vector():
     assert all(not v.any() for v in g.scratch_vectors)
     again = lanczos_mod.run_recurrence(g, v1, 15, 1e-3)
     _assert_same_run(again, clean)
+
+
+def test_the_hook_sees_the_compact_iterate():
+    # at eps > 0 the hook gets the strictly ascending support and the
+    # values on it, the very arrays of the trace; at eps = 0 the dense
+    # n-vector with slice(None)
+    g = R.generate_ba(3000, 5, 21)
+    v1 = definitional_start(g, 3, 2900)
+    for eps in (5e-3, 1e-3, 0.0):
+        seen = []
+
+        def hook(i, supp, val, alphas, betas):
+            if eps > 0.0:
+                assert len(val) == len(supp)
+                assert np.all(np.diff(supp) > 0)
+                seen.append((supp.tobytes(), val.tobytes()))
+            else:
+                assert supp == slice(None) and val.shape == (g.node_count,)
+                seen.append(val.copy())
+
+        lanczos_mod.run_recurrence(g, v1, 15, eps, visit=hook)
+        trace = R.subset_recurrence_trace(g, 3, 2900, 15, eps)
+        assert len(seen) == len(trace.vectors) == 15
+        for got, vec in zip(seen, trace.vectors):
+            if eps > 0.0:
+                assert got == (vec.idx.tobytes(), vec.val.tobytes())
+            else:
+                assert got.tobytes() == vec.to_dense().tobytes()
+
+
+def test_overrides_at_zero_eps_raise():
+    # the dense run has no significant set to replace, and its estimate
+    # reads y[0] as if the basis were orthonormal: an override there gave
+    # 0.38662 where the first-row form reads 0.39178
+    g = R.generate_ba(300, 3, 1)
+    overrides = {2: [5, 200]}
+    with pytest.raises(ValueError, match="eps > 0"):
+        lanczos_mod.run_recurrence(g, definitional_start(g, 5, 200), 10, 0.0, overrides)
+    with pytest.raises(ValueError, match="eps > 0"):
+        R.subset_recurrence_trace(g, 5, 200, 10, 0.0, s_overrides=overrides)
+    # no override is no override
+    empty = R.subset_recurrence_trace(g, 5, 200, 10, 0.0, s_overrides={})
+    plain = R.subset_recurrence_trace(g, 5, 200, 10, 0.0)
+    _assert_same_run(empty, plain)
 
 
 def test_the_free_list_is_not_pickled():

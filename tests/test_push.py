@@ -326,6 +326,36 @@ def test_trace_validates_arguments(toy):
         R.subset_recurrence_trace(toy, 0, 3, 2, -0.5)
 
 
+def _ba300_start(idx, dim=300):
+    return SparseVector(np.array(idx), np.full(len(idx), 0.5), dim)
+
+
+@pytest.mark.parametrize(
+    "replay, error, message",
+    [
+        ({"v1": _ba300_start([-2, 5])}, IndexError, "vertex -2 out of range"),
+        ({"v1": {-1: 0.5, 5: 0.5}}, IndexError, "vertex -1 out of range"),
+        ({"s_overrides": {6: [-1]}}, IndexError, "vertex -1 out of range"),
+        ({"s_overrides": {3: [5, 305]}}, IndexError, "vertex 305 out of range"),
+        ({"v1": _ba300_start([2, 5], dim=10)}, ValueError, "dimension 10"),
+        ({"v1": _ba300_start([7, 5])}, ValueError, "strictly ascending"),
+        ({"v1": _ba300_start([5, 5])}, ValueError, "strictly ascending"),
+        ({"v1": {}}, ValueError, "nonzero norm"),
+    ],
+    ids=[
+        "v1-negative-id", "v1-mapping-negative-id", "override-negative-id",
+        "override-id-past-n", "v1-wrong-dim", "v1-unsorted", "v1-repeat",
+        "v1-empty",
+    ],
+)
+def test_trace_rejects_replay_inputs_outside_the_graph(replay, error, message):
+    # each of these ran to a number (or wrapped to vertex n - 1, or died in
+    # numpy) before the replay inputs were checked
+    g = R.generate_ba(300, 3, 1)
+    with pytest.raises(error, match=message):
+        R.subset_recurrence_trace(g, 5, 200, 10, 1e-3, **replay)
+
+
 def _count_dense_products(monkeypatch) -> list:
     # every dense product the recurrence or the push hooks make: the
     # recurrence calls the workspace product, the hooks the public one

@@ -139,13 +139,15 @@ def _reference_extract(g, s, t, k, l):
 
 
 def _reference_survivals(routes, p_delete, trials, seed):
-    """Rounds in which some route survives, one round at a time."""
+    """Rounds in which some route survives, one round at a time, each
+    drawn in turn from one generator seeded with ``seed``."""
     edge_pool = sorted(set().union(*(r.edges for r in routes)))
     edge_pos = {e: i for i, e in enumerate(edge_pool)}
     masks = [np.array([edge_pos[e] for e in r.edges]) for r in routes]
+    rng = np.random.default_rng(seed)
     survived = 0
-    for child in np.random.SeedSequence(seed).spawn(trials):
-        deleted = np.random.default_rng(child).random(len(edge_pool)) < p_delete
+    for _ in range(trials):
+        deleted = rng.random(len(edge_pool)) < p_delete
         survived += any(not deleted[m].any() for m in masks)
     return survived
 
