@@ -1,0 +1,176 @@
+#!/usr/bin/env python3
+"""Alternating A/B timing of two ``resistor`` source trees in one process.
+
+    python scripts/ab_inprocess.py PARENT_SRC CHANGE_SRC --out BENCH.json \\
+        --parent-commit abc123 --change-commit def456
+
+``PARENT_SRC`` and ``CHANGE_SRC`` are directories holding a ``resistor``
+package (a checkout's ``src``).  Each package is copied to a temporary
+directory as ``resistor_parent`` and ``resistor_change`` (the package
+imports itself only relatively, so a renamed copy works), and both are
+imported into this process.  Every round times each row once on each
+side, and the side that goes first alternates from round to round, so a
+drift of the host's speed falls on both alike.  Separate processes of
+the benchmark cannot resolve a move of a few percent on the small dense
+workloads; alternating in one process can.
+
+The rows, each built once per side on that side's own graph:
+
+- ``lanczos_rd`` (k = 20) on ``generate_er(50_000, 250_000, 1)``, over
+  20 seeded pairs;
+- ``lanczos_potential`` (k = 200) on the 80 x 80 lattice with 10% of its
+  edges cut and 8000 two-vertex fragments, read through
+  ``load_edge_list`` (the grid-route graph of the benchmark), over 20
+  seeded pairs;
+- ``estimate_spectrum`` on the same lattice.
+
+A sample is the wall time of one row on one side in one round, after
+one untimed warm-up of each.  Each row reports the median and quartiles
+of each side's samples in seconds, the ratio of the medians
+(change / parent) and the rounds the change won.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib
+import json
+import os
+import platform
+import shutil
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+import numpy as np
+
+ER_N, ER_M, ER_SEED, ER_K = 50_000, 250_000, 1, 20
+GRID_SIDE, GRID_DELETE, GRID_FRAGMENTS, GRID_SEED, GRID_K = 80, 0.1, 8000, 1, 200
+PAIRS, PAIR_SEED = 20, 3
+SIDES = ("parent", "change")
+
+
+def grid_edges(side: int, delete: float, fragments: int, rng) -> np.ndarray:
+    """Lattice edges with a ``delete`` share removed, plus disjoint
+    two-vertex fragments labelled after the lattice, in shuffled order;
+    the same edges, for the same generator state, as the grid-route
+    workload of ``benchmark/workloads.py``."""
+    idx = np.arange(side * side).reshape(side, side)
+    lattice = np.concatenate([
+        np.stack([idx[:, :-1].ravel(), idx[:, 1:].ravel()], axis=1),
+        np.stack([idx[:-1, :].ravel(), idx[1:, :].ravel()], axis=1),
+    ])
+    lattice = lattice[rng.random(len(lattice)) >= delete]
+    frag = side * side + np.arange(2 * fragments).reshape(fragments, 2)
+    edges = np.concatenate([lattice, frag])
+    return edges[rng.permutation(len(edges))]
+
+
+def import_copy(src: Path, name: str, into: Path):
+    """Import the ``resistor`` package under ``src`` as module ``name``."""
+    shutil.copytree(src / "resistor", into / name,
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    return importlib.import_module(name)
+
+
+def pairs(n: int) -> list:
+    return np.random.default_rng(PAIR_SEED).choice(n, size=(PAIRS, 2), replace=False).tolist()
+
+
+def make_rows(pkg, grid_path: Path) -> dict:
+    """The three timed calls of one side, as closures over its graphs."""
+    er = pkg.generate_er(ER_N, ER_M, ER_SEED)
+    grid = pkg.load_edge_list(grid_path)
+    er_pairs, grid_pairs = pairs(er.node_count), pairs(grid.node_count)
+
+    def lz():
+        for s, t in er_pairs:
+            pkg.lanczos_rd(er, s, t, ER_K)
+
+    def potential():
+        for s, t in grid_pairs:
+            pkg.lanczos_potential(grid, s, t, GRID_K)
+
+    def spectrum():
+        pkg.estimate_spectrum(grid)
+
+    return {"lanczos_rd er50k k20": lz, "lanczos_potential grid k200": potential,
+            "estimate_spectrum grid": spectrum}
+
+
+def quartiles(xs: list) -> dict:
+    q1, med, q3 = statistics.quantiles(xs, n=4, method="inclusive")
+    return {"q1": q1, "median": med, "q3": q3}
+
+
+def main() -> None:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--rounds", type=int, default=20)
+    parser.add_argument("--parent-commit", default="unknown")
+    parser.add_argument("--change-commit", default="unknown")
+    args = parser.parse_args()
+    if args.rounds < 2:
+        parser.error("--rounds must be >= 2")
+
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        sys.path.insert(0, str(tmp))
+        grid_path = tmp / "grid.txt"
+        edges = grid_edges(GRID_SIDE, GRID_DELETE, GRID_FRAGMENTS, np.random.default_rng(GRID_SEED))
+        grid_path.write_text("".join(f"{a} {b}\n" for a, b in edges.tolist()))
+        rows = {
+            side: make_rows(import_copy(src, f"resistor_{side}", tmp), grid_path)
+            for side, src in zip(SIDES, (args.parent_src, args.change_src))
+        }
+    names = list(rows["parent"])
+    for side in SIDES:
+        for name in names:
+            rows[side][name]()  # warm-up: layouts and free lists are built
+    samples = {name: {side: [] for side in SIDES} for name in names}
+    for r in range(args.rounds):
+        order = SIDES if r % 2 == 0 else SIDES[::-1]
+        for name in names:
+            for side in order:
+                start = time.perf_counter()
+                rows[side][name]()
+                samples[name][side].append(time.perf_counter() - start)
+        print(f"round {r + 1}/{args.rounds}", file=sys.stderr, flush=True)
+
+    results = []
+    for name in names:
+        parent, change = samples[name]["parent"], samples[name]["change"]
+        row = {
+            "row": name,
+            "parent_s": quartiles(parent),
+            "change_s": quartiles(change),
+            "ratio": statistics.median(change) / statistics.median(parent),
+            "change_won": sum(c < p for p, c in zip(parent, change)),
+            "rounds": args.rounds,
+        }
+        print(json.dumps(row), flush=True)
+        results.append(row)
+    doc = {
+        "setup": {
+            "er": f"generate_er({ER_N}, {ER_M}, {ER_SEED}), k = {ER_K}",
+            "grid": (f"load_edge_list of grid_edges({GRID_SIDE}, {GRID_DELETE}, "
+                     f"{GRID_FRAGMENTS}, default_rng({GRID_SEED})), k = {GRID_K}"),
+            "pairs": f"{PAIRS} from np.random.default_rng({PAIR_SEED}).choice",
+            "host": platform.node(),
+            "nproc": os.cpu_count(),
+            "python": platform.python_version(),
+            "numpy": np.__version__,
+            "parent_commit": args.parent_commit,
+            "change_commit": args.change_commit,
+        },
+        "rows": results,
+    }
+    args.out.write_text(json.dumps(doc, indent=1) + "\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -235,10 +235,11 @@ def apply_lazy_walk(g: Graph, v: np.ndarray) -> np.ndarray:
     return 0.5 * (v + apply_transition(g, v))
 
 
-def _check_eps(eps: float) -> None:
-    """Raise ValueError unless the pruning threshold is finite and >= 0."""
+def _check_eps(eps: float, name: str = "eps") -> None:
+    """Raise ValueError unless the pruning threshold, or the tolerance
+    called ``name``, is finite and >= 0."""
     if not (math.isfinite(eps) and eps >= 0.0):
-        raise ValueError("eps must be finite and >= 0")
+        raise ValueError(f"{name} must be finite and >= 0")
 
 
 def _take_zeroed(g: Graph) -> np.ndarray:
@@ -407,8 +408,9 @@ def tridiag_eigen_range(t: TridiagonalMatrix, tol: float = 1e-10):
     tridiagonal matrix, via Sturm-sequence bisection.
 
     O(k) memory; each bisection step costs O(k).  ``tol`` is the absolute
-    bracket width at which bisection stops.
+    bracket width at which bisection stops; it must be finite and >= 0.
     """
+    _check_eps(tol, "tol")
     alpha = t.alpha
     beta = t.beta
     k = t.order

@@ -28,13 +28,17 @@ Every run returns one :class:`LanczosRun` record, and ``lz``,
 ``lzpush`` and the trace of :mod:`resistor.push` build their estimates
 on it along one path.
 
-A dense run (``eps = 0``) owns its workspace: three n-vectors that take
-turns as v_{i-1}, v_i and the next product, one n-vector of scratch and
-one 2m-vector for the product's arc gather
-(:func:`resistor.kernels._adjacency_into`).  Its steps write the product
-into the buffer of v_{i-2} and make the u_1 projections and the
-alpha/beta subtractions through the scratch vector, so a dense step
-allocates no vector but the bool mask of its support.
+A dense run (``eps = 0``) is plain Lanczos on A, deflated.  It owns its
+workspace: three n-vectors that take turns as v_{i-1}, v_i and the next
+product, one n-vector of scratch and one 2m-vector for the product's arc
+gather (:func:`resistor.kernels._adjacency_into`).  Its steps write the
+product into the buffer of v_{i-2} and make the alpha/beta subtractions
+and the one u_1 projection through the scratch vector, so a dense step
+allocates no vector but the bool mask of its support.  It forms no
+inner product with v_1: Gauss quadrature on T reads e_1 (Golub &
+Meurant, *Matrices, Moments and Quadrature*, 2010), however much
+orthogonality the computed basis has lost (Paige 1980), so its first
+row is (v_1^T v_1, 0, ..., 0).
 
 A pruned run (``eps > 0``) carries each iterate only as its sorted
 support and the values on it (:class:`_PrunedIterates`).  It keeps the
@@ -104,7 +108,9 @@ class LanczosRun:
 
     ``t`` is the tridiagonal matrix of the run, of order ``k_effective``,
     with ``alphas`` and ``betas`` views of its diagonal and off-diagonal;
-    ``first_row`` holds the products v_1^T v_j.  ``breakdown`` is set when
+    ``first_row`` holds the products v_1^T v_j of an eps > 0 run, which the
+    pruning makes nonzero past j = 1, and (v_1^T v_1, 0, ..., 0) at eps = 0,
+    where T alone decides the estimate.  ``breakdown`` is set when
     the recurrence ended early because the next off-diagonal fell below
     1e-14.  ``pruned`` is set when some step of an eps > 0 run skipped an
     arc or had S_i smaller than its support.  A breakdown of a run that
@@ -116,12 +122,12 @@ class LanczosRun:
     iteration i + 1 (every arc, 2m, at eps = 0); ``touched_edges`` is their
     total.  ``support_sizes`` and ``subset_sizes`` count the nonzero
     entries of v_i and the significant set S_i.  ``extra_ops`` counts the
-    O(support) bookkeeping (u_1 projections, subtractions and inner
-    products), kept separate from edge work.  ``c2_terms`` and
-    ``delta_degree_ratios`` stay empty here; the locality hook of
-    :func:`resistor.push.lanczos_push_rd` fills them, one entry per
-    iteration, when ``PushConfig.collect_stats`` is set, at one dense
-    product per step.  The former holds the 1-norm term
+    O(support) bookkeeping (u_1 projections, two a step at eps > 0 and one
+    at eps = 0, subtractions and inner products), kept separate from edge
+    work.  ``c2_terms`` and ``delta_degree_ratios`` stay empty here; the
+    locality hook of :func:`resistor.push.lanczos_push_rd` fills them, one
+    entry per iteration, when ``PushConfig.collect_stats`` is set, at one
+    dense product per step.  The former holds the 1-norm term
     ||v_i||_1 + ||A v_i^+||_1 + ||A v_i^-||_1 = <|v_i|, 1 + A 1>, the
     latter max_u |delta_i(u)| / d_u for the recurrence residual delta_i.
 
@@ -232,10 +238,10 @@ class _DenseIterates:
         self.val[v1.idx] = v1.val
         self.supp, self.size = _DENSE, len(v1.idx)
 
-    def values_at(self, idx: np.ndarray) -> np.ndarray:
-        """v_i on the sorted vertex ids ``idx``; a view when ``idx`` is
-        every vertex."""
-        return self.val if len(idx) == len(self.val) else self.val[idx]
+    def overlap(self, v1: SparseVector) -> float:
+        """v_1^T v_i for i > 1: zero, as in exact arithmetic, since T alone
+        decides the estimate of a dense run."""
+        return 0.0
 
     def step(self, run: LanczosRun, beta: float, s_cur) -> tuple:
         """One step from v_i: ``(alpha_i, beta_{i+1})``, with the work
@@ -245,9 +251,6 @@ class _DenseIterates:
         run.subset_sizes.append(self.size)
         _adjacency_into(g, v, w, scratch, self.gather)
         run.edges_relaxed.append(2 * g.edge_count)
-        if self.deflate:
-            # alpha comes from the deflated product
-            run.extra_ops += _project_u1(w, g.sqrt_degrees, self.u1_norm_sq, scratch)
         if beta != 0.0:
             np.subtract(w, np.multiply(self.val_prev, beta, out=scratch), out=w)
             run.extra_ops += run.subset_sizes[-2]
@@ -255,7 +258,7 @@ class _DenseIterates:
         np.subtract(w, np.multiply(v, alpha, out=scratch), out=w)
         run.extra_ops += run.support_sizes[-1] + run.subset_sizes[-1]
         if self.deflate:
-            # the subtractions put back the u_1 mass of rounding
+            # A keeps u_1^perp: only rounding put u_1 mass into w
             self.size_w = _project_u1(w, g.sqrt_degrees, self.u1_norm_sq, scratch)
             run.extra_ops += self.size_w
         else:
@@ -306,6 +309,10 @@ class _PrunedIterates:
         supp = self.supp
         pos = np.minimum(np.searchsorted(supp, idx), len(supp) - 1)
         return np.where(supp[pos] == idx, self.val[pos], 0.0)
+
+    def overlap(self, v1: SparseVector) -> float:
+        """v_1^T v_i, which the pruning makes nonzero for i > 1."""
+        return _dot(v1.val, self.values_at(v1.idx))
 
     def step(self, run: LanczosRun, beta: float, s_cur) -> tuple:
         """One step from v_i: ``(alpha_i, beta_{i+1})``, with the work
@@ -378,31 +385,35 @@ def run_recurrence(
     """Run k steps of the (pruned) Lanczos recurrence from the unit vector v1.
 
     Each iteration forms w = A~ v_i with A~ = A at ``eps = 0`` and the
-    pruned operator of :func:`amv` otherwise, projects u_1 out of it,
-    subtracts beta_i v_{i-1} on S_{i-1} and alpha_i v_i on S_i, where
-    S_i = {u : |v_i(u)| > eps * d_u} (:func:`restrict`; all of v_i at
-    eps = 0), projects u_1 out again and normalizes.  At eps > 0 the
-    pruned product and the S_i test run on the support's index and
-    value arrays (:func:`resistor.kernels.relax_arcs` and
-    :func:`resistor.kernels.significant`).  Both projections
-    run over the vector's own nonzero support, and only when v1 is
-    orthogonal to u_1; a v1 with a u_1 component runs unprojected.
+    pruned operator of :func:`amv` otherwise, projects u_1 out of it
+    (eps > 0 only), subtracts beta_i v_{i-1} on S_{i-1} and alpha_i v_i
+    on S_i, where S_i = {u : |v_i(u)| > eps * d_u} (:func:`restrict`;
+    all of v_i at eps = 0), projects u_1 out again and normalizes.  At
+    eps = 0 only the second projection runs: A keeps u_1^perp, so the
+    product gains u_1 mass from rounding alone, and the second projection
+    removes it.  At eps > 0 the pruned product and the S_i test run on
+    the support's index and value arrays
+    (:func:`resistor.kernels.relax_arcs` and
+    :func:`resistor.kernels.significant`).  The projections run over the
+    vector's own nonzero support, and only when v1 is orthogonal to u_1;
+    a v1 with a u_1 component runs unprojected.
 
     ``s_overrides`` maps an iteration number (1-based) to the significant
     set to use at that iteration instead of the threshold rule; it needs
-    eps > 0 (ValueError otherwise), and an id outside [0, n) raises
-    IndexError.  ``visit(i, supp, val, alphas, betas)`` is called with
-    every basis vector v_i as it is formed (i starting at 1): at eps > 0
-    ``supp`` is its strictly ascending support and ``val`` the values on
-    it; at eps = 0 ``supp`` is ``slice(None)`` and ``val`` the dense
-    n-vector.  The lists ``alphas`` and ``betas`` hold
+    eps > 0 and integer keys (not bool) in 1..k (ValueError otherwise),
+    and an id outside [0, n) raises IndexError.
+    ``visit(i, supp, val, alphas, betas)`` is called with every basis
+    vector v_i as it is formed (i starting at 1): at eps > 0 ``supp`` is
+    its strictly ascending support and ``val`` the values on it; at
+    eps = 0 ``supp`` is ``slice(None)`` and ``val`` the dense n-vector.  The lists ``alphas`` and ``betas`` hold
     alpha_1..alpha_{i-1} and beta_2..beta_i.  Callers must not mutate or
     keep any of them.  A true return for i > 1 stops the run before step
     i, with the result that ``k = i - 1`` would have given.
 
     Returns the :class:`LanczosRun` of the run: T with alpha_1..alpha_k
-    and beta_2..beta_k for k = ``k_effective``, the products v_1^T v_j
-    and the work counters.
+    and beta_2..beta_k for k = ``k_effective``, its first row (the
+    products v_1^T v_j at eps > 0; v_1^T v_1 and zeros at eps = 0) and
+    the work counters.
 
     At eps = 0 the iterates are n-vectors and every step is a dense pass
     through the run's workspace (the module docstring lists it).  At
@@ -417,6 +428,11 @@ def run_recurrence(
         # a dense run has no significant set to replace, and its estimate
         # reads the first row as that of an orthonormal basis
         raise ValueError("significant-set overrides need eps > 0")
+    for key in s_overrides or ():
+        # a key that names no iteration would be ignored without a word
+        integer = isinstance(key, (int, np.integer)) and not isinstance(key, bool)
+        if not (integer and 1 <= key <= k):
+            raise ValueError(f"override key {key!r} is not an iteration in 1..{k}")
     deflate = _orthogonal_to_u1(g.sqrt_degrees, v1)
     if eps == 0.0:
         it = _DenseIterates(g, v1, deflate)
@@ -449,7 +465,7 @@ def run_recurrence(
         if visit is not None and visit(i + 1, it.supp, it.val, alphas, betas):
             betas.pop()
             break
-        first_row.append(_dot(v1.val, it.values_at(v1.idx)))
+        first_row.append(it.overlap(v1))
     it.release()
     run.pruned = it.pruned
     run.peak_support = max(run.support_sizes)
@@ -496,10 +512,10 @@ def _estimate(
     recurrence from ``v1`` (the definitional start when None; the other
     keywords go to :func:`run_recurrence`), calls ``finish(run)`` when
     given, solves (I - T) y = e_1 and returns ``(RDEstimate, LanczosRun)``.
-    The value is (1/d_s + 1/d_t) * <first_row, y>; at eps = 0 the basis
-    is orthonormal in exact arithmetic, so y[0] stands for
-    <first_row, y>.  The estimate is flagged (``healthy`` false) when
-    I - T is indefinite or the run broke down after pruning.
+    The value is (1/d_s + 1/d_t) * <first_row, y> for every run, which at
+    eps = 0 is (1/d_s + 1/d_t) * v_1^T v_1 * y[0].  The estimate is
+    flagged (``healthy`` false) when I - T is indefinite or the run broke
+    down after pruning.
     """
     _check_pair(g, s, t)
     if k < 1:
@@ -519,7 +535,7 @@ def _estimate(
     y, healthy = solve_checked(run.t)
     healthy = healthy and not (run.breakdown and run.pruned)
     scale_sq = 1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]
-    run.estimate = float(scale_sq * (_dot(run.first_row, y) if eps > 0.0 else y[0]))
+    run.estimate = float(scale_sq * _dot(run.first_row, y))
     est = RDEstimate(
         value=run.estimate,
         iterations=run.k_effective,

@@ -270,8 +270,9 @@ def check_assumption(
     The pruned recurrence is trustworthy only while the eigenvalues of its
     T stay inside [lambda_min(A), lambda_2(A)]; in particular the upper
     bound keeps (I - T) positive definite.  ``tol`` is the slack allowed
-    on both sides.
+    on both sides; it must be finite and >= 0.
     """
+    _check_eps(tol, "tol")
     lo, hi = tridiag_eigen_range(t)
     lower_slack = lo - lambda_min_a
     upper_slack = lambda_2_a - hi

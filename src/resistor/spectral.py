@@ -72,12 +72,12 @@ def estimate_spectrum(
 
     Deterministic for a given seed.  ``max_iter`` caps the Lanczos steps.
     ``tol`` bounds the move of the extreme Ritz values between
-    checkpoints, not the eigenvalue error itself.  The Ritz values lie
-    inside [lambda_min(A), lambda_2(A)], so lambda_2 and kappa are
-    approached from below.
+    checkpoints, not the eigenvalue error itself; it must be finite and
+    positive.  The Ritz values lie inside [lambda_min(A), lambda_2(A)],
+    so lambda_2 and kappa are approached from below.
     """
-    if tol <= 0.0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ValueError("tol must be finite and > 0")
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     start = time.perf_counter()

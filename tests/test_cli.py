@@ -280,6 +280,18 @@ def test_check_assumption_same_vertex_is_usage_error(runner, toy_file):
     assert result.exit_code == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "args",
+    [["kappa", "--tol", "nan"], ["kappa", "--tol", "inf"],
+     ["check-assumption", "1", "4", "--tol", "nan"]],
+    ids=["kappa-nan", "kappa-inf", "check-assumption-nan"],
+)
+def test_non_finite_tol_is_usage_error(runner, toy_file, args):
+    result = runner.invoke(cli, [args[0], toy_file, *args[1:]])
+    assert result.exit_code == EXIT_USAGE
+    assert "tol must be finite" in result.output
+
+
 # ---------------------------------------------------------------------------
 # bench
 # ---------------------------------------------------------------------------

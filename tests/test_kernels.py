@@ -619,6 +619,15 @@ def test_eigen_range_tol_below_float_spacing():
     assert hi == pytest.approx(evals[-1], abs=1e-15)
 
 
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-10])
+def test_eigen_range_rejects_bad_tol(tol):
+    # nan and inf returned (nan, nan)
+    t = R.TridiagonalMatrix([0.9, 0.5], [0.3])
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        R.tridiag_eigen_range(t, tol=tol)
+    assert R.tridiag_eigen_range(t, tol=0.0)[1] == pytest.approx(np.linalg.eigvalsh(t.to_dense())[-1])
+
+
 def test_eigen_range_handles_zero_offdiagonals():
     t = R.TridiagonalMatrix([0.3, -0.2, 0.5], [0.0, 0.0])
     lo, hi = R.tridiag_eigen_range(t)

@@ -10,7 +10,7 @@ import pytest
 import resistor as R
 import resistor.lanczos as lanczos_mod
 from resistor.errors import SingularSystemError
-from resistor.kernels import TridiagonalMatrix, _sturm_count_below, tridiag_solve_e1
+from resistor.kernels import TridiagonalMatrix, _dot, _sturm_count_below, tridiag_solve_e1
 from resistor.lanczos import definitional_start, run_recurrence, solve_checked
 from resistor.spectral import _start_vector
 
@@ -258,6 +258,56 @@ def test_potential_makes_one_product_per_step(monkeypatch):
         R.lanczos_potential(g, s, t, k)
         monkeypatch.setattr(lanczos_mod, "_adjacency_into", real)
         assert len(calls) == k_effective
+
+
+def test_dense_step_makes_three_dots(monkeypatch):
+    # alpha, the norm of w and the one u_1 projection of a full-support w:
+    # no projection before alpha and no first-row dot at eps = 0
+    g = cut_lattice(30, 0.1, 4)
+    v1 = _start_vector(g, 1)
+    assert len(v1.idx) == g.node_count
+    calls = []
+    real = lanczos_mod._dot
+
+    def counted(a, b):
+        calls.append(1)
+        return real(a, b)
+
+    monkeypatch.setattr(lanczos_mod, "_dot", counted)
+    counts = []
+    for k in (20, 30):
+        calls.clear()
+        assert run_recurrence(g, v1, k).k_effective == k
+        counts.append(len(calls))
+    assert counts[1] - counts[0] == 30
+
+
+def test_dense_run_stays_orthogonal_to_u1():
+    # one projection a step, after the subtractions, keeps u_1 out of
+    # every iterate of a long run
+    g = cut_lattice(30, 0.1, 9)
+    u1 = g.sqrt_degrees / np.sqrt(g.sqrt_degrees @ g.sqrt_degrees)
+    leak = []
+
+    def visit(i, supp, v, alphas, betas):
+        leak.append(abs(u1 @ v))
+
+    run = run_recurrence(g, definitional_start(g, 0, g.node_count - 1), 1200, visit=visit)
+    assert run.k_effective == 1200
+    assert max(leak) <= 1e-14
+
+
+def test_estimate_is_one_formula_on_the_first_row():
+    g = cut_lattice(20, 0.1, 7)
+    s, t = 3, 250
+    scale_sq = 1.0 / g.weighted_degrees[s] + 1.0 / g.weighted_degrees[t]
+    _, dense = R.lanczos_rd(g, s, t, 40)
+    assert not np.any(dense.first_row[1:])
+    _, _, pruned = R.lanczos_push_rd(g, s, t, R.PushConfig(k=40, epsilon=1e-3))
+    assert np.any(pruned.first_row[1:])
+    for run in (dense, pruned):
+        y, _ = solve_checked(run.t)
+        assert run.estimate == scale_sq * _dot(run.first_row, y)
 
 
 @pytest.mark.parametrize(

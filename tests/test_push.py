@@ -356,6 +356,26 @@ def test_trace_rejects_replay_inputs_outside_the_graph(replay, error, message):
         R.subset_recurrence_trace(g, 5, 200, 10, 1e-3, **replay)
 
 
+@pytest.mark.parametrize("key", [0, "2", 11, 2.0, True], ids=repr)
+def test_override_keys_must_name_an_iteration(key):
+    # 0, '2' and 11 were ignored without a word; 2.0 and True were taken
+    # as iterations 2 and 1
+    g = R.generate_ba(300, 3, 1)
+    with pytest.raises(ValueError, match=f"override key {key!r} is not an iteration in 1..10"):
+        R.subset_recurrence_trace(g, 5, 200, 10, 1e-3, s_overrides={key: [5]})
+    with pytest.raises(ValueError, match="override key"):
+        run_recurrence(g, definitional_start(g, 5, 200), 10, 1e-3, s_overrides={key: [5]})
+
+
+def test_valid_override_key_changes_the_run():
+    g = R.generate_ba(300, 3, 1)
+    plain = R.subset_recurrence_trace(g, 5, 200, 10, 1e-3)
+    for key in (2, np.int64(2)):
+        replay = R.subset_recurrence_trace(g, 5, 200, 10, 1e-3, s_overrides={key: [5]})
+        assert replay.estimate != plain.estimate
+        assert replay.subset_sizes[1] == 1 != plain.subset_sizes[1]
+
+
 def _count_dense_products(monkeypatch) -> list:
     # every dense product the recurrence or the push hooks make: the
     # recurrence calls the workspace product, the hooks the public one
@@ -506,6 +526,15 @@ def test_containment_holds_at_zero_eps():
     assert report.passed
     assert report.lower_slack >= -report.tol
     assert report.upper_slack >= -report.tol
+
+
+@pytest.mark.parametrize("tol", [float("nan"), float("inf"), -1e-9])
+def test_check_assumption_rejects_bad_tol(tol):
+    # a nan tol reported passed=False with both slacks positive
+    t = R.TridiagonalMatrix([0.1, -0.2], [0.3])
+    with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+        R.check_assumption(t, -1.0, 0.9, tol=tol)
+    assert R.check_assumption(t, -1.0, 0.9, tol=0.0).passed
 
 
 def test_indefinite_pruned_run_is_flagged():

@@ -101,6 +101,14 @@ def test_parameter_validation(toy):
         R.estimate_spectrum(toy, max_iter=0)
 
 
+@pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-9])
+def test_non_finite_tol_raises(toy, tol):
+    # inf ran every step to max_iter and returned kappa = nan; nan returned
+    # nan flagged unconverged
+    with pytest.raises(ValueError, match="tol must be finite and > 0"):
+        R.estimate_spectrum(toy, tol=tol)
+
+
 def test_deterministic_for_fixed_seed(toy):
     a = R.estimate_spectrum(toy, seed=5)
     b = R.estimate_spectrum(toy, seed=5)
