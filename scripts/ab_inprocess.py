@@ -22,7 +22,9 @@ The rows, each built once per side on that side's own graph:
   edges cut and 8000 two-vertex fragments, read through
   ``load_edge_list`` (the grid-route graph of the benchmark), over 20
   seeded pairs;
-- ``estimate_spectrum`` on the same lattice.
+- ``estimate_spectrum`` on the same lattice;
+- ``extract_routes`` (k = 200, l = 3) on the same lattice, over its 20
+  pairs.
 
 A sample is the wall time of one row on one side in one round, after
 one untimed warm-up of each.  Each row reports the median and quartiles
@@ -48,6 +50,7 @@ import numpy as np
 
 ER_N, ER_M, ER_SEED, ER_K = 50_000, 250_000, 1, 20
 GRID_SIDE, GRID_DELETE, GRID_FRAGMENTS, GRID_SEED, GRID_K = 80, 0.1, 8000, 1, 200
+ROUTES = 3
 PAIRS, PAIR_SEED = 20, 3
 SIDES = ("parent", "change")
 
@@ -80,7 +83,7 @@ def pairs(n: int) -> list:
 
 
 def make_rows(pkg, grid_path: Path) -> dict:
-    """The three timed calls of one side, as closures over its graphs."""
+    """The timed calls of one side, as closures over its graphs."""
     er = pkg.generate_er(ER_N, ER_M, ER_SEED)
     grid = pkg.load_edge_list(grid_path)
     er_pairs, grid_pairs = pairs(er.node_count), pairs(grid.node_count)
@@ -96,8 +99,13 @@ def make_rows(pkg, grid_path: Path) -> dict:
     def spectrum():
         pkg.estimate_spectrum(grid)
 
+    def routes():
+        for s, t in grid_pairs:
+            pkg.extract_routes(grid, s, t, GRID_K, ROUTES)
+
     return {"lanczos_rd er50k k20": lz, "lanczos_potential grid k200": potential,
-            "estimate_spectrum grid": spectrum}
+            "estimate_spectrum grid": spectrum,
+            f"extract_routes grid k{GRID_K} l{ROUTES}": routes}
 
 
 def quartiles(xs: list) -> dict:
@@ -158,7 +166,8 @@ def main() -> None:
         "setup": {
             "er": f"generate_er({ER_N}, {ER_M}, {ER_SEED}), k = {ER_K}",
             "grid": (f"load_edge_list of grid_edges({GRID_SIDE}, {GRID_DELETE}, "
-                     f"{GRID_FRAGMENTS}, default_rng({GRID_SEED})), k = {GRID_K}"),
+                     f"{GRID_FRAGMENTS}, default_rng({GRID_SEED})), k = {GRID_K}, "
+                     f"l = {ROUTES} routes"),
             "pairs": f"{PAIRS} from np.random.default_rng({PAIR_SEED}).choice",
             "host": platform.node(),
             "nproc": os.cpu_count(),

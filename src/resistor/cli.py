@@ -35,7 +35,8 @@ from .errors import (
     NumericalError,
     UnsupportedInputError,
 )
-from .graph import Graph, generate_ba, generate_er, load_cache, load_edge_list, save_cache, save_edge_list
+from .graph import (_MAX_LABEL, Graph, generate_ba, generate_er, load_cache,
+                    load_edge_list, save_cache, save_edge_list)
 from .lanczos import lanczos_rd
 from .push import PushConfig, check_assumption, lanczos_push_rd, locality_statistics
 from .routing import extract_routes, route_metrics
@@ -87,12 +88,12 @@ def _load_graph(path: str, weighted: bool) -> Graph:
 
 
 def _resolve_vertex(g: Graph, label: int) -> int:
-    try:
-        return g.label_index[label]
-    except KeyError:
-        raise ValueError(
-            f"vertex label {label} does not appear in the loaded graph"
-        ) from None
+    """The id of an input label, by binary search of ``old_ids``."""
+    if 0 <= label <= _MAX_LABEL:
+        i = int(np.searchsorted(g.old_ids, label))
+        if i < g.node_count and g.old_ids[i] == label:
+            return i
+    raise ValueError(f"vertex label {label} does not appear in the loaded graph")
 
 
 def _emit(text: str, out):

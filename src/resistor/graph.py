@@ -49,10 +49,14 @@ class Graph:
     Each undirected edge {u, v} is stored as the two arcs (u, v) and (v, u).
     The neighbor slice of a vertex is sorted ascending and contains neither
     duplicates nor the vertex itself.  Instances are immutable and safe to
-    share across workers.  Some arrays are derived and cached on first
-    use, such as the jagged-diagonal layout (``jagged``).  One cache is
-    mutable: a free list of zeroed scratch n-vectors
-    (``scratch_vectors``), which a pickled copy leaves out.
+    share across workers.  A graph caches, on first use, only what a query
+    path reads: ``is_unweighted``, ``sqrt_degrees``, ``inv_sqrt_degrees``
+    and ``min_sqrt_degree`` (the normalized products, the u_1 projections
+    and the pruning threshold), ``jagged`` (the dense product),
+    ``arc_sqrt_degrees`` and ``arc_scales`` (the pruned product),
+    ``scratch_vectors`` (the pruned step's free list, the one mutable
+    cache, which a pickled copy leaves out) and ``arc_sources`` (the arc
+    flow and the widest-path search of every route query).
 
     Attributes
     ----------
@@ -103,16 +107,6 @@ class Graph:
         return np.repeat(np.arange(self.node_count), np.diff(self.offsets))
 
     @cached_property
-    def reverse_arcs(self) -> np.ndarray:
-        """Arc id of (x, u) for every arc (u, x), aligned with ``neighbors``.
-
-        Arcs are sorted by (source, head), so sorting them by (head,
-        source), one distinct int64 key per arc, lists the reverse of each
-        arc in its place.  On a symmetric graph this is an involution.
-        """
-        return np.argsort(self.neighbors * self.node_count + self.arc_sources)
-
-    @cached_property
     def jagged(self) -> "JaggedLayout":
         """The arcs in jagged-diagonal order (see :class:`JaggedLayout`),
         built on first use."""
@@ -159,11 +153,6 @@ class Graph:
     def inv_sqrt_degrees(self) -> np.ndarray:
         """1 / sqrt(weighted degree), used by the normalized operators."""
         return 1.0 / self.sqrt_degrees
-
-    @cached_property
-    def label_index(self) -> dict:
-        """Original label -> contiguous id (inverse of ``old_ids``)."""
-        return {int(old): new for new, old in enumerate(self.old_ids)}
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         kind = "unweighted" if self.is_unweighted else "weighted"
@@ -413,7 +402,8 @@ def load_edge_list(source: Source, weighted: bool = False) -> Graph:
     """Parse a whitespace-delimited edge list and return the cleaned graph.
 
     Each non-blank line is ``u v`` or ``u v w`` with integer vertex labels
-    in [0, 2^63 - 1]; lines starting with ``#`` are comments.  With
+    in [0, 2^63 - 1]; lines starting with ``#`` are comments and may hold
+    anything, every other line must be ASCII without ``_``.  With
     ``weighted=True`` the third column is required and must be positive;
     otherwise any third column is ignored.
 
@@ -435,9 +425,20 @@ def load_edge_list(source: Source, weighted: bool = False) -> Graph:
     """
     us, vs, ws = [], [], []
     for lineno, raw in enumerate(_iter_lines(source), start=1):
-        line = raw.decode("utf-8", errors="replace").strip()
+        # int and float would read digit separators, non-ASCII digits and
+        # Unicode spaces in a data line; a comment may hold anything
+        try:
+            line = raw.decode("ascii").strip()
+            malformed = "_" in line
+        except UnicodeDecodeError:
+            line = raw.decode("utf-8", errors="replace").strip()
+            malformed = True
         if not line or line.startswith("#"):
             continue
+        if malformed:
+            raise GraphFormatError(
+                lineno, f"data lines must be ASCII and hold no '_', got {line!r}"
+            )
         parts = line.split()
         if len(parts) < 2:
             raise GraphFormatError(lineno, f"expected 'u v [w]', got {line!r}")
@@ -535,6 +536,8 @@ def load_cache(path: Union[str, Path]) -> Graph:
     length for its header, CSR offsets from 0 to 2m, nonnegative strictly
     ascending labels, neighbor ids in range, sorted slices without self
     loops, positive finite weights, symmetric arcs and a single component.
+    The checks run on plain arrays, so the returned graph caches nothing
+    yet.
 
     Raises
     ------
@@ -579,19 +582,17 @@ def load_cache(path: Union[str, Path]) -> Graph:
         raise GraphFormatError(
             1, "graph cache labels are not nonnegative and strictly ascending"
         )
-    g = Graph(offsets, neighbors, weights, np.empty(n), old_ids)
-    # the degrees read the arc sources that the arc checks read too
-    g.weighted_degrees[:] = np.bincount(g.arc_sources, weights=weights, minlength=n)
-    _check_cached_arcs(g)
-    _check_finite_degrees(g.weighted_degrees, old_ids)
-    return g
+    src = np.repeat(np.arange(n), np.diff(offsets))
+    _check_cached_arcs(n, src, neighbors, weights)
+    degrees = np.bincount(src, weights=weights, minlength=n)
+    _check_finite_degrees(degrees, old_ids)
+    return Graph(offsets, neighbors, weights, degrees, old_ids)
 
 
-def _check_cached_arcs(g: Graph) -> None:
-    """Raise GraphFormatError unless the arcs of ``g`` (whose offsets are
-    already checked) form a connected simple undirected graph with
-    positive finite weights."""
-    n, src, dst, w = g.node_count, g.arc_sources, g.neighbors, g.weights
+def _check_cached_arcs(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> None:
+    """Raise GraphFormatError unless the arcs ``(src, dst)`` with weights
+    ``w`` (whose offsets are already checked) form a connected simple
+    undirected graph with positive finite weights."""
     if dst.min() < 0 or dst.max() >= n:
         raise GraphFormatError(1, f"graph cache neighbor id outside [0, {n})")
     if np.any(src == dst):
@@ -600,7 +601,9 @@ def _check_cached_arcs(g: Graph) -> None:
         raise GraphFormatError(1, "graph cache neighbor slices are not strictly ascending")
     if not np.all(np.isfinite(w) & (w > 0.0)):
         raise GraphFormatError(1, "graph cache weights must be positive and finite")
-    rev = g.reverse_arcs
+    # the arcs are distinct, so sorting them by (head, source) lists the
+    # reverse of each arc in its place
+    rev = np.argsort(dst * n + src)
     if not (
         np.array_equal(dst[rev], src)
         and np.array_equal(src[rev], dst)

@@ -10,8 +10,10 @@ cut in proportion to conductance, the extracted paths are naturally short
 and physically diverse.
 
 The search runs on the flow of every arc, aligned with ``Graph.neighbors``:
-arc (u, x) carries f(u, x) and its reverse ``Graph.reverse_arcs`` carries
--f(u, x), so a bottleneck is subtracted by arc id.
+arc (u, x) carries f(u, x) and its reverse exactly -f(u, x).  The search
+reads only arcs of positive flow, so a bottleneck is subtracted from the
+path's arcs alone: they keep a nonnegative flow, and their reverses,
+negative before, stay out of every later search (:func:`extract_routes`).
 """
 
 from __future__ import annotations
@@ -174,8 +176,11 @@ def _flow_on_arcs(g: Graph, flow: FlowMap) -> np.ndarray:
         raise ValueError("the flow is not on the canonical edges of this graph")
     arc_flow = np.empty(len(g.neighbors))
     arc_flow[up] = flow.values
-    down = ~up
-    arc_flow[down] = -arc_flow[g.reverse_arcs[down]]
+    # the down arcs (u, x), x < u, sorted by (head, source) are the
+    # canonical edges (x, u) in order
+    down = np.flatnonzero(~up)
+    order = np.argsort(g.neighbors[down] * g.node_count + g.arc_sources[down])
+    arc_flow[down[order]] = -flow.values
     return arc_flow
 
 
@@ -261,6 +266,11 @@ def extract_routes(g: Graph, s: int, t: int, k: int, l: int) -> RouteExtraction:
     subtraction of the bottleneck along the path, then returns the l
     cheapest routes found (by hop count on unweighted graphs, weighted
     length otherwise; earlier extraction wins ties).
+
+    Only the path's arcs lose the bottleneck b: each keeps f - b >= 0,
+    and its reverse keeps -f < 0 where a subtraction by edge would give
+    b - f <= 0.  The search skips nonpositive arcs, so the routes are
+    those of a subtraction by edge.
     """
     _check_pair(g, s, t)
     if s == t:
@@ -275,9 +285,7 @@ def extract_routes(g: Graph, s: int, t: int, k: int, l: int) -> RouteExtraction:
         if widest is None:
             break
         route, arcs = widest
-        # a simple path holds each arc and its reverse at most once
         arc_flow[arcs] -= route.bottleneck
-        arc_flow[g.reverse_arcs[arcs]] += route.bottleneck
         found.append(route)
     cost = (
         (lambda r: r.length) if unweighted else (lambda r: r.weighted_length)
@@ -305,6 +313,8 @@ def route_metrics(
     at least one route survives intact.
     """
     _check_pair(g, s, t)
+    if s == t:
+        raise ValueError("routes need distinct endpoints")
     routes = list(routes)
     if not routes:
         raise ValueError("route_metrics needs at least one route")

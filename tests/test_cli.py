@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import json
+import math
 import subprocess
 import sys
 import time
@@ -10,7 +11,14 @@ import pytest
 from click.testing import CliRunner
 
 import resistor.cli as cli_mod
-from resistor import save_edge_list
+from resistor import (
+    generate_ba,
+    generate_er,
+    lanczos_rd,
+    load_edge_list,
+    power_method_rd,
+    save_edge_list,
+)
 from resistor.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE, cli, parse_bench_csv
 
 from conftest import grid_graph, random_pair
@@ -106,6 +114,21 @@ def test_query_malformed_file_is_io_error(runner, tmp_path):
     assert result.exit_code == EXIT_IO
 
 
+def test_query_malformed_token_is_io_error(runner, tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_text("1 2\n1_0 2\n", encoding="utf-8")
+    result = runner.invoke(cli, ["query", str(path), "1", "2"])
+    assert result.exit_code == EXIT_IO
+    assert "line 2" in result.output and "ASCII" in result.output
+
+
+@pytest.mark.parametrize("label", ["-1", str(2**64)])
+def test_query_label_outside_int64_is_usage_error(runner, toy_file, label):
+    result = runner.invoke(cli, ["query", toy_file, "--", label, "4"])
+    assert result.exit_code == EXIT_USAGE
+    assert "does not appear" in result.output
+
+
 def test_query_overflowing_weights_is_usage_error(runner, tmp_path):
     path = tmp_path / "w.txt"
     path.write_text("0 1 1e308\n1 0 1e308\n")
@@ -188,6 +211,22 @@ def test_gen_ba_and_query_round_trip(runner, tmp_path):
     result = runner.invoke(cli, ["query", str(path), "0", "39"])
     assert result.exit_code == 0
     assert _json_of(result)["value"] > 0.0
+
+
+@pytest.mark.parametrize("family", ["er", "ba"])
+def test_gen_defaults_scale_with_log_n(runner, tmp_path, family):
+    # er: m = ceil(n ln n); ba: attach = round(ln n), 4 at n = 40
+    n = 40
+    path, want = tmp_path / "g.txt", tmp_path / "want.txt"
+    assert runner.invoke(cli, ["gen", family, str(n), str(path)]).exit_code == 0
+    if family == "er":
+        g = generate_er(n, math.ceil(n * math.log(n)), 0)
+        assert g.edge_count == math.ceil(n * math.log(n))
+    else:
+        g = generate_ba(n, round(math.log(n)), 0)
+        assert g.edge_count == 4 * (n - 4)
+    save_edge_list(g, want)
+    assert path.read_bytes() == want.read_bytes()
 
 
 def test_gen_rdg_cache_loads_back(runner, tmp_path):
@@ -314,6 +353,20 @@ def test_bench_csv_round_trip(runner, toy_file):
     methods = sorted({r.method for r in rows})
     assert methods == ["lz", "lzpush", "pm"]
     assert all(r.abs_err < 1e-3 for r in rows if r.method != "rw")
+
+
+def test_bench_ground_truth_above_the_cap_is_the_power_method(runner, toy_file):
+    result = runner.invoke(
+        cli, _bench_args(toy_file, ["--methods", "lz", "--gt-cap", "0", "--gt-l", "2000"])
+    )
+    assert result.exit_code == 0, result.output
+    rows = parse_bench_csv(result.stdout)
+    assert len(rows) == 3
+    g = load_edge_list(toy_file)
+    for r in rows:
+        s, t = (int(np.searchsorted(g.old_ids, int(x))) for x in r.pair.split("-"))
+        value = lanczos_rd(g, s, t, 4)[0].value
+        assert r.abs_err == abs(value - power_method_rd(g, s, t, 2000).value)
 
 
 def test_bench_rows_are_sorted(runner, toy_file):

@@ -44,7 +44,6 @@ def test_toy_relabels_by_sorted_original_labels():
     assert g.edge_count == 4
     assert g.old_ids.tolist() == [1, 2, 3, 4]
     assert g.weighted_degrees.tolist() == [3.0, 2.0, 2.0, 1.0]
-    assert g.label_index == {1: 0, 2: 1, 3: 2, 4: 3}
 
 
 def test_duplicate_edges_merge():
@@ -90,6 +89,34 @@ def test_malformed_line_reports_line_number():
     # a label past int64 is a format error, not an OverflowError
     with pytest.raises(R.GraphFormatError) as err:
         graph_from_text("0 1\n1 18446744073709551616\n")
+    assert err.value.line_number == 2
+
+
+# int and float accept each of these; a data line must be ASCII without "_"
+MALFORMED_TOKENS = {
+    "digit-separator": ("0 1\n1_0 2\n", False),
+    "arabic-indic-digit": ("0 1\n\u0661 2\n", False),
+    "weight-separator": ("0 1 1.0\n1 2 1_0.5\n", True),
+    "no-break-space": ("0 1\n1\u00a02\n", False),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_TOKENS))
+def test_malformed_token_is_rejected(case):
+    text, weighted = MALFORMED_TOKENS[case]
+    with pytest.raises(R.GraphFormatError, match="ASCII") as err:
+        graph_from_text(text, weighted=weighted)
+    assert err.value.line_number == 2
+
+
+def test_comments_may_hold_anything():
+    g = graph_from_text("# r\u00e9seau_1 \u0661\n0 1\n  # 1_0 2\n1 2\n")
+    assert g.old_ids.tolist() == [0, 1, 2]
+
+
+def test_non_numeric_weight_reports_line_number():
+    with pytest.raises(R.GraphFormatError, match="edge weight must be a number") as err:
+        graph_from_text("0 1 1.0\n1 2 heavy\n", weighted=True)
     assert err.value.line_number == 2
 
 
@@ -316,7 +343,7 @@ def test_hop_distance_unreachable():
     ids=["random", "weighted", "cut-lattice"],
 )
 def test_reverse_arcs_is_an_involution(g):
-    rev = g.reverse_arcs
+    rev = np.argsort(g.neighbors * g.node_count + g.arc_sources)
     assert np.array_equal(rev[rev], np.arange(len(g.neighbors)))
     assert np.array_equal(g.neighbors[rev], g.arc_sources)
     assert np.array_equal(g.arc_sources[rev], g.neighbors)
@@ -355,6 +382,15 @@ def test_round_trip_binary_cache(tmp_path):
     assert np.array_equal(h.weighted_degrees, g.weighted_degrees)
     with open(p, "rb") as fh:
         assert fh.read(4) == b"RDG1"
+
+
+def test_loaded_cache_holds_only_its_fields(tmp_path):
+    # the checks run on plain arrays: nothing derived is cached on load
+    p = tmp_path / "g.rdg"
+    R.save_cache(cut_lattice(12, 0.1, 5), p)
+    h = R.load_cache(p)
+    fields = {"offsets", "neighbors", "weights", "weighted_degrees", "old_ids"}
+    assert set(h.__dict__) == fields
 
 
 def test_cache_rejects_garbage(tmp_path):

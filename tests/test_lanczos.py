@@ -17,6 +17,7 @@ from resistor.spectral import _start_vector
 from conftest import (
     cut_lattice,
     dense_laplacian,
+    dense_normalized_adjacency,
     dense_spectrum,
     path_graph,
     pinv_potential,
@@ -363,3 +364,45 @@ def test_potential_raises_on_the_pivot_floor(monkeypatch, toy):
 def test_potential_same_vertex_is_flat(toy):
     phi = R.lanczos_potential(toy, 2, 2, 5)
     assert np.allclose(phi, 0.0)
+
+
+def _numpy_lanczos(a, v, k):
+    """Plain Lanczos on the dense matrix ``a`` from the unit vector ``v``:
+    alphas and betas, stopping on the recurrence's breakdown rule."""
+    alphas, betas = [], []
+    v_prev, beta = np.zeros_like(v), 0.0
+    for i in range(k):
+        w = a @ v - beta * v_prev
+        alphas.append(w @ v)
+        w = w - alphas[-1] * v
+        if i == k - 1:
+            break
+        beta = np.linalg.norm(w)
+        if beta < lanczos_mod.BREAKDOWN_TOL:
+            break
+        betas.append(beta)
+        v_prev, v = v, w / beta
+    return np.array(alphas), np.array(betas)
+
+
+def test_undeflated_dense_run_matches_numpy_lanczos(toy):
+    # a start with a u_1 component runs without projections: plain
+    # Lanczos on A, eigenvalue 1 included.  The start is symmetric in the
+    # two triangle vertices, so its Krylov space has dimension 3 and both
+    # runs break down after step 3
+    v = np.array([0.5, 0.3, 0.3, -0.2])
+    v /= np.linalg.norm(v)
+    v1 = R.SparseVector.from_dense(v)
+    assert not lanczos_mod._orthogonal_to_u1(toy.sqrt_degrees, v1)
+    a = dense_normalized_adjacency(toy)
+    for k in range(1, 6):
+        run = run_recurrence(toy, v1, k)
+        alphas, betas = _numpy_lanczos(a, v, k)
+        assert run.k_effective == len(alphas) == min(k, 3)
+        assert np.allclose(run.alphas, alphas, rtol=0.0, atol=1e-12)
+        assert np.allclose(run.betas, betas, rtol=0.0, atol=1e-12)
+
+
+def test_potential_validates_k(toy):
+    with pytest.raises(ValueError):
+        R.lanczos_potential(toy, 0, 3, 0)

@@ -285,8 +285,9 @@ def test_routes_are_sorted_by_cost():
         (random_connected(40, 13), 60),
         (cut_lattice(12, 0.1, 5), 80),
         (random_weighted(40, 17), 60),
+        (cut_lattice(12, 0.1, 5), 3),
     ],
-    ids=["random", "cut-lattice", "weighted"],
+    ids=["random", "cut-lattice", "weighted", "rough-flow"],
 )
 def test_routes_match_reference_search(g, k):
     rng = np.random.default_rng(11)
@@ -337,6 +338,12 @@ def test_max_bottleneck_path_rejects_a_flow_of_another_graph():
     flow = R.electric_flow(path_graph(4), 0, 3, 4)
     with pytest.raises(ValueError, match="canonical edges"):
         R.max_bottleneck_path(cycle_graph(4), flow, 0, 2)
+
+
+def test_max_bottleneck_path_needs_distinct_endpoints(toy):
+    flow = R.electric_flow(toy, 0, 3, 4)
+    with pytest.raises(ValueError, match="distinct endpoints"):
+        R.max_bottleneck_path(toy, flow, 1, 1)
 
 
 def test_extract_validates_arguments(toy):
@@ -411,6 +418,13 @@ def test_metrics_validation(toy):
         R.route_metrics(toy, routes, 1, 3, p_delete=1.5, trials=10, seed=0)
     with pytest.raises(ValueError):
         R.route_metrics(toy, routes, 1, 3, p_delete=0.1, trials=0, seed=0)
+
+
+def test_metrics_need_distinct_endpoints():
+    g = R.generate_ba(300, 3, 1)
+    routes = R.extract_routes(g, 5, 200, 40, 2)
+    with pytest.raises(ValueError, match="routes need distinct endpoints"):
+        R.route_metrics(g, routes, 5, 5, p_delete=0.1, trials=10, seed=0)
 
 
 def test_stretch_undefined_for_disconnected_endpoints():
