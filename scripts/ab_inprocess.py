@@ -24,7 +24,11 @@ The rows, each built once per side on that side's own graph:
   seeded pairs;
 - ``estimate_spectrum`` on the same lattice;
 - ``extract_routes`` (k = 200, l = 3) on the same lattice, over its 20
-  pairs.
+  pairs;
+- ``generate_er(50_000, 250_000, 1)`` and ``generate_ba(50_000, 5, 1)``,
+  the set-up of the er-global and ba-local workloads;
+- ``load_edge_list`` of the lattice's text file, the parse of the
+  grid-route set-up.
 
 A sample is the wall time of one row on one side in one round, after
 one untimed warm-up of each.  Each row reports the median and quartiles
@@ -49,6 +53,7 @@ from pathlib import Path
 import numpy as np
 
 ER_N, ER_M, ER_SEED, ER_K = 50_000, 250_000, 1, 20
+BA_N, BA_ATTACH, BA_SEED = 50_000, 5, 1
 GRID_SIDE, GRID_DELETE, GRID_FRAGMENTS, GRID_SEED, GRID_K = 80, 0.1, 8000, 1, 200
 ROUTES = 3
 PAIRS, PAIR_SEED = 20, 3
@@ -103,9 +108,20 @@ def make_rows(pkg, grid_path: Path) -> dict:
         for s, t in grid_pairs:
             pkg.extract_routes(grid, s, t, GRID_K, ROUTES)
 
+    def gen_er():
+        pkg.generate_er(ER_N, ER_M, ER_SEED)
+
+    def gen_ba():
+        pkg.generate_ba(BA_N, BA_ATTACH, BA_SEED)
+
+    def load():
+        pkg.load_edge_list(grid_path)
+
     return {"lanczos_rd er50k k20": lz, "lanczos_potential grid k200": potential,
             "estimate_spectrum grid": spectrum,
-            f"extract_routes grid k{GRID_K} l{ROUTES}": routes}
+            f"extract_routes grid k{GRID_K} l{ROUTES}": routes,
+            "generate_er 50k/250k": gen_er, f"generate_ba 50k a{BA_ATTACH}": gen_ba,
+            "load_edge_list grid": load}
 
 
 def quartiles(xs: list) -> dict:
@@ -135,19 +151,19 @@ def main() -> None:
             side: make_rows(import_copy(src, f"resistor_{side}", tmp), grid_path)
             for side, src in zip(SIDES, (args.parent_src, args.change_src))
         }
-    names = list(rows["parent"])
-    for side in SIDES:
-        for name in names:
-            rows[side][name]()  # warm-up: layouts and free lists are built
-    samples = {name: {side: [] for side in SIDES} for name in names}
-    for r in range(args.rounds):
-        order = SIDES if r % 2 == 0 else SIDES[::-1]
-        for name in names:
-            for side in order:
-                start = time.perf_counter()
-                rows[side][name]()
-                samples[name][side].append(time.perf_counter() - start)
-        print(f"round {r + 1}/{args.rounds}", file=sys.stderr, flush=True)
+        names = list(rows["parent"])
+        for side in SIDES:
+            for name in names:
+                rows[side][name]()  # warm-up: layouts and free lists are built
+        samples = {name: {side: [] for side in SIDES} for name in names}
+        for r in range(args.rounds):
+            order = SIDES if r % 2 == 0 else SIDES[::-1]
+            for name in names:
+                for side in order:
+                    start = time.perf_counter()
+                    rows[side][name]()
+                    samples[name][side].append(time.perf_counter() - start)
+            print(f"round {r + 1}/{args.rounds}", file=sys.stderr, flush=True)
 
     results = []
     for name in names:
@@ -165,6 +181,7 @@ def main() -> None:
     doc = {
         "setup": {
             "er": f"generate_er({ER_N}, {ER_M}, {ER_SEED}), k = {ER_K}",
+            "ba": f"generate_ba({BA_N}, {BA_ATTACH}, {BA_SEED})",
             "grid": (f"load_edge_list of grid_edges({GRID_SIDE}, {GRID_DELETE}, "
                      f"{GRID_FRAGMENTS}, default_rng({GRID_SEED})), k = {GRID_K}, "
                      f"l = {ROUTES} routes"),

@@ -318,9 +318,9 @@ def kappa(graph_path, tol, max_iter, seed, weighted, fmt, out):
 
 @cli.command()
 @click.argument("family", type=click.Choice(["er", "ba"]))
-@click.argument("n", type=int)
+@click.argument("n", type=click.IntRange(min=2))
 @click.argument("out_path", metavar="OUT", type=click.Path())
-@click.option("--seed", type=int, default=0, show_default=True)
+@click.option("--seed", type=click.IntRange(min=0), default=0, show_default=True)
 @click.option("--m", "m_target", type=int, default=None,
               help="Edge count for er [default: ceil(n ln n)].")
 @click.option("--attach", type=int, default=None,

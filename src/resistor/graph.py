@@ -387,23 +387,50 @@ def _check_finite_degrees(degrees: np.ndarray, old_ids: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _iter_lines(source: Source):
+# the bytes, besides non-ASCII ones, that a data line may not hold: the digit
+# separator and the ASCII separators that str.split, unlike bytes.split,
+# splits on
+_MALFORMED = b"_\x1c\x1d\x1e\x1f"
+# bytes read at a time, then completed to a whole line
+_CHUNK_BYTES = 1 << 20
+
+
+def _is_malformed(data: bytes) -> bool:
+    """Whether ``data`` holds a byte that no data line may hold."""
+    return not data.isascii() or len(data.translate(None, _MALFORMED)) != len(data)
+
+
+def _shown(token: bytes) -> str:
+    """A line or token of an edge list as text, for an error message."""
+    return token.decode("utf-8", errors="replace")
+
+
+def _iter_chunks(source: Source):
+    """The bytes of ``source`` in chunks of whole lines, about
+    ``_CHUNK_BYTES`` each."""
     if isinstance(source, (str, Path)):
         with open(source, "rb") as fh:
-            yield from fh
+            yield from _read_chunks(fh)
     else:
         data = source.read()
         if isinstance(data, str):
             data = data.encode()
-        yield from io.BytesIO(data)
+        yield from _read_chunks(io.BytesIO(data))
+
+
+def _read_chunks(fh):
+    while chunk := fh.read(_CHUNK_BYTES):
+        yield chunk + fh.readline()
 
 
 def load_edge_list(source: Source, weighted: bool = False) -> Graph:
     """Parse a whitespace-delimited edge list and return the cleaned graph.
 
     Each non-blank line is ``u v`` or ``u v w`` with integer vertex labels
-    in [0, 2^63 - 1]; lines starting with ``#`` are comments and may hold
-    anything, every other line must be ASCII without ``_``.  With
+    in [0, 2^63 - 1], its fields separated by ASCII whitespace (space,
+    ``\\t``, ``\\n``, ``\\r``, ``\\x0b``, ``\\x0c``); lines starting with ``#``
+    are comments and may hold anything, every other line must be ASCII
+    without ``_`` or the ASCII separators ``\\x1c``-``\\x1f``.  With
     ``weighted=True`` the third column is required and must be positive;
     otherwise any third column is ignored.
 
@@ -424,49 +451,51 @@ def load_edge_list(source: Source, weighted: bool = False) -> Graph:
         If a weighted degree overflows float64.
     """
     us, vs, ws = [], [], []
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
-        # int and float would read digit separators, non-ASCII digits and
-        # Unicode spaces in a data line; a comment may hold anything
-        try:
-            line = raw.decode("ascii").strip()
-            malformed = "_" in line
-        except UnicodeDecodeError:
-            line = raw.decode("utf-8", errors="replace").strip()
-            malformed = True
-        if not line or line.startswith("#"):
-            continue
-        if malformed:
-            raise GraphFormatError(
-                lineno, f"data lines must be ASCII and hold no '_', got {line!r}"
-            )
-        parts = line.split()
-        if len(parts) < 2:
-            raise GraphFormatError(lineno, f"expected 'u v [w]', got {line!r}")
-        try:
-            u = int(parts[0])
-            v = int(parts[1])
-        except ValueError:
-            raise GraphFormatError(
-                lineno, f"vertex labels must be integers, got {line!r}"
-            ) from None
-        if not (0 <= u <= _MAX_LABEL and 0 <= v <= _MAX_LABEL):
-            raise GraphFormatError(lineno, "vertex labels must be in [0, 2^63 - 1]")
-        if weighted:
-            if len(parts) < 3:
-                raise GraphFormatError(lineno, "weighted load requires a third column")
+    lineno = 0
+    for chunk in _iter_chunks(source):
+        lines = chunk.split(b"\n")
+        if not lines[-1]:
+            lines.pop()  # the empty piece after the chunk's last newline
+        # a chunk without a malformed byte needs no check per line
+        clean = not _is_malformed(chunk)
+        for lineno, raw in enumerate(lines, start=lineno + 1):
+            line = raw.strip()
+            if not line or line.startswith(b"#"):
+                continue
+            if not clean and _is_malformed(line):
+                raise GraphFormatError(
+                    lineno,
+                    "data lines must be ASCII and hold no '_' or separator "
+                    f"\\x1c-\\x1f, got {_shown(line)!r}",
+                )
+            parts = line.split()
+            if len(parts) < 2:
+                raise GraphFormatError(lineno, f"expected 'u v [w]', got {_shown(line)!r}")
             try:
-                w = float(parts[2])
+                u = int(parts[0])
+                v = int(parts[1])
             except ValueError:
                 raise GraphFormatError(
-                    lineno, f"edge weight must be a number, got {parts[2]!r}"
+                    lineno, f"vertex labels must be integers, got {_shown(line)!r}"
                 ) from None
-            if not np.isfinite(w) or w <= 0.0:
-                raise GraphFormatError(lineno, f"edge weight must be positive, got {w}")
-        else:
-            w = 1.0
-        us.append(u)
-        vs.append(v)
-        ws.append(w)
+            if not (0 <= u <= _MAX_LABEL and 0 <= v <= _MAX_LABEL):
+                raise GraphFormatError(lineno, "vertex labels must be in [0, 2^63 - 1]")
+            if weighted:
+                if len(parts) < 3:
+                    raise GraphFormatError(lineno, "weighted load requires a third column")
+                try:
+                    w = float(parts[2])
+                except ValueError:
+                    raise GraphFormatError(
+                        lineno, f"edge weight must be a number, got {_shown(parts[2])!r}"
+                    ) from None
+                if not np.isfinite(w) or w <= 0.0:
+                    raise GraphFormatError(lineno, f"edge weight must be positive, got {w}")
+            else:
+                w = 1.0
+            us.append(u)
+            vs.append(v)
+            ws.append(w)
     if not us:
         raise EmptyGraphError("edge list contains no edges")
     return _build_graph(
@@ -719,6 +748,14 @@ def generate_er(n: int, m_target: int, seed: int) -> Graph:
     Edges are sampled uniformly without replacement from all unordered
     pairs.  The returned graph is the largest connected component, so its
     vertex count may be below ``n``.  Deterministic for a given seed.
+
+    Each round draws ``2 * need + 8`` endpoint pairs (``need`` edges still
+    missing) in two calls, drops self loops and keeps, in draw order, the
+    first occurrence of every pair not chosen in an earlier round, up to
+    ``need`` of them.  That is the edge set of adding the pairs to a set
+    one at a time until it holds ``m_target``, so a seed gives the graph
+    of that loop, kept in the tests as the reference.  A target near the
+    clique takes several rounds.
     """
     if n < 2:
         raise ValueError("generate_er requires n >= 2")
@@ -728,22 +765,31 @@ def generate_er(n: int, m_target: int, seed: int) -> Graph:
             f"m_target must be in [1, {max_edges}] for n={n}, got {m_target}"
         )
     rng = np.random.default_rng(seed)
-    chosen: set = set()
+    chosen = np.empty(0, dtype=np.int64)
     while len(chosen) < m_target:
         need = m_target - len(chosen)
         a = rng.integers(0, n, size=2 * need + 8)
         b = rng.integers(0, n, size=2 * need + 8)
-        for u, v in zip(a.tolist(), b.tolist()):
-            if u == v:
-                continue
-            code = (u * n + v) if u < v else (v * n + u)
-            chosen.add(code)
-            if len(chosen) >= m_target:
-                break
-    codes = np.fromiter(sorted(chosen), dtype=np.int64, count=m_target)
-    us = codes // n
-    vs = codes % n
-    return _build_graph(us, vs, np.ones(m_target, dtype=np.float64))
+        codes = np.where(a < b, a * n + b, b * n + a)[a != b]
+        # the first occurrence of each code: the head of its run in a
+        # stable sort; then back in draw order
+        order = np.argsort(codes, kind="stable")
+        ranked = codes[order]
+        first = np.empty(len(codes), dtype=bool)
+        first[:1] = True
+        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+        fresh = codes[np.sort(order[first])]
+        if len(chosen):
+            fresh = fresh[~np.isin(fresh, chosen)]
+        chosen = np.concatenate([chosen, fresh[:need]])
+    chosen.sort()
+    return _build_graph(chosen // n, chosen % n, np.ones(m_target, dtype=np.float64))
+
+
+# The most vertices whose picks generate_ba draws in one call.  Caps of 64
+# to 4096 filled the pool of BA 50k (attach 5) within noise of each other,
+# about 0.13 s (2-vCPU Xeon).
+_BA_BLOCK = 256
 
 
 def generate_ba(n: int, attach: int, seed: int) -> Graph:
@@ -753,33 +799,70 @@ def generate_ba(n: int, attach: int, seed: int) -> Graph:
     vertex attaches to ``attach`` distinct existing vertices chosen with
     probability proportional to current degree.  Always connected, so the
     whole graph is returned.  Deterministic for a given seed.
+
+    The targets of vertex v are drawn from a pool that lists both
+    endpoints of every earlier edge, by ``rng.integers(0, len(pool))``
+    until ``attach`` of them are distinct.  The graph is that of one such
+    call per pick, drawn in batches:
+
+    - The pool holds ``2 * attach * (v - attach)`` entries before v, so
+      the bounds of a block of vertices are known before any draw.  One
+      ``rng.integers(0, highs)`` call draws each vertex's first ``attach``
+      picks, and it consumes the generator's stream exactly like the
+      scalar calls (pinned by a test).
+    - At the first vertex whose picks repeat a target, the generator
+      rewinds: it restores the state saved before the block, re-draws the
+      picks up to that vertex's, draws the extra picks one call at a time
+      and starts the next block after that vertex.
+    - A block after a rewind spans twice the vertices that the rewound
+      block resolved, and a block after a clean one twice its size, up to
+      ``_BA_BLOCK``.  Where repeats are frequent (``attach`` near ``n``,
+      or the first vertices), a rewind then re-draws a few picks, not a
+      whole block.
+
+    The edges are distinct and connect every vertex by construction, so
+    the graph skips ``_build_graph``'s merging, component labelling and
+    relabelling, and the ids are the vertices' own.
     """
     if attach < 1:
         raise ValueError("attach must be >= 1")
     if n < attach + 1:
         raise ValueError(f"generate_ba requires n >= attach + 1 = {attach + 1}")
     rng = np.random.default_rng(seed)
-    us: list = []
-    vs: list = []
-    # degree-proportional sampling pool: each endpoint appears once per
-    # incident edge
-    pool: list = []
-    for v in range(1, attach + 1):
-        us.append(0)
-        vs.append(v)
-        pool.extend((0, v))
-    for v in range(attach + 1, n):
-        targets: set = set()
-        while len(targets) < attach:
-            pick = pool[int(rng.integers(0, len(pool)))]
-            targets.add(pick)
-        for t in sorted(targets):
-            us.append(v)
-            vs.append(t)
-            pool.extend((v, t))
-    m = len(us)
-    return _build_graph(
-        np.asarray(us, dtype=np.int64),
-        np.asarray(vs, dtype=np.int64),
-        np.ones(m, dtype=np.float64),
+    m = attach * (n - attach)
+    # the pool: entries 2i and 2i + 1 are the endpoints of edge i, in the
+    # order the edges are made; vertex v's edges are (v, t), t < v, so only
+    # the targets t are left to fill
+    ends = np.empty(2 * m, dtype=np.int64)
+    ends[0 : 2 * attach : 2] = 0
+    ends[1 : 2 * attach : 2] = np.arange(1, attach + 1)
+    ends[2 * attach :: 2] = np.repeat(np.arange(attach + 1, n), attach)
+    pool = ends.tolist()
+    v0, block = attach + 1, _BA_BLOCK
+    while v0 < n:
+        stop = min(v0 + block, n)
+        highs = np.repeat(np.arange(v0 - attach, stop - attach) * (2 * attach), attach)
+        state = rng.bit_generator.state
+        picks = rng.integers(0, highs).tolist()
+        pos = 2 * attach * (v0 - attach)  # the pool's length before v
+        j = 0
+        for v in range(v0, stop):
+            targets = {pool[p] for p in picks[j : j + attach]}
+            j += attach
+            if len(targets) < attach:
+                rng.bit_generator.state = state
+                rng.integers(0, highs[:j])
+                while len(targets) < attach:
+                    targets.add(pool[int(rng.integers(0, pos))])
+                pool[pos + 1 : pos + 2 * attach : 2] = sorted(targets)
+                v0, block = v + 1, 2 * (v + 1 - v0)
+                break
+            pool[pos + 1 : pos + 2 * attach : 2] = sorted(targets)
+            pos += 2 * attach
+        else:
+            v0, block = stop, min(2 * block, _BA_BLOCK)
+    ends = np.array(pool, dtype=np.int64).reshape(m, 2)
+    offsets, neighbors, weights, degrees = _csr_from_canonical(
+        n, ends.min(axis=1), ends.max(axis=1), np.ones(m, dtype=np.float64)
     )
+    return Graph(offsets, neighbors, weights, degrees, np.arange(n, dtype=np.int64))

@@ -122,6 +122,15 @@ def test_query_malformed_token_is_io_error(runner, tmp_path):
     assert "line 2" in result.output and "ASCII" in result.output
 
 
+def test_query_ascii_separator_is_io_error(runner, tmp_path):
+    # str.split would have read the edge (1, 2) from this line
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"1 2\n1\x1f2\n")
+    result = runner.invoke(cli, ["query", str(path), "1", "2"])
+    assert result.exit_code == EXIT_IO
+    assert "line 2" in result.output and "separator" in result.output
+
+
 @pytest.mark.parametrize("label", ["-1", str(2**64)])
 def test_query_label_outside_int64_is_usage_error(runner, toy_file, label):
     result = runner.invoke(cli, ["query", toy_file, "--", label, "4"])
@@ -254,6 +263,19 @@ def test_corrupt_cache_is_an_input_error(runner, tmp_path, command):
     result = runner.invoke(cli, [arg.format(path=path) for arg in command])
     assert result.exit_code == EXIT_IO, result.output
     assert "neighbor id" in result.output
+
+
+@pytest.mark.parametrize("family", ["er", "ba"])
+@pytest.mark.parametrize("args, named", [
+    (["0"], "'N'"), (["1"], "'N'"), (["30", "--seed", "-1"], "'--seed'"),
+], ids=["n0", "n1", "seed-negative"])
+def test_gen_validates_n_and_seed_before_the_defaults(runner, tmp_path, family, args, named):
+    # n = 0 once reached log(0) in the default m / attach
+    out = tmp_path / "x.txt"
+    result = runner.invoke(cli, ["gen", family, args[0], str(out), *args[1:]])
+    assert result.exit_code == EXIT_USAGE
+    assert named in result.output and "domain" not in result.output
+    assert not out.exists()
 
 
 def test_gen_validates_family(runner, tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resistor as R
+import resistor.graph as graph_module
 
 from resistor.graph import (
     _arc_positions,
@@ -107,6 +108,36 @@ def test_malformed_token_is_rejected(case):
     with pytest.raises(R.GraphFormatError, match="ASCII") as err:
         graph_from_text(text, weighted=weighted)
     assert err.value.line_number == 2
+
+
+@pytest.mark.parametrize("text", ["1\x1f2\n", "1\x1c2\n", "0 1\x1e\n", "\x1d\n"],
+                         ids=["unit-separator", "file-separator", "trailing", "separator-only"])
+def test_ascii_separator_in_a_data_line_is_rejected(text):
+    # str.split would split on \x1c-\x1f; fields are split on ASCII
+    # whitespace alone, and a data line holding a separator is malformed
+    with pytest.raises(R.GraphFormatError, match="separator") as err:
+        graph_from_text("0 1\n" + text)
+    assert err.value.line_number == 2
+
+
+def test_fields_split_on_ascii_whitespace():
+    g = graph_from_text("0\t1\r\n1\x0b2\n\x0c2 \t 3\n")
+    assert g.edge_count == 3
+
+
+def test_line_numbers_and_checks_cross_chunks(monkeypatch):
+    # a chunk that holds a comment with non-ASCII bytes is checked line by
+    # line; line numbers run on across chunk boundaries
+    monkeypatch.setattr(graph_module, "_CHUNK_BYTES", 8)
+    lines = ["# r\u00e9seau", "0 1", "", "1 2", "# \x1f", "2 3", "3 4"]
+    g = graph_from_text("\n".join(lines))
+    assert g.edge_count == 4
+    with pytest.raises(R.GraphFormatError, match="separator") as err:
+        graph_from_text("\n".join(lines + ["4 5", "5\x1f6", "6 7"]))
+    assert err.value.line_number == 9
+    with pytest.raises(R.GraphFormatError, match="integers") as err:
+        graph_from_text("0 1\n1 2\n2 3\n3 x\n")
+    assert err.value.line_number == 4
 
 
 def test_comments_may_hold_anything():
@@ -586,6 +617,101 @@ def test_generate_ba_shape_and_determinism():
         R.generate_ba(3, 3, seed=0)
     with pytest.raises(ValueError):
         R.generate_ba(5, 0, seed=0)
+
+
+def _reference_er(n: int, m_target: int, seed: int) -> R.Graph:
+    """The set-building loop that generate_er replaced, kept as its oracle."""
+    rng = np.random.default_rng(seed)
+    chosen: set = set()
+    while len(chosen) < m_target:
+        need = m_target - len(chosen)
+        a = rng.integers(0, n, size=2 * need + 8)
+        b = rng.integers(0, n, size=2 * need + 8)
+        for u, v in zip(a.tolist(), b.tolist()):
+            if u == v:
+                continue
+            code = (u * n + v) if u < v else (v * n + u)
+            chosen.add(code)
+            if len(chosen) >= m_target:
+                break
+    codes = np.fromiter(sorted(chosen), dtype=np.int64, count=m_target)
+    us = codes // n
+    vs = codes % n
+    return _build_graph(us, vs, np.ones(m_target, dtype=np.float64))
+
+
+def _reference_ba(n: int, attach: int, seed: int) -> R.Graph:
+    """The one-call-per-pick loop that generate_ba replaced, kept as its
+    oracle."""
+    rng = np.random.default_rng(seed)
+    us: list = []
+    vs: list = []
+    # degree-proportional sampling pool: each endpoint appears once per
+    # incident edge
+    pool: list = []
+    for v in range(1, attach + 1):
+        us.append(0)
+        vs.append(v)
+        pool.extend((0, v))
+    for v in range(attach + 1, n):
+        targets: set = set()
+        while len(targets) < attach:
+            pick = pool[int(rng.integers(0, len(pool)))]
+            targets.add(pick)
+        for t in sorted(targets):
+            us.append(v)
+            vs.append(t)
+            pool.extend((v, t))
+    m = len(us)
+    return _build_graph(
+        np.asarray(us, dtype=np.int64),
+        np.asarray(vs, dtype=np.int64),
+        np.ones(m, dtype=np.float64),
+    )
+
+
+def _assert_same_graph(got: R.Graph, want: R.Graph) -> None:
+    for field in ("offsets", "neighbors", "weights", "weighted_degrees", "old_ids"):
+        a, b = getattr(got, field), getattr(want, field)
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+
+
+# attach near n repeats targets at most vertices (a rewind each); n = 2000
+# at attach 1 spans several full blocks without one; 50k is ba-local's size
+@pytest.mark.parametrize("args", [
+    (12, 10, 0), (12, 10, 5), (11, 10, 3), (7, 6, 0), (2, 1, 0), (500, 10, 3),
+    (3000, 3, 7), (2000, 1, 2), (3000, 7, 4), (20_000, 2, 9), (50_000, 5, 1),
+])
+def test_generate_ba_matches_the_scalar_loop(args):
+    _assert_same_graph(R.generate_ba(*args), _reference_ba(*args))
+
+
+# the clique and the dense targets take several rounds; seed 482 draws
+# only self loops in its first round; 50k is er-global's size
+@pytest.mark.parametrize("args", [
+    (10, 45, 0), (10, 44, 0), (30, 400, 0), (30, 435, 2), (30, 200, 0),
+    (5, 1, 0), (2, 1, 0), (2, 1, 482), (2000, 10_000, 0), (50_000, 250_000, 1),
+])
+def test_generate_er_matches_the_set_loop(args):
+    _assert_same_graph(R.generate_er(*args), _reference_er(*args))
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_broadcast_integers_consume_the_stream_like_scalar_calls(seed):
+    # generate_ba draws a block of picks with one call and relies on it
+    # drawing what one call per pick would, and leaving the same state;
+    # both below and above 2^32, where numpy switches its bounded method,
+    # and over an odd count, which leaves half a 64-bit word buffered
+    highs = np.random.default_rng(seed).integers(1, 2**40, size=2001)
+    highs[::3] %= 100
+    highs[::3] += 1
+    highs[::7] = 2**33 + 5
+    batch, scalar = np.random.default_rng(seed + 100), np.random.default_rng(seed + 100)
+    for part in (highs[:1001], highs[1001:], highs[:1]):
+        drawn = batch.integers(0, part)
+        assert drawn.tolist() == [int(scalar.integers(0, int(h))) for h in part]
+        assert batch.bit_generator.state == scalar.bit_generator.state
 
 
 def test_generated_graphs_have_positive_degrees():
