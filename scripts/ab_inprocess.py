@@ -30,10 +30,20 @@ The rows, each built once per side on that side's own graph:
 - ``load_edge_list`` of the lattice's text file, the parse of the
   grid-route set-up.
 
+``--rows SUBSTR ...`` keeps the rows whose name holds one of the
+substrings, e.g. ``--rows generate load`` for the set-up rows alone,
+without the minutes of the query rows.
+
 A sample is the wall time of one row on one side in one round, after
 one untimed warm-up of each.  Each row reports the median and quartiles
 of each side's samples in seconds, the ratio of the medians
 (change / parent) and the rounds the change won.
+
+Two imported copies of the same code need not read a ratio of 1 or an
+even win count: a few percent either way, and 16 wins in 20 rounds,
+have been seen.  An A/A run, the parent tree passed as both
+``PARENT_SRC`` and ``CHANGE_SRC`` with the same ``--rows`` and
+``--rounds``, measures that bias; report it beside the A/B run.
 """
 
 from __future__ import annotations
@@ -137,6 +147,8 @@ def main() -> None:
     parser.add_argument("--rounds", type=int, default=20)
     parser.add_argument("--parent-commit", default="unknown")
     parser.add_argument("--change-commit", default="unknown")
+    parser.add_argument("--rows", nargs="+", metavar="SUBSTR",
+                        help="time only the rows whose name holds one of these")
     args = parser.parse_args()
     if args.rounds < 2:
         parser.error("--rounds must be >= 2")
@@ -151,7 +163,10 @@ def main() -> None:
             side: make_rows(import_copy(src, f"resistor_{side}", tmp), grid_path)
             for side, src in zip(SIDES, (args.parent_src, args.change_src))
         }
-        names = list(rows["parent"])
+        names = [name for name in rows["parent"]
+                 if args.rows is None or any(sub in name for sub in args.rows)]
+        if not names:
+            parser.error(f"no row name holds any of {args.rows}")
         for side in SIDES:
             for name in names:
                 rows[side][name]()  # warm-up: layouts and free lists are built
@@ -192,6 +207,7 @@ def main() -> None:
             "numpy": np.__version__,
             "parent_commit": args.parent_commit,
             "change_commit": args.change_commit,
+            "rows": args.rows,
         },
         "rows": results,
     }

@@ -10,7 +10,6 @@ positive degrees.
 
 from __future__ import annotations
 
-import io
 import struct
 from dataclasses import dataclass
 from functools import cached_property
@@ -327,8 +326,9 @@ def _build_graph(u_raw: np.ndarray, v_raw: np.ndarray, w_raw: np.ndarray) -> Gra
     """Clean raw (label, label, weight) triples into a canonical Graph.
 
     Applies the full pipeline: self-loop removal, parallel-edge merging,
-    largest-connected-component extraction, and relabeling to contiguous
-    ids ordered by original label.
+    then the tail shared with ``generate_er`` (``_largest_component``):
+    largest-connected-component extraction, relabeling to contiguous ids
+    ordered by original label, and the CSR assembly.
     """
     keep = u_raw != v_raw
     u_raw, v_raw, w_raw = u_raw[keep], v_raw[keep], w_raw[keep]
@@ -347,21 +347,37 @@ def _build_graph(u_raw: np.ndarray, v_raw: np.ndarray, w_raw: np.ndarray) -> Gra
     )
     merged_w = np.bincount(inverse, weights=w_raw, minlength=len(keys))
     uniq_u, uniq_v = np.divmod(keys, n_all)
+    return _largest_component(labels, uniq_u, uniq_v, merged_w)
 
+
+def _largest_component(
+    labels: np.ndarray, uniq_u: np.ndarray, uniq_v: np.ndarray, w: np.ndarray
+) -> Graph:
+    """The Graph of the largest connected component of the distinct
+    canonical edges ``(uniq_u, uniq_v, w)``, ``uniq_u < uniq_v``, over the
+    vertices ``0..len(labels)-1``, whose original labels ``labels`` ascend.
+
+    The tail that ``_build_graph`` and ``generate_er`` share.  The kept
+    vertices are an ascending subset of the ids, so a vertex's new id is
+    the count of kept vertices before it: a gather from a running count,
+    not a search.
+    """
+    n_all = len(labels)
     comp = _component_labels(
         n_all, np.concatenate([uniq_u, uniq_v]), np.concatenate([uniq_v, uniq_u])
     )
     counts = np.bincount(comp)
     best = int(np.argmax(counts))
-    kept = np.where(comp == best)[0]
+    in_lcc = comp == best
+    remap = np.cumsum(in_lcc) - 1
 
-    edge_mask = comp[uniq_u] == best
-    eu = np.searchsorted(kept, uniq_u[edge_mask])
-    ev = np.searchsorted(kept, uniq_v[edge_mask])
-    ew = merged_w[edge_mask]
-
-    offsets, neighbors, weights, degrees = _csr_from_canonical(len(kept), eu, ev, ew)
-    old_ids = labels[kept].astype(np.int64)
+    edge_mask = in_lcc[uniq_u]
+    eu = remap[uniq_u[edge_mask]]
+    ev = remap[uniq_v[edge_mask]]
+    offsets, neighbors, weights, degrees = _csr_from_canonical(
+        int(counts[best]), eu, ev, w[edge_mask]
+    )
+    old_ids = labels[in_lcc].astype(np.int64)
     _check_finite_degrees(degrees, old_ids)
     return Graph(
         offsets=offsets,
@@ -412,13 +428,13 @@ def _iter_chunks(source: Source):
         with open(source, "rb") as fh:
             yield from _read_chunks(fh)
     else:
-        data = source.read()
-        if isinstance(data, str):
-            data = data.encode()
-        yield from _read_chunks(io.BytesIO(data))
+        for chunk in _read_chunks(source):
+            yield chunk.encode() if isinstance(chunk, str) else chunk
 
 
 def _read_chunks(fh):
+    """A binary or text stream read ``_CHUNK_BYTES`` bytes or characters
+    at a time, each read completed to a whole line."""
     while chunk := fh.read(_CHUNK_BYTES):
         yield chunk + fh.readline()
 
@@ -756,6 +772,21 @@ def generate_er(n: int, m_target: int, seed: int) -> Graph:
     one at a time until it holds ``m_target``, so a seed gives the graph
     of that loop, kept in the tests as the reference.  A target near the
     clique takes several rounds.
+
+    The first ``need`` distinct pairs in draw order lie in any prefix of
+    the draws that holds ``need`` distinct pairs.  So the first round
+    dedupes only its first ``need + need // 64 + 16`` draws, and all of
+    them, as every later round does, only when that prefix repeats too
+    often (a target near the clique).  On the prefix, a partition of the
+    first-occurrence positions at ``need - 1`` picks those pairs out of
+    the distinct ones, which are already sorted.
+
+    The chosen edges are distinct, canonical (``u < v``) and sorted, so
+    the graph skips ``_build_graph``'s label search and pair merging: the
+    vertices that some edge touches, marked in an n-vector, are the
+    labels, their ids a running count of the marks, and the edges go
+    straight to the largest-component step that ``_build_graph`` ends
+    with.
     """
     if n < 2:
         raise ValueError("generate_er requires n >= 2")
@@ -764,26 +795,63 @@ def generate_er(n: int, m_target: int, seed: int) -> Graph:
         raise ValueError(
             f"m_target must be in [1, {max_edges}] for n={n}, got {m_target}"
         )
-    rng = np.random.default_rng(seed)
+    u, v = np.divmod(_er_codes(n, m_target, np.random.default_rng(seed)), n)
+    present = np.zeros(n, dtype=bool)
+    present[u] = True
+    present[v] = True
+    ids = np.cumsum(present) - 1
+    return _largest_component(
+        np.flatnonzero(present), ids[u], ids[v], np.ones(m_target, dtype=np.float64)
+    )
+
+
+def _pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
+    """The code ``min * n + max`` of each pair ``(a, b)`` that is no self
+    loop, in draw order."""
+    return np.where(a < b, a * n + b, b * n + a)[a != b]
+
+
+def _first_occurrences(codes: np.ndarray) -> tuple:
+    """The distinct values of ``codes``, ascending, and the position of
+    each one's first occurrence.
+
+    A stable sort would put each first occurrence at the head of its run;
+    the default sort is several times faster and leaves a run in any
+    order, so the head of a repeated value takes the least position of
+    its run.
+    """
+    order = np.argsort(codes)
+    ranked = codes[order]
+    first = np.empty(len(codes), dtype=bool)
+    first[:1] = True
+    np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
+    pos = order[first]
+    repeat = np.flatnonzero(~first)
+    np.minimum.at(pos, np.cumsum(first)[repeat] - 1, order[repeat])
+    return ranked[first], pos
+
+
+def _er_codes(n: int, m_target: int, rng: np.random.Generator) -> np.ndarray:
+    """The codes ``u * n + v`` (``u < v``) of ``generate_er``'s edges,
+    ascending."""
     chosen = np.empty(0, dtype=np.int64)
     while len(chosen) < m_target:
         need = m_target - len(chosen)
         a = rng.integers(0, n, size=2 * need + 8)
         b = rng.integers(0, n, size=2 * need + 8)
-        codes = np.where(a < b, a * n + b, b * n + a)[a != b]
-        # the first occurrence of each code: the head of its run in a
-        # stable sort; then back in draw order
-        order = np.argsort(codes, kind="stable")
-        ranked = codes[order]
-        first = np.empty(len(codes), dtype=bool)
-        first[:1] = True
-        np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-        fresh = codes[np.sort(order[first])]
+        if not len(chosen):
+            head = need + need // 64 + 16
+            values, pos = _first_occurrences(_pair_codes(a[:head], b[:head], n))
+            if len(values) >= need:
+                # the need earliest first occurrences, left in ascending order
+                return values[pos <= np.partition(pos, need - 1)[need - 1]]
+        codes = _pair_codes(a, b, n)
+        fresh = codes[np.sort(_first_occurrences(codes)[1])]
         if len(chosen):
             fresh = fresh[~np.isin(fresh, chosen)]
         chosen = np.concatenate([chosen, fresh[:need]])
     chosen.sort()
-    return _build_graph(chosen // n, chosen % n, np.ones(m_target, dtype=np.float64))
+    return chosen
 
 
 # The most vertices whose picks generate_ba draws in one call.  Caps of 64

@@ -2,6 +2,7 @@
 
 import io
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -138,6 +139,102 @@ def test_line_numbers_and_checks_cross_chunks(monkeypatch):
     with pytest.raises(R.GraphFormatError, match="integers") as err:
         graph_from_text("0 1\n1 2\n2 3\n3 x\n")
     assert err.value.line_number == 4
+
+
+class _Bounded:
+    def read(self, size=-1):
+        if size is None or size < 0:
+            raise AssertionError("the stream was read whole")
+        return super().read(size)
+
+
+class _BoundedBytesIO(_Bounded, io.BytesIO):
+    pass
+
+
+class _BoundedStringIO(_Bounded, io.StringIO):
+    pass
+
+
+@pytest.mark.parametrize("stream", [
+    lambda text: _BoundedBytesIO(text.encode()), _BoundedStringIO,
+], ids=["binary", "text"])
+def test_streams_are_read_in_bounded_chunks(monkeypatch, tmp_path, stream):
+    monkeypatch.setattr(graph_module, "_CHUNK_BYTES", 8)
+    lines = ["# r\u00e9seau", "0 1", "", "10 11", "1 2 0.5", "# \x1f", "2 3", "3 4"]
+    path = tmp_path / "g.txt"
+    path.write_text("\n".join(lines))
+    _assert_same_graph(R.load_edge_list(stream("\n".join(lines))),
+                       R.load_edge_list(path))
+    for bad in (9, 12):
+        text = "\n".join(lines + ["4 5"] * (bad - len(lines) - 1) + ["5 x", "6 7"])
+        with pytest.raises(R.GraphFormatError, match="integers") as err:
+            R.load_edge_list(stream(text))
+        assert err.value.line_number == bad
+
+
+_LABEL = st.integers(0, 2**63 - 1).map(lambda x: str(x).encode())
+_WEIGHT = st.floats(1e-6, 1e6).map(lambda x: repr(x).encode())
+_SPACE = st.sampled_from([b" ", b"\t", b"  ", b" \t\x0b", b"\x0c"])
+
+
+@st.composite
+def _valid_line(draw, weighted):
+    kind = draw(st.sampled_from(["edge", "edge", "edge", "comment", "blank"]))
+    if kind == "comment":
+        return b"#" + draw(st.binary(max_size=12)).replace(b"\n", b"")
+    if kind == "blank":
+        return draw(st.sampled_from([b"", b" ", b"\t\r"]))
+    fields = [draw(_LABEL), draw(_LABEL)] + ([draw(_WEIGHT)] if weighted else [])
+    return draw(_SPACE).join(fields) + draw(st.sampled_from([b"", b"\r", b" "]))
+
+
+# every rejection of a data line: (line, weighted loads only, message);
+# the lines that end in a weight are rejected whether it is read or not
+_BAD_LINES = {
+    "non-integer label": (b"3 x 7", False, "labels must be integers"),
+    "fractional label": (b"1.5 2 7", False, "labels must be integers"),
+    "negative label": (b"-3 4 7", False, "must be in [0, 2^63 - 1]"),
+    "label above int64": (b"9223372036854775808 1 7", False, "must be in [0, 2^63 - 1]"),
+    "single field": (b"5", False, "expected 'u v [w]'"),
+    "non-ASCII byte": (b"1 2\xff 7", False, "must be ASCII"),
+    "non-ASCII digit": ("\u0661 2 7".encode(), False, "must be ASCII"),
+    "digit separator": (b"1_0 2 7", False, "must be ASCII"),
+    "file separator": (b"1\x1c2 7", False, "must be ASCII"),
+    "group separator": (b"1 2\x1d 7", False, "must be ASCII"),
+    "record separator": (b"1\x1e 2 7", False, "must be ASCII"),
+    "unit separator": (b"1\x1f2 7", False, "must be ASCII"),
+    "missing weight": (b"1 2", True, "requires a third column"),
+    "non-numeric weight": (b"1 2 heavy", True, "must be a number"),
+    "zero weight": (b"1 2 0", True, "must be positive"),
+    "negative weight": (b"1 2 -2.5", True, "must be positive"),
+    "infinite weight": (b"1 2 inf", True, "must be positive"),
+    "nan weight": (b"1 2 nan", True, "must be positive"),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data(), st.sampled_from(sorted(_BAD_LINES)), st.booleans(),
+       st.sampled_from(["whole", "boundary", "small"]))
+def test_each_rejection_names_its_line(data, kind, weighted, chunking):
+    bad, weighted_only, message = _BAD_LINES[kind]
+    weighted = weighted or weighted_only
+    lines = data.draw(st.lists(_valid_line(weighted), max_size=30))
+    at = data.draw(st.integers(0, len(lines)))
+    lines.insert(at, bad)
+    text = b"\n".join(lines) + data.draw(st.sampled_from([b"", b"\n"]))
+    offset = sum(len(line) + 1 for line in lines[:at])
+    chunk = {"whole": graph_module._CHUNK_BYTES, "boundary": max(offset - 1, 1),
+             "small": data.draw(st.integers(1, 16))}[chunking]
+    with mock.patch.object(graph_module, "_CHUNK_BYTES", chunk):
+        if chunking == "boundary" and offset >= 2:
+            # the bad line is the first line of the second chunk
+            first = next(graph_module._iter_chunks(io.BytesIO(text)))
+            assert len(first) == offset
+        with pytest.raises(R.GraphFormatError) as err:
+            R.load_edge_list(io.BytesIO(text), weighted=weighted)
+    assert err.value.line_number == at + 1
+    assert message in str(err.value)
 
 
 def test_comments_may_hold_anything():
@@ -688,13 +785,28 @@ def test_generate_ba_matches_the_scalar_loop(args):
 
 
 # the clique and the dense targets take several rounds; seed 482 draws
-# only self loops in its first round; 50k is er-global's size
+# only self loops in its first round; at (100, 2000) and (60, 1000) the
+# first round's prefix holds too few distinct pairs; at (1000, 300) and
+# (5000, 2000) the largest component leaves most labels out; 50k is
+# er-global's size
 @pytest.mark.parametrize("args", [
     (10, 45, 0), (10, 44, 0), (30, 400, 0), (30, 435, 2), (30, 200, 0),
     (5, 1, 0), (2, 1, 0), (2, 1, 482), (2000, 10_000, 0), (50_000, 250_000, 1),
+    *[(100, 2000, s) for s in range(3)], *[(60, 1000, s) for s in range(3)],
+    *[(1000, 300, s) for s in range(3)], *[(5000, 2000, s) for s in range(3)],
 ])
 def test_generate_er_matches_the_set_loop(args):
     _assert_same_graph(R.generate_er(*args), _reference_er(*args))
+
+
+def test_generate_er_skips_build_graph(monkeypatch):
+    want = _reference_er(2000, 10_000, 0)
+
+    def build_graph(*args):
+        raise AssertionError("generate_er went through _build_graph")
+
+    monkeypatch.setattr(graph_module, "_build_graph", build_graph)
+    _assert_same_graph(R.generate_er(2000, 10_000, 0), want)
 
 
 @pytest.mark.parametrize("seed", range(5))
