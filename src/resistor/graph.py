@@ -362,9 +362,8 @@ def _largest_component(
     the count of kept vertices before it: a gather from a running count,
     not a search.
     """
-    n_all = len(labels)
     comp = _component_labels(
-        n_all, np.concatenate([uniq_u, uniq_v]), np.concatenate([uniq_v, uniq_u])
+        len(labels), np.concatenate([uniq_u, uniq_v]), np.concatenate([uniq_v, uniq_u])
     )
     counts = np.bincount(comp)
     best = int(np.argmax(counts))
