@@ -27,6 +27,8 @@ The rows, each built once per side on that side's own graph:
   pairs;
 - ``generate_er(50_000, 250_000, 1)`` and ``generate_ba(50_000, 5, 1)``,
   the set-up of the er-global and ba-local workloads;
+- ``generate_ba(200_000, 5, 1)``, which tracks how the generator scales
+  (``--rows 200k`` selects it alone);
 - ``load_edge_list`` of the lattice's text file, the parse of the
   grid-route set-up.
 
@@ -64,6 +66,7 @@ import numpy as np
 
 ER_N, ER_M, ER_SEED, ER_K = 50_000, 250_000, 1, 20
 BA_N, BA_ATTACH, BA_SEED = 50_000, 5, 1
+BA_SCALE_N = 200_000
 GRID_SIDE, GRID_DELETE, GRID_FRAGMENTS, GRID_SEED, GRID_K = 80, 0.1, 8000, 1, 200
 ROUTES = 3
 PAIRS, PAIR_SEED = 20, 3
@@ -124,6 +127,9 @@ def make_rows(pkg, grid_path: Path) -> dict:
     def gen_ba():
         pkg.generate_ba(BA_N, BA_ATTACH, BA_SEED)
 
+    def gen_ba_scale():
+        pkg.generate_ba(BA_SCALE_N, BA_ATTACH, BA_SEED)
+
     def load():
         pkg.load_edge_list(grid_path)
 
@@ -131,6 +137,7 @@ def make_rows(pkg, grid_path: Path) -> dict:
             "estimate_spectrum grid": spectrum,
             f"extract_routes grid k{GRID_K} l{ROUTES}": routes,
             "generate_er 50k/250k": gen_er, f"generate_ba 50k a{BA_ATTACH}": gen_ba,
+            f"generate_ba 200k a{BA_ATTACH}": gen_ba_scale,
             "load_edge_list grid": load}
 
 
@@ -197,6 +204,7 @@ def main() -> None:
         "setup": {
             "er": f"generate_er({ER_N}, {ER_M}, {ER_SEED}), k = {ER_K}",
             "ba": f"generate_ba({BA_N}, {BA_ATTACH}, {BA_SEED})",
+            "ba_scale": f"generate_ba({BA_SCALE_N}, {BA_ATTACH}, {BA_SEED})",
             "grid": (f"load_edge_list of grid_edges({GRID_SIDE}, {GRID_DELETE}, "
                      f"{GRID_FRAGMENTS}, default_rng({GRID_SEED})), k = {GRID_K}, "
                      f"l = {ROUTES} routes"),

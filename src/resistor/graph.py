@@ -298,9 +298,9 @@ def _bfs_layers(offsets, neighbors, source, hops):
 
 
 def _component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """Component label of every vertex of the arcs ``(src, dst)`` on
-    ``0..n-1``, numbered by each component's smallest vertex; every edge
-    must appear as both its arcs.
+    """The root of every vertex of the arcs ``(src, dst)`` on ``0..n-1``:
+    the smallest vertex of its component; every edge must appear as both
+    its arcs.
 
     Min-label hooking with pointer jumping: every root takes the smallest
     root across its arcs, then every vertex jumps to its root.  Roots that
@@ -312,7 +312,7 @@ def _component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
     while True:
         root_src, root_dst = parent[src], parent[dst]
         if np.array_equal(root_src, root_dst):
-            return np.unique(parent, return_inverse=True)[1]
+            return parent
         np.minimum.at(parent, root_src, root_dst)
         # parents only ever point to smaller ids, so this ends at the roots
         while True:
@@ -362,12 +362,14 @@ def _largest_component(
     the count of kept vertices before it: a gather from a running count,
     not a search.
     """
-    comp = _component_labels(
+    roots = _component_labels(
         len(labels), np.concatenate([uniq_u, uniq_v]), np.concatenate([uniq_v, uniq_u])
     )
-    counts = np.bincount(comp)
+    # argmax takes the smallest root, so a tie goes to the component that
+    # holds the smallest label
+    counts = np.bincount(roots)
     best = int(np.argmax(counts))
-    in_lcc = comp == best
+    in_lcc = roots == best
     remap = np.cumsum(in_lcc) - 1
 
     edge_mask = in_lcc[uniq_u]
@@ -757,6 +759,16 @@ def triangle_weight(g: Graph) -> Graph:
 # ---------------------------------------------------------------------------
 
 
+def _integers(**args) -> list:
+    """The values of the keyword arguments as ints; raise ValueError,
+    naming the argument, on any that is not an int or a numpy integer
+    (a bool is neither)."""
+    for name, value in args.items():
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
+    return [int(value) for value in args.values()]
+
+
 def generate_er(n: int, m_target: int, seed: int) -> Graph:
     """Uniform random graph with ``n`` vertices and ``m_target`` distinct edges.
 
@@ -787,6 +799,7 @@ def generate_er(n: int, m_target: int, seed: int) -> Graph:
     straight to the largest-component step that ``_build_graph`` ends
     with.
     """
+    n, m_target, seed = _integers(n=n, m_target=m_target, seed=seed)
     if n < 2:
         raise ValueError("generate_er requires n >= 2")
     max_edges = n * (n - 1) // 2
@@ -854,8 +867,8 @@ def _er_codes(n: int, m_target: int, rng: np.random.Generator) -> np.ndarray:
 
 
 # The most vertices whose picks generate_ba draws in one call.  Caps of 64
-# to 4096 filled the pool of BA 50k (attach 5) within noise of each other,
-# about 0.13 s (2-vCPU Xeon).
+# to 4096 filled the pool of BA 50k (attach 5) in 0.06-0.09 s, 256 and 512
+# at the low end (median of 5, 2-vCPU Xeon).
 _BA_BLOCK = 256
 
 
@@ -877,10 +890,20 @@ def generate_ba(n: int, attach: int, seed: int) -> Graph:
       ``rng.integers(0, highs)`` call draws each vertex's first ``attach``
       picks, and it consumes the generator's stream exactly like the
       scalar calls (pinned by a test).
+    - The pool is an int64 array whose even entries (the new vertices)
+      are known in advance; the block fills the odd ones, its rows'
+      targets.  A pick reads the pool at once, unless it lands on an odd
+      entry at or after the block's start: that is the target of an
+      earlier row of the block, read once that row is written.  Each
+      round sorts the rows whose picks are all read, writes those before
+      the first row with a repeated target, and reads the picks that wait
+      on the rows just written.  Picks only read backwards, so the rounds
+      number the longest chain of such reads, usually 1-4.
     - At the first vertex whose picks repeat a target, the generator
       rewinds: it restores the state saved before the block, re-draws the
       picks up to that vertex's, draws the extra picks one call at a time
-      and starts the next block after that vertex.
+      and starts the next block after that vertex; the rows after it are
+      dropped.
     - A block after a rewind spans twice the vertices that the rewound
       block resolved, and a block after a clean one twice its size, up to
       ``_BA_BLOCK``.  Where repeats are frequent (``attach`` near ``n``,
@@ -891,12 +914,14 @@ def generate_ba(n: int, attach: int, seed: int) -> Graph:
     the graph skips ``_build_graph``'s merging, component labelling and
     relabelling, and the ids are the vertices' own.
     """
+    n, attach, seed = _integers(n=n, attach=attach, seed=seed)
     if attach < 1:
         raise ValueError("attach must be >= 1")
     if n < attach + 1:
         raise ValueError(f"generate_ba requires n >= attach + 1 = {attach + 1}")
     rng = np.random.default_rng(seed)
     m = attach * (n - attach)
+    width = 2 * attach  # pool entries a vertex adds
     # the pool: entries 2i and 2i + 1 are the endpoints of edge i, in the
     # order the edges are made; vertex v's edges are (v, t), t < v, so only
     # the targets t are left to fill
@@ -904,31 +929,50 @@ def generate_ba(n: int, attach: int, seed: int) -> Graph:
     ends[0 : 2 * attach : 2] = 0
     ends[1 : 2 * attach : 2] = np.arange(1, attach + 1)
     ends[2 * attach :: 2] = np.repeat(np.arange(attach + 1, n), attach)
-    pool = ends.tolist()
     v0, block = attach + 1, _BA_BLOCK
     while v0 < n:
         stop = min(v0 + block, n)
-        highs = np.repeat(np.arange(v0 - attach, stop - attach) * (2 * attach), attach)
+        highs = np.repeat(np.arange(v0 - attach, stop - attach) * width, attach)
         state = rng.bit_generator.state
-        picks = rng.integers(0, highs).tolist()
-        pos = 2 * attach * (v0 - attach)  # the pool's length before v
-        j = 0
-        for v in range(v0, stop):
-            targets = {pool[p] for p in picks[j : j + attach]}
-            j += attach
-            if len(targets) < attach:
-                rng.bit_generator.state = state
-                rng.integers(0, highs[:j])
-                while len(targets) < attach:
-                    targets.add(pool[int(rng.integers(0, pos))])
-                pool[pos + 1 : pos + 2 * attach : 2] = sorted(targets)
-                v0, block = v + 1, 2 * (v + 1 - v0)
+        picks = rng.integers(0, highs).reshape(-1, attach)
+        pos0 = width * (v0 - attach)  # the pool's length before v0
+        # row r holds the targets of vertex v0 + r, a view into the pool
+        slots = ends[pos0 : width * (stop - attach)].reshape(-1, width)[:, 1::2]
+        vals = ends[picks]
+        # a pick of an odd entry at or after pos0 reads the target of an
+        # earlier row of this block, row src, once that row is written (src
+        # is 0 for the other picks, which wait on nothing)
+        wait = (picks >= pos0) & (picks % 2 == 1)
+        src = np.maximum(picks - pos0, 0) // width
+        todo = np.ones(len(picks), dtype=bool)
+        bad = len(picks)  # the first row whose picks repeat a target
+        while True:
+            ready = todo & ~wait.any(axis=1)
+            rows = np.sort(vals, axis=1)
+            # a row with a repeat stays unwritten, so each round finds it again
+            repeat = ready & (rows[:, 1:] == rows[:, :-1]).any(axis=1)
+            if repeat.any():
+                bad = int(repeat.argmax())
+            ready[bad:] = False
+            slots[ready] = rows[ready]
+            todo[ready] = False
+            if not todo[:bad].any():
                 break
-            pool[pos + 1 : pos + 2 * attach : 2] = sorted(targets)
-            pos += 2 * attach
+            known = wait & ~todo[src]
+            vals[known] = ends[picks[known]]
+            wait &= ~known
+        if bad < len(picks):
+            rng.bit_generator.state = state
+            rng.integers(0, highs[: (bad + 1) * attach])
+            targets = set(vals[bad].tolist())
+            pos = pos0 + width * bad
+            while len(targets) < attach:
+                targets.add(int(ends[rng.integers(0, pos)]))
+            slots[bad] = sorted(targets)
+            v0, block = v0 + bad + 1, 2 * (bad + 1)
         else:
             v0, block = stop, min(2 * block, _BA_BLOCK)
-    ends = np.array(pool, dtype=np.int64).reshape(m, 2)
+    ends = ends.reshape(m, 2)
     offsets, neighbors, weights, degrees = _csr_from_canonical(
         n, ends.min(axis=1), ends.max(axis=1), np.ones(m, dtype=np.float64)
     )

@@ -301,6 +301,19 @@ def test_largest_component_kept_and_ids_stable():
     assert g4.old_ids.tolist() == list(range(20_000))
 
 
+def test_largest_component_tie_between_the_largest_goes_to_the_smallest_root():
+    # two triangles of three vertices tie, beside an edge holding label 0;
+    # {2, 5, 8} (ids 2, 4, 6) wins over {3, 7, 9} (ids 3, 5, 7) though its
+    # edges come last
+    g = graph_from_text("0 1\n7 3\n3 9\n9 7\n8 5\n2 8\n5 2\n")
+    assert g.old_ids.tolist() == [2, 5, 8]
+    assert g.edge_count == 3
+    src = np.array([0, 3, 3, 5, 5, 7, 2, 4, 4, 6, 2, 6])
+    dst = np.array([1, 5, 7, 7, 3, 3, 4, 2, 6, 4, 6, 2])
+    roots = _component_labels(8, np.concatenate([src, dst]), np.concatenate([dst, src]))
+    assert roots.tolist() == [0, 0, 2, 3, 2, 3, 2, 3]
+
+
 def test_csr_slices_sorted_and_symmetric(toy):
     g = toy
     for u in range(g.node_count):
@@ -782,6 +795,48 @@ def _assert_same_graph(got: R.Graph, want: R.Graph) -> None:
 ])
 def test_generate_ba_matches_the_scalar_loop(args):
     _assert_same_graph(R.generate_ba(*args), _reference_ba(*args))
+
+
+# the array pool: attach 1 never rewinds, so (64, 1) is one block whose
+# picks read earlier rows of it in chains of up to 7 rounds, and (300, 2)
+# chains of 3-4; at vertex 109 of (200, 3, 0) and 211 of (300, 2, 2) the
+# only repeated target is one read from a row of the same block; attach
+# n - 1 is the star alone
+@pytest.mark.parametrize("args", [
+    *[(64, 1, s) for s in range(5)], *[(300, 2, s) for s in range(4)],
+    (200, 3, 0), (12, 11, 0), (30, 29, 3),
+])
+def test_generate_ba_array_pool_matches_the_scalar_loop(args):
+    _assert_same_graph(R.generate_ba(*args), _reference_ba(*args))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 300), st.integers(0, 2**63 - 1))
+def test_generate_ba_matches_the_scalar_loop_property(data, n, seed):
+    attach = data.draw(st.integers(1, min(12, n - 1)))
+    _assert_same_graph(R.generate_ba(n, attach, seed), _reference_ba(n, attach, seed))
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda: R.generate_ba(50, True, 1), "attach"),
+    (lambda: R.generate_ba(50, 3.5, 1), "attach"),
+    (lambda: R.generate_ba(50.0, 3, 1), "n"),
+    (lambda: R.generate_ba(50, 3, 1.0), "seed"),
+    (lambda: R.generate_er(50.0, 100, 1), "n"),
+    (lambda: R.generate_er(50, 100.0, 1), "m_target"),
+    (lambda: R.generate_er(50, True, 1), "m_target"),
+    (lambda: R.generate_er(50, 100, False), "seed"),
+])
+def test_generators_reject_arguments_that_are_not_integers(call, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        call()
+
+
+def test_generators_accept_numpy_integers():
+    _assert_same_graph(R.generate_ba(np.int64(50), np.int32(3), np.uint8(1)),
+                       R.generate_ba(50, 3, 1))
+    _assert_same_graph(R.generate_er(np.int64(50), np.int16(100), np.int64(1)),
+                       R.generate_er(50, 100, 1))
 
 
 # the clique and the dense targets take several rounds; seed 482 draws
