@@ -30,7 +30,9 @@ The rows, each built once per side on that side's own graph:
 - ``generate_ba(200_000, 5, 1)``, which tracks how the generator scales
   (``--rows 200k`` selects it alone);
 - ``load_edge_list`` of the lattice's text file, the parse of the
-  grid-route set-up.
+  grid-route set-up;
+- ``graph._jagged_layout`` of the ER graph, the layout that the first
+  dense product of er-global builds (``--rows jagged`` selects it).
 
 ``--rows SUBSTR ...`` keeps the rows whose name holds one of the
 substrings, e.g. ``--rows generate load`` for the set-up rows alone,
@@ -133,12 +135,15 @@ def make_rows(pkg, grid_path: Path) -> dict:
     def load():
         pkg.load_edge_list(grid_path)
 
+    def jagged():
+        pkg.graph._jagged_layout(er)
+
     return {"lanczos_rd er50k k20": lz, "lanczos_potential grid k200": potential,
             "estimate_spectrum grid": spectrum,
             f"extract_routes grid k{GRID_K} l{ROUTES}": routes,
             "generate_er 50k/250k": gen_er, f"generate_ba 50k a{BA_ATTACH}": gen_ba,
             f"generate_ba 200k a{BA_ATTACH}": gen_ba_scale,
-            "load_edge_list grid": load}
+            "load_edge_list grid": load, "jagged layout er50k": jagged}
 
 
 def quartiles(xs: list) -> dict:

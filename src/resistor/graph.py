@@ -55,7 +55,9 @@ class Graph:
     ``arc_sqrt_degrees`` and ``arc_scales`` (the pruned product),
     ``scratch_vectors`` (the pruned step's free list, the one mutable
     cache, which a pickled copy leaves out) and ``arc_sources`` (the arc
-    flow and the widest-path search of every route query).
+    flow and the widest-path search of every route query, ``exact_rd``
+    and ``edge_arrays``; building ``jagged`` reads only ``offsets``, so
+    a dense query leaves it unbuilt).
 
     Attributes
     ----------
@@ -179,11 +181,11 @@ class JaggedLayout:
     sorted positions.  Column j holds the j-th arc, in CSR order, of every
     other row of degree above j; those rows are the first ``length`` after
     the hubs, and their arcs sit at ``start:start + length`` for
-    ``columns[j] = (start, length)``.  After the columns come the hubs'
-    arcs in CSR order, from ``hub_start`` on, with their rows' sorted
-    positions in ``hub_rows``.  ``neighbors`` and ``weights`` hold the arc
-    heads and weights in this order; ``weights`` is None on an unweighted
-    graph.
+    ``columns[j] = (start, length)``, so each column is filled by one
+    gather.  After the columns come the hubs' arcs in CSR order, from
+    ``hub_start`` on, with their rows' sorted positions in ``hub_rows``.
+    ``neighbors`` and ``weights`` hold the arc heads and weights in this
+    order; ``weights`` is None on an unweighted graph.
     """
 
     position: np.ndarray
@@ -196,13 +198,15 @@ class JaggedLayout:
 
 
 def _jagged_layout(g: Graph) -> JaggedLayout:
-    """Lay the arcs of ``g`` out in jagged-diagonal order, in one scatter.
+    """Lay the arcs of ``g`` out in jagged-diagonal order, a column at a
+    time.
 
-    An arc's rank in its row is its id less ``offsets`` of its source, so
-    a non-hub arc goes to the start of the column of its rank plus its
-    row's position among the non-hub rows.
+    Column j gathers arc ``offsets[u] + j`` of each of its rows u, so the
+    builder keeps only n-sized scratch: the rows' first arcs in column
+    order, and the hubs' arc positions.
     """
-    n, deg, src = g.node_count, np.diff(g.offsets), g.arc_sources
+    n, offsets = g.node_count, g.offsets
+    deg = np.diff(offsets)
     order = np.argsort(-deg, kind="stable")
     position = np.empty(n, dtype=np.int64)
     position[order] = np.arange(n)
@@ -213,25 +217,28 @@ def _jagged_layout(g: Graph) -> JaggedLayout:
     starts = np.zeros(width, dtype=np.int64)
     np.cumsum(lengths[:-1], out=starts[1:])
     hub_start = int(lengths.sum())
+    columns = tuple(zip(starts.tolist(), lengths.tolist()))
 
-    row = position[src]
-    dest = np.empty(len(src), dtype=np.int64)
-    hub = row < hubs
-    body = np.flatnonzero(~hub)
-    dest[body] = starts[body - g.offsets[src[body]]] + (row[body] - hubs)
-    dest[hub] = np.arange(hub_start, len(src))
     neighbors = np.empty_like(g.neighbors)
-    neighbors[dest] = g.neighbors
-    weights = None
-    if not g.is_unweighted:
-        weights = np.empty_like(g.weights)
-        weights[dest] = g.weights
+    weights = None if g.is_unweighted else np.empty_like(g.weights)
+    # the first arc of each non-hub row, in sorted order
+    first = offsets[order[hubs:]]
+    for j, (start, length) in enumerate(columns):
+        arcs = first[:length] + j
+        g.neighbors.take(arcs, out=neighbors[start : start + length])
+        if weights is not None:
+            g.weights.take(arcs, out=weights[start : start + length])
+    hub_ids = np.sort(order[:hubs])
+    arcs, count = _arc_positions(offsets, hub_ids)
+    g.neighbors.take(arcs, out=neighbors[hub_start:])
+    if weights is not None:
+        g.weights.take(arcs, out=weights[hub_start:])
     return JaggedLayout(
         position=position,
         hubs=hubs,
-        columns=tuple(zip(starts.tolist(), lengths.tolist())),
+        columns=columns,
         hub_start=hub_start,
-        hub_rows=row[hub],
+        hub_rows=np.repeat(position[hub_ids], count),
         neighbors=neighbors,
         weights=weights,
     )
@@ -260,19 +267,37 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
 
 
 def _csr_from_canonical(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray):
-    """Assemble CSR arrays from deduplicated canonical edges (eu < ev)."""
-    src = np.concatenate([eu, ev])
-    dst = np.concatenate([ev, eu])
-    ww = np.concatenate([w, w])
-    # the arcs are distinct, so their flat keys are too and any sort gives
-    # the (source, head) order
-    order = np.argsort(src * n + dst)
-    src, dst, ww = src[order], dst[order], ww[order]
-    counts = np.bincount(src, minlength=n)
+    """Assemble CSR arrays from distinct canonical edges (eu < ev), in any
+    order, by placing every arc in its slot (Gustavson's counting
+    placement, ACM TOMS 1978).
+
+    Row u holds its down arcs (heads below u, one per edge ``(x, u)``),
+    then its up arcs (one per edge ``(u, x)``), each half ascending.
+    Sorting a half by its flat keys ``source * n + head``, which are
+    distinct, lists its arcs row after row in CSR order, so the k-th
+    goes to slot k plus the arcs of the other half in the rows before it
+    (and, for an up arc, in its own row).  The scratch is m-long.  Each
+    degree sums its row's weights in CSR order.
+    """
+    down = np.bincount(ev, minlength=n)
+    up = np.bincount(eu, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    degrees = np.bincount(src, weights=ww, minlength=n)
-    return offsets, dst.astype(np.int64), ww.astype(np.float64), degrees
+    np.cumsum(down + up, out=offsets[1:])
+    neighbors = np.empty(2 * len(eu), dtype=np.int64)
+    weights = np.empty(2 * len(eu), dtype=np.float64)
+    up_before = np.cumsum(up) - up
+    down_through = np.cumsum(down)
+    for src, dst, shift in ((ev, eu, up_before), (eu, ev, down_through)):
+        order = np.argsort(src * n + dst)
+        slot = shift[src[order]]
+        slot += np.arange(len(order))
+        neighbors[slot] = dst[order]
+        weights[slot] = w[order]
+        del order, slot  # freed before the next half's sort
+    degrees = np.bincount(
+        np.repeat(np.arange(n), np.diff(offsets)), weights=weights, minlength=n
+    )
+    return offsets, neighbors, weights, degrees
 
 
 def _arc_positions(offsets: np.ndarray, sources: np.ndarray) -> tuple:
@@ -297,23 +322,29 @@ def _bfs_layers(offsets, neighbors, source, hops):
         frontier = nxt
 
 
-def _component_labels(n: int, src: np.ndarray, dst: np.ndarray) -> np.ndarray:
-    """The root of every vertex of the arcs ``(src, dst)`` on ``0..n-1``:
-    the smallest vertex of its component; every edge must appear as both
-    its arcs.
+def _component_labels(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
+    """The root of every vertex of the edges ``(eu, ev)`` on ``0..n-1``:
+    the smallest vertex of its component.  An edge may appear once or as
+    both its arcs.
 
     Min-label hooking with pointer jumping: every root takes the smallest
-    root across its arcs, then every vertex jumps to its root.  Roots that
-    stay roots in one round are each the hook target of a distinct vertex
-    of the round before, so every two rounds at least halve the trees of a
-    component: O(log n) rounds of a few passes over the arcs.
+    root across its edges, then every vertex jumps to its root.  A round
+    hooks the root at each end of an edge to the root at the other, one
+    ``np.minimum.at`` call per end; minima do not depend on the order
+    they are taken in, so this is the round over both arcs of every edge.
+    Roots that stay roots in one round are each the hook target of a
+    distinct vertex of the round before, so every two rounds at least
+    halve the trees of a component: O(log n) rounds of a few passes over
+    the edges.
     """
     parent = np.arange(n)
     while True:
-        root_src, root_dst = parent[src], parent[dst]
-        if np.array_equal(root_src, root_dst):
+        root_u, root_v = parent[eu], parent[ev]
+        if np.array_equal(root_u, root_v):
             return parent
-        np.minimum.at(parent, root_src, root_dst)
+        np.minimum.at(parent, root_u, root_v)
+        np.minimum.at(parent, root_v, root_u)
+        del root_u, root_v  # freed before the next round gathers its own
         # parents only ever point to smaller ids, so this ends at the roots
         while True:
             grand = parent[parent]
@@ -362,9 +393,7 @@ def _largest_component(
     the count of kept vertices before it: a gather from a running count,
     not a search.
     """
-    roots = _component_labels(
-        len(labels), np.concatenate([uniq_u, uniq_v]), np.concatenate([uniq_v, uniq_u])
-    )
+    roots = _component_labels(len(labels), uniq_u, uniq_v)
     # argmax takes the smallest root, so a tie goes to the component that
     # holds the smallest label
     counts = np.bincount(roots)
@@ -656,7 +685,8 @@ def _check_cached_arcs(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) 
         and np.array_equal(w[rev], w)
     ):
         raise GraphFormatError(1, "graph cache arcs are not symmetric")
-    if _component_labels(n, src, dst).max() != 0:
+    up = src < dst
+    if _component_labels(n, src[up], dst[up]).max() != 0:
         raise GraphFormatError(1, "graph cache holds more than one component")
 
 
@@ -972,8 +1002,11 @@ def generate_ba(n: int, attach: int, seed: int) -> Graph:
             v0, block = v0 + bad + 1, 2 * (bad + 1)
         else:
             v0, block = stop, min(2 * block, _BA_BLOCK)
-    ends = ends.reshape(m, 2)
+    # the pool is complete: flip the star's edges (0, t) so that every
+    # odd entry is the smaller endpoint of its edge
+    ends[0 : 2 * attach : 2] = ends[1 : 2 * attach : 2]
+    ends[1 : 2 * attach : 2] = 0
     offsets, neighbors, weights, degrees = _csr_from_canonical(
-        n, ends.min(axis=1), ends.max(axis=1), np.ones(m, dtype=np.float64)
+        n, ends[1::2], ends[0::2], np.ones(m, dtype=np.float64)
     )
     return Graph(offsets, neighbors, weights, degrees, np.arange(n, dtype=np.int64))

@@ -383,24 +383,34 @@ def tridiag_solve_e1(t: TridiagonalMatrix) -> np.ndarray:
     return _ldl_solve_e1(t)[0]
 
 
-def _sturm_count_below(alpha, beta_sq, x: float) -> int:
-    """Number of eigenvalues of the tridiagonal matrix strictly below x.
+def _sturm_reaches(alpha, beta_sq, x: float, target: int) -> bool:
+    """Whether at least ``target`` (1 to k) eigenvalues of the tridiagonal
+    matrix lie strictly below x.
 
     ``alpha`` is the diagonal and ``beta_sq`` the squared off-diagonal.
-    Pass them as Python float lists when counting often: indexing numpy
-    scalars costs several times the arithmetic of this loop.
+    The count below x is that of negative pivots of T - xI (Sylvester's
+    law of inertia); the loop stops once the pivots seen decide it: at
+    the ``target``-th negative pivot, or at the ``k - target + 1``-th
+    other one.  Pass Python float lists when counting often: indexing
+    numpy scalars costs several times the arithmetic of this loop.
     """
     # pivot floor large enough that b2 / d cannot overflow
     floor = 1e-154
-    count = 0
+    need, spare = target, len(alpha) - target
     d = 1.0
     for a, b2 in zip(alpha, chain((0.0,), beta_sq)):
         d = a - x - b2 / d
         if abs(d) < floor:
             d = -floor if d <= 0.0 else floor
         if d < 0.0:
-            count += 1
-    return count
+            need -= 1
+            if need == 0:
+                return True
+        else:
+            spare -= 1
+            if spare < 0:
+                return False
+    return False
 
 
 def tridiag_eigen_range(t: TridiagonalMatrix, tol: float = 1e-10):
@@ -432,7 +442,7 @@ def tridiag_eigen_range(t: TridiagonalMatrix, tol: float = 1e-10):
             mid = 0.5 * (a + b)
             if not a < mid < b:  # tol is below the float spacing here
                 break
-            if _sturm_count_below(alpha_list, beta_sq, mid) >= target:
+            if _sturm_reaches(alpha_list, beta_sq, mid, target):
                 b = mid
             else:
                 a = mid

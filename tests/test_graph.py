@@ -2,6 +2,7 @@
 
 import io
 import struct
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,10 +14,14 @@ import resistor as R
 import resistor.graph as graph_module
 
 from resistor.graph import (
+    JAGGED_MIN_ROWS,
+    JaggedLayout,
     _arc_positions,
     _build_graph,
     _component_labels,
+    _csr_from_canonical,
     _hop_distance,
+    _jagged_layout,
 )
 
 from conftest import (
@@ -893,3 +898,205 @@ def test_grid_helper_shape():
     g = grid_graph(4, 5)
     assert g.node_count == 20
     assert g.edge_count == 4 * 4 + 3 * 5
+
+
+# ---------------------------------------------------------------------------
+# CSR and jagged layout by placement, against the sort-and-scatter builders
+# ---------------------------------------------------------------------------
+
+
+def _reference_csr_from_canonical(n, eu, ev, w):
+    """The 2m-argsort assembly that _csr_from_canonical replaced, kept as
+    its oracle."""
+    src = np.concatenate([eu, ev])
+    dst = np.concatenate([ev, eu])
+    ww = np.concatenate([w, w])
+    # the arcs are distinct, so their flat keys are too and any sort gives
+    # the (source, head) order
+    order = np.argsort(src * n + dst)
+    src, dst, ww = src[order], dst[order], ww[order]
+    counts = np.bincount(src, minlength=n)
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=offsets[1:])
+    degrees = np.bincount(src, weights=ww, minlength=n)
+    return offsets, dst.astype(np.int64), ww.astype(np.float64), degrees
+
+
+def _reference_jagged_layout(g: R.Graph) -> JaggedLayout:
+    """The one-scatter layout that _jagged_layout replaced, kept as its
+    oracle."""
+    n, deg, src = g.node_count, np.diff(g.offsets), g.arc_sources
+    order = np.argsort(-deg, kind="stable")
+    position = np.empty(n, dtype=np.int64)
+    position[order] = np.arange(n)
+    width = int(deg[order[JAGGED_MIN_ROWS - 1]]) if n >= JAGGED_MIN_ROWS else 0
+    hubs = int(np.count_nonzero(deg > width))
+    # rows of degree above j, for j < width, less the hubs
+    lengths = n - np.cumsum(np.bincount(deg, minlength=width + 1)[:width]) - hubs
+    starts = np.zeros(width, dtype=np.int64)
+    np.cumsum(lengths[:-1], out=starts[1:])
+    hub_start = int(lengths.sum())
+
+    row = position[src]
+    dest = np.empty(len(src), dtype=np.int64)
+    hub = row < hubs
+    body = np.flatnonzero(~hub)
+    dest[body] = starts[body - g.offsets[src[body]]] + (row[body] - hubs)
+    dest[hub] = np.arange(hub_start, len(src))
+    neighbors = np.empty_like(g.neighbors)
+    neighbors[dest] = g.neighbors
+    weights = None
+    if not g.is_unweighted:
+        weights = np.empty_like(g.weights)
+        weights[dest] = g.weights
+    return JaggedLayout(
+        position=position,
+        hubs=hubs,
+        columns=tuple(zip(starts.tolist(), lengths.tolist())),
+        hub_start=hub_start,
+        hub_rows=row[hub],
+        neighbors=neighbors,
+        weights=weights,
+    )
+
+
+def _assert_same_arrays(got, want) -> None:
+    assert len(got) == len(want)
+    for i, (a, b) in enumerate(zip(got, want)):
+        assert a.dtype == b.dtype and a.shape == b.shape, i
+        assert a.tobytes() == b.tobytes(), i
+
+
+def _assert_same_layout(got: JaggedLayout, want: JaggedLayout) -> None:
+    assert (got.hubs, got.columns, got.hub_start) == (want.hubs, want.columns, want.hub_start)
+    assert (got.weights is None) == (want.weights is None)
+    fields = ["position", "hub_rows", "neighbors"] + (["weights"] if want.weights is not None else [])
+    _assert_same_arrays([getattr(got, f) for f in fields], [getattr(want, f) for f in fields])
+
+
+def _canonical_edges(n: int, m: int, seed: int):
+    """``m`` distinct canonical edges on ``0..n-1``, in ascending order,
+    with distinct random weights."""
+    rng = np.random.default_rng(seed)
+    codes = rng.choice(n * (n - 1) // 2, size=m, replace=False)
+    codes.sort()
+    # the pair of code c, in the row-major order of the upper triangle
+    eu = np.searchsorted(np.cumsum(np.arange(n - 1, 0, -1)), codes, side="right")
+    ev = codes - (eu * (2 * n - eu - 1)) // 2 + eu + 1
+    return eu, ev, rng.uniform(0.25, 4.0, m)
+
+
+def _edge_orders(eu, ev, w, seed):
+    """The edges ascending, shuffled, and in (ev, eu) order, as
+    generate_ba passes them."""
+    perm = np.random.default_rng(seed).permutation(len(eu))
+    by_head = np.lexsort((eu, ev))
+    return {
+        "sorted": (eu, ev, w),
+        "shuffled": (eu[perm], ev[perm], w[perm]),
+        "head-major": (eu[by_head], ev[by_head], w[by_head]),
+    }
+
+
+@pytest.mark.parametrize("n, m, extra", [
+    (2, 1, 0), (10, 45, 0), (300, 2000, 0), (300, 2000, 50), (5000, 40_000, 7),
+])
+@pytest.mark.parametrize("order", ["sorted", "shuffled", "head-major"])
+@pytest.mark.parametrize("weighted", [False, True])
+def test_csr_placement_matches_the_argsort_assembly(n, m, extra, order, weighted):
+    # extra vertices above the touched ones have empty rows; distinct
+    # weights show the order in which a degree is summed
+    eu, ev, w = _canonical_edges(n, m, n + m)
+    if not weighted:
+        w = np.ones(m)
+    args = (n + extra, *_edge_orders(eu, ev, w, m)[order])
+    _assert_same_arrays(_csr_from_canonical(*args), _reference_csr_from_canonical(*args))
+
+
+def _layout_cases() -> dict:
+    star = "".join(f"0 {i}\n" for i in range(1, 3 * JAGGED_MIN_ROWS))
+    return {
+        "below-min-rows": lambda: path_graph(9),  # every row a hub
+        "star": lambda: graph_from_text(star),  # one hub
+        "ba-2k": lambda: R.generate_ba(2000, 3, 5),  # the most hubs
+        "er-200-dense": lambda: R.generate_er(200, 15_000, 4),
+        "lattice": lambda: cut_lattice(30, 0.1, 4),  # no hubs
+        "weighted": lambda: random_weighted(150, 3),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_layout_cases()))
+def test_jagged_layout_matches_the_scatter(name):
+    g = _layout_cases()[name]()
+    _assert_same_layout(_jagged_layout(g), _reference_jagged_layout(g))
+
+
+@st.composite
+def _small_edge_sets(draw):
+    n = draw(st.integers(2, 90))
+    pairs = draw(st.sets(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=300))
+    edges = draw(st.permutations(sorted({(min(a, b), max(a, b)) for a, b in pairs if a != b})))
+    eu = np.array([a for a, _ in edges], dtype=np.int64)
+    ev = np.array([b for _, b in edges], dtype=np.int64)
+    if draw(st.booleans()):
+        w = np.ones(len(edges))
+    else:
+        w = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).uniform(0.1, 10, len(edges))
+    return n, eu, ev, w
+
+
+@settings(max_examples=200, deadline=None)
+@given(_small_edge_sets())
+def test_placement_builders_match_the_references_on_small_edge_sets(case):
+    n, eu, ev, w = case
+    got = _csr_from_canonical(n, eu, ev, w)
+    _assert_same_arrays(got, _reference_csr_from_canonical(n, eu, ev, w))
+    if len(eu):
+        g = R.Graph(*got, np.arange(n, dtype=np.int64))
+        _assert_same_layout(_jagged_layout(g), _reference_jagged_layout(g))
+
+
+def _traced_peak(fn, *args):
+    """The result of ``fn(*args)`` and the most memory traced above the
+    start while it ran."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    return out, peak
+
+
+def test_csr_placement_keeps_only_m_sized_scratch():
+    # the placement needs about four m-long int64 arrays beside its
+    # outputs; the 2m argsort assembly took about nine and a half
+    n, m = 50_000, 200_000
+    eu, ev, w = _canonical_edges(n, m, 1)
+    perm = np.random.default_rng(2).permutation(m)
+    eu, ev, w = eu[perm], ev[perm], w[perm]
+    out, peak = _traced_peak(_csr_from_canonical, n, eu, ev, w)
+    assert peak <= sum(a.nbytes for a in out) + 6 * 8 * m
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_jagged_layout_keeps_only_n_sized_scratch(weighted):
+    # the column fills need about five n-long int64 arrays beside the
+    # layout; the scatter took over forty (2m-long temporaries, m = 5n)
+    g = R.generate_er(50_000, 250_000, 1)
+    if weighted:
+        g = R.Graph(g.offsets, g.neighbors, 1.5 * g.weights, 1.5 * g.weighted_degrees, g.old_ids)
+    assert g.is_unweighted != weighted  # a cache of the graph, built before
+    lay, peak = _traced_peak(_jagged_layout, g)
+    out = lay.position.nbytes + lay.hub_rows.nbytes + lay.neighbors.nbytes
+    if weighted:
+        out += lay.weights.nbytes
+    assert peak <= out + 8 * 8 * g.node_count
+
+
+def test_dense_query_builds_no_arc_sources():
+    g = R.generate_er(3000, 15_000, 2)
+    R.lanczos_rd(g, 0, 1000, 20)
+    assert "jagged" in g.__dict__
+    assert "arc_sources" not in g.__dict__

@@ -10,6 +10,7 @@ import os
 import pkgutil
 import subprocess
 import sys
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ import resistor as R
 import resistor.lanczos as lanczos_mod
 from resistor.errors import SingularSystemError
 from resistor.graph import JAGGED_MIN_ROWS, _sorted_unique
-from resistor.kernels import _adjacency_into
+from resistor.kernels import _adjacency_into, _sturm_reaches
 from resistor.lanczos import definitional_start, run_recurrence
 
 from conftest import (
@@ -633,6 +634,39 @@ def test_eigen_range_handles_zero_offdiagonals():
     lo, hi = R.tridiag_eigen_range(t)
     assert lo == pytest.approx(-0.2, abs=1e-9)
     assert hi == pytest.approx(0.5, abs=1e-9)
+
+
+def _reference_sturm_count(alpha, beta_sq, x: float) -> int:
+    """The full count of eigenvalues below x that _sturm_reaches replaced,
+    kept as its oracle."""
+    # pivot floor large enough that b2 / d cannot overflow
+    floor = 1e-154
+    count = 0
+    d = 1.0
+    for a, b2 in zip(alpha, chain((0.0,), beta_sq)):
+        d = a - x - b2 / d
+        if abs(d) < floor:
+            d = -floor if d <= 0.0 else floor
+        if d < 0.0:
+            count += 1
+    return count
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 14), st.integers(0, 2**32 - 1))
+def test_sturm_stopping_early_decides_like_the_full_count(k, seed):
+    # every bisection decision of tridiag_eigen_range is one of these, so
+    # its ranges are those of the full count, bit for bit
+    rng = np.random.default_rng(seed)
+    alpha, beta = rng.uniform(-1, 1, k), rng.uniform(-1, 1, k - 1)
+    beta[rng.random(k - 1) < 0.2] = 0.0  # split blocks
+    a, b2 = alpha.tolist(), (beta * beta).tolist()
+    # x at a diagonal entry can make a pivot hit the floor
+    evals = np.linalg.eigvalsh(R.TridiagonalMatrix(alpha, beta).to_dense())
+    for x in [*rng.uniform(-2.5, 2.5, 6).tolist(), *a, *evals.tolist()]:
+        count = _reference_sturm_count(a, b2, x)
+        for target in range(1, k + 1):
+            assert _sturm_reaches(a, b2, x, target) == (count >= target)
 
 
 # ---------------------------------------------------------------------------

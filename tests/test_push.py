@@ -11,7 +11,7 @@ import resistor.push as push_mod
 from resistor.kernels import (
     SparseVector,
     TridiagonalMatrix,
-    _sturm_count_below,
+    _sturm_reaches,
     apply_normalized_adjacency,
 )
 from resistor.lanczos import definitional_start, run_recurrence, solve_checked
@@ -546,7 +546,7 @@ def test_indefinite_pruned_run_is_flagged():
     assert R.tridiag_eigen_range(tmat)[1] > 1.0
     assert not est.healthy
     # the pivot verdict is the Sturm count of T at 1
-    assert _sturm_count_below(tmat.alpha, tmat.beta**2, 1.0) < tmat.order
+    assert not _sturm_reaches(tmat.alpha, tmat.beta**2, 1.0, tmat.order)
 
 
 def test_containment_detects_escape():
