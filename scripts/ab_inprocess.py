@@ -18,6 +18,9 @@ The rows, each built once per side on that side's own graph:
 
 - ``lanczos_rd`` (k = 20) on ``generate_er(50_000, 250_000, 1)``, over
   20 seeded pairs;
+- ``lanczos_push_rd`` (k = 20) on ``generate_ba(50_000, 5, 1)`` at
+  eps = 5e-3 (the ba-local setting) and at eps = 1e-3, over its 20
+  seeded pairs (``--rows push`` selects these two);
 - ``lanczos_potential`` (k = 200) on the 80 x 80 lattice with 10% of its
   edges cut and 8000 two-vertex fragments, read through
   ``load_edge_list`` (the grid-route graph of the benchmark), over 20
@@ -68,6 +71,7 @@ import numpy as np
 
 ER_N, ER_M, ER_SEED, ER_K = 50_000, 250_000, 1, 20
 BA_N, BA_ATTACH, BA_SEED = 50_000, 5, 1
+PUSH_K, PUSH_EPS = 20, ("5e-3", "1e-3")
 BA_SCALE_N = 200_000
 GRID_SIDE, GRID_DELETE, GRID_FRAGMENTS, GRID_SEED, GRID_K = 80, 0.1, 8000, 1, 200
 ROUTES = 3
@@ -105,12 +109,23 @@ def pairs(n: int) -> list:
 def make_rows(pkg, grid_path: Path) -> dict:
     """The timed calls of one side, as closures over its graphs."""
     er = pkg.generate_er(ER_N, ER_M, ER_SEED)
+    ba = pkg.generate_ba(BA_N, BA_ATTACH, BA_SEED)
     grid = pkg.load_edge_list(grid_path)
-    er_pairs, grid_pairs = pairs(er.node_count), pairs(grid.node_count)
+    er_pairs, ba_pairs = pairs(er.node_count), pairs(ba.node_count)
+    grid_pairs = pairs(grid.node_count)
 
     def lz():
         for s, t in er_pairs:
             pkg.lanczos_rd(er, s, t, ER_K)
+
+    def push(eps: str):
+        cfg = pkg.PushConfig(k=PUSH_K, epsilon=float(eps))
+
+        def run():
+            for s, t in ba_pairs:
+                pkg.lanczos_push_rd(ba, s, t, cfg)
+
+        return run
 
     def potential():
         for s, t in grid_pairs:
@@ -138,7 +153,9 @@ def make_rows(pkg, grid_path: Path) -> dict:
     def jagged():
         pkg.graph._jagged_layout(er)
 
-    return {"lanczos_rd er50k k20": lz, "lanczos_potential grid k200": potential,
+    return {"lanczos_rd er50k k20": lz,
+            **{f"lanczos_push_rd ba50k k{PUSH_K} eps{eps}": push(eps) for eps in PUSH_EPS},
+            "lanczos_potential grid k200": potential,
             "estimate_spectrum grid": spectrum,
             f"extract_routes grid k{GRID_K} l{ROUTES}": routes,
             "generate_er 50k/250k": gen_er, f"generate_ba 50k a{BA_ATTACH}": gen_ba,
@@ -209,6 +226,7 @@ def main() -> None:
         "setup": {
             "er": f"generate_er({ER_N}, {ER_M}, {ER_SEED}), k = {ER_K}",
             "ba": f"generate_ba({BA_N}, {BA_ATTACH}, {BA_SEED})",
+            "push": f"k = {PUSH_K}, eps in {', '.join(PUSH_EPS)}",
             "ba_scale": f"generate_ba({BA_SCALE_N}, {BA_ATTACH}, {BA_SEED})",
             "grid": (f"load_edge_list of grid_edges({GRID_SIDE}, {GRID_DELETE}, "
                      f"{GRID_FRAGMENTS}, default_rng({GRID_SEED})), k = {GRID_K}, "

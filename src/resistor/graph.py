@@ -52,12 +52,13 @@ class Graph:
     path reads: ``is_unweighted``, ``sqrt_degrees``, ``inv_sqrt_degrees``
     and ``min_sqrt_degree`` (the normalized products, the u_1 projections
     and the pruning threshold), ``jagged`` (the dense product),
-    ``arc_sqrt_degrees`` and ``arc_scales`` (the pruned product),
     ``scratch_vectors`` (the pruned step's free list, the one mutable
     cache, which a pickled copy leaves out) and ``arc_sources`` (the arc
     flow and the widest-path search of every route query, ``exact_rd``
     and ``edge_arrays``; building ``jagged`` reads only ``offsets``, so
-    a dense query leaves it unbuilt).
+    a dense query leaves it unbuilt).  Nothing is cached per arc for the
+    pruned product, which reads ``sqrt_degrees`` and
+    ``inv_sqrt_degrees`` at the heads of the arcs it gathers.
 
     Attributes
     ----------
@@ -92,7 +93,10 @@ class Graph:
 
     @cached_property
     def is_unweighted(self) -> bool:
-        return bool(np.all(self.weights == 1.0))
+        # two reductions, where ``np.all(weights == 1.0)`` would build a
+        # 2m-long mask on a graph's first pruned query
+        w = self.weights
+        return bool(w.size == 0 or w.min() == 1.0 == w.max())
 
     @cached_property
     def sqrt_degrees(self) -> np.ndarray:
@@ -112,26 +116,6 @@ class Graph:
         """The arcs in jagged-diagonal order (see :class:`JaggedLayout`),
         built on first use."""
         return _jagged_layout(self)
-
-    @cached_property
-    def arc_sqrt_degrees(self) -> np.ndarray:
-        """sqrt(d_x) of the head x of every arc, aligned with ``neighbors``.
-
-        With :attr:`arc_scales`, built on the first pruned product: the
-        product reads the arcs it gathers in row slices instead of at
-        heads scattered over all n vertices.
-        """
-        return self.sqrt_degrees[self.neighbors]
-
-    @cached_property
-    def arc_scales(self) -> np.ndarray:
-        """w(u, x) / sqrt(d_x) for every arc (u, x), aligned with
-        ``neighbors``."""
-        scales = self.inv_sqrt_degrees[self.neighbors]
-        if not self.is_unweighted:
-            # an unweighted graph's weights are exactly 1.0
-            scales *= self.weights
-        return scales
 
     @cached_property
     def scratch_vectors(self) -> list:
@@ -304,8 +288,10 @@ def _arc_positions(offsets: np.ndarray, sources: np.ndarray) -> tuple:
     """Positions in the CSR arc arrays of the arcs of every vertex in
     ``sources``, slice after slice, and the arc count of each source."""
     starts = offsets[sources]
-    count = offsets[sources + 1] - starts
-    arc = np.repeat(starts + count - np.cumsum(count), count) + np.arange(count.sum())
+    count = offsets[1:][sources] - starts
+    ends = np.cumsum(count)
+    total = int(ends[-1]) if len(ends) else 0
+    arc = np.repeat(starts + count - ends, count) + np.arange(total)
     return arc, count
 
 

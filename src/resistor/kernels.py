@@ -11,17 +11,16 @@ adjacency W:
 The graph operators work on dense float64 vectors of length n, except the
 pruned ones, which work on a sorted index array and its value array: the
 pruned product :func:`relax_arcs` and the significant-set test
-:func:`significant`.  The recurrence calls those two on the compact
-arrays of its iterates; :func:`amv` and :func:`restrict` are their
-:class:`SparseVector` forms.  The pruned product forms its per-source
-terms once, repeats them over the arcs it gathers and sums the survivors
-in arc order by ``np.add.at`` into the caller's zeroed n-vector, reading
-its targets back and zeroing them again: its time and memory follow the
-arcs it gathers, not n, and every target is summed from 0.0 in
-ascending source order, as ``np.bincount`` over the gathered arcs sums
-it.  The pruned Lanczos step passes its own accumulator and :func:`amv`
-one from the graph's free list of zeroed n-vectors
-(``Graph.scratch_vectors``); the vector comes back zeroed either way.
+:func:`significant`, whose :class:`SparseVector` forms are :func:`amv`
+and :func:`restrict`.  The pruned product repeats its per-source terms
+over the arcs it gathers, reads the degree factors at their heads
+(nothing is cached per arc), selects through ascending positions and sums
+the survivors in arc order by ``np.add.at`` into a zeroed n-vector: its
+time and memory follow the arcs it gathers, not n, and every target is
+summed from 0.0 in ascending source order, as ``np.bincount`` sums it.
+The caller reads the sums at the sorted heads and zeroes them again; the
+Lanczos step does so in its one sort per step, and :func:`amv` takes its
+vector from the graph's free list (``Graph.scratch_vectors``).
 
 The dense product :func:`apply_normalized_adjacency` sums each row in
 contiguous column passes over the jagged-diagonal layout of
@@ -257,43 +256,39 @@ def _give_back(g: Graph, *vectors: np.ndarray) -> None:
 
 
 def relax_arcs(
-    g: Graph, idx: np.ndarray, val: np.ndarray, sd: np.ndarray, eps: float, acc: np.ndarray
-):
-    """The pruned product of :func:`amv` on the sparse vector ``(idx, val)``.
+    g: Graph, idx: np.ndarray, val: np.ndarray, size: np.ndarray, bar: np.ndarray,
+    acc: np.ndarray,
+) -> np.ndarray:
+    """Sum the pruned product of :func:`amv` on the sparse vector
+    ``(idx, val)`` into ``acc``; return the heads of the arcs relaxed.
 
-    ``sd`` is ``g.sqrt_degrees[idx]``, which the Lanczos step already holds
-    from its last u_1 projection.  One vectorised pass: the per-source
-    terms |v(u)|, eps * sqrt(d_u) and v(u) / sqrt(d_u) are formed once and
-    repeated over the CSR slices of the sources that can relax any arc,
-    and the arcs below threshold are masked.  The per-arc factors
-    sqrt(d_x) and w(u, x) / sqrt(d_x) are read in row slices from the
-    caches ``Graph.arc_sqrt_degrees`` and ``Graph.arc_scales``.  The
-    survivors are summed in arc order by ``np.add.at`` into ``acc``, the
-    caller's zeroed float64 n-vector, whose targets are then read and
-    zeroed again, so each target is summed from 0.0 in ascending source
-    order and ``acc`` is handed back zeroed.  Returns
-    ``(targets, sums, relaxed)``: the sorted support of the product, its
-    nonzero values and the number of arcs relaxed.  O(arcs gathered) time
-    and memory, none of it O(n).
+    ``size`` is |val| and ``bar`` is eps * sqrt(d_u) on ``idx``.  An arc
+    (u, x) relaxes iff |v(u)| > eps * sqrt(d_u) * sqrt(d_x), adding
+    v(u) / sqrt(d_u) * (w(u, x) / sqrt(d_x)) at x.  Selections go through
+    ascending positions, so the arcs stay in CSR order, and ``np.add.at``
+    sums them into ``acc``, a zeroed float64 n-vector: each target from
+    0.0 in ascending source order.  The caller reads the sums at the
+    sorted distinct heads (a sum that cancelled reads 0.0 and is no part
+    of the support) and zeroes them.  O(arcs gathered), none of it O(n).
     """
-    size = np.abs(val)
-    bar = eps * sd
     # no arc of u relaxes unless |v(u)| beats the lightest threshold any
     # arc can have
-    live = size > bar * g.min_sqrt_degree
+    live = (size > bar * g.min_sqrt_degree).nonzero()[0]
     src = idx[live]
     arc, count = _arc_positions(g.offsets, src)
-    keep = np.repeat(size[live], count) > np.repeat(bar[live], count) * g.arc_sqrt_degrees[arc]
-    arc = arc[keep]
-    nb = g.neighbors[arc]
+    heads = g.neighbors[arc]
+    limit = np.repeat(bar[live], count)
+    limit *= g.sqrt_degrees[heads]
+    keep = (np.repeat(size[live], count) > limit).nonzero()[0]
+    heads = heads[keep]
     terms = np.repeat(val[live] * g.inv_sqrt_degrees[src], count)[keep]
-    terms *= g.arc_scales[arc]
-    np.add.at(acc, nb, terms)
-    targets = _sorted_unique(nb)
-    sums = acc[targets]
-    acc[targets] = 0.0
-    nonzero = sums != 0.0
-    return targets[nonzero], sums[nonzero], len(nb)
+    scale = g.inv_sqrt_degrees[heads]
+    if not g.is_unweighted:
+        # an unweighted graph's weights are exactly 1.0
+        scale *= g.weights[arc[keep]]
+    terms *= scale
+    np.add.at(acc, heads, terms)
+    return heads
 
 
 def significant(g: Graph, idx: np.ndarray, val: np.ndarray, eps: float) -> np.ndarray:
@@ -311,9 +306,13 @@ def amv(g: Graph, v: SparseVector, eps: float) -> SparseVector:
     """
     _check_eps(eps)
     acc = _take_zeroed(g)
-    idx, val, _ = relax_arcs(g, v.idx, v.val, g.sqrt_degrees[v.idx], eps, acc)
+    heads = relax_arcs(g, v.idx, v.val, np.abs(v.val), eps * g.sqrt_degrees[v.idx], acc)
+    targets = _sorted_unique(heads)
+    sums = acc[targets]
+    acc[targets] = 0.0
     _give_back(g, acc)
-    return SparseVector(idx, val, g.node_count)
+    nonzero = sums != 0.0
+    return SparseVector(targets[nonzero], sums[nonzero], g.node_count)
 
 
 def restrict(v: SparseVector, g: Graph, eps: float) -> SparseVector:

@@ -41,20 +41,19 @@ orthogonality the computed basis has lost (Paige 1980), so its first
 row is (v_1^T v_1, 0, ..., 0).
 
 A pruned run (``eps > 0``) carries each iterate only as its sorted
-support and the values on it (:class:`_PrunedIterates`).  It keeps the
-values on S_i as the S_{i-1} values of the next step, projects u_1 out
-of the pruned product's compact values and then scatters them once into
-a zeroed accumulator, where the subtractions land; the new support's
-values are read back, the accumulator is zeroed again on the entries
-the step wrote, and the second projection and the normalization run on
-the compact values.  The accumulator, in which the pruned product sums
-its arcs too, is the run's one n-vector.  It comes from the graph's
-free list of zeroed vectors (``Graph.scratch_vectors``) and goes back
-zeroed on the entries written only, so a query does no O(n) work once
-the list holds it.  The ``visit`` hook gets the compact arrays, and the
-first row and the override values are read off them by binary search
-(``values_at``).  The pruned run gives the same T, first row and work
-counters, to the bit, as one with dense iterates.
+support and the values on it (:class:`_PrunedIterates`), and keeps the
+values on S_i as the S_{i-1} values of the next step.  A step sorts the
+heads of the arcs its pruned product summed, S_{i-1} and S_i once; the
+product's support is what reads nonzero there, u_1 is projected out of
+its compact values, the subtractions land in the same accumulator, and
+w is read back off the sorted entries, which are then zeroed.  A
+selection from two or more arrays goes through ascending positions, not
+a mask per array.  The accumulator, the run's one n-vector, comes from
+the graph's free list of zeroed vectors (``Graph.scratch_vectors``), so
+no query does O(n) work once the list holds it, and none builds a
+per-arc array.  The ``visit`` hook gets the compact arrays; the first
+row is read off them by binary search.  The pruned run gives the same
+T, first row and work counters, to the bit, as one with dense iterates.
 
 Every inner product goes through :func:`resistor.kernels._dot`, so T
 does not depend on the BLAS thread count.
@@ -81,7 +80,6 @@ from .kernels import (
     _give_back,
     _take_zeroed,
     relax_arcs,
-    significant,
     tridiag_solve_e1,
 )
 
@@ -288,9 +286,9 @@ class _PrunedIterates:
     (``Graph.scratch_vectors``): the accumulator in which the pruned
     product sums its arcs and then each step sums w, zeroed again on the
     entries it wrote.  :meth:`release` gives it back zeroed; a run that
-    raises drops it.  Every step costs O(support log support), the log
-    from sorting the union of the supports, and no step or query does
-    O(n) work.
+    raises drops it.  Every step costs O(r log r) for the r arcs it
+    relaxes plus its supports, the log from its one sort, and no step or
+    query does O(n) work.
     """
 
     def __init__(self, g: Graph, v1: SparseVector, eps: float, deflate: bool):
@@ -311,30 +309,44 @@ class _PrunedIterates:
         return np.where(supp[pos] == idx, self.val[pos], 0.0)
 
     def overlap(self, v1: SparseVector) -> float:
-        """v_1^T v_i, which the pruning makes nonzero for i > 1."""
-        return _dot(v1.val, self.values_at(v1.idx))
+        """v_1^T v_i, which the pruning makes nonzero for i > 1.  A query's
+        v_1 has two entries: one binary search, then a lookup each."""
+        supp, val, end = self.supp, self.val, len(self.supp)
+        pos = np.searchsorted(supp, v1.idx).tolist()
+        hits = [
+            val[p] if p < end and supp[p] == u else 0.0
+            for p, u in zip(pos, v1.idx.tolist())
+        ]
+        return _dot(v1.val, np.array(hits, dtype=np.float64))
 
     def step(self, run: LanczosRun, beta: float, s_cur) -> tuple:
         """One step from v_i: ``(alpha_i, beta_{i+1})``, with the work
         counted on ``run``; ``s_cur`` is S_i, or None for the threshold
         rule."""
-        g, acc, supp, val = self.g, self.acc, self.supp, self.val
+        g, acc, supp, val, eps = self.g, self.acc, self.supp, self.val, self.eps
+        size = np.abs(val)
         if s_cur is None:
-            keep = significant(g, supp, val, self.eps)
+            # significant()'s test, on the |v| that the product reads too
+            keep = (size > eps * g.weighted_degrees[supp]).nonzero()[0]
             s_cur, s_val = supp[keep], val[keep]
         else:
             s_val = self.values_at(s_cur)
         run.subset_sizes.append(len(s_cur))
-        prod_supp, prod_val, relaxed = relax_arcs(g, supp, val, self.sd, self.eps, acc)
-        run.edges_relaxed.append(relaxed)
+        heads = relax_arcs(g, supp, val, size, eps * self.sd, acc)
+        run.edges_relaxed.append(len(heads))
         if not self.pruned:
-            arcs = int((g.offsets[supp + 1] - g.offsets[supp]).sum())
-            self.pruned = len(s_cur) < self.size or relaxed < arcs
+            arcs = int((g.offsets[1:][supp] - g.offsets[supp]).sum())
+            self.pruned = len(s_cur) < self.size or len(heads) < arcs
+        # every entry this step writes, sorted once: a head whose sum
+        # cancelled, or that is only in S_{i-1} or S_i, reads 0.0 here
+        touched = _sorted_unique(np.concatenate((heads, self.s_prev, s_cur)))
         if self.deflate:
             # alpha comes from the deflated product
-            sd_prod = g.sqrt_degrees[prod_supp]
-            run.extra_ops += _project_u1_compact(prod_val, sd_prod)
-        acc[prod_supp] = prod_val
+            prod = acc[touched]
+            hit = (prod != 0.0).nonzero()[0]
+            prod_supp, prod = touched[hit], prod[hit]
+            run.extra_ops += _project_u1_compact(prod, g.sqrt_degrees[prod_supp])
+            acc[prod_supp] = prod
         if beta != 0.0:
             acc[self.s_prev] -= beta * self.s_prev_val
             run.extra_ops += run.subset_sizes[-2]
@@ -342,10 +354,9 @@ class _PrunedIterates:
         acc[s_cur] -= alpha * s_val
         run.extra_ops += run.support_sizes[-1] + run.subset_sizes[-1]
 
-        touched = _sorted_unique(np.concatenate((prod_supp, self.s_prev, s_cur)))
         w = acc[touched]
         acc[touched] = 0.0
-        nonzero = w != 0.0
+        nonzero = (w != 0.0).nonzero()[0]
         supp_w, w = touched[nonzero], w[nonzero]
         sd = g.sqrt_degrees[supp_w]
         if self.deflate:
@@ -391,10 +402,9 @@ def run_recurrence(
     all of v_i at eps = 0), projects u_1 out again and normalizes.  At
     eps = 0 only the second projection runs: A keeps u_1^perp, so the
     product gains u_1 mass from rounding alone, and the second projection
-    removes it.  At eps > 0 the pruned product and the S_i test run on
-    the support's index and value arrays
-    (:func:`resistor.kernels.relax_arcs` and
-    :func:`resistor.kernels.significant`).  The projections run over the
+    removes it.  At eps > 0 the pruned product
+    (:func:`resistor.kernels.relax_arcs`) and the S_i test run on the
+    support's index and value arrays.  The projections run over the
     vector's own nonzero support, and only when v1 is orthogonal to u_1;
     a v1 with a u_1 component runs unprojected.
 
@@ -418,10 +428,10 @@ def run_recurrence(
     At eps = 0 the iterates are n-vectors and every step is a dense pass
     through the run's workspace (the module docstring lists it).  At
     eps > 0 they are compact index and value arrays
-    (:class:`_PrunedIterates`): every step costs O(support log support),
-    the log from sorting the union of the supports, and the run's one
-    n-vector comes zeroed from the graph's free list, so a query does no
-    O(n) work.
+    (:class:`_PrunedIterates`): every step costs O(r log r) for the r
+    arcs it relaxes plus its supports, the log from its one sort, and the
+    run's one n-vector comes zeroed from the graph's free list, so a
+    query does no O(n) work.
     """
     n = g.node_count
     if s_overrides and eps == 0.0:

@@ -8,6 +8,8 @@ n-vector and summed the product through ``np.unique`` and ``bincount``;
 the new step must match it byte for byte.
 """
 
+import dataclasses
+import io
 import math
 import pickle
 import tracemalloc
@@ -15,11 +17,13 @@ import tracemalloc
 import numpy as np
 import pytest
 from click.testing import CliRunner
+from hypothesis import example, event, given, settings
+from hypothesis import strategies as st
 
 import resistor as R
 import resistor.lanczos as lanczos_mod
 from resistor.cli import EXIT_NUMERICAL, cli
-from resistor.graph import _arc_positions
+from resistor.graph import _arc_positions, edge_arrays
 from resistor.kernels import SparseVector, TridiagonalMatrix, _dot, significant
 from resistor.lanczos import LanczosRun, definitional_start
 
@@ -193,6 +197,102 @@ def test_amv_is_the_reference_product():
         assert got.val.tobytes() == val.tobytes()
 
 
+def _small_graph(n, m, seed, weighted):
+    """``generate_er(n, m, seed)``, with weights drawn from [0.25, 4) when
+    ``weighted``."""
+    g = R.generate_er(n, m, seed)
+    if not weighted:
+        return g
+    eu, ev, _ = edge_arrays(g)
+    w = np.random.default_rng(seed).uniform(0.25, 4.0, len(eu))
+    text = "".join(f"{a} {b} {x!r}\n" for a, b, x in zip(eu.tolist(), ev.tolist(), w.tolist()))
+    return R.load_edge_list(io.StringIO(text), weighted=True)
+
+
+def _against_the_reference(g, v1, k, eps, overrides):
+    """Run the step and the frozen reference from ``v1`` and assert that
+    they agree byte for byte, basis vectors and ``pruned`` included; also
+    that ``amv`` on ``v1`` is the reference product.  Returns which of
+    "idle" (a step with no live source) and "full" (a step that relaxed
+    every arc of its support) the run went through."""
+    seen, ref_seen = [], []
+
+    def keep(into):
+        return lambda i, supp, val, alphas, betas: into.append((supp.copy(), val.copy()))
+
+    new = lanczos_mod.run_recurrence(g, v1, k, eps, overrides, keep(seen))
+    ref = _reference_recurrence(g, v1, k, eps, overrides, keep(ref_seen))
+    _assert_same_run(new, ref)
+    assert len(seen) == len(ref_seen)
+    for (a_idx, a_val), (b_idx, b_val) in zip(seen, ref_seen):
+        assert a_idx.tobytes() == b_idx.tobytes()
+        assert a_val.tobytes() == b_val.tobytes()
+    cases, pruned = set(), False
+    for (supp, val), sub, relaxed in zip(seen, new.subset_sizes, new.edges_relaxed):
+        arcs = int(np.diff(g.offsets)[supp].sum())
+        pruned = pruned or sub < len(supp) or relaxed < arcs
+        if not np.any(np.abs(val) > eps * g.sqrt_degrees[supp] * g.min_sqrt_degree):
+            cases.add("idle")
+        if relaxed == arcs:
+            cases.add("full")
+    assert new.pruned == pruned
+    got = R.amv(g, v1, eps)
+    idx, val, _ = _reference_relax(g, v1.idx, v1.val, eps)
+    assert got.idx.tobytes() == idx.tobytes()
+    assert got.val.tobytes() == val.tobytes()
+    return cases
+
+
+@st.composite
+def _sweep_cases(draw):
+    n = draw(st.integers(4, 60))
+    m = draw(st.integers(n, min(4 * n, n * (n - 1) // 2)))
+    g = _small_graph(n, m, draw(st.integers(0, 2**31 - 1)), draw(st.booleans()))
+    n = g.node_count
+    eps = draw(st.floats(1e-4, 2e-2))
+    k = draw(st.integers(1, 30))
+    if draw(st.booleans()):
+        s, t = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        v1 = definitional_start(g, s, t)
+    else:
+        # a start off u_1^perp, with entries over six decades: some steps
+        # have no live source
+        idx = np.array(sorted(draw(st.sets(st.integers(0, n - 1), min_size=1))))
+        val = np.array(draw(st.lists(
+            st.floats(1e-6, 1.0) | st.floats(-1.0, -1e-6),
+            min_size=len(idx), max_size=len(idx))))
+        v1 = SparseVector(idx, val, n)
+    overrides = None
+    if draw(st.booleans()):
+        steps = draw(st.sets(st.integers(1, k), max_size=3))
+        overrides = {i: draw(st.lists(st.integers(0, n - 1), max_size=8)) for i in steps}
+    return g, v1, k, eps, overrides
+
+
+_IDLE_CASE = (15, 40, 2, False, 2e-2, 10, 1e-6)
+_FULL_CASE = (15, 40, 2, True, 1e-4, 10, 1.0)
+
+
+def _fixed_case(n, m, seed, weighted, eps, k, scale):
+    g = _small_graph(n, m, seed, weighted)
+    v1 = definitional_start(g, 0, g.node_count - 1)
+    return g, SparseVector(v1.idx, v1.val * scale, v1.dim), k, eps, {3: [1, 1, 4]}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_sweep_cases())
+@example(_fixed_case(*_IDLE_CASE))
+@example(_fixed_case(*_FULL_CASE))
+def test_the_step_is_the_reference_on_random_graphs(case):
+    for name in sorted(_against_the_reference(*case)):
+        event(name)
+
+
+def test_the_sweep_examples_reach_idle_and_full_steps():
+    assert "idle" in _against_the_reference(*_fixed_case(*_IDLE_CASE))
+    assert "full" in _against_the_reference(*_fixed_case(*_FULL_CASE))
+
+
 # ---------------------------------------------------------------------------
 # the free list: no O(n) work per query
 # ---------------------------------------------------------------------------
@@ -223,6 +323,28 @@ def test_push_query_allocates_no_vector():
     assert peak < 8 * n
     assert {id(v) for v in g.scratch_vectors} == pool
     assert all(not v.any() for v in g.scratch_vectors)
+
+
+def test_first_push_query_caches_nothing_per_arc():
+    # the first pruned query of a fresh graph builds sqrt_degrees,
+    # inv_sqrt_degrees and the free-list vector, all n-long, and caches
+    # nothing per arc: its peak stays below those plus one float n-vector
+    # (the two 2m-long per-arc factor caches it once built took 160n bytes)
+    g = R.generate_ba(50000, 5, 3)
+    n = g.node_count
+    fields = {f.name for f in dataclasses.fields(g)}
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        est, _, run = R.lanczos_push_rd(g, 17, 41234, R.PushConfig(k=20, epsilon=5e-3))
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert run.k_effective == 20 and run.pruned
+    cached = [a for name, a in vars(g).items() if name not in fields and isinstance(a, np.ndarray)]
+    cached += g.scratch_vectors
+    assert len(cached) == 3 and all(a.shape == (n,) for a in cached)
+    assert peak < sum(a.nbytes for a in cached) + 8 * n
 
 
 def test_a_raising_hook_leaves_no_dirty_vector():
