@@ -16,8 +16,9 @@ workloads; alternating in one process can.
 
 The rows, each built once per side on that side's own graph:
 
-- ``lanczos_rd`` (k = 20) on ``generate_er(50_000, 250_000, 1)``, over
-  20 seeded pairs;
+- ``lanczos_rd`` (k = 20) on ``generate_er(50_000, 250_000, 1)`` and on
+  ``generate_ba(50_000, 5, 1)``, over each graph's 20 seeded pairs
+  (``--rows lanczos_rd`` selects these two);
 - ``lanczos_push_rd`` (k = 20) on ``generate_ba(50_000, 5, 1)`` at
   eps = 5e-3 (the ba-local setting) and at eps = 1e-3, over its 20
   seeded pairs (``--rows push`` selects these two);
@@ -114,9 +115,12 @@ def make_rows(pkg, grid_path: Path) -> dict:
     er_pairs, ba_pairs = pairs(er.node_count), pairs(ba.node_count)
     grid_pairs = pairs(grid.node_count)
 
-    def lz():
-        for s, t in er_pairs:
-            pkg.lanczos_rd(er, s, t, ER_K)
+    def lz(g, query_pairs):
+        def run():
+            for s, t in query_pairs:
+                pkg.lanczos_rd(g, s, t, ER_K)
+
+        return run
 
     def push(eps: str):
         cfg = pkg.PushConfig(k=PUSH_K, epsilon=float(eps))
@@ -153,7 +157,8 @@ def make_rows(pkg, grid_path: Path) -> dict:
     def jagged():
         pkg.graph._jagged_layout(er)
 
-    return {"lanczos_rd er50k k20": lz,
+    return {f"lanczos_rd er50k k{ER_K}": lz(er, er_pairs),
+            f"lanczos_rd ba50k k{ER_K}": lz(ba, ba_pairs),
             **{f"lanczos_push_rd ba50k k{PUSH_K} eps{eps}": push(eps) for eps in PUSH_EPS},
             "lanczos_potential grid k200": potential,
             "estimate_spectrum grid": spectrum,

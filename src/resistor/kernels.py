@@ -33,6 +33,17 @@ output buffer through the caller's n-length scratch and 2m-length gather
 buffers; the dense Lanczos step owns those buffers for its whole run and
 allocates no vector per step.
 
+Given a support of v (ascending ids that hold all its nonzero entries),
+:func:`_adjacency_into` reads the support's arcs alone, the sparse side
+of the push/pull switch of direction-optimizing BFS (Beamer, Asanović &
+Patterson, SC'12).  It lays them out in CSR order in four lanes of the
+gather buffer and sums them by ``np.add.at`` into the zeroed output, so
+every target is summed from 0.0 in ascending source order, as its
+jagged row sums it, from the same terms: the product has the same bits
+and allocates only support-length arrays.  :func:`_support_pays` tells
+when it is the cheaper product: while ``SUPPORT_ARC_COST`` times the
+support's arcs plus ``SUPPORT_CALL_ARCS`` stays under 2m.
+
 Every inner product that feeds T, a potential or a spectrum goes through
 :func:`_dot`, ``np.einsum('i,i->', a, b)``, which never calls BLAS: the
 sum does not depend on how many threads BLAS would split it over (it may
@@ -66,6 +77,17 @@ __all__ = [
 
 _PIVOT_FLOOR = 1e-14
 
+# The cost of the dense product through a support, in arcs of the jagged
+# product: SUPPORT_ARC_COST per arc it reads, and SUPPORT_CALL_ARCS per
+# call with the Lanczos step's bookkeeping of the support ids.  Measured on
+# ER and BA graphs of n = 3k to 200k and an 80 x 80 cut lattice (2-vCPU
+# Xeon, numpy 2.4): an arc read through a support cost 4.3-6.9 jagged arcs,
+# and a call about 40 us, 13k-23k jagged arcs on the graphs of n < 10k.
+# A cost of 4 or more also keeps a support's arcs within the four lanes it
+# takes of the 2m-long gather buffer.
+SUPPORT_ARC_COST = 8
+SUPPORT_CALL_ARCS = 32_768
+
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
     """The inner product of two 1-d arrays, summed by ``np.einsum``.
@@ -93,7 +115,8 @@ class SparseVector:
 
     @classmethod
     def from_dense(cls, v: np.ndarray) -> "SparseVector":
-        idx = np.flatnonzero(v)
+        # the ids np.flatnonzero(v) gives, at a fraction of its cost
+        idx = (v != 0.0).nonzero()[0]
         return cls(idx, v[idx], len(v))
 
     @classmethod
@@ -186,8 +209,22 @@ def apply_normalized_adjacency(g: Graph, v: np.ndarray) -> np.ndarray:
     return _adjacency_into(g, v, np.empty(n), np.empty(n), np.empty(len(g.neighbors)))
 
 
+def _support_pays(g: Graph, support: np.ndarray) -> bool:
+    """Whether the dense product through the vertex ids ``support`` costs
+    less than the jagged one, judged from the arcs of the support (its
+    degree sum) against the graph's 2m."""
+    offsets = g.offsets
+    arcs = int(offsets[1:][support].sum() - offsets[support].sum())
+    return SUPPORT_ARC_COST * arcs + SUPPORT_CALL_ARCS < len(g.neighbors)
+
+
 def _adjacency_into(
-    g: Graph, v: np.ndarray, out: np.ndarray, scratch: np.ndarray, gather: np.ndarray
+    g: Graph,
+    v: np.ndarray,
+    out: np.ndarray,
+    scratch: np.ndarray,
+    gather: np.ndarray,
+    support: np.ndarray | None = None,
 ) -> np.ndarray:
     """Write ``A v`` into ``out`` and return it.
 
@@ -198,7 +235,16 @@ def _adjacency_into(
     ``gather`` (length 2m) the arc contributions; their contents on entry
     do not matter.  ``v`` is a float64 n-vector, and no two of the four
     arrays may overlap.
+
+    ``support``, when given, holds ascending vertex ids, at least one and
+    each with at least one arc, among which are all the nonzero entries
+    of ``v``; their arcs may fill at most a quarter of ``gather``, as they
+    do whenever :func:`_support_pays` accepts them.  The product then
+    reads only the support's arcs (:func:`_support_product_into`) and
+    leaves ``scratch`` untouched, and its result has the same bits.
     """
+    if support is not None:
+        return _support_product_into(g, v, support, out, gather)
     lay = g.jagged
     np.multiply(v, g.inv_sqrt_degrees, out=scratch)
     # the default mode="raise" buffers the output, about twice as slow
@@ -217,6 +263,65 @@ def _adjacency_into(
     rows.take(lay.position, out=out, mode="wrap")
     out *= g.inv_sqrt_degrees
     return out
+
+
+def _support_product_into(
+    g: Graph, v: np.ndarray, support: np.ndarray, out: np.ndarray, gather: np.ndarray
+) -> np.ndarray:
+    """:func:`_adjacency_into` through ``support``: ``A v`` from the arcs
+    of the support alone.
+
+    ``np.add.at`` sums the terms of :func:`_support_arcs` into the zeroed
+    ``out`` in CSR order, which is ascending by source, so every target
+    is summed from 0.0 in ascending source order, as the jagged product
+    sums its row, from the same terms.  The arcs it skips would add ±0.0
+    and change no sum.  Allocates support-length arrays only, and frees
+    them before ``np.add.at`` allocates its own fixed-size buffers.
+    """
+    heads, terms = _support_arcs(g, v, support, gather)
+    out.fill(0.0)
+    np.add.at(out, heads, terms)
+    out *= g.inv_sqrt_degrees
+    return out
+
+
+def _support_arcs(
+    g: Graph, v: np.ndarray, support: np.ndarray, gather: np.ndarray
+) -> tuple:
+    """The heads and the terms ``(v[x] / sqrt(d_x)) [* w]`` of the arcs
+    of the vertices ``support``, in CSR order, as views of ``gather``.
+
+    The r arcs take four r-long lanes of ``gather``: the terms, the arc
+    positions, the heads and each arc's index in ``support``, whose lane
+    then holds the weights of a weighted graph.
+    """
+    offsets = g.offsets
+    base = offsets[support]
+    ends = offsets[1:][support]
+    ends -= base
+    np.cumsum(ends, out=ends)
+    total = int(ends[-1])
+    terms = gather[:total]
+    arc, heads, lane = (
+        gather[i * total : (i + 1) * total].view(np.int64) for i in (1, 2, 3)
+    )
+    # arc k of the lanes, of the j-th source, sits at base[j] + k; the
+    # positions and the source indices are running sums of their steps
+    base[1:] -= ends[:-1]
+    arc.fill(1)
+    arc[0] = base[0]
+    arc[ends[:-1]] = np.diff(base) + 1
+    np.cumsum(arc, out=arc)
+    lane.fill(0)
+    lane[ends[:-1]] = 1
+    np.cumsum(lane, out=lane)
+    g.neighbors.take(arc, out=heads, mode="wrap")
+    (v[support] * g.inv_sqrt_degrees[support]).take(lane, out=terms, mode="wrap")
+    if not g.is_unweighted:
+        weights = lane.view(np.float64)
+        g.weights.take(arc, out=weights, mode="wrap")
+        terms *= weights
+    return heads, terms
 
 
 def apply_transition(g: Graph, v: np.ndarray) -> np.ndarray:

@@ -34,11 +34,22 @@ product, one n-vector of scratch and one 2m-vector for the product's arc
 gather (:func:`resistor.kernels._adjacency_into`).  Its steps write the
 product into the buffer of v_{i-2} and make the alpha/beta subtractions
 and the one u_1 projection through the scratch vector, so a dense step
-allocates no vector but the bool mask of its support.  It forms no
-inner product with v_1: Gauss quadrature on T reads e_1 (Golub &
-Meurant, *Matrices, Moments and Quadrature*, 2010), however much
-orthogonality the computed basis has lost (Paige 1980), so its first
-row is (v_1^T v_1, 0, ..., 0).
+allocates no vector but the bool mask of its support.  While the
+support is small the run also keeps its ascending ids, and the product
+reads only their arcs (the support mode of
+:func:`resistor.kernels._adjacency_into`): v_1 sits on {s, t} and v_i on
+the (i-1)-hop ball around them, so the early products of a query need a
+few hundred of the 2m arcs.  The ids are read off that mask and kept
+while they number at most n / 16 and
+:func:`resistor.kernels._support_pays` finds their arcs a small enough
+share of 2m; the first step that fails either test goes over to the
+jagged product for good, and a start with full support, such as the
+spectrum's random one, never leaves it.  The product has the same bits
+in both modes, and ``edges_relaxed`` counts the operator's 2m arcs in
+both.  A dense run forms no inner product with v_1: Gauss quadrature on
+T reads e_1 (Golub & Meurant, *Matrices, Moments and Quadrature*, 2010),
+however much orthogonality the computed basis has lost (Paige 1980), so
+its first row is (v_1^T v_1, 0, ..., 0).
 
 A pruned run (``eps > 0``) carries each iterate only as its sorted
 support and the values on it (:class:`_PrunedIterates`), and keeps the
@@ -79,6 +90,7 @@ from .kernels import (
     _ldl_solve_e1,
     _give_back,
     _take_zeroed,
+    _support_pays,
     relax_arcs,
     tridiag_solve_e1,
 )
@@ -97,6 +109,12 @@ BREAKDOWN_TOL = 1e-14
 # The support of a dense iterate (eps = 0): its nonzero entries, found by
 # mask where needed.  As an index it selects the whole vector.
 _DENSE = slice(None)
+
+# A dense run keeps the ids of v_i's support, for products through it,
+# only while they number at most n / _TRACK_SHARE: the 8-byte ids and the
+# temporaries of a product through them then stay within a few bytes per
+# vertex of the graph.
+_TRACK_SHARE = 16
 
 
 @dataclass(eq=False)
@@ -117,8 +135,9 @@ class LanczosRun:
     the estimate is flagged (``healthy`` false).
 
     ``edges_relaxed[i]`` counts arc relaxations in the product of
-    iteration i + 1 (every arc, 2m, at eps = 0); ``touched_edges`` is their
-    total.  ``support_sizes`` and ``subset_sizes`` count the nonzero
+    iteration i + 1; at eps = 0 it is the operator's 2m arcs, also when the
+    product read only the arcs of v_i's support.  ``touched_edges`` is
+    their total.  ``support_sizes`` and ``subset_sizes`` count the nonzero
     entries of v_i and the significant set S_i.  ``extra_ops`` counts the
     O(support) bookkeeping (u_1 projections, two a step at eps > 0 and one
     at eps = 0, subtractions and inner products), kept separate from edge
@@ -174,20 +193,21 @@ def lanczos_iteration_bound(kappa: float, eps: float) -> int:
     return max(1, math.ceil(math.sqrt(kappa) * math.log(kappa / eps)))
 
 
-def _project_u1(w: np.ndarray, sqrt_d: np.ndarray, u1_norm_sq: float, scratch) -> int:
+def _project_u1(
+    w: np.ndarray, nonzero: np.ndarray, size: int, sqrt_d: np.ndarray,
+    u1_norm_sq: float, scratch,
+) -> None:
     """Project u_1 ~ D^{1/2} 1 out of the dense vector w over its nonzero
-    support, in place.
+    support, in place; ``nonzero`` is the bool mask of that support and
+    ``size`` its count.
 
     Subtracts c * D^{1/2} 1 restricted to the support, with
     c = <D^{1/2} 1, w> / sum_{u in supp w} d_u.  The result is exactly
-    orthogonal to u_1 in real arithmetic and keeps the support unchanged.
+    orthogonal to u_1 in real arithmetic and zero off the support.
     ``u1_norm_sq`` is ``_dot(sqrt_d, sqrt_d)``, the denominator whenever
     the support is all of w, and ``scratch`` an n-vector the projection
-    works through.  Returns the support size.
+    works through.
     """
-    # a bool mask and its count cost less than np.count_nonzero(w)
-    nonzero = w != 0.0
-    size = int(np.count_nonzero(nonzero))
     if size == len(w):
         sd, norm_sq = sqrt_d, u1_norm_sq
     else:
@@ -198,7 +218,6 @@ def _project_u1(w: np.ndarray, sqrt_d: np.ndarray, u1_norm_sq: float, scratch) -
         norm_sq = _dot(sd, sd)
     if size:
         np.subtract(w, np.multiply(sd, _dot(sd, w) / norm_sq, out=scratch), out=w)
-    return size
 
 
 def _project_u1_compact(val: np.ndarray, sd: np.ndarray) -> int:
@@ -216,6 +235,17 @@ def _orthogonal_to_u1(sqrt_d: np.ndarray, v: SparseVector) -> bool:
     return abs(float(terms.sum())) <= 1e-12 * math.sqrt(_dot(terms, terms))
 
 
+def _support_ids(g: Graph, nonzero: np.ndarray, size: int):
+    """The ascending ids of the ``size`` true entries of the bool n-vector
+    ``nonzero`` if the next dense product pays to run through them
+    (:func:`resistor.kernels._support_pays`), else None.  They are never
+    formed for more than n / ``_TRACK_SHARE`` entries."""
+    if size > len(nonzero) // _TRACK_SHARE:
+        return None
+    ids = nonzero.nonzero()[0]
+    return ids if _support_pays(g, ids) else None
+
+
 class _DenseIterates:
     """The iterates of a run at eps = 0, as n-vectors.
 
@@ -223,6 +253,8 @@ class _DenseIterates:
     turns as v_{i-1}, v_i and the next product, one n-vector of scratch
     and one 2m-vector for the product's arc gather.  ``supp`` is always
     ``_DENSE`` and ``val`` the n-vector of v_i; S_i is all of v_i.
+    ``ids`` holds the ascending ids of v_i's support while the product
+    runs through them, and is None from the first step it does not.
     """
 
     pruned = False
@@ -235,6 +267,8 @@ class _DenseIterates:
         self.spare, self.val_prev, self.val = np.zeros(n), np.zeros(n), np.zeros(n)
         self.val[v1.idx] = v1.val
         self.supp, self.size = _DENSE, len(v1.idx)
+        small = self.size <= n // _TRACK_SHARE
+        self.ids = v1.idx if small and _support_pays(g, v1.idx) else None
 
     def overlap(self, v1: SparseVector) -> float:
         """v_1^T v_i for i > 1: zero, as in exact arithmetic, since T alone
@@ -247,7 +281,7 @@ class _DenseIterates:
         refuses significant-set overrides at eps = 0."""
         g, v, w, scratch = self.g, self.val, self.spare, self.scratch
         run.subset_sizes.append(self.size)
-        _adjacency_into(g, v, w, scratch, self.gather)
+        _adjacency_into(g, v, w, scratch, self.gather, support=self.ids)
         run.edges_relaxed.append(2 * g.edge_count)
         if beta != 0.0:
             np.subtract(w, np.multiply(self.val_prev, beta, out=scratch), out=w)
@@ -255,12 +289,16 @@ class _DenseIterates:
         alpha = _dot(w, v)
         np.subtract(w, np.multiply(v, alpha, out=scratch), out=w)
         run.extra_ops += run.support_sizes[-1] + run.subset_sizes[-1]
+        # a bool mask and its count cost less than np.count_nonzero(w)
+        nonzero = w != 0.0
+        self.size_w = int(np.count_nonzero(nonzero))
         if self.deflate:
             # A keeps u_1^perp: only rounding put u_1 mass into w
-            self.size_w = _project_u1(w, g.sqrt_degrees, self.u1_norm_sq, scratch)
+            _project_u1(w, nonzero, self.size_w, g.sqrt_degrees, self.u1_norm_sq, scratch)
             run.extra_ops += self.size_w
-        else:
-            self.size_w = int(np.count_nonzero(w))
+        # the product runs through a support until the first step it does
+        # not; the projection leaves w zero off the mask
+        self.ids_w = None if self.ids is None else _support_ids(g, nonzero, self.size_w)
         return alpha, math.sqrt(_dot(w, w))
 
     def advance(self, beta_next: float) -> None:
@@ -269,7 +307,7 @@ class _DenseIterates:
         w = self.spare
         w /= beta_next
         self.spare, self.val_prev, self.val = self.val_prev, self.val, w
-        self.size = self.size_w
+        self.size, self.ids = self.size_w, self.ids_w
 
     def release(self) -> None:
         pass
@@ -426,7 +464,8 @@ def run_recurrence(
     the work counters.
 
     At eps = 0 the iterates are n-vectors and every step is a dense pass
-    through the run's workspace (the module docstring lists it).  At
+    through the run's workspace (the module docstring lists it), whose
+    product reads only the arcs of v_i's support while they are few.  At
     eps > 0 they are compact index and value arrays
     (:class:`_PrunedIterates`): every step costs O(r log r) for the r
     arcs it relaxes plus its supports, the log from its one sort, and the

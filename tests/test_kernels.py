@@ -15,14 +15,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import resistor as R
 import resistor.lanczos as lanczos_mod
 from resistor.errors import SingularSystemError
 from resistor.graph import JAGGED_MIN_ROWS, _sorted_unique
-from resistor.kernels import _adjacency_into, _sturm_reaches
+from resistor.kernels import _adjacency_into, _sturm_reaches, _support_pays
 from resistor.lanczos import definitional_start, run_recurrence
 
 from conftest import (
@@ -219,11 +219,68 @@ def test_workspace_product_matches_the_public_one_and_the_csr_bincount(name):
         assert same_bits(out, csr_bincount_product(g, v))
 
 
-def csr_bincount_into(g, v, out, scratch, gather):
+def csr_bincount_into(g, v, out, scratch, gather, support=None):
     """:func:`csr_bincount_product` with the signature of the workspace
     product the recurrence calls."""
     out[:] = csr_bincount_product(g, v)
     return out
+
+
+def support_test_graph(kind: str, n: int, seed: int):
+    if kind == "weighted":
+        return random_weighted(n, seed)
+    if kind == "hubs":
+        # rows of degree above the column count take the hubs' bincount
+        return R.generate_ba(max(n, 2 * JAGGED_MIN_ROWS), 3, seed)
+    if kind == "small":
+        # fewer than JAGGED_MIN_ROWS rows: every row is a hub
+        return random_connected(10 + n % (JAGGED_MIN_ROWS - 10), seed)
+    if kind == "lattice":
+        return cut_lattice(4 + n % 12, 0.1, seed)
+    return random_connected(n, seed)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sampled_from(["unweighted", "weighted", "hubs", "small", "lattice"]),
+    st.integers(10, 200),
+    st.integers(0, 2**31 - 1),
+    st.floats(0.0, 1.0),
+)
+def test_support_product_matches_the_jagged_one(kind, n, seed, share):
+    # v on a random vertex subset, from one vertex up to the most arcs a
+    # product through a support takes (a quarter of 2m), with both signs,
+    # six decades of magnitude and some ±0.0 inside and outside it
+    g = support_test_graph(kind, n, seed % 1000)
+    n, arcs = g.node_count, len(g.neighbors)
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(n)
+    fits = int(np.searchsorted(np.cumsum(np.diff(g.offsets)[order]), arcs // 4, "right"))
+    assume(fits > 0)
+    support = np.sort(order[: max(1, round(share * fits))])
+    v = np.where(rng.random(n) < 0.5, -0.0, 0.0)
+    size = len(support)
+    v[support] = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
+    v[support[rng.random(size) < 0.1]] = -0.0
+    buffers = [np.full(n, np.nan), np.full(n, np.nan), np.full(arcs, np.nan)]
+    via_support = _adjacency_into(g, v, *buffers, support=support).copy()
+    assert same_bits(via_support, _adjacency_into(g, v, *buffers))
+    assert same_bits(via_support, csr_bincount_product(g, v))
+
+
+def test_support_rule_counts_the_call_as_well_as_the_arcs():
+    # a one-vertex support pays on a graph with 2m = 500k, but not where
+    # the whole jagged product is cheaper than a call through a support
+    big = R.generate_er(50_000, 250_000, 1)
+    small = R.generate_er(3000, 15_000, 2)
+    for g, pays in ((big, True), (small, False)):
+        assert _support_pays(g, np.array([0])) is pays
+    # every support the rule accepts fits the product's four lanes
+    ids = np.argsort(np.diff(big.offsets), kind="stable")
+    deg = np.cumsum(np.diff(big.offsets)[ids])
+    largest = int(np.searchsorted(deg, len(big.neighbors), "right"))
+    accepted = [k for k in range(1, largest, 97) if _support_pays(big, np.sort(ids[:k]))]
+    assert accepted and 4 * deg[accepted[-1] - 1] <= len(big.neighbors)
 
 
 def test_dense_callers_unchanged_by_the_jagged_product(monkeypatch):
@@ -514,6 +571,16 @@ def test_free_list_tripwire_flags_every_way_of_naming_it():
 # ---------------------------------------------------------------------------
 # SparseVector
 # ---------------------------------------------------------------------------
+
+
+def test_sparse_vector_from_dense_selects_the_flatnonzero_ids():
+    v = np.array([0.0, -0.0, np.nan, 1.0, -np.inf, 0.0, np.inf, -2.5e-300, -0.0])
+    rng = np.random.default_rng(8)
+    for w in (v, rng.permutation(np.tile(v, 50)), np.zeros(5), np.array([-0.0])):
+        got = R.SparseVector.from_dense(w)
+        assert got.idx.tolist() == np.flatnonzero(w).tolist()
+        assert same_bits(got.val, w[np.flatnonzero(w)])
+        assert got.idx.dtype == np.flatnonzero(w).dtype
 
 
 def test_sparse_vector_round_trip():

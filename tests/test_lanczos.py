@@ -1,6 +1,7 @@
 """Tests for the Lanczos recurrence, the global Lanczos estimator and the
 one-pass potential solver."""
 
+import math
 import tracemalloc
 from contextlib import nullcontext
 
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import resistor as R
+import resistor.kernels as kernels_mod
 import resistor.lanczos as lanczos_mod
 from resistor.errors import SingularSystemError
 from resistor.kernels import TridiagonalMatrix, _dot, _sturm_reaches, tridiag_solve_e1
@@ -23,6 +25,7 @@ from conftest import (
     pinv_potential,
     random_connected,
     random_pair,
+    random_weighted,
 )
 
 
@@ -243,9 +246,9 @@ def test_potential_makes_one_product_per_step(monkeypatch):
     calls = []
     real = lanczos_mod._adjacency_into
 
-    def counted(g, v, out, scratch, gather):
+    def counted(g, v, out, scratch, gather, support=None):
         calls.append(1)
-        return real(g, v, out, scratch, gather)
+        return real(g, v, out, scratch, gather, support=support)
 
     # the path run breaks down after 100 of its 200 steps
     cases = [
@@ -313,8 +316,13 @@ def test_estimate_is_one_formula_on_the_first_row():
 
 @pytest.mark.parametrize(
     "make_graph",
-    [lambda: R.generate_er(3000, 15000, 2), lambda: cut_lattice(60, 0.1, 3)],
-    ids=["er3000", "lattice60"],
+    [
+        lambda: R.generate_er(3000, 15000, 2),
+        lambda: cut_lattice(60, 0.1, 3),
+        # 2m = 50k: the first products run through the support
+        lambda: R.generate_er(5000, 25_000, 3),
+    ],
+    ids=["er3000", "lattice60", "er5000"],
 )
 def test_dense_step_allocates_no_vector(make_graph):
     # a dense step works in its run's workspace: within a step it allocates
@@ -344,12 +352,139 @@ def test_dense_step_allocates_no_vector(make_graph):
         assert max(transient[1:]) < 4 * n
 
 
+def _frozen_project_u1(w, sqrt_d, u1_norm_sq, scratch):
+    nonzero = w != 0.0
+    size = int(np.count_nonzero(nonzero))
+    if size == len(w):
+        sd, norm_sq = sqrt_d, u1_norm_sq
+    else:
+        np.copyto(scratch, nonzero)
+        sd = np.multiply(scratch, sqrt_d, out=scratch)
+        norm_sq = _dot(sd, sd)
+    if size:
+        np.subtract(w, np.multiply(sd, _dot(sd, w) / norm_sq, out=scratch), out=w)
+    return size
+
+
+class _JaggedDenseIterates:
+    """A frozen copy of the dense iterates whose every product is the
+    jagged one: the reference that products through a support must match
+    to the bit."""
+
+    pruned = False
+
+    def __init__(self, g, v1, deflate):
+        n = g.node_count
+        self.g, self.deflate = g, deflate
+        self.u1_norm_sq = _dot(g.sqrt_degrees, g.sqrt_degrees) if deflate else None
+        self.scratch, self.gather = np.empty(n), np.empty(len(g.neighbors))
+        self.spare, self.val_prev, self.val = np.zeros(n), np.zeros(n), np.zeros(n)
+        self.val[v1.idx] = v1.val
+        self.supp, self.size = slice(None), len(v1.idx)
+
+    def overlap(self, v1):
+        return 0.0
+
+    def step(self, run, beta, s_cur):
+        g, v, w, scratch = self.g, self.val, self.spare, self.scratch
+        run.subset_sizes.append(self.size)
+        kernels_mod._adjacency_into(g, v, w, scratch, self.gather)
+        run.edges_relaxed.append(2 * g.edge_count)
+        if beta != 0.0:
+            np.subtract(w, np.multiply(self.val_prev, beta, out=scratch), out=w)
+            run.extra_ops += run.subset_sizes[-2]
+        alpha = _dot(w, v)
+        np.subtract(w, np.multiply(v, alpha, out=scratch), out=w)
+        run.extra_ops += run.support_sizes[-1] + run.subset_sizes[-1]
+        if self.deflate:
+            self.size_w = _frozen_project_u1(w, g.sqrt_degrees, self.u1_norm_sq, scratch)
+            run.extra_ops += self.size_w
+        else:
+            self.size_w = int(np.count_nonzero(w))
+        return alpha, math.sqrt(_dot(w, w))
+
+    def advance(self, beta_next):
+        w = self.spare
+        w /= beta_next
+        self.spare, self.val_prev, self.val = self.val_prev, self.val, w
+        self.size = self.size_w
+
+    def release(self):
+        pass
+
+
+def _far_pair(g, s=0):
+    return s, int(np.argmax(R.bfs_hops(g, s)))
+
+
+@pytest.mark.parametrize(
+    "make_graph",
+    [
+        lambda: R.generate_er(5000, 25_000, 3),
+        lambda: R.generate_ba(5000, 5, 3),
+        lambda: random_weighted(3000, 5),
+        lambda: cut_lattice(100, 0.1, 6),
+    ],
+    ids=["er5000", "ba5000", "weighted3000", "lattice100"],
+)
+def test_products_through_a_support_leave_every_output_unchanged(monkeypatch, make_graph):
+    # a far pair: the first products run through the support, the later
+    # ones, once its arcs are no small share of 2m, are jagged
+    g = make_graph()
+    s, t = _far_pair(g)
+    k = 40
+    real = lanczos_mod._adjacency_into
+    supports = []
+
+    def recorded(g, v, out, scratch, gather, support=None):
+        supports.append(support is not None)
+        return real(g, v, out, scratch, gather, support=support)
+
+    def outputs():
+        est, run = R.lanczos_rd(g, s, t, k)
+        fields = [run.alphas, run.betas, run.first_row, run.estimate, run.touched_edges,
+                  run.edges_relaxed, run.support_sizes, run.subset_sizes, run.extra_ops,
+                  run.peak_support, run.breakdown, run.pruned, est.value, est.healthy,
+                  est.touched_edges, est.iterations]
+        return [np.asarray(x).tobytes() for x in fields] + [
+            R.lanczos_potential(g, s, t, k).tobytes()
+        ]
+
+    monkeypatch.setattr(lanczos_mod, "_adjacency_into", recorded)
+    got = outputs()
+    steps = supports[:k]
+    assert steps[0] and not steps[-1]
+    assert steps == sorted(steps, reverse=True)  # switched once, for good
+    monkeypatch.setattr(lanczos_mod, "_DenseIterates", _JaggedDenseIterates)
+    assert got == outputs()
+
+
+def test_full_support_start_never_passes_a_support(monkeypatch):
+    g = R.generate_er(5000, 25_000, 3)
+    assert len(_start_vector(g, 0).idx) == g.node_count
+    real = lanczos_mod._adjacency_into
+    supports = []
+
+    def recorded(g, v, out, scratch, gather, support=None):
+        supports.append(support)
+        return real(g, v, out, scratch, gather, support=support)
+
+    monkeypatch.setattr(lanczos_mod, "_adjacency_into", recorded)
+    spec = R.estimate_spectrum(g)
+    assert len(supports) == spec.iterations
+    assert all(support is None for support in supports)
+    # a two-vertex start on the same graph does pass one
+    supports.clear()
+    R.lanczos_rd(g, *_far_pair(g), 5)
+    assert supports[0] is not None
+
+
 def test_potential_raises_on_the_pivot_floor(monkeypatch, toy):
     # A~ = c I makes alpha_1 = c and the first pivot 1 - c; the floor is
     # the one tridiag_solve_e1 applies
     for c, singular in ((1.0 - 1e-15, True), (1.0 - 1e-13, False)):
 
-        def scaled(g, v, out, scratch, gather, c=c):
+        def scaled(g, v, out, scratch, gather, support=None, c=c):
             return np.multiply(v, c, out=out)
 
         monkeypatch.setattr(lanczos_mod, "_adjacency_into", scaled)

@@ -386,9 +386,9 @@ def _count_dense_products(monkeypatch) -> list:
         calls.append(len(v))
         return apply_normalized_adjacency(g, v)
 
-    def counted_into(g, v, out, scratch, gather):
+    def counted_into(g, v, out, scratch, gather, support=None):
         calls.append(len(v))
-        return into(g, v, out, scratch, gather)
+        return into(g, v, out, scratch, gather, support=support)
 
     for module in (lanczos_mod, push_mod):
         # patched even where a module imports no product of its own
