@@ -22,18 +22,13 @@ from .errors import (
 )
 from .graph import (
     Graph,
-    bfs_hops,
-    degree,
     edge_arrays,
     generate_ba,
     generate_er,
-    jump,
     load_cache,
     load_edge_list,
-    neighbor_slice,
     save_cache,
     save_edge_list,
-    triangle_weight,
 )
 from .kernels import (
     SparseVector,
@@ -42,7 +37,6 @@ from .kernels import (
     apply_lazy_walk,
     apply_normalized_adjacency,
     apply_transition,
-    chebyshev_t,
     restrict,
     chebyshev_walk_norms,
     tridiag_eigen_range,
@@ -88,11 +82,6 @@ __all__ = [
     "load_cache",
     "save_cache",
     "edge_arrays",
-    "degree",
-    "neighbor_slice",
-    "jump",
-    "bfs_hops",
-    "triangle_weight",
     "generate_er",
     "generate_ba",
     "SparseVector",
@@ -102,7 +91,6 @@ __all__ = [
     "apply_lazy_walk",
     "tridiag_solve_e1",
     "tridiag_eigen_range",
-    "chebyshev_t",
     "chebyshev_walk_norms",
     "RDEstimate",
     "exact_rd",

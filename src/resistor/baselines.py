@@ -62,11 +62,17 @@ def _check_pair(g: Graph, s: int, t: int) -> None:
     _check_vertex(g, t)
 
 
+def _check_bound_args(kappa: float, eps: float) -> None:
+    """Raise ValueError unless ``kappa`` >= 1 and ``eps`` > 0 are finite:
+    the arguments of the three iteration bounds."""
+    if not (1.0 <= kappa < math.inf and 0.0 < eps < math.inf):
+        raise ValueError("need kappa >= 1 and eps > 0")
+
+
 def power_method_iteration_bound(kappa: float, eps: float) -> int:
     """Iterations sufficient for the power method to reach error ``eps``:
     ``ceil(2 kappa ln(kappa / eps))``."""
-    if kappa < 1.0 or eps <= 0.0:
-        raise ValueError("need kappa >= 1 and eps > 0")
+    _check_bound_args(kappa, eps)
     return max(1, math.ceil(2.0 * kappa * math.log(kappa / eps)))
 
 

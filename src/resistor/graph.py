@@ -1,11 +1,12 @@
-"""Immutable CSR graphs: parsing, cleaning, generation, and adjacency queries.
+"""Immutable CSR graphs: parsing, cleaning, caching and generation.
 
 Graphs are undirected and simple.  Loading an edge list always cleans the
 input the same way: self loops are dropped, parallel edges are merged (their
 weights summed), the largest connected component is extracted, and vertices
 are relabeled to contiguous ids ``0..n-1`` ordered by their original labels.
 Every algorithm in this package may therefore assume a connected graph with
-positive degrees.
+positive degrees.  Callers read adjacency straight from the CSR arrays
+(``offsets``, ``neighbors``, ``weights``).
 """
 
 from __future__ import annotations
@@ -26,11 +27,6 @@ __all__ = [
     "save_edge_list",
     "load_cache",
     "save_cache",
-    "degree",
-    "neighbor_slice",
-    "jump",
-    "bfs_hops",
-    "triangle_weight",
     "generate_er",
     "generate_ba",
 ]
@@ -293,19 +289,6 @@ def _arc_positions(offsets: np.ndarray, sources: np.ndarray) -> tuple:
     total = int(ends[-1]) if len(ends) else 0
     arc = np.repeat(starts + count - ends, count) + np.arange(total)
     return arc, count
-
-
-def _bfs_layers(offsets, neighbors, source, hops):
-    """BFS from ``source`` writing hop counts into ``hops`` (in place)."""
-    hops[source] = 0
-    frontier = np.array([source], dtype=np.int64)
-    d = 0
-    while frontier.size:
-        nxt = _sorted_unique(neighbors[_arc_positions(offsets, frontier)[0]])
-        nxt = nxt[hops[nxt] < 0]
-        d += 1
-        hops[nxt] = d
-        frontier = nxt
 
 
 def _component_labels(n: int, eu: np.ndarray, ev: np.ndarray) -> np.ndarray:
@@ -686,32 +669,6 @@ def _check_vertex(g: Graph, u: int) -> None:
         raise IndexError(f"vertex {u} out of range for graph with n={g.node_count}")
 
 
-def degree(g: Graph, u: int) -> float:
-    """Weighted degree of ``u`` (the count of neighbors when unweighted)."""
-    _check_vertex(g, u)
-    return float(g.weighted_degrees[u])
-
-
-def neighbor_slice(g: Graph, u: int) -> list:
-    """The ``(neighbor, weight)`` pairs of ``u``, sorted by neighbor id."""
-    _check_vertex(g, u)
-    lo, hi = g.offsets[u], g.offsets[u + 1]
-    return list(zip(g.neighbors[lo:hi].tolist(), g.weights[lo:hi].tolist()))
-
-
-def jump(g: Graph, rng: np.random.Generator) -> int:
-    """A uniformly random vertex id drawn from ``rng``."""
-    return int(rng.integers(0, g.node_count))
-
-
-def bfs_hops(g: Graph, source: int) -> np.ndarray:
-    """Hop distance from ``source`` to every vertex (-1 if unreachable)."""
-    _check_vertex(g, source)
-    hops = np.full(g.node_count, -1, dtype=np.int64)
-    _bfs_layers(g.offsets, g.neighbors, source, hops)
-    return hops
-
-
 def _hop_distance(g: Graph, s: int, t: int) -> int:
     """Hop distance from ``s`` to ``t`` (-1 if unreachable).
 
@@ -739,35 +696,6 @@ def _hop_distance(g: Graph, s: int, t: int) -> int:
                     nxt.append(x)
         frontier = nxt
     return -1
-
-
-# ---------------------------------------------------------------------------
-# derived weights
-# ---------------------------------------------------------------------------
-
-
-def triangle_weight(g: Graph) -> Graph:
-    """Reweight an unweighted graph by per-edge triangle counts.
-
-    The weight of each edge becomes the number of triangles it closes;
-    edges in no triangle get weight 1 so connectivity is preserved.
-    Weighted degrees are recomputed.  The vertex set and id map are
-    unchanged.
-    """
-    if not g.is_unweighted:
-        raise UnsupportedInputError("triangle reweighting expects an unweighted graph")
-    eu, ev, _ = edge_arrays(g)
-    offsets, neighbors = g.offsets, g.neighbors
-    new_w = np.empty(len(eu), dtype=np.float64)
-    for i, (a, b) in enumerate(zip(eu.tolist(), ev.tolist())):
-        na = neighbors[offsets[a] : offsets[a + 1]]
-        nb = neighbors[offsets[b] : offsets[b + 1]]
-        t = np.intersect1d(na, nb, assume_unique=True).size
-        new_w[i] = t if t > 0 else 1.0
-    new_offsets, new_neighbors, new_weights, degrees = _csr_from_canonical(
-        g.node_count, eu, ev, new_w
-    )
-    return Graph(new_offsets, new_neighbors, new_weights, degrees, g.old_ids.copy())
 
 
 # ---------------------------------------------------------------------------

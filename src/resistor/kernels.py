@@ -71,7 +71,6 @@ __all__ = [
     "restrict",
     "tridiag_solve_e1",
     "tridiag_eigen_range",
-    "chebyshev_t",
     "chebyshev_walk_norms",
 ]
 
@@ -106,7 +105,8 @@ class SparseVector:
 
     ``idx`` holds the support in ascending order and ``val`` the matching
     values; an exact zero is never stored.  ``dim`` is the ambient
-    dimension, kept for shape checks.
+    dimension, kept for shape checks.  Callers read the two arrays
+    directly; :meth:`to_dense` gives the n-vector.
     """
 
     idx: np.ndarray
@@ -133,25 +133,6 @@ class SparseVector:
         out = np.zeros(self.dim)
         out[self.idx] = self.val
         return out
-
-    def get(self, i: int) -> float:
-        pos = np.searchsorted(self.idx, i)
-        if pos < len(self.idx) and self.idx[pos] == i:
-            return float(self.val[pos])
-        return 0.0
-
-    def support(self) -> np.ndarray:
-        return self.idx
-
-    @property
-    def nnz(self) -> int:
-        return len(self.idx)
-
-    def norm1(self) -> float:
-        return float(np.abs(self.val).sum())
-
-    def norm2(self) -> float:
-        return math.sqrt(_dot(self.val, self.val))
 
 
 @dataclass
@@ -558,22 +539,6 @@ def tridiag_eigen_range(t: TridiagonalMatrix, tol: float = 1e-10):
 # ---------------------------------------------------------------------------
 # Chebyshev walk diagnostics
 # ---------------------------------------------------------------------------
-
-
-def chebyshev_t(x: float, l: int) -> float:
-    """Chebyshev polynomial T_l(x) by the three-term recurrence.
-
-    Scalar reference for the vector recurrence used in
-    :func:`chebyshev_walk_norms`; matches ``cos(l * arccos(x))`` on [-1, 1].
-    """
-    if l < 0:
-        raise ValueError("order must be nonnegative")
-    prev, cur = 1.0, x
-    if l == 0:
-        return prev
-    for _ in range(l - 1):
-        prev, cur = cur, 2.0 * x * cur - prev
-    return cur
 
 
 def chebyshev_walk_norms(g: Graph, u: int, k: int, weighted: bool = True) -> np.ndarray:

@@ -78,7 +78,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import RDEstimate, _check_pair
+from .baselines import RDEstimate, _check_bound_args, _check_pair
 from .graph import Graph, _check_vertex, _sorted_unique
 from .kernels import (
     SparseVector,
@@ -188,8 +188,7 @@ class LanczosRun:
 def lanczos_iteration_bound(kappa: float, eps: float) -> int:
     """Iterations sufficient for the Lanczos estimator to reach error
     ``eps``: ``ceil(sqrt(kappa) ln(kappa / eps))``."""
-    if kappa < 1.0 or eps <= 0.0:
-        raise ValueError("need kappa >= 1 and eps > 0")
+    _check_bound_args(kappa, eps)
     return max(1, math.ceil(math.sqrt(kappa) * math.log(kappa / eps)))
 
 
@@ -267,8 +266,7 @@ class _DenseIterates:
         self.spare, self.val_prev, self.val = np.zeros(n), np.zeros(n), np.zeros(n)
         self.val[v1.idx] = v1.val
         self.supp, self.size = _DENSE, len(v1.idx)
-        small = self.size <= n // _TRACK_SHARE
-        self.ids = v1.idx if small and _support_pays(g, v1.idx) else None
+        self.ids = _support_ids(g, self.val != 0.0, self.size)
 
     def overlap(self, v1: SparseVector) -> float:
         """v_1^T v_i for i > 1: zero, as in exact arithmetic, since T alone

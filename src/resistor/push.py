@@ -246,7 +246,8 @@ def subset_recurrence_trace(
 
 def _check_start(g: Graph, v1: SparseVector) -> None:
     """Raise unless ``v1`` is a nonzero vector on the vertices of ``g``
-    with strictly ascending indices."""
+    with strictly ascending indices and a finite squared norm, which also
+    rules out a NaN or infinite entry."""
     if v1.dim != g.node_count:
         raise ValueError(
             f"start vector of dimension {v1.dim} does not match graph "
@@ -255,8 +256,8 @@ def _check_start(g: Graph, v1: SparseVector) -> None:
     if np.any(np.diff(v1.idx) <= 0):
         raise ValueError("start vector indices must be strictly ascending")
     _check_ids(g, v1.idx)
-    if not _dot(v1.val, v1.val) > 0.0:
-        raise ValueError("start vector must have a nonzero norm")
+    if not 0.0 < _dot(v1.val, v1.val) < math.inf:
+        raise ValueError("start vector must have a finite, nonzero norm")
 
 
 def check_assumption(

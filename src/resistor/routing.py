@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import _check_pair
+from .baselines import _check_bound_args, _check_pair
 from .graph import Graph, _hop_distance
 from .lanczos import lanczos_potential
 
@@ -134,8 +134,9 @@ class RouteMetrics:
 def flow_iteration_bound(kappa: float, m: int, eps: float) -> int:
     """Iterations sufficient for ||f - f_hat||_1 <= eps:
     ``ceil(sqrt(kappa) ln(m / eps))``."""
-    if kappa < 1.0 or m < 1 or eps <= 0.0:
-        raise ValueError("need kappa >= 1, m >= 1 and eps > 0")
+    _check_bound_args(kappa, eps)
+    if m < 1:
+        raise ValueError("need m >= 1")
     return max(1, math.ceil(math.sqrt(kappa) * math.log(m / eps)))
 
 

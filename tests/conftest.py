@@ -1,18 +1,20 @@
 """Shared fixtures and independent dense oracles.
 
-The oracles here rebuild every matrix from the public neighbor queries
-(never from the CSR internals or the kernels under test), so agreement
-between an estimator and an oracle is a genuine two-route check.
+The oracles here rebuild every matrix from the CSR arrays alone
+(``offsets``, ``neighbors``, ``weights``), never from the kernels under
+test, so agreement between an estimator and an oracle is a genuine
+two-route check.
 """
 
 from __future__ import annotations
 
 import io
+from collections import deque
 
 import numpy as np
 import pytest
 
-from resistor import Graph, generate_er, load_edge_list, neighbor_slice
+from resistor import Graph, generate_er, load_edge_list
 
 
 def graph_from_text(text: str, weighted: bool = False) -> Graph:
@@ -71,7 +73,7 @@ def random_weighted(n: int, seed: int) -> Graph:
     g = random_connected(n, seed)
     eu, ev = [], []
     for u in range(g.node_count):
-        for v, _ in neighbor_slice(g, u):
+        for v in g.neighbors[g.offsets[u] : g.offsets[u + 1]].tolist():
             if u < v:
                 eu.append(u)
                 ev.append(v)
@@ -95,16 +97,31 @@ def cut_lattice(side: int, cut: float, seed: int) -> Graph:
 
 
 # ---------------------------------------------------------------------------
-# dense oracles (built only from public neighbor queries)
+# oracles (built only from the CSR arrays)
 # ---------------------------------------------------------------------------
+
+
+def bfs_hops(g: Graph, source: int) -> np.ndarray:
+    """Hop distance from ``source`` to every vertex (-1 if unreachable),
+    by a plain queue BFS."""
+    hops = np.full(g.node_count, -1, dtype=np.int64)
+    hops[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for v in g.neighbors[g.offsets[u] : g.offsets[u + 1]].tolist():
+            if hops[v] < 0:
+                hops[v] = hops[u] + 1
+                queue.append(v)
+    return hops
 
 
 def dense_weight_matrix(g: Graph) -> np.ndarray:
     n = g.node_count
     w = np.zeros((n, n))
     for u in range(n):
-        for v, wt in neighbor_slice(g, u):
-            w[u, v] = wt
+        lo, hi = g.offsets[u], g.offsets[u + 1]
+        w[u, g.neighbors[lo:hi]] = g.weights[lo:hi]
     return w
 
 

@@ -148,10 +148,11 @@ def test_pm_iteration_bound_rule():
     assert R.power_method_iteration_bound(2.0, 1e-3) == math.ceil(
         4 * math.log(2000)
     )
-    with pytest.raises(ValueError):
-        R.power_method_iteration_bound(0.5, 1e-3)
-    with pytest.raises(ValueError):
-        R.power_method_iteration_bound(2.0, 0.0)
+    bad = [(0.5, 1e-3), (2.0, 0.0), (math.inf, 1e-3), (10.0, math.inf),
+           (math.nan, 1e-3), (10.0, math.nan)]
+    for kappa, eps in bad:
+        with pytest.raises(ValueError, match="need kappa >= 1 and eps > 0"):
+            R.power_method_iteration_bound(kappa, eps)
 
 
 # ---------------------------------------------------------------------------

@@ -25,6 +25,7 @@ from resistor.graph import (
 )
 
 from conftest import (
+    bfs_hops,
     cut_lattice,
     dense_degrees,
     graph_from_text,
@@ -320,14 +321,16 @@ def test_largest_component_tie_between_the_largest_goes_to_the_smallest_root():
 
 
 def test_csr_slices_sorted_and_symmetric(toy):
-    g = toy
-    for u in range(g.node_count):
-        nbrs = [v for v, _ in R.neighbor_slice(g, u)]
+    def nbrs_of(u):
+        return toy.neighbors[toy.offsets[u] : toy.offsets[u + 1]].tolist()
+
+    for u in range(toy.node_count):
+        nbrs = nbrs_of(u)
         assert nbrs == sorted(nbrs)
         assert len(set(nbrs)) == len(nbrs)
         assert u not in nbrs
         for v in nbrs:
-            assert u in [x for x, _ in R.neighbor_slice(g, v)]
+            assert u in nbrs_of(v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -349,7 +352,7 @@ def test_cleaning_invariants_random_edge_lists(pairs):
     assert g.offsets[-1] == 2 * g.edge_count
     assert g.weighted_degrees.sum() == pytest.approx(g.weights.sum())
     # connectivity: BFS from 0 reaches everything
-    assert (R.bfs_hops(g, 0) >= 0).all()
+    assert (bfs_hops(g, 0) >= 0).all()
     # degrees match the dense rebuild
     assert np.allclose(g.weighted_degrees, dense_degrees(g))
 
@@ -421,32 +424,11 @@ def test_build_matches_structured_unique_reference(raw):
         assert np.array_equal(got, ref), name
 
 
-def test_degree_and_neighbor_slice(toy):
-    assert R.degree(toy, 0) == 3.0
-    assert R.degree(toy, 3) == 1.0
-    assert R.neighbor_slice(toy, 3) == [(0, 1.0)]
-    assert R.neighbor_slice(toy, 1) == [(0, 1.0), (2, 1.0)]
-    with pytest.raises(IndexError):
-        R.degree(toy, 4)
-    with pytest.raises(IndexError):
-        R.neighbor_slice(toy, -1)
-
-
-def test_jump_uniform_chi_square(toy):
-    rng = np.random.default_rng(11)
-    n = toy.node_count
-    draws = np.array([R.jump(toy, rng) for _ in range(40_000)])
-    counts = np.bincount(draws, minlength=n)
-    expected = len(draws) / n
-    chi2 = float(((counts - expected) ** 2 / expected).sum())
-    # df = 3; far outside any plausible quantile would signal bias
-    assert chi2 < 25.0
-
-
 def test_bfs_hops_path():
+    # pins the conftest hop reference that other tests compare against
     g = path_graph(6)
-    assert R.bfs_hops(g, 0).tolist() == [0, 1, 2, 3, 4, 5]
-    assert R.bfs_hops(g, 3).tolist() == [3, 2, 1, 0, 1, 2]
+    assert bfs_hops(g, 0).tolist() == [0, 1, 2, 3, 4, 5]
+    assert bfs_hops(g, 3).tolist() == [3, 2, 1, 0, 1, 2]
 
 
 def test_arc_positions_concatenate_the_csr_slices():
@@ -467,7 +449,7 @@ def test_hop_distance_matches_bfs_hops():
     for g in (cut_lattice(15, 0.2, 4), random_connected(60, 9), path_graph(30)):
         for _ in range(10):
             s, t = random_pair(rng, g.node_count)
-            assert _hop_distance(g, s, t) == R.bfs_hops(g, s)[t]
+            assert _hop_distance(g, s, t) == bfs_hops(g, s)[t]
         assert _hop_distance(g, 3, 3) == 0
 
 
@@ -642,53 +624,6 @@ def test_cache_rejects_no_edges(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# triangle reweighting
-# ---------------------------------------------------------------------------
-
-
-def brute_triangle_count(g, u, v):
-    nu = {x for x, _ in R.neighbor_slice(g, u)}
-    nv = {x for x, _ in R.neighbor_slice(g, v)}
-    return len(nu & nv)
-
-
-def test_triangle_weight_triangle_and_path():
-    k3 = graph_from_text("0 1\n1 2\n0 2\n")
-    tw = R.triangle_weight(k3)
-    assert tw.weights.tolist() == [1.0] * 6
-    p3 = path_graph(3)
-    tw = R.triangle_weight(p3)
-    # no triangles anywhere: fallback weight 1
-    assert tw.weights.tolist() == [1.0] * 4
-    assert tw.weighted_degrees.tolist() == [1.0, 2.0, 1.0]
-
-
-def test_triangle_weight_toy(toy):
-    tw = R.triangle_weight(toy)
-    # triangle edges close exactly one triangle; the pendant edge closes
-    # none and falls back to 1
-    eu, ev, w = R.edge_arrays(tw)
-    got = {(int(a), int(b)): x for a, b, x in zip(eu, ev, w)}
-    assert got == {(0, 1): 1.0, (0, 2): 1.0, (1, 2): 1.0, (0, 3): 1.0}
-
-
-def test_triangle_weight_matches_brute_force():
-    g = R.generate_er(30, 90, seed=5)
-    tw = R.triangle_weight(g)
-    eu, ev, w = R.edge_arrays(tw)
-    for a, b, x in zip(eu.tolist(), ev.tolist(), w.tolist()):
-        expected = brute_triangle_count(g, a, b)
-        assert x == max(expected, 1.0)
-    assert np.allclose(tw.weighted_degrees, dense_degrees(tw))
-
-
-def test_triangle_weight_rejects_weighted():
-    g = graph_from_text("0 1 2.0\n1 2 1.0\n", weighted=True)
-    with pytest.raises(R.UnsupportedInputError):
-        R.triangle_weight(g)
-
-
-# ---------------------------------------------------------------------------
 # generators
 # ---------------------------------------------------------------------------
 
@@ -698,7 +633,7 @@ def test_generate_er_deterministic_and_connected():
     b = R.generate_er(60, 180, seed=9)
     assert np.array_equal(a.offsets, b.offsets)
     assert np.array_equal(a.neighbors, b.neighbors)
-    assert (R.bfs_hops(a, 0) >= 0).all()
+    assert (bfs_hops(a, 0) >= 0).all()
     assert a.node_count <= 60
     assert a.edge_count <= 180
     c = R.generate_er(60, 180, seed=10)
@@ -725,7 +660,7 @@ def test_generate_ba_shape_and_determinism():
     assert g.node_count == 50
     # star core contributes `attach` edges; each later vertex adds `attach`
     assert g.edge_count == 3 + (50 - 4) * 3
-    assert (R.bfs_hops(g, 0) >= 0).all()
+    assert (bfs_hops(g, 0) >= 0).all()
     h = R.generate_ba(50, 3, seed=4)
     assert np.array_equal(g.neighbors, h.neighbors)
     with pytest.raises(ValueError):

@@ -17,6 +17,7 @@ from resistor.lanczos import definitional_start, run_recurrence, solve_checked
 from resistor.spectral import _start_vector
 
 from conftest import (
+    bfs_hops,
     cut_lattice,
     dense_laplacian,
     dense_normalized_adjacency,
@@ -87,10 +88,11 @@ def test_iteration_rule_reaches_requested_error():
 
 
 def test_iteration_bound_validates():
-    with pytest.raises(ValueError):
-        R.lanczos_iteration_bound(0.9, 1e-3)
-    with pytest.raises(ValueError):
-        R.lanczos_iteration_bound(2.0, 0.0)
+    bad = [(0.9, 1e-3), (2.0, 0.0), (math.inf, 1e-3), (10.0, math.inf),
+           (math.nan, 1e-3), (10.0, math.nan)]
+    for kappa, eps in bad:
+        with pytest.raises(ValueError, match="need kappa >= 1 and eps > 0"):
+            R.lanczos_iteration_bound(kappa, eps)
     assert R.lanczos_iteration_bound(1.0, 0.5) >= 1
 
 
@@ -414,7 +416,7 @@ class _JaggedDenseIterates:
 
 
 def _far_pair(g, s=0):
-    return s, int(np.argmax(R.bfs_hops(g, s)))
+    return s, int(np.argmax(bfs_hops(g, s)))
 
 
 @pytest.mark.parametrize(

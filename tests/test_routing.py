@@ -44,7 +44,7 @@ def _brute_force_widest(g, flow, s, t):
         if u == t:
             best = max(best, width)
             return
-        for x, _ in R.neighbor_slice(g, u):
+        for x in g.neighbors[g.offsets[u] : g.offsets[u + 1]].tolist():
             if x in seen:
                 continue
             cap = flow.get(u, x)
@@ -450,9 +450,10 @@ def test_flow_iteration_bound_rule():
     assert R.flow_iteration_bound(4.0, 100, 1e-3) == math.ceil(
         2 * math.log(100 / 1e-3)
     )
-    with pytest.raises(ValueError):
-        R.flow_iteration_bound(0.5, 100, 1e-3)
+    bad = [(0.5, 1e-3), (2.0, 0.0), (math.inf, 1e-3), (10.0, math.inf),
+           (math.nan, 1e-3), (10.0, math.nan)]
+    for kappa, eps in bad:
+        with pytest.raises(ValueError, match="need kappa >= 1 and eps > 0"):
+            R.flow_iteration_bound(kappa, 100, eps)
     with pytest.raises(ValueError):
         R.flow_iteration_bound(2.0, 0, 1e-3)
-    with pytest.raises(ValueError):
-        R.flow_iteration_bound(2.0, 100, 0.0)
