@@ -26,7 +26,8 @@ The rows, each built once per side on that side's own graph:
   edges cut and 8000 two-vertex fragments, read through
   ``load_edge_list`` (the grid-route graph of the benchmark), over 20
   seeded pairs;
-- ``estimate_spectrum`` on the same lattice;
+- ``estimate_spectrum`` on the same lattice, on the ER graph and on the
+  BA graph (``--rows spectrum`` selects these three);
 - ``extract_routes`` (k = 200, l = 3) on the same lattice, over its 20
   pairs;
 - ``generate_er(50_000, 250_000, 1)`` and ``generate_ba(50_000, 5, 1)``,
@@ -45,7 +46,8 @@ without the minutes of the query rows.
 A sample is the wall time of one row on one side in one round, after
 one untimed warm-up of each.  Each row reports the median and quartiles
 of each side's samples in seconds, the ratio of the medians
-(change / parent) and the rounds the change won.
+(change / parent) and the rounds the change won; a spectrum row also
+reports each side's ``iterations``, read off its warm-up call.
 
 Two imported copies of the same code need not read a ratio of 1 or an
 even win count: a few percent either way, and 16 wins in 20 rounds,
@@ -135,8 +137,11 @@ def make_rows(pkg, grid_path: Path) -> dict:
         for s, t in grid_pairs:
             pkg.lanczos_potential(grid, s, t, GRID_K)
 
-    def spectrum():
-        pkg.estimate_spectrum(grid)
+    def spectrum(g):
+        def run():
+            return pkg.estimate_spectrum(g)
+
+        return run
 
     def routes():
         for s, t in grid_pairs:
@@ -161,7 +166,9 @@ def make_rows(pkg, grid_path: Path) -> dict:
             f"lanczos_rd ba50k k{ER_K}": lz(ba, ba_pairs),
             **{f"lanczos_push_rd ba50k k{PUSH_K} eps{eps}": push(eps) for eps in PUSH_EPS},
             "lanczos_potential grid k200": potential,
-            "estimate_spectrum grid": spectrum,
+            "estimate_spectrum grid": spectrum(grid),
+            "estimate_spectrum er50k": spectrum(er),
+            "estimate_spectrum ba50k": spectrum(ba),
             f"extract_routes grid k{GRID_K} l{ROUTES}": routes,
             "generate_er 50k/250k": gen_er, f"generate_ba 50k a{BA_ATTACH}": gen_ba,
             f"generate_ba 200k a{BA_ATTACH}": gen_ba_scale,
@@ -201,9 +208,13 @@ def main() -> None:
                  if args.rows is None or any(sub in name for sub in args.rows)]
         if not names:
             parser.error(f"no row name holds any of {args.rows}")
+        iterations = {}
         for side in SIDES:
             for name in names:
-                rows[side][name]()  # warm-up: layouts and free lists are built
+                # warm-up: layouts and free lists are built
+                out = rows[side][name]()
+                if hasattr(out, "iterations"):
+                    iterations.setdefault(name, {})[side] = out.iterations
         samples = {name: {side: [] for side in SIDES} for name in names}
         for r in range(args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
@@ -221,6 +232,7 @@ def main() -> None:
             "row": name,
             "parent_s": quartiles(parent),
             "change_s": quartiles(change),
+            **({"iterations": iterations[name]} if name in iterations else {}),
             "ratio": statistics.median(change) / statistics.median(parent),
             "change_won": sum(c < p for p, c in zip(parent, change)),
             "rounds": args.rounds,

@@ -69,11 +69,21 @@ def _check_bound_args(kappa: float, eps: float) -> None:
         raise ValueError("need kappa >= 1 and eps > 0")
 
 
+def _ceil_bound(bound: float) -> int:
+    """``max(1, ceil(bound))`` for an iteration bound; raise ValueError
+    when it overflowed float64, as at finite arguments such as
+    kappa = 1e308 or eps = 5e-324."""
+    if not math.isfinite(bound):
+        raise ValueError("iteration bound overflows: kappa too large or eps too small")
+    return max(1, math.ceil(bound))
+
+
 def power_method_iteration_bound(kappa: float, eps: float) -> int:
     """Iterations sufficient for the power method to reach error ``eps``:
-    ``ceil(2 kappa ln(kappa / eps))``."""
+    ``ceil(2 kappa ln(kappa / eps))``.  Raises ValueError unless kappa >= 1
+    and eps > 0 are finite, or when the bound overflows float64."""
     _check_bound_args(kappa, eps)
-    return max(1, math.ceil(2.0 * kappa * math.log(kappa / eps)))
+    return _ceil_bound(2.0 * kappa * math.log(kappa / eps))
 
 
 def exact_rd(g: Graph, s: int, t: int, cap: int = EXACT_NODE_CAP) -> float:

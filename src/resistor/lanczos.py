@@ -78,8 +78,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .baselines import RDEstimate, _check_bound_args, _check_pair
-from .graph import Graph, _check_vertex, _sorted_unique
+from .baselines import RDEstimate, _ceil_bound, _check_bound_args, _check_pair
+from .graph import Graph, _check_vertex, _integers, _sorted_unique
 from .kernels import (
     SparseVector,
     TridiagonalMatrix,
@@ -187,9 +187,19 @@ class LanczosRun:
 
 def lanczos_iteration_bound(kappa: float, eps: float) -> int:
     """Iterations sufficient for the Lanczos estimator to reach error
-    ``eps``: ``ceil(sqrt(kappa) ln(kappa / eps))``."""
+    ``eps``: ``ceil(sqrt(kappa) ln(kappa / eps))``.  Raises ValueError
+    unless kappa >= 1 and eps > 0 are finite, or when the bound overflows
+    float64."""
     _check_bound_args(kappa, eps)
-    return max(1, math.ceil(math.sqrt(kappa) * math.log(kappa / eps)))
+    return _ceil_bound(math.sqrt(kappa) * math.log(kappa / eps))
+
+
+def _check_k(k) -> None:
+    """Raise ValueError unless the iteration count ``k`` is an int or a
+    numpy integer (a bool is neither) and at least 1."""
+    (k,) = _integers(k=k)
+    if k < 1:
+        raise ValueError("iteration count k must be >= 1")
 
 
 def _project_u1(
@@ -565,8 +575,7 @@ def _estimate(
     down after pruning.
     """
     _check_pair(g, s, t)
-    if k < 1:
-        raise ValueError("iteration count k must be >= 1")
+    _check_k(k)
     _check_eps(eps)
     start = time.perf_counter()
     if s == t:
@@ -598,7 +607,8 @@ def lanczos_rd(g: Graph, s: int, t: int, k: int) -> tuple:
     """Estimate the resistance distance with k Lanczos iterations.
 
     Returns ``(RDEstimate, LanczosRun)``.  The estimate is flagged
-    (``healthy`` false) when I - T is indefinite.
+    (``healthy`` false) when I - T is indefinite.  ``k`` must be an int or
+    a numpy integer (not a bool) and at least 1.
     """
     return _estimate(g, s, t, k, 0.0, "lz")
 
@@ -621,11 +631,10 @@ def lanczos_potential(g: Graph, s: int, t: int, k: int) -> np.ndarray:
     The result is a genuine potential (its Laplacian image is e_s - e_t
     up to the recurrence truncation error); it is normalized against the
     degree vector rather than the all-ones vector, so compare potentials
-    through differences only.
+    through differences only.  ``k`` is checked as by :func:`lanczos_rd`.
     """
     _check_pair(g, s, t)
-    if k < 1:
-        raise ValueError("iteration count k must be >= 1")
+    _check_k(k)
     n = g.node_count
     if s == t:
         return np.zeros(n)

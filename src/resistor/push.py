@@ -67,7 +67,7 @@ from .kernels import (
     chebyshev_walk_norms,
     tridiag_eigen_range,
 )
-from .lanczos import LanczosRun, _check_ids, _estimate
+from .lanczos import LanczosRun, _check_ids, _check_k, _estimate
 
 __all__ = [
     "PushConfig",
@@ -90,6 +90,7 @@ class PushConfig:
     recurrence of ``lz``.  ``collect_stats`` records the locality
     statistics of the run (``c2_terms`` and ``delta_degree_ratios``) at
     one dense product per iteration; leave it off for production runs.
+    ``k`` must be an int or a numpy integer (not a bool) and at least 1.
     """
 
     k: int
@@ -97,8 +98,7 @@ class PushConfig:
     collect_stats: bool = False
 
     def __post_init__(self):
-        if self.k < 1:
-            raise ValueError("iteration count k must be >= 1")
+        _check_k(self.k)
         _check_eps(self.epsilon)
 
 

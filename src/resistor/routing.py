@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .baselines import _check_bound_args, _check_pair
+from .baselines import _ceil_bound, _check_bound_args, _check_pair
 from .graph import Graph, _hop_distance
 from .lanczos import lanczos_potential
 
@@ -133,11 +133,13 @@ class RouteMetrics:
 
 def flow_iteration_bound(kappa: float, m: int, eps: float) -> int:
     """Iterations sufficient for ||f - f_hat||_1 <= eps:
-    ``ceil(sqrt(kappa) ln(m / eps))``."""
+    ``ceil(sqrt(kappa) ln(m / eps))``.  Raises ValueError unless kappa >= 1
+    and eps > 0 are finite and m >= 1, or when the bound overflows
+    float64."""
     _check_bound_args(kappa, eps)
     if m < 1:
         raise ValueError("need m >= 1")
-    return max(1, math.ceil(math.sqrt(kappa) * math.log(m / eps)))
+    return _ceil_bound(math.sqrt(kappa) * math.log(m / eps))
 
 
 def electric_flow(g: Graph, s: int, t: int, k: int) -> FlowMap:

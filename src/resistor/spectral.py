@@ -11,12 +11,20 @@ to them, without reorthogonalization (Paige 1980), from almost every
 start (Kuczynski & Wozniakowski 1992).
 
 The recurrence runs once, for at most ``max_iter`` steps, and the
-extreme Ritz values are read off the leading k x k block of T at
-k = 16, 32, 64, ...  The run stops when both move less than ``tol``
-between two such checkpoints, or when the recurrence breaks down (the
+extreme Ritz values are read off the leading k x k block of T at the
+checkpoints k = 16, 24, 32, 40, 50, 62, 77, 96, ..., each the larger of
+the last plus 8 and 5/4 of it.  The run stops when both move less than
+``tol`` between two checkpoints, or when the recurrence breaks down (the
 Krylov space is exhausted and the Ritz values are exact).  Running out
 of ``max_iter`` returns the estimate of the full T flagged as
 unconverged instead of raising, so callers can decide what to do.
+
+A checkpoint costs two Sturm bisections of its T, O(k) work per
+bisection step, against the k products of the recurrence itself.  The
+geometric schedule keeps that work linear in the final order k: the
+orders of all checkpoints sum to about 5 k, and the run stops within a
+quarter of the step at which the extremes settle (doubling would stop
+within a factor of 2).
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, _integers
 from .kernels import SparseVector, TridiagonalMatrix, _dot, tridiag_eigen_range
 from .lanczos import run_recurrence
 
@@ -70,14 +78,18 @@ def estimate_spectrum(
 ) -> SpectralEstimate:
     """Estimate lambda_2(A), lambda_min(A), and kappa by Lanczos.
 
-    Deterministic for a given seed.  ``max_iter`` caps the Lanczos steps.
+    Deterministic for a given seed.  ``max_iter`` caps the Lanczos steps;
+    it must be an int or a numpy integer (not a bool) and at least 1.
     ``tol`` bounds the move of the extreme Ritz values between
-    checkpoints, not the eigenvalue error itself; it must be finite and
-    positive.  The Ritz values lie inside [lambda_min(A), lambda_2(A)],
-    so lambda_2 and kappa are approached from below.
+    checkpoints (k = 16, 24, 32, 40, 50, ..., growing by 5/4, so the
+    bisections of all of them cost about 5 times those of the final T),
+    not the eigenvalue error itself; it must be finite and positive.  The
+    Ritz values lie inside [lambda_min(A), lambda_2(A)], so lambda_2 and
+    kappa are approached from below.
     """
     if not (math.isfinite(tol) and tol > 0.0):
         raise ValueError("tol must be finite and > 0")
+    (max_iter,) = _integers(max_iter=max_iter)
     if max_iter < 1:
         raise ValueError("max_iter must be >= 1")
     start = time.perf_counter()
@@ -101,7 +113,7 @@ def estimate_spectrum(
         nonlocal checkpoint
         if len(alphas) < checkpoint:
             return False
-        checkpoint *= 2
+        checkpoint = max(checkpoint + 8, checkpoint * 5 // 4)
         return settle(alphas, betas[:-1], False)
 
     run = run_recurrence(g, v1, max_iter, visit=visit)

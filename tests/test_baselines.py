@@ -153,6 +153,9 @@ def test_pm_iteration_bound_rule():
     for kappa, eps in bad:
         with pytest.raises(ValueError, match="need kappa >= 1 and eps > 0"):
             R.power_method_iteration_bound(kappa, eps)
+    # finite arguments whose bound overflows float64
+    with pytest.raises(ValueError, match="iteration bound overflows"):
+        R.power_method_iteration_bound(1e308, 1e-3)
 
 
 # ---------------------------------------------------------------------------

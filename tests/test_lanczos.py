@@ -93,6 +93,9 @@ def test_iteration_bound_validates():
     for kappa, eps in bad:
         with pytest.raises(ValueError, match="need kappa >= 1 and eps > 0"):
             R.lanczos_iteration_bound(kappa, eps)
+    # kappa / eps overflows float64 at finite arguments
+    with pytest.raises(ValueError, match="iteration bound overflows"):
+        R.lanczos_iteration_bound(10.0, 5e-324)
     assert R.lanczos_iteration_bound(1.0, 0.5) >= 1
 
 
@@ -139,6 +142,15 @@ def test_same_vertex_short_circuits(toy):
 def test_validates_k(toy):
     with pytest.raises(ValueError):
         R.lanczos_rd(toy, 0, 1, 0)
+
+
+@pytest.mark.parametrize("k", [5.0, True, "5"])
+def test_k_must_be_an_integer(toy, k):
+    # neither a float nor a bool is an iteration count
+    with pytest.raises(ValueError, match="k must be an integer"):
+        R.lanczos_rd(toy, 0, 1, k)
+    est, _ = R.lanczos_rd(toy, 0, 1, np.int64(2))
+    assert est.iterations == 2
 
 
 def test_work_accounting(toy):
@@ -543,3 +555,12 @@ def test_undeflated_dense_run_matches_numpy_lanczos(toy):
 def test_potential_validates_k(toy):
     with pytest.raises(ValueError):
         R.lanczos_potential(toy, 0, 3, 0)
+
+
+@pytest.mark.parametrize("k", [5.0, True])
+def test_potential_k_must_be_an_integer(toy, k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        R.lanczos_potential(toy, 0, 3, k)
+    assert np.array_equal(
+        R.lanczos_potential(toy, 0, 3, np.int32(3)), R.lanczos_potential(toy, 0, 3, 3)
+    )

@@ -190,6 +190,14 @@ def test_config_validation():
         R.PushConfig(k=3, epsilon=-1.0)
 
 
+@pytest.mark.parametrize("k", [5.0, True])
+def test_config_k_must_be_an_integer(k):
+    # checked when the config is made, not when a run first reads k
+    with pytest.raises(ValueError, match="k must be an integer"):
+        R.PushConfig(k=k, epsilon=1e-3)
+    assert R.PushConfig(k=np.int64(5), epsilon=1e-3).k == 5
+
+
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
 def test_eps_must_be_finite_and_nonnegative(toy, eps):
     v = SparseVector.from_mapping(_paper_sign_start(), 4)

@@ -457,3 +457,6 @@ def test_flow_iteration_bound_rule():
             R.flow_iteration_bound(kappa, 100, eps)
     with pytest.raises(ValueError):
         R.flow_iteration_bound(2.0, 0, 1e-3)
+    # m / eps overflows float64 at finite arguments
+    with pytest.raises(ValueError, match="iteration bound overflows"):
+        R.flow_iteration_bound(10.0, 100, 5e-324)

@@ -78,6 +78,50 @@ def test_extremes_are_those_of_the_final_t():
         assert est.kappa == 2.0 / (1.0 - lam2)
 
 
+def _checkpoints(limit: int):
+    """The checkpoint orders up to ``limit``: 16, then the larger of the
+    last plus 8 and 5/4 of it."""
+    k = 16
+    while k <= limit:
+        yield k
+        k = max(k + 8, k * 5 // 4)
+
+
+@pytest.mark.parametrize(
+    "make", [lambda: cut_lattice(30, 0.1, 1), lambda: path_graph(200),
+             lambda: random_connected(200, 9)],
+    ids=["lattice30", "path200", "er200"],
+)
+def test_stops_at_the_first_checkpoint_whose_extremes_settled(make):
+    # replay the run and bisect every checkpoint's leading block of T: the
+    # run stops at the first one whose extremes moved less than tol since
+    # the checkpoint before it
+    g, tol, seed = make(), 1e-9, 0
+    est = R.estimate_spectrum(g, tol=tol, seed=seed)
+    assert est.converged
+    run = run_recurrence(g, _start_vector(g, seed), est.iterations)
+    previous, settled_at = None, None
+    for k in _checkpoints(est.iterations):
+        tmat = TridiagonalMatrix(run.alphas[:k], run.betas[: k - 1])
+        extremes = tridiag_eigen_range(tmat, tol=tol / 10)
+        if previous is not None:
+            move = max(abs(a - b) for a, b in zip(extremes, previous))
+            if move < tol:
+                settled_at = k
+                break
+        previous = extremes
+    assert settled_at == est.iterations
+    assert est.residual == move
+    assert (est.lambda_min_a, est.lambda2_a) == extremes
+
+
+def test_lattice_stops_well_before_the_next_power_of_two():
+    # checkpoints at powers of two stopped this run at 512
+    est = R.estimate_spectrum(cut_lattice(30, 0.1, 1))
+    assert est.converged
+    assert est.iterations <= 256
+
+
 def test_kappa_never_below_one():
     for seed in (3, 5, 9):
         g = random_connected(20, seed)
@@ -99,6 +143,16 @@ def test_parameter_validation(toy):
         R.estimate_spectrum(toy, tol=0.0)
     with pytest.raises(ValueError):
         R.estimate_spectrum(toy, max_iter=0)
+
+
+@pytest.mark.parametrize("max_iter", [100.0, True, "100"])
+def test_max_iter_must_be_an_integer(toy, max_iter):
+    # neither a float nor a bool is a step count
+    with pytest.raises(ValueError, match="max_iter must be an integer"):
+        R.estimate_spectrum(toy, max_iter=max_iter)
+    a = R.estimate_spectrum(toy, max_iter=np.int64(100))
+    b = R.estimate_spectrum(toy, max_iter=100)
+    assert (a.kappa, a.iterations) == (b.kappa, b.iterations)
 
 
 @pytest.mark.parametrize("tol", [float("inf"), float("nan"), -1e-9])
