@@ -35,7 +35,9 @@ The rows, each built once per side on that side's own graph:
 - ``generate_ba(200_000, 5, 1)``, which tracks how the generator scales
   (``--rows 200k`` selects it alone);
 - ``load_edge_list`` of the lattice's text file, the parse of the
-  grid-route set-up;
+  grid-route set-up, and of a list of 1M seeded random lines over 200k
+  labels, which tracks how the parser scales (``--rows load`` selects
+  these two);
 - ``graph._jagged_layout`` of the ER graph, the layout that the first
   dense product of er-global builds (``--rows jagged`` selects it).
 
@@ -78,6 +80,7 @@ PUSH_K, PUSH_EPS = 20, ("5e-3", "1e-3")
 BA_SCALE_N = 200_000
 GRID_SIDE, GRID_DELETE, GRID_FRAGMENTS, GRID_SEED, GRID_K = 80, 0.1, 8000, 1, 200
 ROUTES = 3
+BIG_LINES, BIG_LABELS, BIG_SEED = 1_000_000, 200_000, 5
 PAIRS, PAIR_SEED = 20, 3
 SIDES = ("parent", "change")
 
@@ -109,7 +112,12 @@ def pairs(n: int) -> list:
     return np.random.default_rng(PAIR_SEED).choice(n, size=(PAIRS, 2), replace=False).tolist()
 
 
-def make_rows(pkg, grid_path: Path) -> dict:
+def write_edges(path: Path, edges: np.ndarray) -> None:
+    """Write ``edges`` as an unweighted text edge list, one edge a line."""
+    path.write_text("".join(f"{a} {b}\n" for a, b in edges.tolist()))
+
+
+def make_rows(pkg, grid_path: Path, big_path: Path) -> dict:
     """The timed calls of one side, as closures over its graphs."""
     er = pkg.generate_er(ER_N, ER_M, ER_SEED)
     ba = pkg.generate_ba(BA_N, BA_ATTACH, BA_SEED)
@@ -156,8 +164,11 @@ def make_rows(pkg, grid_path: Path) -> dict:
     def gen_ba_scale():
         pkg.generate_ba(BA_SCALE_N, BA_ATTACH, BA_SEED)
 
-    def load():
-        pkg.load_edge_list(grid_path)
+    def load(path):
+        def run():
+            pkg.load_edge_list(path)
+
+        return run
 
     def jagged():
         pkg.graph._jagged_layout(er)
@@ -172,7 +183,10 @@ def make_rows(pkg, grid_path: Path) -> dict:
             f"extract_routes grid k{GRID_K} l{ROUTES}": routes,
             "generate_er 50k/250k": gen_er, f"generate_ba 50k a{BA_ATTACH}": gen_ba,
             f"generate_ba 200k a{BA_ATTACH}": gen_ba_scale,
-            "load_edge_list grid": load, "jagged layout er50k": jagged}
+            "load_edge_list grid": load(grid_path),
+            f"load_edge_list {BIG_LINES // 1000}k lines {BIG_LABELS // 1000}k labels":
+                load(big_path),
+            "jagged layout er50k": jagged}
 
 
 def quartiles(xs: list) -> dict:
@@ -199,9 +213,12 @@ def main() -> None:
         sys.path.insert(0, str(tmp))
         grid_path = tmp / "grid.txt"
         edges = grid_edges(GRID_SIDE, GRID_DELETE, GRID_FRAGMENTS, np.random.default_rng(GRID_SEED))
-        grid_path.write_text("".join(f"{a} {b}\n" for a, b in edges.tolist()))
+        write_edges(grid_path, edges)
+        big_path = tmp / "big.txt"
+        write_edges(big_path, np.random.default_rng(BIG_SEED).integers(
+            0, BIG_LABELS, size=(BIG_LINES, 2)))
         rows = {
-            side: make_rows(import_copy(src, f"resistor_{side}", tmp), grid_path)
+            side: make_rows(import_copy(src, f"resistor_{side}", tmp), grid_path, big_path)
             for side, src in zip(SIDES, (args.parent_src, args.change_src))
         }
         names = [name for name in rows["parent"]
@@ -248,6 +265,8 @@ def main() -> None:
             "grid": (f"load_edge_list of grid_edges({GRID_SIDE}, {GRID_DELETE}, "
                      f"{GRID_FRAGMENTS}, default_rng({GRID_SEED})), k = {GRID_K}, "
                      f"l = {ROUTES} routes"),
+            "big": (f"load_edge_list of {BIG_LINES} lines of default_rng({BIG_SEED})"
+                    f".integers(0, {BIG_LABELS}, size=({BIG_LINES}, 2))"),
             "pairs": f"{PAIRS} from np.random.default_rng({PAIR_SEED}).choice",
             "host": platform.node(),
             "nproc": os.cpu_count(),

@@ -11,7 +11,9 @@ positive degrees.  Callers read adjacency straight from the CSR arrays
 
 from __future__ import annotations
 
+import os
 import struct
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -235,7 +237,7 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     A sort and an adjacent-difference mask.  Since numpy 2.3, ``np.unique``
     without ``return_inverse`` (or index or counts) builds a hash table and
     then sorts its output, which costs 8-25x more on the int64 id arrays of
-    the graph build and the pruned Lanczos step.
+    the pruned Lanczos step.
     """
     c = np.sort(a)
     if c.size == 0:
@@ -329,15 +331,18 @@ def _build_graph(u_raw: np.ndarray, v_raw: np.ndarray, w_raw: np.ndarray) -> Gra
     then the tail shared with ``generate_er`` (``_largest_component``):
     largest-connected-component extraction, relabeling to contiguous ids
     ordered by original label, and the CSR assembly.
+
+    One sort of the 2m endpoints finds the labels, and its inverse
+    gives every endpoint its id, its label's rank: no search per
+    endpoint.
     """
     keep = u_raw != v_raw
     u_raw, v_raw, w_raw = u_raw[keep], v_raw[keep], w_raw[keep]
     if u_raw.size == 0:
         raise EmptyGraphError("no edges remain after removing self loops")
 
-    labels = _sorted_unique(np.concatenate([u_raw, v_raw]))
-    u = np.searchsorted(labels, u_raw)
-    v = np.searchsorted(labels, v_raw)
+    labels, ids = np.unique(np.concatenate([u_raw, v_raw]), return_inverse=True)
+    u, v = ids[: len(u_raw)], ids[len(u_raw) :]
 
     # one int64 key per unordered pair, ordered as the pairs are; the keys
     # stay below n_all^2 <= (2m)^2, inside int64 for m below 1.5e9
@@ -449,6 +454,16 @@ def load_edge_list(source: Source, weighted: bool = False) -> Graph:
     ``weighted=True`` the third column is required and must be positive;
     otherwise any third column is ignored.
 
+    The source is read in chunks of whole lines (``_iter_chunks``).  An
+    unweighted chunk whose data lines are each two labels of at most 18
+    digits, the common case, is parsed in arrays (``_digit_edges``);
+    every other chunk, and every chunk of a weighted load, goes to the
+    line loop (``_line_edges``), which accepts the same lines with the
+    same labels and is the one place that names a malformed line.  A
+    chunk of about 1 MB costs a few MB of scratch on either path, and
+    the edges so far are held as int64 arrays, 16 bytes an edge (24
+    with weights).
+
     Parameters
     ----------
     source : str, Path, or file-like
@@ -465,81 +480,173 @@ def load_edge_list(source: Source, weighted: bool = False) -> Graph:
     UnsupportedInputError
         If a weighted degree overflows float64.
     """
-    us, vs, ws = [], [], []
+    parts = []
     lineno = 0
     for chunk in _iter_chunks(source):
-        lines = chunk.split(b"\n")
-        if not lines[-1]:
-            lines.pop()  # the empty piece after the chunk's last newline
-        # a chunk without a malformed byte needs no check per line
-        clean = not _is_malformed(chunk)
-        for lineno, raw in enumerate(lines, start=lineno + 1):
-            line = raw.strip()
-            if not line or line.startswith(b"#"):
-                continue
-            if not clean and _is_malformed(line):
-                raise GraphFormatError(
-                    lineno,
-                    "data lines must be ASCII and hold no '_' or separator "
-                    f"\\x1c-\\x1f, got {_shown(line)!r}",
-                )
-            parts = line.split()
-            if len(parts) < 2:
-                raise GraphFormatError(lineno, f"expected 'u v [w]', got {_shown(line)!r}")
+        edges = None if weighted else _digit_edges(chunk)
+        parts.append(_line_edges(chunk, lineno, weighted) if edges is None else edges)
+        lineno += chunk.count(b"\n") + (not chunk.endswith(b"\n"))
+    if not any(len(part[0]) for part in parts):
+        raise EmptyGraphError("edge list contains no edges")
+    u = np.concatenate([part[0] for part in parts])
+    v = np.concatenate([part[1] for part in parts])
+    if weighted:
+        w = np.concatenate([part[2] for part in parts])
+    else:
+        w = np.ones(len(u), dtype=np.float64)
+    del parts  # freed before the build
+    return _build_graph(u, v, w)
+
+
+# the most digits of a label that _digit_edges parses: 10^18 - 1 < 2^63 - 1
+_DIGITS = 18
+
+
+def _digit_edges(chunk: bytes):
+    """The edges ``(u, v)`` of a chunk of whole lines, parsed in arrays,
+    or None if the chunk is not one this parser takes.
+
+    It takes a chunk whose data lines each hold exactly two labels of at
+    most ``_DIGITS`` ASCII digits, separated by ASCII whitespace; blank
+    lines and ``#`` comments may sit among them.  ``_line_edges`` accepts
+    every such line and reads the same labels from it, so a chunk this
+    parser declines goes to the loop unchanged.  The chunk is viewed as
+    uint8 without a copy; the scratch is a few one-byte masks of the
+    chunk's length, and int64 arrays of one word per label or line.
+    """
+    if not chunk.endswith(b"\n"):
+        chunk += b"\n"
+    b = np.frombuffer(chunk, dtype=np.uint8)
+    newlines = np.flatnonzero(b == ord("\n"))
+    # ink: every byte but the ASCII whitespace \t \n \x0b \x0c \r and space
+    ink = (b - 9 > 4) & (b != ord(" "))
+    hashes = np.flatnonzero(b == ord("#"))
+    if hashes.size:
+        # a line is a comment when its first ink is "#": mark each line
+        # holding a "#" 1 up to its first "#" and 2 from there to its end
+        line = np.searchsorted(newlines, hashes)
+        first = np.ones(len(line), dtype=bool)
+        np.not_equal(line[1:], line[:-1], out=first[1:])
+        hashes, line = hashes[first], line[first]
+        mark = np.zeros(len(b), dtype=np.int8)
+        mark[np.where(line > 0, newlines[line - 1] + 1, 0)] += 1
+        mark[hashes] += 1
+        mark[newlines[line]] -= 2
+        region = np.cumsum(mark, dtype=np.int8)
+        if (ink & (region == 1)).any():
+            return None  # a "#" after other ink: a data line, and malformed
+        ink &= region == 0
+    digits = ink & (b - ord("0") < 10)
+    if np.count_nonzero(digits) != np.count_nonzero(ink):
+        return None
+    # runs of digits: the labels; the chunk ends in a newline, so every
+    # run ends inside it
+    bounds = np.flatnonzero(np.diff(digits, prepend=False))
+    starts, ends = bounds[0::2], bounds[1::2]
+    width = int((ends - starts).max(initial=0))
+    if width > _DIGITS:
+        return None
+    # the labels of each pair share a line (an odd count fails on the
+    # shapes), and the next pair starts on a later one
+    line = np.searchsorted(newlines, starts)
+    if not (np.array_equal(line[0::2], line[1::2]) and np.all(line[2::2] > line[1:-1:2])):
+        return None
+    # Horner's rule over the labels aligned at their last digit; below 10^18,
+    # no partial value overflows int64
+    labels = np.zeros(len(starts), dtype=np.int64)
+    for j in range(width, 0, -1):
+        at = ends - j
+        digit = b.take(at, mode="clip") - ord("0")
+        digit[at < starts] = 0  # left of a shorter label
+        labels *= 10
+        labels += digit
+    return labels[0::2], labels[1::2]
+
+
+def _line_edges(chunk: bytes, lineno: int, weighted: bool):
+    """The edges ``(u, v, w)`` of a chunk of whole lines, the first of them
+    line ``lineno + 1``, parsed one line at a time.
+
+    The parser of every chunk that ``_digit_edges`` declines and of every
+    weighted load, and the one place that raises GraphFormatError,
+    naming the line, on a malformed line.  Without ``weighted``, ``w``
+    is all ones.
+    """
+    us, vs, ws = [], [], []
+    lines = chunk.split(b"\n")
+    if not lines[-1]:
+        lines.pop()  # the empty piece after the chunk's last newline
+    # a chunk without a malformed byte needs no check per line
+    clean = not _is_malformed(chunk)
+    for lineno, raw in enumerate(lines, start=lineno + 1):
+        line = raw.strip()
+        if not line or line.startswith(b"#"):
+            continue
+        if not clean and _is_malformed(line):
+            raise GraphFormatError(
+                lineno,
+                "data lines must be ASCII and hold no '_' or separator "
+                f"\\x1c-\\x1f, got {_shown(line)!r}",
+            )
+        parts = line.split()
+        if len(parts) < 2:
+            raise GraphFormatError(lineno, f"expected 'u v [w]', got {_shown(line)!r}")
+        try:
+            u = int(parts[0])
+            v = int(parts[1])
+        except ValueError:
+            raise GraphFormatError(
+                lineno, f"vertex labels must be integers, got {_shown(line)!r}"
+            ) from None
+        if not (0 <= u <= _MAX_LABEL and 0 <= v <= _MAX_LABEL):
+            raise GraphFormatError(lineno, "vertex labels must be in [0, 2^63 - 1]")
+        if weighted:
+            if len(parts) < 3:
+                raise GraphFormatError(lineno, "weighted load requires a third column")
             try:
-                u = int(parts[0])
-                v = int(parts[1])
+                w = float(parts[2])
             except ValueError:
                 raise GraphFormatError(
-                    lineno, f"vertex labels must be integers, got {_shown(line)!r}"
+                    lineno, f"edge weight must be a number, got {_shown(parts[2])!r}"
                 ) from None
-            if not (0 <= u <= _MAX_LABEL and 0 <= v <= _MAX_LABEL):
-                raise GraphFormatError(lineno, "vertex labels must be in [0, 2^63 - 1]")
-            if weighted:
-                if len(parts) < 3:
-                    raise GraphFormatError(lineno, "weighted load requires a third column")
-                try:
-                    w = float(parts[2])
-                except ValueError:
-                    raise GraphFormatError(
-                        lineno, f"edge weight must be a number, got {_shown(parts[2])!r}"
-                    ) from None
-                if not np.isfinite(w) or w <= 0.0:
-                    raise GraphFormatError(lineno, f"edge weight must be positive, got {w}")
-            else:
-                w = 1.0
-            us.append(u)
-            vs.append(v)
-            ws.append(w)
-    if not us:
-        raise EmptyGraphError("edge list contains no edges")
-    return _build_graph(
+            if not np.isfinite(w) or w <= 0.0:
+                raise GraphFormatError(lineno, f"edge weight must be positive, got {w}")
+        else:
+            w = 1.0
+        us.append(u)
+        vs.append(v)
+        ws.append(w)
+    return (
         np.asarray(us, dtype=np.int64),
         np.asarray(vs, dtype=np.int64),
         np.asarray(ws, dtype=np.float64),
     )
 
 
+# edges formatted and written at a time by save_edge_list
+_SAVE_EDGES = 1 << 16
+
+
 def save_edge_list(g: Graph, path: Source) -> None:
     """Write ``g`` as an edge list over its contiguous internal ids.
 
-    Weights are written as a third column unless the graph is unweighted.
-    Reloading the file reproduces the graph exactly.
+    Weights are written as a third column, each its ``repr``, unless the
+    graph is unweighted.  Reloading the file reproduces the graph
+    exactly.  The lines are formatted and written ``_SAVE_EDGES`` edges
+    at a time, so the text is never held whole.
     """
     eu, ev, w = edge_arrays(g)
-    lines = []
-    if g.is_unweighted:
-        for a, b in zip(eu.tolist(), ev.tolist()):
-            lines.append(f"{a} {b}\n")
-    else:
-        for a, b, x in zip(eu.tolist(), ev.tolist(), w.tolist()):
-            lines.append(f"{a} {b} {x!r}\n")
-    text = "".join(lines)
-    if isinstance(path, (str, Path)):
-        with open(path, "w") as fh:
-            fh.write(text)
-    else:
-        path.write(text)
+    weights = None if g.is_unweighted else w
+    with open(path, "w") if isinstance(path, (str, Path)) else nullcontext(path) as fh:
+        for i in range(0, len(eu), _SAVE_EDGES):
+            block = slice(i, i + _SAVE_EDGES)
+            a, b = eu[block].tolist(), ev[block].tolist()
+            if weights is None:
+                fh.write("".join(f"{x} {y}\n" for x, y in zip(a, b)))
+            else:
+                fh.write("".join(
+                    f"{x} {y} {z!r}\n" for x, y, z in zip(a, b, weights[block].tolist())
+                ))
 
 
 def edge_arrays(g: Graph):
@@ -581,7 +688,9 @@ def load_cache(path: Union[str, Path]) -> Graph:
     ascending labels, neighbor ids in range, sorted slices without self
     loops, positive finite weights, symmetric arcs and a single component.
     The checks run on plain arrays, so the returned graph caches nothing
-    yet.
+    yet.  The file is read once; on a little-endian host the four arrays
+    are read-only views of those bytes, and only a big-endian host copies
+    them to its own byte order.
 
     Raises
     ------
@@ -592,11 +701,19 @@ def load_cache(path: Union[str, Path]) -> Graph:
     UnsupportedInputError
         If a weighted degree overflows float64.
     """
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[:4] != _CACHE_MAGIC:
-        raise GraphFormatError(1, "not a graph cache file (bad magic)")
     header = 4 + 16
+    with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        # one read into a buffer placed so that the arrays, which start
+        # ``header`` bytes into the file, are 8-byte aligned: numpy gathers
+        # from unaligned int64 arrays several times slower
+        raw = np.empty(size + 8, dtype=np.uint8)
+        start = -(raw.ctypes.data + header) % 8
+        blob = raw[start : start + size]
+        blob = blob[: fh.readinto(blob)]
+    blob.flags.writeable = False
+    if blob[:4].tobytes() != _CACHE_MAGIC:
+        raise GraphFormatError(1, "not a graph cache file (bad magic)")
     if len(blob) < header:
         raise GraphFormatError(1, "truncated graph cache file")
     n, m = struct.unpack_from("<QQ", blob, 4)
@@ -610,10 +727,11 @@ def load_cache(path: Union[str, Path]) -> Graph:
     pos = header
 
     def take(count, dtype):
+        # a read-only view of the file's bytes, copied only on a big-endian host
         nonlocal pos
         arr = np.frombuffer(blob, dtype=dtype, count=count, offset=pos)
         pos += arr.nbytes
-        return arr.astype(arr.dtype.newbyteorder("="))  # a native copy
+        return arr if arr.dtype.isnative else arr.astype(arr.dtype.newbyteorder("="))
 
     offsets = take(n + 1, "<i8")
     neighbors = take(2 * m, "<i8")

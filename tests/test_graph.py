@@ -2,6 +2,7 @@
 
 import io
 import struct
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -241,6 +242,100 @@ def test_each_rejection_names_its_line(data, kind, weighted, chunking):
             R.load_edge_list(io.BytesIO(text), weighted=weighted)
     assert err.value.line_number == at + 1
     assert message in str(err.value)
+
+
+def _load_by_lines(source, weighted: bool) -> R.Graph:
+    """``load_edge_list`` with every chunk parsed by the line loop."""
+    parts, lineno = [], 0
+    for chunk in graph_module._iter_chunks(source):
+        parts.append(graph_module._line_edges(chunk, lineno, weighted))
+        lineno += chunk.count(b"\n") + (not chunk.endswith(b"\n"))
+    if not any(len(u) for u, _, _ in parts):
+        raise R.EmptyGraphError("edge list contains no edges")
+    return _build_graph(*(np.concatenate(column) for column in zip(*parts)))
+
+
+# labels at and around the array parser's limits: a sign and leading zeros,
+# 18 digits (the longest it takes), 19 and 20 digits, 2^63 - 1 and 2^63
+_EDGE_LABEL = st.one_of(
+    st.integers(0, 99).map(lambda x: str(x).encode()),
+    _LABEL,
+    st.sampled_from([b"+5", b"00012", b"0", b"9" * 18, b"1" + b"0" * 17,
+                     b"0" * 18, b"0" * 19, b"1" * 19, b"0" + b"9" * 18,
+                     b"0" * 19 + b"7", b"1" * 20, str(2**63 - 1).encode(),
+                     str(2**63).encode()]),
+    st.integers(10**17, 2**64).map(lambda x: str(x).encode()),
+)
+_LINE_END = st.sampled_from([b"", b"\r", b" ", b"\t"])
+
+
+@st.composite
+def _mixed_line(draw, weighted):
+    kind = draw(st.sampled_from(["two", "two", "two", "one", "more", "comment", "blank", "bad"]))
+    if kind == "comment":
+        return draw(st.sampled_from([b"", b" ", b"\t"])) + b"#" + draw(
+            st.binary(max_size=12)).replace(b"\n", b"")
+    if kind == "blank":
+        return draw(st.sampled_from([b"", b" ", b"\r", b"\x0b", b"\x0c", b" \t\x0b\x0c\r"]))
+    if kind == "bad":
+        return _BAD_LINES[draw(st.sampled_from(sorted(_BAD_LINES)))][0]
+    if kind == "one":
+        return draw(_EDGE_LABEL) + draw(_LINE_END)
+    fields = [draw(_EDGE_LABEL), draw(_EDGE_LABEL)]
+    if kind == "more" or weighted:
+        fields += draw(st.lists(st.one_of(_WEIGHT, _EDGE_LABEL), min_size=1, max_size=2))
+    return draw(_SPACE).join(fields) + draw(_LINE_END)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data(), st.booleans(), st.booleans(),
+       st.sampled_from(["whole", "boundary", "small"]))
+def test_array_path_matches_the_line_loop(data, weighted, clean, chunking):
+    # the same graph, or the same error on the same line, whichever parser
+    # takes each chunk; a clean text holds no bad line, so its chunks
+    # mostly take the array path; a line of 1, 3 or 4 fields takes the loop
+    line = _valid_line(weighted) if clean else _mixed_line(weighted)
+    lines = data.draw(st.lists(line, min_size=1, max_size=30))
+    text = b"\n".join(lines) + data.draw(st.sampled_from([b"", b"\n"]))
+    at = data.draw(st.integers(0, len(lines) - 1))
+    offset = sum(len(line) + 1 for line in lines[:at])
+    chunk = {"whole": graph_module._CHUNK_BYTES, "boundary": max(offset - 1, 1),
+             "small": data.draw(st.integers(1, 16))}[chunking]
+    outcomes = []
+    with mock.patch.object(graph_module, "_CHUNK_BYTES", chunk):
+        for load in (R.load_edge_list, _load_by_lines):
+            try:
+                outcomes.append(load(io.BytesIO(text), weighted))
+            except (R.GraphFormatError, R.EmptyGraphError, R.UnsupportedInputError) as err:
+                outcomes.append((type(err), getattr(err, "line_number", None), str(err)))
+    got, want = outcomes
+    if isinstance(want, R.Graph):
+        assert isinstance(got, R.Graph), got
+        _assert_same_graph(got, want)
+    else:
+        assert got == want
+
+
+def _no_line_loop(*args):
+    raise AssertionError("a chunk went to the line loop")
+
+
+def test_comments_and_blank_lines_keep_a_chunk_in_arrays(monkeypatch):
+    # a SNAP header, blank lines of every ASCII whitespace, CRLF endings,
+    # leading zeros and 18-digit labels are all parsed in arrays
+    text = (b"# Undirected graph: ca-GrQc.txt\n# Nodes: 5242 Edges: 14496\n"
+            b"# FromNodeId\tToNodeId\n3466\t937\r\n\r\n \x0b\x0c\n"
+            b"  # r\xc3\xa9seau_1 \xd9\xa1 #\n937 000005233\n"
+            b"999999999999999999 3466\n#")
+    monkeypatch.setattr(graph_module, "_line_edges", _no_line_loop)
+    g = R.load_edge_list(io.BytesIO(text))
+    assert g.old_ids.tolist() == [937, 3466, 5233, 10**18 - 1]
+    assert g.edge_count == 3
+    # a label of 19 digits, a "#" after a label, a third and a fourth field,
+    # a sign, a lone label: the loop's
+    for bad in (b"1 1234567890123456789\n", b"1 2 #\n", b"1 2 3\n", b"1 2 3 4\n",
+                b"+1 2\n", b"1\n2\n"):
+        assert graph_module._digit_edges(bad) is None
 
 
 def test_comments_may_hold_anything():
@@ -498,6 +593,31 @@ def test_round_trip_weighted_text(tmp_path):
     assert np.array_equal(h.weights, g.weights)
 
 
+class _LargestWrite(io.StringIO):
+    largest = 0
+
+    def write(self, text):
+        self.largest = max(self.largest, len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_save_edge_list_writes_in_bounded_blocks(monkeypatch, tmp_path, weighted):
+    monkeypatch.setattr(graph_module, "_SAVE_EDGES", 7)
+    g = random_weighted(60, 3) if weighted else cut_lattice(12, 0.1, 5)
+    eu, ev, w = graph_module.edge_arrays(g)
+    lines = [f"{a} {b} {x!r}\n" if weighted else f"{a} {b}\n"
+             for a, b, x in zip(eu.tolist(), ev.tolist(), w.tolist())]
+    out = _LargestWrite()
+    R.save_edge_list(g, out)
+    assert out.getvalue() == "".join(lines)
+    assert out.largest <= 7 * max(map(len, lines))
+    path = tmp_path / "g.txt"
+    R.save_edge_list(g, path)
+    assert path.read_text() == "".join(lines)
+    _assert_same_graph(R.load_edge_list(path, weighted=weighted), g)
+
+
 def test_round_trip_binary_cache(tmp_path):
     g = toy_graph()
     p = tmp_path / "toy.rdg"
@@ -519,6 +639,22 @@ def test_loaded_cache_holds_only_its_fields(tmp_path):
     h = R.load_cache(p)
     fields = {"offsets", "neighbors", "weights", "weighted_degrees", "old_ids"}
     assert set(h.__dict__) == fields
+
+
+@pytest.mark.skipif(sys.byteorder != "little", reason="a big-endian host copies the arrays")
+def test_loaded_cache_arrays_are_read_only_views_of_one_buffer(tmp_path):
+    p = tmp_path / "g.rdg"
+    R.save_cache(cut_lattice(12, 0.1, 5), p)
+    h = R.load_cache(p)
+    arrays = [h.offsets, h.neighbors, h.weights, h.old_ids]
+    # back to back, as in the file, and all on one buffer
+    for a, b in zip(arrays, arrays[1:]):
+        assert a.ctypes.data + a.nbytes == b.ctypes.data
+    assert len({id(a.base) for a in arrays}) == 1
+    for a in arrays:
+        assert not a.flags.writeable and a.flags.aligned
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = a[0]
 
 
 def test_cache_rejects_garbage(tmp_path):
