@@ -35,9 +35,9 @@ The rows, each built once per side on that side's own graph:
 - ``generate_ba(200_000, 5, 1)``, which tracks how the generator scales
   (``--rows 200k`` selects it alone);
 - ``load_edge_list`` of the lattice's text file, the parse of the
-  grid-route set-up, and of a list of 1M seeded random lines over 200k
-  labels, which tracks how the parser scales (``--rows load`` selects
-  these two);
+  grid-route set-up (``GRID_LOADS`` = 5 loads per sample), and of a list
+  of 1M seeded random lines over 200k labels, which tracks how the
+  parser scales (``--rows load`` selects these two);
 - ``graph._jagged_layout`` of the ER graph, the layout that the first
   dense product of er-global builds (``--rows jagged`` selects it).
 
@@ -46,10 +46,13 @@ substrings, e.g. ``--rows generate load`` for the set-up rows alone,
 without the minutes of the query rows.
 
 A sample is the wall time of one row on one side in one round, after
-one untimed warm-up of each.  Each row reports the median and quartiles
-of each side's samples in seconds, the ratio of the medians
-(change / parent) and the rounds the change won; a spectrum row also
-reports each side's ``iterations``, read off its warm-up call.
+one untimed warm-up of each.  A row of a single call of 10-40 ms reads
+about 5% either way between two copies of one tree, so the lattice load
+is called ``GRID_LOADS`` times per sample and its sample divided by that
+count (the row's ``calls_per_sample``).  Each row reports the median
+and quartiles of each side's samples in seconds per call, the ratio of
+the medians (change / parent) and the rounds the change won; a spectrum
+row also reports each side's ``iterations``, read off its warm-up call.
 
 Two imported copies of the same code need not read a ratio of 1 or an
 even win count: a few percent either way, and 16 wins in 20 rounds,
@@ -80,9 +83,13 @@ PUSH_K, PUSH_EPS = 20, ("5e-3", "1e-3")
 BA_SCALE_N = 200_000
 GRID_SIDE, GRID_DELETE, GRID_FRAGMENTS, GRID_SEED, GRID_K = 80, 0.1, 8000, 1, 200
 ROUTES = 3
+GRID_LOADS = 5
 BIG_LINES, BIG_LABELS, BIG_SEED = 1_000_000, 200_000, 5
 PAIRS, PAIR_SEED = 20, 3
 SIDES = ("parent", "change")
+GRID_LOAD_ROW = "load_edge_list grid"
+# calls timed per sample where one call is too short to time alone
+CALLS_PER_SAMPLE = {GRID_LOAD_ROW: GRID_LOADS}
 
 
 def grid_edges(side: int, delete: float, fragments: int, rng) -> np.ndarray:
@@ -183,7 +190,7 @@ def make_rows(pkg, grid_path: Path, big_path: Path) -> dict:
             f"extract_routes grid k{GRID_K} l{ROUTES}": routes,
             "generate_er 50k/250k": gen_er, f"generate_ba 50k a{BA_ATTACH}": gen_ba,
             f"generate_ba 200k a{BA_ATTACH}": gen_ba_scale,
-            "load_edge_list grid": load(grid_path),
+            GRID_LOAD_ROW: load(grid_path),
             f"load_edge_list {BIG_LINES // 1000}k lines {BIG_LABELS // 1000}k labels":
                 load(big_path),
             "jagged layout er50k": jagged}
@@ -236,10 +243,12 @@ def main() -> None:
         for r in range(args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
             for name in names:
+                calls = CALLS_PER_SAMPLE.get(name, 1)
                 for side in order:
                     start = time.perf_counter()
-                    rows[side][name]()
-                    samples[name][side].append(time.perf_counter() - start)
+                    for _ in range(calls):
+                        rows[side][name]()
+                    samples[name][side].append((time.perf_counter() - start) / calls)
             print(f"round {r + 1}/{args.rounds}", file=sys.stderr, flush=True)
 
     results = []
@@ -250,6 +259,7 @@ def main() -> None:
             "parent_s": quartiles(parent),
             "change_s": quartiles(change),
             **({"iterations": iterations[name]} if name in iterations else {}),
+            "calls_per_sample": CALLS_PER_SAMPLE.get(name, 1),
             "ratio": statistics.median(change) / statistics.median(parent),
             "change_won": sum(c < p for p, c in zip(parent, change)),
             "rounds": args.rounds,

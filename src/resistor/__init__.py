@@ -54,9 +54,6 @@ from .push import (
     check_assumption,
     lanczos_push_rd,
     locality_statistics,
-    measure_c1,
-    measure_c1_plain,
-    measure_c2,
     subset_recurrence_trace,
 )
 from .routing import (
@@ -109,9 +106,6 @@ __all__ = [
     "subset_recurrence_trace",
     "check_assumption",
     "locality_statistics",
-    "measure_c1",
-    "measure_c1_plain",
-    "measure_c2",
     "SpectralEstimate",
     "estimate_spectrum",
     "FlowMap",

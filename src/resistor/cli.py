@@ -572,7 +572,7 @@ def _bench_one(task):
 @click.option("--budget", type=float, default=None,
               help="Abort (exit 2) if the projected total run time in "
                    "seconds exceeds this.")
-@click.option("--jobs", type=int, default=1, show_default=True,
+@click.option("--jobs", type=click.IntRange(min=1), default=1, show_default=True,
               help="Worker processes for the sweep.")
 @_weighted_opt
 @_out_opt
@@ -629,7 +629,7 @@ def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
     _init_worker(g)
     first = _bench_one(tasks[0])
     check_budget(
-        time.perf_counter() - total_start + first[2] * (len(tasks) - 1) / max(jobs, 1),
+        time.perf_counter() - total_start + first[2] * (len(tasks) - 1) / jobs,
         "sweep", "shrink the grids or raise --budget",
     )
     if jobs > 1:

@@ -52,8 +52,9 @@ class Graph:
     and the pruning threshold), ``jagged`` (the dense product),
     ``scratch_vectors`` (the pruned step's free list, the one mutable
     cache, which a pickled copy leaves out) and ``arc_sources`` (the arc
-    flow and the widest-path search of every route query, ``exact_rd``
-    and ``edge_arrays``; building ``jagged`` reads only ``offsets``, so
+    flow and the widest-path search of every route query,
+    ``FlowMap.norm1``, ``kirchhoff_residuals``, ``exact_rd`` and
+    ``edge_arrays``; building ``jagged`` reads only ``offsets``, so
     a dense query leaves it unbuilt).  Nothing is cached per arc for the
     pruned product, which reads ``sqrt_degrees`` and
     ``inv_sqrt_degrees`` at the heads of the arcs it gathers.

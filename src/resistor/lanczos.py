@@ -160,7 +160,6 @@ class LanczosRun:
     first_row: np.ndarray = None
     breakdown: bool = False
     pruned: bool = False
-    n: int = 0
     subset_sizes: list = field(default_factory=list)
     support_sizes: list = field(default_factory=list)
     edges_relaxed: list = field(default_factory=list)
@@ -480,7 +479,6 @@ def run_recurrence(
     run's one n-vector comes zeroed from the graph's free list, so a
     query does no O(n) work.
     """
-    n = g.node_count
     if s_overrides and eps == 0.0:
         # a dense run has no significant set to replace, and its estimate
         # reads the first row as that of an orthonormal basis
@@ -499,7 +497,7 @@ def run_recurrence(
     alphas: list = []
     betas: list = []
     first_row = [_dot(v1.val, v1.val)]
-    run = LanczosRun(n=n)
+    run = LanczosRun()
     if visit is not None:
         visit(1, it.supp, it.val, alphas, betas)
     for i in range(1, k + 1):
@@ -579,9 +577,7 @@ def _estimate(
     _check_eps(eps)
     start = time.perf_counter()
     if s == t:
-        run = LanczosRun(
-            TridiagonalMatrix([0.0], []), np.zeros(0), n=g.node_count, estimate=0.0
-        )
+        run = LanczosRun(TridiagonalMatrix([0.0], []), np.zeros(0), estimate=0.0)
         return RDEstimate(0.0, 0, 0, time.perf_counter() - start, method), run
     if v1 is None:
         v1 = definitional_start(g, s, t)

@@ -76,9 +76,6 @@ __all__ = [
     "subset_recurrence_trace",
     "check_assumption",
     "locality_statistics",
-    "measure_c1",
-    "measure_c1_plain",
-    "measure_c2",
 ]
 
 
@@ -299,44 +296,33 @@ def _walk_norm_peak(g: Graph, s: int, t: int, k: int, weighted: bool = True) -> 
     )
 
 
-def _c1(g: Graph, s: int, t: int, k: int) -> tuple:
-    """C1 and its nominal cap sqrt(m)."""
-    return _walk_norm_peak(g, s, t, k), math.sqrt(g.edge_count)
-
-
-def _c2(run: LanczosRun) -> tuple:
-    """C2 of a stats-collecting run and its cap 3 sqrt(n)."""
-    if not run.c2_terms:
-        raise ValueError(
-            "stats carry no 1-norm terms; run with collect_stats enabled"
-        )
-    return float(max(run.c2_terms)), 3.0 * math.sqrt(run.n)
-
-
 def _within_cap(value: float, cap: float) -> bool:
     """Whether a locality statistic respects its cap, up to rounding."""
     return bool(value <= cap + 1e-9 * (1.0 + cap))
-
-
-def _capped(value: float, cap: float, message: str) -> float:
-    """``value``, or an AssertionError with ``message`` formatted on
-    (value, cap) when it is above its cap."""
-    if not _within_cap(value, cap):
-        raise AssertionError(message.format(value, cap))
-    return value
 
 
 def locality_statistics(g: Graph, s: int, t: int, run: LanczosRun) -> dict:
     """C1 and C2 of a finished stats-collecting push run, against their caps.
 
     Returns ``c1``, ``c1_cap``, ``c1_within_cap``, ``c1_plain``, ``c2``,
-    ``c2_cap`` and ``c2_within_cap``, with C1 taken up to order
-    max(k_effective, 1).  Reports a cap excursion where
-    :func:`measure_c1` and :func:`measure_c2` raise.
+    ``c2_cap`` and ``c2_within_cap``.  C1 is the largest degree-scaled
+    Chebyshev walk norm from s or t up to order max(k_effective, 1), which
+    bounds how far the first iterations spread mass from the endpoints;
+    ``c1_plain`` drops the degree scaling and has no cap.  C2 is the
+    largest 1-norm term of the run.  The caps sqrt(m) and 3 sqrt(n) do not
+    hold in general (on the toy graph, a triangle plus a pendant, C1 from
+    the pendant reaches (sqrt(3) + 4 sqrt(2)) / 3 > 2 = sqrt(m) at order
+    3), so an excursion is flagged, never raised.  Raises ValueError for
+    a run made without ``collect_stats``.
     """
+    _check_pair(g, s, t)
+    if not run.c2_terms:
+        raise ValueError("stats carry no 1-norm terms; run with collect_stats enabled")
     k = max(run.k_effective, 1)
-    c1, c1_cap = _c1(g, s, t, k)
-    c2, c2_cap = _c2(run)
+    c1 = _walk_norm_peak(g, s, t, k)
+    c1_cap = math.sqrt(g.edge_count)
+    c2 = float(max(run.c2_terms))
+    c2_cap = 3.0 * math.sqrt(g.node_count)
     return {
         "c1": c1,
         "c1_cap": c1_cap,
@@ -346,34 +332,3 @@ def locality_statistics(g: Graph, s: int, t: int, run: LanczosRun) -> dict:
         "c2_cap": c2_cap,
         "c2_within_cap": _within_cap(c2, c2_cap),
     }
-
-
-def measure_c1(g: Graph, s: int, t: int, k: int) -> float:
-    """Largest degree-scaled Chebyshev walk norm from s or t up to order k.
-
-    This is the quantity that controls how much mass the first k
-    iterations can spread from the endpoints.  Asserts the nominal cap
-    sqrt(m), which does not hold in general: on the four-vertex toy graph
-    (triangle plus pendant) the norm from the pendant reaches
-    (sqrt(3) + 4 sqrt(2)) / 3 > 2 = sqrt(m) at k = 3.
-    """
-    _check_pair(g, s, t)
-    return _capped(
-        *_c1(g, s, t, k), "walk-norm cap violated: C1 = {} > sqrt(m) = {}"
-    )
-
-
-def measure_c1_plain(g: Graph, s: int, t: int, k: int) -> float:
-    """Companion statistic to :func:`measure_c1` without the degree
-    scaling (no cap applies)."""
-    _check_pair(g, s, t)
-    return _walk_norm_peak(g, s, t, k, weighted=False)
-
-
-def measure_c2(stats: LanczosRun) -> float:
-    """Largest per-iteration 1-norm term over a stats-collecting run.
-
-    Requires a run made with ``collect_stats=True``.  Asserts the
-    theoretical cap 3 * sqrt(n).
-    """
-    return _capped(*_c2(stats), "1-norm cap violated: C2 = {} > 3 sqrt(n) = {}")

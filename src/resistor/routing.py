@@ -1,19 +1,20 @@
 """Electric-flow alternate routing.
 
 The approximate electric potential from the Lanczos solver induces a flow
-f(u, v) = w(u, v) (phi(u) - phi(v)) on every edge, conductance times
-potential difference (oriented canonically u < v).  The router repeatedly
-extracts the widest path from s to t through the remaining positive flow,
-subtracts its bottleneck uniformly along the path, and keeps the l
-cheapest of the paths found.  Because electric flow spreads over every s-t
-cut in proportion to conductance, the extracted paths are naturally short
-and physically diverse.
+f(u, x) = w(u, x) (phi(u) - phi(x)) along every arc, conductance times
+potential difference.  The router repeatedly extracts the widest path
+from s to t through the remaining positive flow, subtracts its bottleneck
+uniformly along the path, and keeps the l cheapest of the paths found.
+Because electric flow spreads over every s-t cut in proportion to
+conductance, the extracted paths are naturally short and physically
+diverse.
 
-The search runs on the flow of every arc, aligned with ``Graph.neighbors``:
-arc (u, x) carries f(u, x) and its reverse exactly -f(u, x).  The search
-reads only arcs of positive flow, so a bottleneck is subtracted from the
-path's arcs alone: they keep a nonnegative flow, and their reverses,
-negative before, stay out of every later search (:func:`extract_routes`).
+A :class:`FlowMap` holds the flow of every arc, aligned with
+``Graph.neighbors``: arc (u, x) carries f(u, x) and its reverse exactly
+-f(u, x).  The search reads only arcs of positive flow, so a bottleneck
+is subtracted from the path's arcs alone: they keep a nonnegative flow,
+and their reverses, negative before, stay out of every later search
+(:func:`extract_routes`).
 """
 
 from __future__ import annotations
@@ -42,38 +43,39 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class FlowMap:
-    """A signed flow on the canonically oriented edges of a graph.
+    """A signed flow on the arcs of a graph.
 
-    ``values[i]`` is the flow on edge (``edge_u[i]``, ``edge_v[i]``) with
-    ``edge_u[i] < edge_v[i]``; a positive value flows from the smaller to
-    the larger endpoint.  ``index`` maps an edge pair to its position; it
-    is built on the first :meth:`get`.
+    ``arcs[j]`` is the flow along arc j, from ``graph.arc_sources[j]`` to
+    ``graph.neighbors[j]``; a flow from a potential gives the reverse arc
+    exactly the negated value.
     """
 
-    edge_u: np.ndarray
-    edge_v: np.ndarray
-    values: np.ndarray
-    index: dict | None = None
+    graph: Graph
+    arcs: np.ndarray
 
     @classmethod
     def from_potential(cls, g: Graph, phi: np.ndarray) -> "FlowMap":
-        """The flow w(u, v) (phi(u) - phi(v)) on every edge."""
-        up = g.arc_sources < g.neighbors
-        return cls(g.arc_sources[up], g.neighbors[up], _arc_flow(g, phi)[up])
+        """The flow w(u, x) (phi(u) - phi(x)) along every arc."""
+        return cls(g, _arc_flow(g, phi))
 
     def get(self, u: int, v: int) -> float:
-        """Flow from u to v (signed; negates when the pair is reversed)."""
-        if self.index is None:
-            pairs = zip(self.edge_u.tolist(), self.edge_v.tolist())
-            self.index = dict(zip(pairs, range(len(self.edge_u))))
-        if u < v:
-            return float(self.values[self.index[(u, v)]])
-        return -float(self.values[self.index[(v, u)]])
+        """Flow from u to v (signed; negates when the pair is reversed).
+        Raises KeyError unless (u, v) is an arc of the graph."""
+        g = self.graph
+        if not (0 <= u < g.node_count and 0 <= v < g.node_count):
+            raise KeyError((u, v))
+        lo, hi = g.offsets[u], g.offsets[u + 1]
+        j = lo + np.searchsorted(g.neighbors[lo:hi], v)
+        if j == hi or g.neighbors[j] != v:
+            raise KeyError((u, v))
+        return float(self.arcs[j])
 
     def norm1(self) -> float:
-        return float(np.sum(np.abs(self.values)))
+        """Sum of |f| over the edges, each counted once."""
+        g = self.graph
+        return float(np.sum(np.abs(self.arcs[g.arc_sources < g.neighbors])))
 
 
 @dataclass(frozen=True)
@@ -152,10 +154,8 @@ def electric_flow(g: Graph, s: int, t: int, k: int) -> FlowMap:
 def kirchhoff_residuals(g: Graph, flow: FlowMap, s: int, t: int) -> np.ndarray:
     """Net outflow at every vertex; zero at internal vertices for an exact
     flow, +1 at s and -1 at t for a unit flow."""
-    net = np.zeros(g.node_count)
-    np.add.at(net, flow.edge_u, flow.values)
-    np.add.at(net, flow.edge_v, -flow.values)
-    return net
+    _check_flow(g, flow)
+    return np.bincount(g.arc_sources, weights=flow.arcs, minlength=g.node_count)
 
 
 def _arc_flow(g: Graph, phi: np.ndarray) -> np.ndarray:
@@ -168,23 +168,13 @@ def _arc_flow(g: Graph, phi: np.ndarray) -> np.ndarray:
     return flow
 
 
-def _flow_on_arcs(g: Graph, flow: FlowMap) -> np.ndarray:
-    """Expand an edge flow to the arcs of ``g``: arc (u, x) with u < x
-    carries its edge's value, the reverse arc the negated value."""
-    up = g.arc_sources < g.neighbors
-    if not (
-        np.array_equal(flow.edge_u, g.arc_sources[up])
-        and np.array_equal(flow.edge_v, g.neighbors[up])
+def _check_flow(g: Graph, flow: FlowMap) -> None:
+    """Raise ValueError unless ``flow`` lies on the arcs of ``g``."""
+    h = flow.graph
+    if h is not g and not (
+        np.array_equal(h.offsets, g.offsets) and np.array_equal(h.neighbors, g.neighbors)
     ):
         raise ValueError("the flow is not on the canonical edges of this graph")
-    arc_flow = np.empty(len(g.neighbors))
-    arc_flow[up] = flow.values
-    # the down arcs (u, x), x < u, sorted by (head, source) are the
-    # canonical edges (x, u) in order
-    down = np.flatnonzero(~up)
-    order = np.argsort(g.neighbors[down] * g.node_count + g.arc_sources[down])
-    arc_flow[down[order]] = -flow.values
-    return arc_flow
 
 
 def _widest_path(g: Graph, arc_flow: np.ndarray, s: int, t: int):
@@ -258,7 +248,8 @@ def max_bottleneck_path(g: Graph, flow: FlowMap, s: int, t: int):
     _check_pair(g, s, t)
     if s == t:
         raise ValueError("routes need distinct endpoints")
-    found = _widest_path(g, _flow_on_arcs(g, flow), s, t)
+    _check_flow(g, flow)
+    found = _widest_path(g, flow.arcs, s, t)
     return None if found is None else found[0]
 
 
@@ -280,7 +271,7 @@ def extract_routes(g: Graph, s: int, t: int, k: int, l: int) -> RouteExtraction:
         raise ValueError("routes need distinct endpoints")
     if l < 1:
         raise ValueError("the number of routes l must be >= 1")
-    arc_flow = _arc_flow(g, lanczos_potential(g, s, t, k))
+    arc_flow = electric_flow(g, s, t, k).arcs
     unweighted = g.is_unweighted
     found = []
     for _ in range(2 * l):

@@ -457,6 +457,14 @@ def test_bench_parallel_matches_serial(runner, toy_file):
             for r in prows]
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_rejects_a_job_count_below_one(runner, toy_file, jobs):
+    # both ran serially and exited 0
+    result = runner.invoke(cli, _bench_args(toy_file, ["--methods", "lz", "--jobs", jobs]))
+    assert result.exit_code == 2, result.output
+    assert "--jobs" in result.output
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_bench_budget_abort(runner, toy_file, monkeypatch, jobs):
     # every task claims 1e6 s, so the projected sweep exceeds any budget

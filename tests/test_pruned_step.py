@@ -71,7 +71,7 @@ def _reference_recurrence(g, v1, k, eps=0.0, s_overrides=None, visit=None):
     supp_prev = s_prev = v1.idx[:0]
     size, beta = len(v1.idx), 0.0
     alphas, betas, first_row = [], [], [_dot(v1.val, v1.val)]
-    run = LanczosRun(n=n)
+    run = LanczosRun()
     if visit is not None:
         visit(1, supp, v[supp], alphas, betas)
     for i in range(1, k + 1):

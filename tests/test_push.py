@@ -217,7 +217,7 @@ _STATS = ("c2_terms", "delta_degree_ratios")
 
 def _counters(run, skip=()):
     # every work counter of a run, for bit-for-bit comparison
-    names = ("n", "subset_sizes", "support_sizes", "edges_relaxed", *_STATS,
+    names = ("subset_sizes", "support_sizes", "edges_relaxed", *_STATS,
              "touched_edges", "extra_ops", "peak_support")
     return [getattr(run, name) for name in names if name not in skip]
 
@@ -489,7 +489,15 @@ def test_stats_hook_leaves_the_run_unchanged(make_graph, pair, k):
     np.testing.assert_allclose(on.delta_degree_ratios, want_delta, rtol=0.0, atol=1e-12)
 
 
-def test_locality_statistics_flag_what_measure_raises(toy):
+def _walk_peak(g, s, t, k, weighted=True):
+    """The largest Chebyshev walk norm from s or t up to order k."""
+    return max(
+        R.chebyshev_walk_norms(g, s, k, weighted=weighted).max(),
+        R.chebyshev_walk_norms(g, t, k, weighted=weighted).max(),
+    )
+
+
+def test_locality_statistics_flags_cap_excursions(toy):
     _, _, run = R.lanczos_push_rd(
         toy, 0, 3, R.PushConfig(k=3, epsilon=1e-3, collect_stats=True)
     )
@@ -497,22 +505,18 @@ def test_locality_statistics_flag_what_measure_raises(toy):
     assert set(record) == {"c1", "c1_cap", "c1_within_cap", "c1_plain",
                            "c2", "c2_cap", "c2_within_cap"}
     # C1 up to order k_effective = 2 already exceeds sqrt(m) = 2 on the toy
-    # graph: a flag here, an AssertionError in measure_c1
+    # graph: a flag, not an error
     assert run.k_effective == 2
-    assert record["c1"] == max(
-        R.chebyshev_walk_norms(toy, 0, 2).max(), R.chebyshev_walk_norms(toy, 3, 2).max()
-    )
+    assert record["c1"] == _walk_peak(toy, 0, 3, 2)
     assert record["c1_cap"] == 2.0 and record["c1_within_cap"] is False
-    with pytest.raises(AssertionError, match="walk-norm cap violated"):
-        R.measure_c1(toy, 0, 3, 2)
-    assert record["c1_plain"] == R.measure_c1_plain(toy, 0, 3, 2)
-    assert record["c2"] == R.measure_c2(run)
+    assert record["c1_plain"] == _walk_peak(toy, 0, 3, 2, weighted=False)
+    assert record["c2"] == max(run.c2_terms)
     assert record["c2_cap"] == 6.0 and record["c2_within_cap"] is True
     # the same for a C2 excursion
     run.c2_terms = [6.01]
     assert R.locality_statistics(toy, 0, 3, run)["c2_within_cap"] is False
-    with pytest.raises(AssertionError, match="1-norm cap violated"):
-        R.measure_c2(run)
+    with pytest.raises(IndexError):
+        R.locality_statistics(toy, 0, 4, run)
 
 
 def test_delta_residual_obeys_degree_bound():
@@ -579,23 +583,18 @@ def test_singular_solve_names_the_assumption():
 
 
 def test_c1_at_zero_steps_is_sqrt_degree(toy):
-    assert R.measure_c1(toy, 0, 3, 0) == pytest.approx(SQ3, abs=1e-12)
+    assert _walk_peak(toy, 0, 3, 0) == pytest.approx(SQ3, abs=1e-12)
 
 
 def test_c1_single_edge_is_one(edge):
     for k in range(4):
-        assert R.measure_c1(edge, 0, 1, k) == pytest.approx(1.0, abs=1e-12)
+        assert _walk_peak(edge, 0, 1, k) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_c1_cap_fails_on_toy_graph(toy):
     # the sqrt(m) cap does not hold here: the degree-scaled walk norm from
-    # the pendant exceeds it at the third step, so the capped probe refuses
-    with pytest.raises(AssertionError):
-        R.measure_c1(toy, 0, 3, 3)
-    value = max(
-        R.chebyshev_walk_norms(toy, 0, 3).max(),
-        R.chebyshev_walk_norms(toy, 3, 3).max(),
-    )
+    # the pendant exceeds it at the third step
+    value = _walk_peak(toy, 0, 3, 3)
     assert value > math.sqrt(toy.edge_count)
     assert value == pytest.approx((SQ3 + 4 * math.sqrt(2)) / 3, abs=1e-12)
 
@@ -615,13 +614,10 @@ def test_walk_norm_probes_match_dense_recurrence(toy):
         for vec in mats:
             want_scaled = max(want_scaled, float(np.abs(sqrt_d * vec).sum()))
             want_plain = max(want_plain, float(np.abs(vec).sum()))
-    scaled = max(
-        R.chebyshev_walk_norms(toy, 0, 3).max(),
-        R.chebyshev_walk_norms(toy, 3, 3).max(),
-    )
-    assert scaled == pytest.approx(want_scaled, abs=1e-12)
-    assert R.measure_c1_plain(toy, 0, 3, 3) == pytest.approx(want_plain, abs=1e-12)
-    assert R.measure_c1_plain(toy, 0, 3, 3) == pytest.approx(5 / 3, abs=1e-12)
+    assert _walk_peak(toy, 0, 3, 3) == pytest.approx(want_scaled, abs=1e-12)
+    plain = _walk_peak(toy, 0, 3, 3, weighted=False)
+    assert plain == pytest.approx(want_plain, abs=1e-12)
+    assert plain == pytest.approx(5 / 3, abs=1e-12)
 
 
 def test_c2_comes_from_collected_stats():
@@ -629,13 +625,14 @@ def test_c2_comes_from_collected_stats():
     _, _, stats = R.lanczos_push_rd(
         g, 0, 1, R.PushConfig(k=8, epsilon=1e-3, collect_stats=True)
     )
-    value = R.measure_c2(stats)
-    assert value == pytest.approx(max(stats.c2_terms), abs=1e-15)
-    assert value <= 3 * math.sqrt(g.node_count)
+    record = R.locality_statistics(g, 0, 1, stats)
+    assert record["c2"] == pytest.approx(max(stats.c2_terms), abs=1e-15)
+    assert record["c2"] <= 3 * math.sqrt(g.node_count)
+    assert record["c2_within_cap"] is True
 
 
 def test_c2_requires_collected_stats():
     g = random_connected(20, 5)
     _, _, stats = R.lanczos_push_rd(g, 0, 1, R.PushConfig(k=4, epsilon=1e-3))
-    with pytest.raises(ValueError):
-        R.measure_c2(stats)
+    with pytest.raises(ValueError, match="collect_stats"):
+        R.locality_statistics(g, 0, 1, stats)

@@ -25,13 +25,24 @@ from conftest import (
 WEIGHTED_TEXT = "0 1 2.0\n1 2 1.0\n0 2 1.0\n2 3 3.0\n1 3 0.5\n"
 
 
+def _arc(g, u, x):
+    row = g.neighbors[g.offsets[u] : g.offsets[u + 1]]
+    return int(g.offsets[u] + np.searchsorted(row, x))
+
+
 def _flow_from_values(g, pairs_to_values):
-    eu, ev, _ = R.edge_arrays(g)
-    index = {(int(a), int(b)): i for i, (a, b) in enumerate(zip(eu, ev))}
-    values = np.zeros(len(eu))
+    arcs = np.zeros(len(g.neighbors))
     for (a, b), f in pairs_to_values.items():
-        values[index[(min(a, b), max(a, b))]] = f if a < b else -f
-    return R.FlowMap(edge_u=eu, edge_v=ev, values=values, index=index)
+        arcs[_arc(g, a, b)] = f
+        arcs[_arc(g, b, a)] = -f
+    return R.FlowMap(g, arcs)
+
+
+def _edge_values(g, flow):
+    """The flow of every canonical edge (a, b), a < b, in a dict of its
+    own, read through ``flow.get``."""
+    eu, ev, _ = R.edge_arrays(g)
+    return {(a, b): flow.get(a, b) for a, b in zip(eu.tolist(), ev.tolist())}
 
 
 def _brute_force_widest(g, flow, s, t):
@@ -58,14 +69,15 @@ def _brute_force_widest(g, flow, s, t):
     return best
 
 
-def _reference_widest(g, flow, index, s, t):
+def _reference_widest(g, values, s, t):
     """The widest-path search as first written: a heap search over
-    per-arc dict lookups, kept to pin routes and tie-breaks."""
+    per-arc lookups in the edge dict ``values`` (see :func:`_edge_values`),
+    kept to pin routes and tie-breaks."""
 
     def get(u, v):
         if u < v:
-            return float(flow.values[index[(u, v)]])
-        return -float(flow.values[index[(v, u)]])
+            return values[(u, v)]
+        return -values[(v, u)]
 
     n = g.node_count
     offsets, neighbors = g.offsets, g.neighbors
@@ -117,21 +129,17 @@ def _reference_widest(g, flow, index, s, t):
 def _reference_extract(g, s, t, k, l):
     """``extract_routes`` as first written, on the reference search, with
     bottlenecks subtracted through the edge dict."""
-    flow = R.electric_flow(g, s, t, k)
-    index = {
-        (a, b): i
-        for i, (a, b) in enumerate(zip(flow.edge_u.tolist(), flow.edge_v.tolist()))
-    }
+    values = _edge_values(g, R.electric_flow(g, s, t, k))
     found = []
     for _ in range(2 * l):
-        route = _reference_widest(g, flow, index, s, t)
+        route = _reference_widest(g, values, s, t)
         if route is None:
             break
         for a, b in zip(route.vertices[:-1], route.vertices[1:]):
             if a < b:
-                flow.values[index[(a, b)]] -= route.bottleneck
+                values[(a, b)] -= route.bottleneck
             else:
-                flow.values[index[(b, a)]] += route.bottleneck
+                values[(b, a)] += route.bottleneck
         found.append(route)
     cost = (lambda r: r.length) if g.is_unweighted else (lambda r: r.weighted_length)
     order = sorted(range(len(found)), key=lambda i: (cost(found[i]), i))
@@ -188,9 +196,23 @@ def test_flow_matches_potential_oracle():
         s, t = random_pair(rng, g.node_count)
         flow = R.electric_flow(g, s, t, g.node_count)
         phi = pinv_potential(g, s, t)
-        eu, ev, w = R.edge_arrays(g)
-        want = (phi[eu] - phi[ev]) * w
-        assert np.allclose(flow.values, want, atol=1e-8)
+        want = (phi[g.arc_sources] - phi[g.neighbors]) * g.weights
+        assert np.allclose(flow.arcs, want, atol=1e-8)
+
+
+def test_from_potential_negates_exactly_on_reverse_arcs():
+    # one flow per arc stands for both directions of an edge only when an
+    # arc and its reverse carry exactly opposite values
+    for seed in range(6):
+        g = random_weighted(40, 300 + seed)
+        rng = np.random.default_rng(seed)
+        n = g.node_count
+        phi = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6, n)
+        flow = R.FlowMap.from_potential(g, phi)
+        keys = g.arc_sources * n + g.neighbors
+        reverse = np.searchsorted(keys, g.neighbors * n + g.arc_sources)
+        assert np.array_equal(keys[reverse], g.neighbors * n + g.arc_sources)
+        assert (-flow.arcs[reverse]).tobytes() == flow.arcs.tobytes()
 
 
 def test_kirchhoff_balance_at_full_order():
@@ -306,12 +328,8 @@ def test_max_bottleneck_path_matches_reference_search():
     for _ in range(6):
         s, t = random_pair(rng, g.node_count)
         flow = R.electric_flow(g, s, t, 80)
-        index = {
-            (a, b): i
-            for i, (a, b) in enumerate(zip(flow.edge_u.tolist(), flow.edge_v.tolist()))
-        }
         assert R.max_bottleneck_path(g, flow, s, t) == _reference_widest(
-            g, flow, index, s, t
+            g, _edge_values(g, flow), s, t
         )
 
 
@@ -320,18 +338,28 @@ def test_extraction_reads_arcs_not_the_edge_dict(monkeypatch):
         raise AssertionError("FlowMap.get called on the routing path")
 
     g = cut_lattice(12, 0.1, 5)
-    flow = R.FlowMap.from_potential(g, np.arange(g.node_count, dtype=float))
-    assert flow.index is None
     monkeypatch.setattr(R.FlowMap, "get", refuse)
     assert len(R.extract_routes(g, 0, g.node_count - 1, 80, 3)) == 3
 
 
-def test_flow_map_get_builds_its_index_on_demand():
+def test_flow_map_get_reads_arcs_and_refuses_other_pairs():
     g = path_graph(4)
+    n = g.node_count
     flow = R.FlowMap.from_potential(g, np.array([3.0, 2.0, 0.5, 0.0]))
-    assert flow.index is None
-    assert flow.get(2, 1) == -1.5
-    assert flow.index == {(0, 1): 0, (1, 2): 1, (2, 3): 2}
+    assert flow.get(0, 1) == 1.0
+    assert flow.get(1, 2) == 1.5 and flow.get(2, 1) == -1.5
+    assert flow.get(3, 2) == -0.5
+    # a pair that is no arc, and ids outside [0, n): a negative id must
+    # not wrap to the last row
+    for u, v in [(0, 2), (0, 0), (-1, 0), (n, 0), (0, n), (3, -1)]:
+        with pytest.raises(KeyError):
+            flow.get(u, v)
+
+
+def test_kirchhoff_residuals_rejects_a_flow_of_another_graph():
+    flow = R.electric_flow(path_graph(4), 0, 3, 4)
+    with pytest.raises(ValueError, match="canonical edges"):
+        R.kirchhoff_residuals(cycle_graph(4), flow, 0, 2)
 
 
 def test_max_bottleneck_path_rejects_a_flow_of_another_graph():
