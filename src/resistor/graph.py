@@ -240,7 +240,8 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     then sorts its output, which costs 8-25x more on the int64 id arrays of
     the pruned Lanczos step.
     """
-    c = np.sort(a)
+    c = a.copy()
+    c.sort()
     if c.size == 0:
         return c
     keep = np.empty(c.size, dtype=bool)
@@ -288,9 +289,9 @@ def _arc_positions(offsets: np.ndarray, sources: np.ndarray) -> tuple:
     ``sources``, slice after slice, and the arc count of each source."""
     starts = offsets[sources]
     count = offsets[1:][sources] - starts
-    ends = np.cumsum(count)
+    ends = count.cumsum()
     total = int(ends[-1]) if len(ends) else 0
-    arc = np.repeat(starts + count - ends, count) + np.arange(total)
+    arc = (starts + count - ends).repeat(count) + np.arange(total)
     return arc, count
 
 

@@ -45,9 +45,15 @@ when it is the cheaper product: while ``SUPPORT_ARC_COST`` times the
 support's arcs plus ``SUPPORT_CALL_ARCS`` stays under 2m.
 
 Every inner product that feeds T, a potential or a spectrum goes through
-:func:`_dot`, ``np.einsum('i,i->', a, b)``, which never calls BLAS: the
-sum does not depend on how many threads BLAS would split it over (it may
-still differ between CPU families, whose SIMD paths differ).
+:func:`_dot`, the sum of ``np.einsum('i,i->', a, b)``, which never calls
+BLAS: the sum does not depend on how many threads BLAS would split it over
+(it may still differ between CPU families, whose SIMD paths differ).
+:func:`_dot` calls the C function that ``np.einsum`` forwards to, with
+the same operands and so the same sum, and skips the wrapper's
+``__array_function__`` dispatch, about 1.5 us of a 2-4 us call; a pruned
+Lanczos step makes seven such calls.  The per-step helpers call array
+methods (``x.repeat``, ``x.cumsum``, ``x.sort``, ``x.searchsorted``)
+instead of the dispatching ``np.*`` functions for the same reason.
 """
 
 from __future__ import annotations
@@ -88,15 +94,30 @@ SUPPORT_ARC_COST = 8
 SUPPORT_CALL_ARCS = 32_768
 
 
-def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """The inner product of two 1-d arrays, summed by ``np.einsum``.
+# The C function that np.einsum hands its operands to, unchanged, when
+# ``optimize`` is False (its default): the same sum without the 1.5 us of
+# Python-level dispatch that the wrapper costs per call.  np.einsum itself
+# where numpy keeps it under neither name.
+try:
+    from numpy._core.multiarray import c_einsum as _c_einsum
+except ImportError:
+    try:  # numpy 1.x
+        from numpy.core.multiarray import c_einsum as _c_einsum
+    except ImportError:
+        _c_einsum = np.einsum
 
-    Never calls BLAS, whose threaded ``ddot`` splits a long sum over a
-    thread count set by the environment and so changes its last bits
-    with that count.  The package's one reduction for T, potentials and
-    spectra.
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """The inner product of two 1-d arrays, summed by einsum's C loop.
+
+    Calls the C entry point of ``np.einsum('i,i->', a, b)`` directly
+    (``np.einsum`` itself where numpy exposes no such name), so the sum
+    and its bits are those of ``np.einsum``, without its dispatch.  Never
+    calls BLAS, whose threaded ``ddot`` splits a long sum over a thread
+    count set by the environment and so changes its last bits with that
+    count.  The package's one reduction for T, potentials and spectra.
     """
-    return float(np.einsum("i,i->", a, b))
+    return float(_c_einsum("i,i->", a, b))
 
 
 @dataclass
@@ -280,7 +301,7 @@ def _support_arcs(
     base = offsets[support]
     ends = offsets[1:][support]
     ends -= base
-    np.cumsum(ends, out=ends)
+    ends.cumsum(out=ends)
     total = int(ends[-1])
     terms = gather[:total]
     arc, heads, lane = (
@@ -291,11 +312,11 @@ def _support_arcs(
     base[1:] -= ends[:-1]
     arc.fill(1)
     arc[0] = base[0]
-    arc[ends[:-1]] = np.diff(base) + 1
-    np.cumsum(arc, out=arc)
+    arc[ends[:-1]] = base[1:] - base[:-1] + 1
+    arc.cumsum(out=arc)
     lane.fill(0)
     lane[ends[:-1]] = 1
-    np.cumsum(lane, out=lane)
+    lane.cumsum(out=lane)
     g.neighbors.take(arc, out=heads, mode="wrap")
     (v[support] * g.inv_sqrt_degrees[support]).take(lane, out=terms, mode="wrap")
     if not g.is_unweighted:
@@ -363,11 +384,11 @@ def relax_arcs(
     src = idx[live]
     arc, count = _arc_positions(g.offsets, src)
     heads = g.neighbors[arc]
-    limit = np.repeat(bar[live], count)
+    limit = bar[live].repeat(count)
     limit *= g.sqrt_degrees[heads]
-    keep = (np.repeat(size[live], count) > limit).nonzero()[0]
+    keep = (size[live].repeat(count) > limit).nonzero()[0]
     heads = heads[keep]
-    terms = np.repeat(val[live] * g.inv_sqrt_degrees[src], count)[keep]
+    terms = (val[live] * g.inv_sqrt_degrees[src]).repeat(count)[keep]
     scale = g.inv_sqrt_degrees[heads]
     if not g.is_unweighted:
         # an unweighted graph's weights are exactly 1.0

@@ -350,14 +350,14 @@ class _PrunedIterates:
         """v_i on the sorted vertex ids ``idx``, 0.0 off its support,
         which must not be empty (no step leaves it so)."""
         supp = self.supp
-        pos = np.minimum(np.searchsorted(supp, idx), len(supp) - 1)
+        pos = np.minimum(supp.searchsorted(idx), len(supp) - 1)
         return np.where(supp[pos] == idx, self.val[pos], 0.0)
 
     def overlap(self, v1: SparseVector) -> float:
         """v_1^T v_i, which the pruning makes nonzero for i > 1.  A query's
         v_1 has two entries: one binary search, then a lookup each."""
         supp, val, end = self.supp, self.val, len(self.supp)
-        pos = np.searchsorted(supp, v1.idx).tolist()
+        pos = supp.searchsorted(v1.idx).tolist()
         hits = [
             val[p] if p < end and supp[p] == u else 0.0
             for p, u in zip(pos, v1.idx.tolist())

@@ -153,7 +153,10 @@ def electric_flow(g: Graph, s: int, t: int, k: int) -> FlowMap:
 
 def kirchhoff_residuals(g: Graph, flow: FlowMap, s: int, t: int) -> np.ndarray:
     """Net outflow at every vertex; zero at internal vertices for an exact
-    flow, +1 at s and -1 at t for a unit flow."""
+    flow, +1 at s and -1 at t for a unit flow.  ``s`` and ``t`` name the
+    flow's endpoints, whose entries the caller compares with +1 and -1;
+    an id outside [0, n) raises IndexError."""
+    _check_pair(g, s, t)
     _check_flow(g, flow)
     return np.bincount(g.arc_sources, weights=flow.arcs, minlength=g.node_count)
 

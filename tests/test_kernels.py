@@ -2,7 +2,9 @@
 norms."""
 
 import ast
+import contextlib
 import functools
+import io
 import importlib
 import json
 import math
@@ -19,10 +21,11 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import resistor as R
+import resistor.kernels as kernels_mod
 import resistor.lanczos as lanczos_mod
 from resistor.errors import SingularSystemError
 from resistor.graph import JAGGED_MIN_ROWS, _sorted_unique
-from resistor.kernels import _adjacency_into, _sturm_reaches, _support_pays
+from resistor.kernels import _adjacency_into, _dot, _sturm_reaches, _support_pays
 from resistor.lanczos import definitional_start, run_recurrence
 
 from conftest import (
@@ -443,6 +446,68 @@ def test_no_blas_reduction_in_the_recurrence_modules():
     assert found == {}
 
 
+# lengths around einsum's unrolled and SIMD blocks of 2, 4 and 8, and two
+# long sums
+_DOT_LENGTHS = [0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 63, 64, 65, 6400, 50_001]
+
+
+def _dot_operands(n: int, seed: int):
+    """Two float64 n-vectors of mixed signs over 16 decades, so that the
+    order of the sum shows in its last bits."""
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    b = rng.standard_normal(n) * 10.0 ** rng.uniform(-8, 8, n)
+    return a, b
+
+
+def _bits(x: float) -> bytes:
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("n", _DOT_LENGTHS)
+def test_dot_matches_einsum_bit_for_bit(n):
+    a, b = _dot_operands(n, n)
+    assert _bits(_dot(a, b)) == _bits(float(np.einsum("i,i->", a, b)))
+
+
+def test_dot_matches_einsum_on_strided_views():
+    a, b = _dot_operands(3 * 6400 + 2, 5)
+    for x, y in [(a[::3], b[1::3]), (a[::-2], b[::2]), (a[1:40:3], b[:13])]:
+        assert _bits(_dot(x, y)) == _bits(float(np.einsum("i,i->", x, y)))
+
+
+def test_dot_reaches_the_c_entry_where_numpy_has_it():
+    try:
+        from numpy._core.multiarray import c_einsum
+    except ImportError:
+        pytest.skip("this numpy exposes no numpy._core.multiarray.c_einsum")
+    assert kernels_mod._c_einsum is c_einsum
+
+
+def test_dot_fallback_gives_the_same_bits(monkeypatch):
+    results = []
+    for alias in (kernels_mod._c_einsum, np.einsum):
+        monkeypatch.setattr(kernels_mod, "_c_einsum", alias)
+        results.append([_bits(_dot(*_dot_operands(n, n))) for n in _DOT_LENGTHS])
+    assert results[0] == results[1]
+
+
+def _probe_hashes() -> dict:
+    """The hashes that ``_THREAD_PROBE`` prints, computed in this process."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(_THREAD_PROBE, {})
+    return json.loads(out.getvalue().splitlines()[-1])
+
+
+def test_estimators_have_the_same_bits_through_the_einsum_fallback(monkeypatch):
+    # lz, lzpush, the potential and the spectrum of the thread probe, summed
+    # through the C entry and through np.einsum itself
+    direct = _probe_hashes()
+    monkeypatch.setattr(kernels_mod, "_c_einsum", np.einsum)
+    assert _probe_hashes() == direct
+
+
 # run in a fresh interpreter: BLAS reads its thread count once, at import
 _THREAD_PROBE = """
 import hashlib, json
@@ -488,6 +553,81 @@ def test_outputs_do_not_depend_on_the_blas_thread_count():
     one, two = _outputs_under_blas_threads(1), _outputs_under_blas_threads(2)
     assert sorted(one) == ["lz", "lzpush", "potential", "spectrum"]
     assert one == two
+
+
+# numpy functions whose Python-level wrappers pay __array_function__
+# dispatch on every call, 1-2 us each: the per-step code calls the array
+# methods (x.repeat, x.cumsum, x.sort, x.searchsorted) or, for np.einsum,
+# kernels._c_einsum
+_DISPATCHING = {"np.einsum", "np.repeat", "np.cumsum", "np.sort", "np.searchsorted"}
+
+# the per-step modules, and the functions of graph.py that a step calls
+_PER_STEP_MODULES = ("kernels.py", "lanczos.py", "push.py", "spectral.py")
+_PER_STEP_GRAPH_FUNCTIONS = ("_arc_positions", "_sorted_unique")
+
+
+def _dispatching_calls(source: str, functions=None) -> dict:
+    """Line numbers of the function-form calls in ``source`` of the numpy
+    functions in ``_DISPATCHING``, keyed by the top-level function that
+    holds them ("" for module level); with ``functions``, only those named
+    functions are searched, and each gets a key, flagged or not.  A
+    reference that is no call, such as an alias, is not flagged."""
+    tree = ast.parse(source)
+    if functions is None:
+        roots = {"": tree}
+    else:
+        roots = {
+            node.name: node for node in tree.body
+            if isinstance(node, ast.FunctionDef) and node.name in functions
+        }
+    found = {}
+    for name, root in roots.items():
+        found[name] = sorted(
+            node.lineno for node in ast.walk(root)
+            if isinstance(node, ast.Call) and _dotted_name(node.func) in _DISPATCHING
+        )
+    return found
+
+
+def test_dispatch_tripwire_flags_planted_calls():
+    source = (
+        "a = np.einsum('i,i->', x, y)\n"
+        "b = numpy.repeat(x, c) + x.repeat(c)\n"
+        "np.cumsum(x, out=x)\n"
+        "x.cumsum(out=x)\n"
+        "c = np.sort(\n    a\n)\n"
+        "d = np.searchsorted(s, v) + s.searchsorted(v)\n"
+        "_c_einsum = np.einsum\n"
+        "e = np.argsort(x) + np.unique(x) + np.core.multiarray.c_einsum('i,i->', x, y)\n"
+    )
+    assert _dispatching_calls(source) == {"": [1, 2, 3, 5, 8]}
+    scoped = (
+        "def kept():\n"
+        "    return np.sort(a)\n"
+        "def other():\n"
+        "    return np.repeat(a, c)\n"
+        "def clean():\n"
+        "    return a.repeat(c)\n"
+    )
+    assert _dispatching_calls(scoped, ("kept", "clean")) == {"kept": [2], "clean": []}
+
+
+def test_no_dispatching_call_in_the_per_step_code():
+    # a pruned step costs about 70 numpy calls of 2-4 us; the wrappers of
+    # these five add 1-2 us of dispatch to each of theirs.  _dot's fallback
+    # is an alias of np.einsum, not a call
+    package = Path(R.__file__).parent
+    found = {
+        name: lines
+        for name in _PER_STEP_MODULES
+        if (lines := _dispatching_calls((package / name).read_text())[""])
+    }
+    graph = _dispatching_calls(
+        (package / "graph.py").read_text(), _PER_STEP_GRAPH_FUNCTIONS
+    )
+    assert sorted(graph) == sorted(_PER_STEP_GRAPH_FUNCTIONS)
+    found.update({f"graph.py:{name}": lines for name, lines in graph.items() if lines})
+    assert found == {}
 
 
 def test_no_hash_path_unique_in_the_package():

@@ -362,6 +362,16 @@ def test_kirchhoff_residuals_rejects_a_flow_of_another_graph():
         R.kirchhoff_residuals(cycle_graph(4), flow, 0, 2)
 
 
+def test_kirchhoff_residuals_rejects_endpoints_outside_the_graph():
+    g = path_graph(4)
+    flow = R.electric_flow(g, 0, 3, 4)
+    for s, t in [(-1, 3), (4, 3), (0, -1), (0, 4), (-5, 7)]:
+        with pytest.raises(IndexError):
+            R.kirchhoff_residuals(g, flow, s, t)
+    net = R.kirchhoff_residuals(g, flow, 0, 3)
+    assert net[0] == pytest.approx(1.0) and net[3] == pytest.approx(-1.0)
+
+
 def test_max_bottleneck_path_rejects_a_flow_of_another_graph():
     flow = R.electric_flow(path_graph(4), 0, 3, 4)
     with pytest.raises(ValueError, match="canonical edges"):
