@@ -95,9 +95,8 @@ SUPPORT_CALL_ARCS = 32_768
 
 
 # The C function that np.einsum hands its operands to, unchanged, when
-# ``optimize`` is False (its default): the same sum without the 1.5 us of
-# Python-level dispatch that the wrapper costs per call.  np.einsum itself
-# where numpy keeps it under neither name.
+# ``optimize`` is False (its default); np.einsum itself where numpy keeps
+# it under neither name.
 try:
     from numpy._core.multiarray import c_einsum as _c_einsum
 except ImportError:
@@ -108,14 +107,13 @@ except ImportError:
 
 
 def _dot(a: np.ndarray, b: np.ndarray) -> float:
-    """The inner product of two 1-d arrays, summed by einsum's C loop.
+    """The inner product of two 1-d arrays, summed as
+    ``np.einsum('i,i->', a, b)`` sums it, through einsum's C entry.
 
-    Calls the C entry point of ``np.einsum('i,i->', a, b)`` directly
-    (``np.einsum`` itself where numpy exposes no such name), so the sum
-    and its bits are those of ``np.einsum``, without its dispatch.  Never
-    calls BLAS, whose threaded ``ddot`` splits a long sum over a thread
-    count set by the environment and so changes its last bits with that
-    count.  The package's one reduction for T, potentials and spectra.
+    Never calls BLAS, whose threaded ``ddot`` splits a long sum over a
+    thread count set by the environment and so changes its last bits
+    with that count.  The package's one reduction for T, potentials and
+    spectra.
     """
     return float(_c_einsum("i,i->", a, b))
 
