@@ -9,31 +9,36 @@ package (a checkout's ``src``).  Each package is copied to a temporary
 directory as ``resistor_parent`` and ``resistor_change`` (the package
 imports itself only relatively, so a renamed copy works), and both are
 imported into this process.  Every round times each row once on each
-side, and the side that goes first alternates from round to round, so a
-drift of the host's speed falls on both alike.  Separate processes of
-the benchmark cannot resolve a move of a few percent on the small dense
-workloads; alternating in one process can.
+side; the side that goes first, and the order of the rows, alternate
+from round to round, so a drift of the host's speed falls on both sides
+and on every row alike.  Separate processes of the benchmark cannot
+resolve a move of a few percent on the small dense workloads;
+alternating in one process can.
 
-The rows, each built once per side on that side's own graph:
+The rows, each built once per side on that side's own graphs:
 
-- ``lanczos_rd`` (k = 20) on ``generate_er(50_000, 250_000, 1)`` and on
-  ``generate_ba(50_000, 5, 1)``, over each graph's 20 seeded pairs
-  (``--rows lanczos_rd`` selects these two);
-- ``lanczos_push_rd`` (k = 20) on ``generate_ba(50_000, 5, 1)`` at
-  eps = 5e-3 (the ba-local setting) and at eps = 1e-3, over its 20
-  seeded pairs (``--rows push`` selects these two);
+- ``lanczos_rd`` (k = 20) on ``generate_er(50_000, 250_000, 1)``, over
+  its 20 seeded pairs;
+- ``lanczos_rd`` (k = 20) and ``lanczos_push_rd`` (k = 20) on
+  ``generate_ba(n, 5, 1)`` for n = 12.5k, 50k and 200k, over each
+  graph's 20 seeded pairs: ``lanczos_push_rd`` at eps = 5e-3 (the
+  ba-local setting) on all three, and at eps = 1e-3, 3e-4 and 1e-4 on
+  BA 50k.  ``--rows "rd ba"`` selects these nine rows, the lz-vs-lzpush
+  sweep of the eps and of n.  The rows ``--rows push`` and
+  ``--rows lanczos_rd`` select include the slow ones: a sample takes
+  about 5.3 s at eps = 1e-4 and 2.8 s for ``lanczos_rd`` at 200k;
 - ``lanczos_potential`` (k = 200) on the 80 x 80 lattice with 10% of its
   edges cut and 8000 two-vertex fragments, read through
   ``load_edge_list`` (the grid-route graph of the benchmark), over 20
   seeded pairs;
 - ``estimate_spectrum`` on the same lattice, on the ER graph and on the
-  BA graph (``--rows spectrum`` selects these three);
+  BA 50k graph (``--rows spectrum`` selects these three);
 - ``extract_routes`` (k = 200, l = 3) on the same lattice, over its 20
   pairs;
 - ``generate_er(50_000, 250_000, 1)`` and ``generate_ba(50_000, 5, 1)``,
   the set-up of the er-global and ba-local workloads;
 - ``generate_ba(200_000, 5, 1)``, which tracks how the generator scales
-  (``--rows 200k`` selects it alone);
+  (``--rows "generate_ba 200k"`` selects it alone);
 - ``load_edge_list`` of the lattice's text file, the parse of the
   grid-route set-up (``GRID_LOADS`` = 5 loads per sample), and of a list
   of 1M seeded random lines over 200k labels, which tracks how the
@@ -51,14 +56,20 @@ about 5% either way between two copies of one tree, so the lattice load
 is called ``GRID_LOADS`` times per sample and its sample divided by that
 count (the row's ``calls_per_sample``).  Each row reports the median
 and quartiles of each side's samples in seconds per call, the ratio of
-the medians (change / parent) and the rounds the change won; a spectrum
-row also reports each side's ``iterations``, read off its warm-up call.
+the medians (change / parent) and the rounds the change won.  Counters
+are read off each side's warm-up call: a spectrum row reports its
+``iterations``, and a ``lanczos_rd`` or ``lanczos_push_rd`` row the
+``arcs`` its queries relaxed (their summed ``touched_edges``).
 
 Two imported copies of the same code need not read a ratio of 1 or an
 even win count: a few percent either way, and 16 wins in 20 rounds,
 have been seen.  An A/A run, the parent tree passed as both
 ``PARENT_SRC`` and ``CHANGE_SRC`` with the same ``--rows`` and
-``--rounds``, measures that bias; report it beside the A/B run.
+``--rounds``, measures that bias; report it beside the A/B run.  An A/A
+run of one tree is also how to compare ``lanczos_rd`` with
+``lanczos_push_rd`` within that tree:
+
+    python scripts/ab_inprocess.py src src --rows "rd ba" --out BENCH.json
 """
 
 from __future__ import annotations
@@ -77,10 +88,15 @@ from pathlib import Path
 
 import numpy as np
 
+sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
+from benchmark.run import cpu_model  # noqa: E402  (the standard library only at load)
+
 ER_N, ER_M, ER_SEED, ER_K = 50_000, 250_000, 1, 20
 BA_N, BA_ATTACH, BA_SEED = 50_000, 5, 1
-PUSH_K, PUSH_EPS = 20, ("5e-3", "1e-3")
+PUSH_K, PUSH_EPS = 20, ("5e-3", "1e-3", "3e-4", "1e-4")
 BA_SCALE_N = 200_000
+# BA sizes of the lz-vs-lzpush rows; the eps sweep runs on BA_N alone
+SWEEP_NS = (12_500, BA_N, BA_SCALE_N)
 GRID_SIDE, GRID_DELETE, GRID_FRAGMENTS, GRID_SEED, GRID_K = 80, 0.1, 8000, 1, 200
 ROUTES = 3
 GRID_LOADS = 5
@@ -127,24 +143,27 @@ def write_edges(path: Path, edges: np.ndarray) -> None:
 def make_rows(pkg, grid_path: Path, big_path: Path) -> dict:
     """The timed calls of one side, as closures over its graphs."""
     er = pkg.generate_er(ER_N, ER_M, ER_SEED)
-    ba = pkg.generate_ba(BA_N, BA_ATTACH, BA_SEED)
+    bas = {n: pkg.generate_ba(n, BA_ATTACH, BA_SEED) for n in SWEEP_NS}
+    ba = bas[BA_N]
     grid = pkg.load_edge_list(grid_path)
-    er_pairs, ba_pairs = pairs(er.node_count), pairs(ba.node_count)
     grid_pairs = pairs(grid.node_count)
 
-    def lz(g, query_pairs):
+    def lz(g):
+        query_pairs = pairs(g.node_count)
+
         def run():
-            for s, t in query_pairs:
-                pkg.lanczos_rd(g, s, t, ER_K)
+            return {"arcs": sum(pkg.lanczos_rd(g, s, t, ER_K)[0].touched_edges
+                                for s, t in query_pairs)}
 
         return run
 
-    def push(eps: str):
+    def push(g, eps: str):
+        query_pairs = pairs(g.node_count)
         cfg = pkg.PushConfig(k=PUSH_K, epsilon=float(eps))
 
         def run():
-            for s, t in ba_pairs:
-                pkg.lanczos_push_rd(ba, s, t, cfg)
+            return {"arcs": sum(pkg.lanczos_push_rd(g, s, t, cfg)[0].touched_edges
+                                for s, t in query_pairs)}
 
         return run
 
@@ -154,7 +173,7 @@ def make_rows(pkg, grid_path: Path, big_path: Path) -> dict:
 
     def spectrum(g):
         def run():
-            return pkg.estimate_spectrum(g)
+            return {"iterations": pkg.estimate_spectrum(g).iterations}
 
         return run
 
@@ -180,9 +199,12 @@ def make_rows(pkg, grid_path: Path, big_path: Path) -> dict:
     def jagged():
         pkg.graph._jagged_layout(er)
 
-    return {f"lanczos_rd er50k k{ER_K}": lz(er, er_pairs),
-            f"lanczos_rd ba50k k{ER_K}": lz(ba, ba_pairs),
-            **{f"lanczos_push_rd ba50k k{PUSH_K} eps{eps}": push(eps) for eps in PUSH_EPS},
+    rows = {f"lanczos_rd er50k k{ER_K}": lz(er)}
+    for n, g in bas.items():
+        rows[f"lanczos_rd ba{n / 1000:g}k k{ER_K}"] = lz(g)
+        for eps in PUSH_EPS if n == BA_N else PUSH_EPS[:1]:
+            rows[f"lanczos_push_rd ba{n / 1000:g}k k{PUSH_K} eps{eps}"] = push(g, eps)
+    return {**rows,
             "lanczos_potential grid k200": potential,
             "estimate_spectrum grid": spectrum(grid),
             "estimate_spectrum er50k": spectrum(er),
@@ -232,17 +254,16 @@ def main() -> None:
                  if args.rows is None or any(sub in name for sub in args.rows)]
         if not names:
             parser.error(f"no row name holds any of {args.rows}")
-        iterations = {}
+        counters = {}
         for side in SIDES:
             for name in names:
                 # warm-up: layouts and free lists are built
-                out = rows[side][name]()
-                if hasattr(out, "iterations"):
-                    iterations.setdefault(name, {})[side] = out.iterations
+                for key, value in (rows[side][name]() or {}).items():
+                    counters.setdefault(name, {}).setdefault(key, {})[side] = value
         samples = {name: {side: [] for side in SIDES} for name in names}
         for r in range(args.rounds):
             order = SIDES if r % 2 == 0 else SIDES[::-1]
-            for name in names:
+            for name in names if r % 2 == 0 else names[::-1]:
                 calls = CALLS_PER_SAMPLE.get(name, 1)
                 for side in order:
                     start = time.perf_counter()
@@ -258,7 +279,7 @@ def main() -> None:
             "row": name,
             "parent_s": quartiles(parent),
             "change_s": quartiles(change),
-            **({"iterations": iterations[name]} if name in iterations else {}),
+            **counters.get(name, {}),
             "calls_per_sample": CALLS_PER_SAMPLE.get(name, 1),
             "ratio": statistics.median(change) / statistics.median(parent),
             "change_won": sum(c < p for p, c in zip(parent, change)),
@@ -269,8 +290,9 @@ def main() -> None:
     doc = {
         "setup": {
             "er": f"generate_er({ER_N}, {ER_M}, {ER_SEED}), k = {ER_K}",
-            "ba": f"generate_ba({BA_N}, {BA_ATTACH}, {BA_SEED})",
-            "push": f"k = {PUSH_K}, eps in {', '.join(PUSH_EPS)}",
+            "ba": f"generate_ba(n, {BA_ATTACH}, {BA_SEED}), n in {', '.join(map(str, SWEEP_NS))}",
+            "push": (f"k = {PUSH_K}, eps in {', '.join(PUSH_EPS)} on n = {BA_N}, "
+                     f"eps = {PUSH_EPS[0]} on the other n"),
             "ba_scale": f"generate_ba({BA_SCALE_N}, {BA_ATTACH}, {BA_SEED})",
             "grid": (f"load_edge_list of grid_edges({GRID_SIDE}, {GRID_DELETE}, "
                      f"{GRID_FRAGMENTS}, default_rng({GRID_SEED})), k = {GRID_K}, "
@@ -279,7 +301,9 @@ def main() -> None:
                     f".integers(0, {BIG_LABELS}, size=({BIG_LINES}, 2))"),
             "pairs": f"{PAIRS} from np.random.default_rng({PAIR_SEED}).choice",
             "host": platform.node(),
+            "cpu_model": cpu_model(),
             "nproc": os.cpu_count(),
+            "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS", "default"),
             "python": platform.python_version(),
             "numpy": np.__version__,
             "parent_commit": args.parent_commit,

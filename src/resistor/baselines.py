@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericalError, UnsupportedInputError
-from .graph import Graph, _check_vertex
+from .graph import Graph, _check_vertex, _integers
 from .kernels import apply_lazy_walk
 
 __all__ = [
@@ -58,8 +58,8 @@ class RDEstimate:
 
 
 def _check_pair(g: Graph, s: int, t: int) -> None:
-    _check_vertex(g, s)
-    _check_vertex(g, t)
+    _check_vertex(g, s, "s")
+    _check_vertex(g, t, "t")
 
 
 def _check_bound_args(kappa: float, eps: float) -> None:
@@ -127,6 +127,7 @@ def power_method_rd(g: Graph, s: int, t: int, l: int) -> RDEstimate:
     touches all 2m arcs per step.
     """
     _check_pair(g, s, t)
+    (l,) = _integers(l=l)
     if l < 0:
         raise ValueError("iteration count l must be nonnegative")
     start = time.perf_counter()
@@ -167,6 +168,7 @@ def random_walk_rd(
     how walks are scheduled, only on the seed.
     """
     _check_pair(g, s, t)
+    l, n_r, seed = _integers(l=l, n_r=n_r, seed=seed)
     if l < 0:
         raise ValueError("walk length l must be nonnegative")
     if n_r < 1:

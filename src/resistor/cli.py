@@ -22,7 +22,6 @@ import resource
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import click
@@ -47,18 +46,9 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 BENCH_COLUMNS = ("method", "param", "pair", "abs_err", "seconds", "touched_edges")
-
-
-@dataclass
-class BenchRecord:
-    """One benchmark CSV row."""
-
-    method: str
-    param: str
-    pair: str
-    abs_err: float
-    seconds: float
-    touched_edges: int
+# relative move of the first pair's power-method ground truth over the
+# last half of its --gt-l iterations above which bench warns
+GT_MOVE_WARNING = 1e-6
 
 
 def _fail(code: int, message: str):
@@ -112,44 +102,6 @@ def _record_text(record: dict, fmt: str) -> str:
     writer.writerow(record.keys())
     writer.writerow(record.values())
     return buf.getvalue().rstrip("\n")
-
-
-# ---------------------------------------------------------------------------
-# CSV/JSON round-trip helpers (shared with tests and downstream tooling)
-# ---------------------------------------------------------------------------
-
-
-def bench_records_to_csv(records) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(BENCH_COLUMNS)
-    for r in records:
-        # repr(float) keeps full precision; coerce first so numpy scalars
-        # cannot leak their type name into the file
-        writer.writerow(
-            [r.method, r.param, r.pair, repr(float(r.abs_err)),
-             repr(float(r.seconds)), int(r.touched_edges)]
-        )
-    return buf.getvalue()
-
-
-def parse_bench_csv(text: str):
-    reader = csv.reader(io.StringIO(text))
-    header = next(reader)
-    if tuple(header) != BENCH_COLUMNS:
-        raise ValueError(f"unexpected bench CSV header: {header}")
-    return [
-        BenchRecord(
-            method=row[0],
-            param=row[1],
-            pair=row[2],
-            abs_err=float(row[3]),
-            seconds=float(row[4]),
-            touched_edges=int(row[5]),
-        )
-        for row in reader
-        if row
-    ]
 
 
 # ---------------------------------------------------------------------------
@@ -623,6 +575,19 @@ def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
                 now - total_start + (now - solve_start) * (len(pairs) - 1),
                 "ground-truth", "raise --budget or lower --pairs",
             )
+            if g.node_count > gt_cap:
+                # the truth must have converged for abs_err to mean anything
+                half = power_method_rd(g, s, t, gt_l // 2).value
+                move = abs(truths[(s, t)] - half) / abs(truths[(s, t)])
+                if move > GT_MOVE_WARNING:
+                    click.echo(
+                        f"warning: the ground truth of pair {g.old_ids[s]}-"
+                        f"{g.old_ids[t]} moved by {move:.2e} (relative) over "
+                        f"the last half of its --gt-l {gt_l} power-method "
+                        "iterations; abs_err may be set by the truth's error, "
+                        "raise --gt-l",
+                        err=True,
+                    )
 
     tasks = _bench_tasks(g, method_list, grids, seed, pairs)
     # the first task runs here and calibrates the projection for the rest
@@ -640,24 +605,24 @@ def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
     else:
         results = [first, *map(_bench_one, tasks[1:])]
 
+    # repr(float) keeps full precision; coerce first so numpy scalars
+    # cannot leak their type name into the file
     rows = [
-        BenchRecord(
-            method=method,
-            param=param,
-            pair=f"{a}-{b}",
-            abs_err=abs(value - truths[(s, t)]),
-            seconds=seconds,
-            touched_edges=touched,
-        )
+        (method, param, f"{a}-{b}", repr(float(abs(value - truths[(s, t)]))),
+         repr(float(seconds)), int(touched))
         for (method, _, (a, b), param, _, s, t), (value, touched, seconds) in zip(
             tasks, results
         )
     ]
-    _emit(bench_records_to_csv(rows), out)
+    buf = io.StringIO()
+    writer = csv.writer(buf)
+    writer.writerow(BENCH_COLUMNS)
+    writer.writerows(rows)
+    _emit(buf.getvalue(), out)
 
     by_method = {}
-    for r in rows:
-        by_method.setdefault(r.method, []).append(r.abs_err)
+    for method, _, _, abs_err, _, _ in rows:
+        by_method.setdefault(method, []).append(float(abs_err))
     total = time.perf_counter() - total_start
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     click.echo(

@@ -784,7 +784,11 @@ def _check_cached_arcs(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) 
 # ---------------------------------------------------------------------------
 
 
-def _check_vertex(g: Graph, u: int) -> None:
+def _check_vertex(g: Graph, u: int, name: str = "vertex") -> None:
+    """Raise ValueError, naming the argument ``name``, unless ``u`` is an
+    int or a numpy integer (see :func:`_integers`), and IndexError unless
+    it lies in [0, n)."""
+    (u,) = _integers(**{name: u})
     if not 0 <= u < g.node_count:
         raise IndexError(f"vertex {u} out of range for graph with n={g.node_count}")
 

@@ -65,7 +65,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import SingularSystemError
-from .graph import Graph, _arc_positions, _check_vertex, _sorted_unique
+from .graph import Graph, _arc_positions, _check_vertex, _integers, _sorted_unique
 
 __all__ = [
     "SparseVector",
@@ -568,9 +568,10 @@ def chebyshev_walk_norms(g: Graph, u: int, k: int, weighted: bool = True) -> np.
     T_{i+1} = 2 P T_i - T_{i-1}.  With ``weighted=False`` the plain norms
     ``||T_i(P) e_u||_1`` are returned instead.
     """
+    (k,) = _integers(k=k)
     if k < 0:
         raise ValueError("k must be nonnegative")
-    _check_vertex(g, u)
+    _check_vertex(g, u, "u")
     sqrt_d = np.sqrt(g.weighted_degrees) if weighted else None
 
     def measure(vec: np.ndarray) -> float:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .baselines import _ceil_bound, _check_bound_args, _check_pair
-from .graph import Graph, _hop_distance
+from .graph import Graph, _hop_distance, _integers
 from .lanczos import lanczos_potential
 
 __all__ = [
@@ -272,6 +272,7 @@ def extract_routes(g: Graph, s: int, t: int, k: int, l: int) -> RouteExtraction:
     _check_pair(g, s, t)
     if s == t:
         raise ValueError("routes need distinct endpoints")
+    (l,) = _integers(l=l)
     if l < 1:
         raise ValueError("the number of routes l must be >= 1")
     arc_flow = electric_flow(g, s, t, k).arcs
@@ -317,6 +318,7 @@ def route_metrics(
         raise ValueError("route_metrics needs at least one route")
     if not 0.0 <= p_delete <= 1.0:
         raise ValueError("p_delete must be a probability")
+    (trials,) = _integers(trials=trials)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     shortest = _hop_distance(g, s, t)

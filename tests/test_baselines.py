@@ -141,6 +141,9 @@ def test_pm_approaches_exact_from_below():
 def test_pm_validates_l(toy):
     with pytest.raises(ValueError):
         R.power_method_rd(toy, 0, 1, -1)
+    for l in (2.5, True):
+        with pytest.raises(ValueError, match="l must be an integer"):
+            R.power_method_rd(toy, 0, 1, l)
 
 
 def test_pm_iteration_bound_rule():
@@ -211,6 +214,10 @@ def test_rw_validates_arguments(toy):
         R.random_walk_rd(toy, 0, 1, -1, 10, seed=0)
     with pytest.raises(ValueError):
         R.random_walk_rd(toy, 0, 1, 3, 0, seed=0)
+    for args, name in [((2.5, 10, 0), "l"), ((3, 1.5, 0), "n_r"), ((3, 10, 1.5), "seed"),
+                       ((True, 10, 0), "l"), ((3, True, 0), "n_r"), ((3, 10, False), "seed")]:
+        with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+            R.random_walk_rd(toy, 0, 1, *args)
 
 
 def test_rw_same_vertex_short_circuits(toy):

@@ -1,5 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
+import csv
+import io
 import json
 import math
 import subprocess
@@ -19,7 +21,7 @@ from resistor import (
     power_method_rd,
     save_edge_list,
 )
-from resistor.cli import EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE, cli, parse_bench_csv
+from resistor.cli import BENCH_COLUMNS, EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE, cli
 
 from conftest import grid_graph, random_pair
 
@@ -366,15 +368,27 @@ def _bench_args(toy_file, extra=()):
     ] + list(extra)
 
 
+def _bench_rows(text: str) -> list:
+    """The rows of bench's CSV, as dicts with ``abs_err`` and ``seconds``
+    read as floats and ``touched_edges`` as an int."""
+    reader = csv.DictReader(io.StringIO(text))
+    assert tuple(reader.fieldnames) == BENCH_COLUMNS
+    return [
+        {**row, "abs_err": float(row["abs_err"]), "seconds": float(row["seconds"]),
+         "touched_edges": int(row["touched_edges"])}
+        for row in reader
+    ]
+
+
 def test_bench_csv_round_trip(runner, toy_file):
     result = runner.invoke(cli, _bench_args(toy_file))
     assert result.exit_code == 0, result.output
-    rows = parse_bench_csv(result.stdout)
+    rows = _bench_rows(result.stdout)
     # 3 pairs x (pm: 2 ls + lz: 1 k + lzpush: 1 (k, eps))
     assert len(rows) == 3 * 4
-    methods = sorted({r.method for r in rows})
+    methods = sorted({r["method"] for r in rows})
     assert methods == ["lz", "lzpush", "pm"]
-    assert all(r.abs_err < 1e-3 for r in rows if r.method != "rw")
+    assert all(r["abs_err"] < 1e-3 for r in rows if r["method"] != "rw")
 
 
 def test_bench_ground_truth_above_the_cap_is_the_power_method(runner, toy_file):
@@ -382,18 +396,33 @@ def test_bench_ground_truth_above_the_cap_is_the_power_method(runner, toy_file):
         cli, _bench_args(toy_file, ["--methods", "lz", "--gt-cap", "0", "--gt-l", "2000"])
     )
     assert result.exit_code == 0, result.output
-    rows = parse_bench_csv(result.stdout)
+    rows = _bench_rows(result.stdout)
     assert len(rows) == 3
     g = load_edge_list(toy_file)
     for r in rows:
-        s, t = (int(np.searchsorted(g.old_ids, int(x))) for x in r.pair.split("-"))
+        s, t = (int(np.searchsorted(g.old_ids, int(x))) for x in r["pair"].split("-"))
         value = lanczos_rd(g, s, t, 4)[0].value
-        assert r.abs_err == abs(value - power_method_rd(g, s, t, 2000).value)
+        assert r["abs_err"] == abs(value - power_method_rd(g, s, t, 2000).value)
+
+
+@pytest.mark.parametrize("gt_l, warns", [("4", True), ("2000", False)])
+def test_bench_warns_when_the_power_method_truth_has_not_converged(
+    runner, toy_file, gt_l, warns
+):
+    result = runner.invoke(
+        cli, _bench_args(toy_file, ["--methods", "lz", "--gt-cap", "0", "--gt-l", gt_l])
+    )
+    # a warning only: the rows are written and the run succeeds
+    assert result.exit_code == 0, result.output
+    assert len(_bench_rows(result.stdout)) == 3
+    assert ("warning" in result.stderr) == warns
+    if warns:
+        assert f"--gt-l {gt_l}" in result.stderr and "pair " in result.stderr
 
 
 def test_bench_rows_are_sorted(runner, toy_file):
     result = runner.invoke(cli, _bench_args(toy_file))
-    rows = parse_bench_csv(result.stdout)
+    rows = _bench_rows(result.stdout)
 
     def numeric_params(param):
         return tuple(float(p.split("=")[1]) for p in param.split(";"))
@@ -403,7 +432,7 @@ def test_bench_rows_are_sorted(runner, toy_file):
         return int(a), int(b)
 
     keys = [
-        (r.method, numeric_params(r.param), pair_tuple(r.pair)) for r in rows
+        (r["method"], numeric_params(r["param"]), pair_tuple(r["pair"])) for r in rows
     ]
     assert keys == sorted(keys)
 
@@ -413,10 +442,10 @@ def test_bench_rw_method_and_grids(runner, toy_file):
         cli, _bench_args(toy_file, ["--methods", "rw", "--nr-grid", "100,200"])
     )
     assert result.exit_code == 0, result.output
-    rows = parse_bench_csv(result.stdout)
+    rows = _bench_rows(result.stdout)
     # 3 pairs x 2 ls x 2 nrs
     assert len(rows) == 12
-    assert all(r.method == "rw" for r in rows)
+    assert all(r["method"] == "rw" for r in rows)
 
 
 def test_bench_cross_policy_pair_count(runner, toy_file):
@@ -426,8 +455,8 @@ def test_bench_cross_policy_pair_count(runner, toy_file):
                                "--methods", "lz"]),
     )
     assert result.exit_code == 0, result.output
-    rows = parse_bench_csv(result.stdout)
-    pairs = {r.pair for r in rows}
+    rows = _bench_rows(result.stdout)
+    pairs = {r["pair"] for r in rows}
     assert len(rows) == len(pairs)
     # top half {1, 2} crossed with next half {3, 4} on the toy graph
     assert pairs == {"1-3", "1-4", "2-3", "2-4"}
@@ -439,7 +468,7 @@ def test_bench_out_file(runner, toy_file, tmp_path):
         cli, _bench_args(toy_file, ["--methods", "lz", "--out", str(out)])
     )
     assert result.exit_code == 0
-    rows = parse_bench_csv(out.read_text())
+    rows = _bench_rows(out.read_text())
     assert len(rows) == 3
 
 
@@ -449,11 +478,11 @@ def test_bench_parallel_matches_serial(runner, toy_file):
         cli, _bench_args(toy_file, ["--methods", "pm,lz", "--jobs", "2"])
     )
     assert serial.exit_code == 0 and parallel.exit_code == 0
-    srows = parse_bench_csv(serial.stdout)
-    prows = parse_bench_csv(parallel.stdout)
-    assert [(r.method, r.param, r.pair, r.abs_err, r.touched_edges)
+    srows = _bench_rows(serial.stdout)
+    prows = _bench_rows(parallel.stdout)
+    assert [(r["method"], r["param"], r["pair"], r["abs_err"], r["touched_edges"])
             for r in srows] == \
-           [(r.method, r.param, r.pair, r.abs_err, r.touched_edges)
+           [(r["method"], r["param"], r["pair"], r["abs_err"], r["touched_edges"])
             for r in prows]
 
 

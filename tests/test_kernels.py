@@ -900,3 +900,9 @@ def test_walk_norms_validate_inputs(toy):
         R.chebyshev_walk_norms(toy, 0, -1)
     with pytest.raises(IndexError):
         R.chebyshev_walk_norms(toy, 9, 2)
+    for k in (1.5, True):
+        with pytest.raises(ValueError, match="^k must be an integer"):
+            R.chebyshev_walk_norms(toy, 0, k)
+    for u in (1.0, True):
+        with pytest.raises(ValueError, match="^u must be an integer"):
+            R.chebyshev_walk_norms(toy, u, 2)

@@ -153,6 +153,25 @@ def test_k_must_be_an_integer(toy, k):
     assert est.iterations == 2
 
 
+@pytest.mark.parametrize("vertex", [1.0, True])
+@pytest.mark.parametrize(
+    "query",
+    [
+        lambda g, s, t: R.lanczos_rd(g, s, t, 3),
+        lambda g, s, t: R.lanczos_push_rd(g, s, t, R.PushConfig(k=3, epsilon=1e-3)),
+        lambda g, s, t: R.lanczos_potential(g, s, t, 3),
+    ],
+    ids=["lz", "lzpush", "potential"],
+)
+def test_vertex_ids_must_be_integers(toy, query, vertex):
+    # a float id once reached numpy as a stray IndexError, a bool as TypeError
+    with pytest.raises(ValueError, match="^s must be an integer"):
+        query(toy, vertex, 3)
+    with pytest.raises(ValueError, match="^t must be an integer"):
+        query(toy, 0, vertex)
+    query(toy, np.int64(0), np.int32(3))
+
+
 def test_work_accounting(toy):
     est, run = R.lanczos_rd(toy, 0, 1, 2)
     assert est.method == "lz"

@@ -389,6 +389,9 @@ def test_extract_validates_arguments(toy):
         R.extract_routes(toy, 0, 0, 4, 2)
     with pytest.raises(ValueError):
         R.extract_routes(toy, 0, 3, 4, 0)
+    for l in (2.5, True):
+        with pytest.raises(ValueError, match="l must be an integer"):
+            R.extract_routes(toy, 0, 3, 4, l)
 
 
 # ---------------------------------------------------------------------------
@@ -456,6 +459,9 @@ def test_metrics_validation(toy):
         R.route_metrics(toy, routes, 1, 3, p_delete=1.5, trials=10, seed=0)
     with pytest.raises(ValueError):
         R.route_metrics(toy, routes, 1, 3, p_delete=0.1, trials=0, seed=0)
+    for trials in (2.5, True):
+        with pytest.raises(ValueError, match="trials must be an integer"):
+            R.route_metrics(toy, routes, 1, 3, p_delete=0.1, trials=trials, seed=0)
 
 
 def test_metrics_need_distinct_endpoints():
