@@ -89,7 +89,8 @@ from pathlib import Path
 import numpy as np
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))
-from benchmark.run import cpu_model  # noqa: E402  (the standard library only at load)
+# run.py imports only the standard library at load, so no third resistor
+from benchmark.run import cpu_model  # noqa: E402
 
 ER_N, ER_M, ER_SEED, ER_K = 50_000, 250_000, 1, 20
 BA_N, BA_ATTACH, BA_SEED = 50_000, 5, 1

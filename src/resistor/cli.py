@@ -577,8 +577,8 @@ def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
             )
             if g.node_count > gt_cap:
                 # the truth must have converged for abs_err to mean anything
-                half = power_method_rd(g, s, t, gt_l // 2).value
-                move = abs(truths[(s, t)] - half) / abs(truths[(s, t)])
+                truth = truths[(s, t)]
+                move = abs(truth - power_method_rd(g, s, t, gt_l // 2).value) / truth
                 if move > GT_MOVE_WARNING:
                     click.echo(
                         f"warning: the ground truth of pair {g.old_ids[s]}-"
