@@ -42,7 +42,10 @@ The rows, each built once per side on that side's own graphs:
 - ``load_edge_list`` of the lattice's text file, the parse of the
   grid-route set-up (``GRID_LOADS`` = 5 loads per sample), and of a list
   of 1M seeded random lines over 200k labels, which tracks how the
-  parser scales (``--rows load`` selects these two);
+  parser scales (``--rows load_edge_list`` selects these two);
+- ``load_cache`` of the BA 200k graph, written once by ``save_cache`` to
+  a temporary ``.rdg`` file (``--rows load_cache`` selects it, and
+  ``--rows load`` it and the two parse rows);
 - ``graph._jagged_layout`` of the ER graph, the layout that the first
   dense product of er-global builds (``--rows jagged`` selects it).
 
@@ -141,11 +144,13 @@ def write_edges(path: Path, edges: np.ndarray) -> None:
     path.write_text("".join(f"{a} {b}\n" for a, b in edges.tolist()))
 
 
-def make_rows(pkg, grid_path: Path, big_path: Path) -> dict:
+def make_rows(pkg, grid_path: Path, big_path: Path, cache_path: Path) -> dict:
     """The timed calls of one side, as closures over its graphs."""
     er = pkg.generate_er(ER_N, ER_M, ER_SEED)
     bas = {n: pkg.generate_ba(n, BA_ATTACH, BA_SEED) for n in SWEEP_NS}
     ba = bas[BA_N]
+    if not cache_path.exists():  # written once, by the first side built
+        pkg.save_cache(bas[BA_SCALE_N], cache_path)
     grid = pkg.load_edge_list(grid_path)
     grid_pairs = pairs(grid.node_count)
 
@@ -197,6 +202,9 @@ def make_rows(pkg, grid_path: Path, big_path: Path) -> dict:
 
         return run
 
+    def load_cached():
+        pkg.load_cache(cache_path)
+
     def jagged():
         pkg.graph._jagged_layout(er)
 
@@ -216,6 +224,7 @@ def make_rows(pkg, grid_path: Path, big_path: Path) -> dict:
             GRID_LOAD_ROW: load(grid_path),
             f"load_edge_list {BIG_LINES // 1000}k lines {BIG_LABELS // 1000}k labels":
                 load(big_path),
+            f"load_cache ba{BA_SCALE_N // 1000}k": load_cached,
             "jagged layout er50k": jagged}
 
 
@@ -247,8 +256,10 @@ def main() -> None:
         big_path = tmp / "big.txt"
         write_edges(big_path, np.random.default_rng(BIG_SEED).integers(
             0, BIG_LABELS, size=(BIG_LINES, 2)))
+        cache_path = tmp / "ba200k.rdg"
         rows = {
-            side: make_rows(import_copy(src, f"resistor_{side}", tmp), grid_path, big_path)
+            side: make_rows(import_copy(src, f"resistor_{side}", tmp), grid_path, big_path,
+                            cache_path)
             for side, src in zip(SIDES, (args.parent_src, args.change_src))
         }
         names = [name for name in rows["parent"]
@@ -295,6 +306,7 @@ def main() -> None:
             "push": (f"k = {PUSH_K}, eps in {', '.join(PUSH_EPS)} on n = {BA_N}, "
                      f"eps = {PUSH_EPS[0]} on the other n"),
             "ba_scale": f"generate_ba({BA_SCALE_N}, {BA_ATTACH}, {BA_SEED})",
+            "cache": f"load_cache of save_cache(generate_ba({BA_SCALE_N}, {BA_ATTACH}, {BA_SEED}))",
             "grid": (f"load_edge_list of grid_edges({GRID_SIDE}, {GRID_DELETE}, "
                      f"{GRID_FRAGMENTS}, default_rng({GRID_SEED})), k = {GRID_K}, "
                      f"l = {ROUTES} routes"),

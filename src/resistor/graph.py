@@ -689,10 +689,12 @@ def load_cache(path: Union[str, Path]) -> Graph:
     length for its header, CSR offsets from 0 to 2m, nonnegative strictly
     ascending labels, neighbor ids in range, sorted slices without self
     loops, positive finite weights, symmetric arcs and a single component.
-    The checks run on plain arrays, so the returned graph caches nothing
-    yet.  The file is read once; on a little-endian host the four arrays
-    are read-only views of those bytes, and only a big-endian host copies
-    them to its own byte order.
+    Symmetry is checked by rebuilding the CSR from the arcs u < x with
+    :func:`_csr_from_canonical`, whose arrays must be the file's and whose
+    degrees are returned.  The checks run on plain arrays, so the returned
+    graph caches nothing yet.  The file is read once; on a little-endian
+    host the four arrays are read-only views of those bytes, and only a
+    big-endian host copies them to its own byte order.
 
     Raises
     ------
@@ -746,17 +748,17 @@ def load_cache(path: Union[str, Path]) -> Graph:
         raise GraphFormatError(
             1, "graph cache labels are not nonnegative and strictly ascending"
         )
-    src = np.repeat(np.arange(n), np.diff(offsets))
-    _check_cached_arcs(n, src, neighbors, weights)
-    degrees = np.bincount(src, weights=weights, minlength=n)
+    degrees = _check_cached_arcs(n, offsets, neighbors, weights)
     _check_finite_degrees(degrees, old_ids)
     return Graph(offsets, neighbors, weights, degrees, old_ids)
 
 
-def _check_cached_arcs(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) -> None:
-    """Raise GraphFormatError unless the arcs ``(src, dst)`` with weights
-    ``w`` (whose offsets are already checked) form a connected simple
-    undirected graph with positive finite weights."""
+def _check_cached_arcs(n: int, offsets: np.ndarray, dst: np.ndarray, w: np.ndarray):
+    """Raise GraphFormatError unless the CSR arcs with heads ``dst`` and
+    weights ``w`` (whose ``offsets`` are already checked) form a connected
+    simple undirected graph with positive finite weights; return its
+    weighted degrees."""
+    src = np.repeat(np.arange(n), np.diff(offsets))
     if dst.min() < 0 or dst.max() >= n:
         raise GraphFormatError(1, f"graph cache neighbor id outside [0, {n})")
     if np.any(src == dst):
@@ -765,18 +767,18 @@ def _check_cached_arcs(n: int, src: np.ndarray, dst: np.ndarray, w: np.ndarray) 
         raise GraphFormatError(1, "graph cache neighbor slices are not strictly ascending")
     if not np.all(np.isfinite(w) & (w > 0.0)):
         raise GraphFormatError(1, "graph cache weights must be positive and finite")
-    # the arcs are distinct, so sorting them by (head, source) lists the
-    # reverse of each arc in its place
-    rev = np.argsort(dst * n + src)
-    if not (
-        np.array_equal(dst[rev], src)
-        and np.array_equal(src[rev], dst)
-        and np.array_equal(w[rev], w)
-    ):
-        raise GraphFormatError(1, "graph cache arcs are not symmetric")
     up = src < dst
-    if _component_labels(n, src[up], dst[up]).max() != 0:
+    eu, ev, wu = src[up], dst[up], w[up]
+    del src, up  # freed before the build allocates its own arrays
+    # the slices ascend without loops or repeats, so the arcs are symmetric
+    # exactly when the builder, placing both arcs of every edge u < x, gives
+    # back the file's arrays
+    built = _csr_from_canonical(n, eu, ev, wu)
+    if not all(map(np.array_equal, built[:3], (offsets, dst, w))):
+        raise GraphFormatError(1, "graph cache arcs are not symmetric")
+    if _component_labels(n, eu, ev).max() != 0:
         raise GraphFormatError(1, "graph cache holds more than one component")
+    return built[3]
 
 
 # ---------------------------------------------------------------------------

@@ -36,13 +36,15 @@ allocates no vector per step.
 Given a support of v (ascending ids that hold all its nonzero entries),
 :func:`_adjacency_into` reads the support's arcs alone, the sparse side
 of the push/pull switch of direction-optimizing BFS (Beamer, Asanović &
-Patterson, SC'12).  It lays them out in CSR order in four lanes of the
-gather buffer and sums them by ``np.add.at`` into the zeroed output, so
+Patterson, SC'12).  It lists them in CSR order with
+:func:`resistor.graph._arc_positions`, the arc walk of the pruned
+product, and sums them by ``np.add.at`` into the zeroed output, so
 every target is summed from 0.0 in ascending source order, as its
-jagged row sums it, from the same terms: the product has the same bits
-and allocates only support-length arrays.  :func:`_support_pays` tells
-when it is the cheaper product: while ``SUPPORT_ARC_COST`` times the
-support's arcs plus ``SUPPORT_CALL_ARCS`` stays under 2m.
+jagged row sums it, from the same terms: the product has the same bits,
+reads no gather buffer and allocates only support-length arrays.
+:func:`_support_pays` tells when it is the cheaper product: while
+``SUPPORT_ARC_COST`` times the support's arcs plus ``SUPPORT_CALL_ARCS``
+stays under 2m.
 
 Every inner product that feeds T, a potential or a spectrum goes through
 :func:`_dot`, the sum of ``np.einsum('i,i->', a, b)``, which never calls
@@ -88,8 +90,8 @@ _PIVOT_FLOOR = 1e-14
 # ER and BA graphs of n = 3k to 200k and an 80 x 80 cut lattice (2-vCPU
 # Xeon, numpy 2.4): an arc read through a support cost 4.3-6.9 jagged arcs,
 # and a call about 40 us, 13k-23k jagged arcs on the graphs of n < 10k.
-# A cost of 4 or more also keeps a support's arcs within the four lanes it
-# takes of the 2m-long gather buffer.
+# Through _arc_positions (it replaced four lanes of the gather buffer) an arc
+# read 4.8-6.9 jagged arcs at supports of 5-10% of n, a call 12-16 us less.
 SUPPORT_ARC_COST = 8
 SUPPORT_CALL_ARCS = 32_768
 
@@ -229,7 +231,8 @@ def _adjacency_into(
     """Write ``A v`` into ``out`` and return it.
 
     Allocates no n- or 2m-length array: only the hubs' ``bincount``
-    returns a new one, of fewer than ``JAGGED_MIN_ROWS`` sums.
+    returns a new one, of fewer than ``JAGGED_MIN_ROWS`` sums, and a
+    product through a support its support-length arrays.
 
     ``scratch`` (length n) holds D^{-1/2} v and then the row sums, and
     ``gather`` (length 2m) the arc contributions; their contents on entry
@@ -238,13 +241,12 @@ def _adjacency_into(
 
     ``support``, when given, holds ascending vertex ids, at least one and
     each with at least one arc, among which are all the nonzero entries
-    of ``v``; their arcs may fill at most a quarter of ``gather``, as they
-    do whenever :func:`_support_pays` accepts them.  The product then
-    reads only the support's arcs (:func:`_support_product_into`) and
-    leaves ``scratch`` untouched, and its result has the same bits.
+    of ``v``.  The product then reads only the support's arcs
+    (:func:`_support_product_into`), leaves ``scratch`` and ``gather``
+    untouched, and its result has the same bits.
     """
     if support is not None:
-        return _support_product_into(g, v, support, out, gather)
+        return _support_product_into(g, v, support, out)
     lay = g.jagged
     np.multiply(v, g.inv_sqrt_degrees, out=scratch)
     # the default mode="raise" buffers the output, about twice as slow
@@ -266,62 +268,27 @@ def _adjacency_into(
 
 
 def _support_product_into(
-    g: Graph, v: np.ndarray, support: np.ndarray, out: np.ndarray, gather: np.ndarray
+    g: Graph, v: np.ndarray, support: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """:func:`_adjacency_into` through ``support``: ``A v`` from the arcs
     of the support alone.
 
-    ``np.add.at`` sums the terms of :func:`_support_arcs` into the zeroed
-    ``out`` in CSR order, which is ascending by source, so every target
-    is summed from 0.0 in ascending source order, as the jagged product
-    sums its row, from the same terms.  The arcs it skips would add ±0.0
-    and change no sum.  Allocates support-length arrays only, and frees
-    them before ``np.add.at`` allocates its own fixed-size buffers.
+    Lists the support's arcs with :func:`resistor.graph._arc_positions`,
+    the walk of :func:`relax_arcs`, forms the terms
+    ``(v[x] / sqrt(d_x)) [* w]`` and sums them by ``np.add.at`` into the
+    zeroed ``out`` in CSR order, which is ascending by source, so every
+    target is summed from 0.0 in ascending source order, as the jagged
+    product sums its row, from the same terms.  The arcs it skips would
+    add ±0.0 and change no sum.  Allocates support-length arrays only.
     """
-    heads, terms = _support_arcs(g, v, support, gather)
+    arc, count = _arc_positions(g.offsets, support)
+    terms = (v[support] * g.inv_sqrt_degrees[support]).repeat(count)
+    if not g.is_unweighted:
+        terms *= g.weights[arc]
     out.fill(0.0)
-    np.add.at(out, heads, terms)
+    np.add.at(out, g.neighbors[arc], terms)
     out *= g.inv_sqrt_degrees
     return out
-
-
-def _support_arcs(
-    g: Graph, v: np.ndarray, support: np.ndarray, gather: np.ndarray
-) -> tuple:
-    """The heads and the terms ``(v[x] / sqrt(d_x)) [* w]`` of the arcs
-    of the vertices ``support``, in CSR order, as views of ``gather``.
-
-    The r arcs take four r-long lanes of ``gather``: the terms, the arc
-    positions, the heads and each arc's index in ``support``, whose lane
-    then holds the weights of a weighted graph.
-    """
-    offsets = g.offsets
-    base = offsets[support]
-    ends = offsets[1:][support]
-    ends -= base
-    ends.cumsum(out=ends)
-    total = int(ends[-1])
-    terms = gather[:total]
-    arc, heads, lane = (
-        gather[i * total : (i + 1) * total].view(np.int64) for i in (1, 2, 3)
-    )
-    # arc k of the lanes, of the j-th source, sits at base[j] + k; the
-    # positions and the source indices are running sums of their steps
-    base[1:] -= ends[:-1]
-    arc.fill(1)
-    arc[0] = base[0]
-    arc[ends[:-1]] = base[1:] - base[:-1] + 1
-    arc.cumsum(out=arc)
-    lane.fill(0)
-    lane[ends[:-1]] = 1
-    lane.cumsum(out=lane)
-    g.neighbors.take(arc, out=heads, mode="wrap")
-    (v[support] * g.inv_sqrt_degrees[support]).take(lane, out=terms, mode="wrap")
-    if not g.is_unweighted:
-        weights = lane.view(np.float64)
-        g.weights.take(arc, out=weights, mode="wrap")
-        terms *= weights
-    return heads, terms
 
 
 def apply_transition(g: Graph, v: np.ndarray) -> np.ndarray:

@@ -30,19 +30,19 @@ on it along one path.
 
 A dense run (``eps = 0``) is plain Lanczos on A, deflated.  It owns its
 workspace: three n-vectors that take turns as v_{i-1}, v_i and the next
-product, one n-vector of scratch and one 2m-vector for the product's arc
-gather (:func:`resistor.kernels._adjacency_into`).  Its steps write the
-product into the buffer of v_{i-2} and make the alpha/beta subtractions
-and the one u_1 projection through the scratch vector, so a dense step
-allocates no vector but the bool mask of its support.  While the
-support is small the run also keeps its ascending ids, and the product
-reads only their arcs (the support mode of
-:func:`resistor.kernels._adjacency_into`): v_1 sits on {s, t} and v_i on
-the (i-1)-hop ball around them, so the early products of a query need a
-few hundred of the 2m arcs.  The ids are read off that mask and kept
-while they number at most n / 16 and
+product, one n-vector of scratch and one 2m-vector for the jagged
+product's arc gather (:func:`resistor.kernels._adjacency_into`).  Its
+steps write the product into the buffer of v_{i-2} and make the
+alpha/beta subtractions and the one u_1 projection through the scratch
+vector, so a jagged step allocates no vector but the bool mask of its
+support.  While the support is small the run also keeps its ascending
+ids, and the product reads only their arcs (the support mode of
+:func:`resistor.kernels._adjacency_into`, in support-length arrays):
+v_1 sits on {s, t} and v_i on the (i-1)-hop ball around them, so the
+early products of a query need a few hundred of the 2m arcs.  The ids
+are read off that mask and kept while
 :func:`resistor.kernels._support_pays` finds their arcs a small enough
-share of 2m; the first step that fails either test goes over to the
+share of 2m; the first step that fails the test goes over to the
 jagged product for good, and a start with full support, such as the
 spectrum's random one, never leaves it.  The product has the same bits
 in both modes, and ``edges_relaxed`` counts the operator's 2m arcs in
@@ -109,12 +109,6 @@ BREAKDOWN_TOL = 1e-14
 # The support of a dense iterate (eps = 0): its nonzero entries, found by
 # mask where needed.  As an index it selects the whole vector.
 _DENSE = slice(None)
-
-# A dense run keeps the ids of v_i's support, for products through it,
-# only while they number at most n / _TRACK_SHARE: the 8-byte ids and the
-# temporaries of a product through them then stay within a few bytes per
-# vertex of the graph.
-_TRACK_SHARE = 16
 
 
 @dataclass(eq=False)
@@ -243,13 +237,10 @@ def _orthogonal_to_u1(sqrt_d: np.ndarray, v: SparseVector) -> bool:
     return abs(float(terms.sum())) <= 1e-12 * math.sqrt(_dot(terms, terms))
 
 
-def _support_ids(g: Graph, nonzero: np.ndarray, size: int):
-    """The ascending ids of the ``size`` true entries of the bool n-vector
+def _support_ids(g: Graph, nonzero: np.ndarray):
+    """The ascending ids of the true entries of the bool n-vector
     ``nonzero`` if the next dense product pays to run through them
-    (:func:`resistor.kernels._support_pays`), else None.  They are never
-    formed for more than n / ``_TRACK_SHARE`` entries."""
-    if size > len(nonzero) // _TRACK_SHARE:
-        return None
+    (:func:`resistor.kernels._support_pays`), else None."""
     ids = nonzero.nonzero()[0]
     return ids if _support_pays(g, ids) else None
 
@@ -259,8 +250,8 @@ class _DenseIterates:
 
     Owns the workspace of the module docstring: three n-vectors that take
     turns as v_{i-1}, v_i and the next product, one n-vector of scratch
-    and one 2m-vector for the product's arc gather.  ``supp`` is always
-    ``_DENSE`` and ``val`` the n-vector of v_i; S_i is all of v_i.
+    and one 2m-vector for the jagged product's arc gather.  ``supp`` is
+    always ``_DENSE`` and ``val`` the n-vector of v_i; S_i is all of v_i.
     ``ids`` holds the ascending ids of v_i's support while the product
     runs through them, and is None from the first step it does not.
     """
@@ -275,7 +266,7 @@ class _DenseIterates:
         self.spare, self.val_prev, self.val = np.zeros(n), np.zeros(n), np.zeros(n)
         self.val[v1.idx] = v1.val
         self.supp, self.size = _DENSE, len(v1.idx)
-        self.ids = _support_ids(g, self.val != 0.0, self.size)
+        self.ids = _support_ids(g, self.val != 0.0)
 
     def overlap(self, v1: SparseVector) -> float:
         """v_1^T v_i for i > 1: zero, as in exact arithmetic, since T alone
@@ -305,7 +296,7 @@ class _DenseIterates:
             run.extra_ops += self.size_w
         # the product runs through a support until the first step it does
         # not; the projection leaves w zero off the mask
-        self.ids_w = None if self.ids is None else _support_ids(g, nonzero, self.size_w)
+        self.ids_w = None if self.ids is None else _support_ids(g, nonzero)
         return alpha, math.sqrt(_dot(w, w))
 
     def advance(self, beta_next: float) -> None:
@@ -354,15 +345,8 @@ class _PrunedIterates:
         return np.where(supp[pos] == idx, self.val[pos], 0.0)
 
     def overlap(self, v1: SparseVector) -> float:
-        """v_1^T v_i, which the pruning makes nonzero for i > 1.  A query's
-        v_1 has two entries: one binary search, then a lookup each."""
-        supp, val, end = self.supp, self.val, len(self.supp)
-        pos = supp.searchsorted(v1.idx).tolist()
-        hits = [
-            val[p] if p < end and supp[p] == u else 0.0
-            for p, u in zip(pos, v1.idx.tolist())
-        ]
-        return _dot(v1.val, np.array(hits, dtype=np.float64))
+        """v_1^T v_i, which the pruning makes nonzero for i > 1."""
+        return _dot(v1.val, self.values_at(v1.idx))
 
     def step(self, run: LanczosRun, beta: float, s_cur) -> tuple:
         """One step from v_i: ``(alpha_i, beta_{i+1})``, with the work

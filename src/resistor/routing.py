@@ -211,8 +211,8 @@ def _widest_path(g: Graph, arc_flow: np.ndarray, s: int, t: int):
             if cap <= 0.0:
                 continue
             x = neighbors[j]
-            if done[x]:
-                continue
+            # widths pop in nonincreasing order, so a done x has
+            # width[x] >= wu >= nw and fails the test below
             nw = wu if wu < cap else cap
             if nw > width[x]:
                 width[x] = nw

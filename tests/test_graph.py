@@ -632,6 +632,18 @@ def test_round_trip_binary_cache(tmp_path):
         assert fh.read(4) == b"RDG1"
 
 
+def test_weighted_cache_round_trip_keeps_degrees_to_the_bit(tmp_path):
+    # the loaded degrees come from the check's rebuild of the CSR
+    g = random_weighted(300, 4)
+    p = tmp_path / "w.rdg"
+    R.save_cache(g, p)
+    h = R.load_cache(p)
+    for name in ("offsets", "neighbors", "weights", "old_ids"):
+        assert np.array_equal(getattr(h, name), getattr(g, name))
+    sums = np.bincount(g.arc_sources, weights=g.weights, minlength=g.node_count)
+    assert h.weighted_degrees.tobytes() == sums.tobytes()
+
+
 def test_loaded_cache_holds_only_its_fields(tmp_path):
     # the checks run on plain arrays: nothing derived is cached on load
     p = tmp_path / "g.rdg"
@@ -700,6 +712,7 @@ CACHE_CORRUPTIONS = {
     "inf-weight": ("weights", 2, float("inf"), "weights"),
     "one-way-arc": ("neighbors", 0, 2, "symmetric"),
     "one-way-weight": ("weights", 0, 2.0, "symmetric"),
+    "reverse-weight-one-ulp-off": ("weights", 1, float(np.nextafter(1.0, 2.0)), "symmetric"),
 }
 
 

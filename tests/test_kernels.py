@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import resistor as R
@@ -251,16 +251,12 @@ def support_test_graph(kind: str, n: int, seed: int):
     st.floats(0.0, 1.0),
 )
 def test_support_product_matches_the_jagged_one(kind, n, seed, share):
-    # v on a random vertex subset, from one vertex up to the most arcs a
-    # product through a support takes (a quarter of 2m), with both signs,
-    # six decades of magnitude and some ±0.0 inside and outside it
+    # v on a random vertex subset, from one vertex up to all n, with both
+    # signs, six decades of magnitude and some ±0.0 inside and outside it
     g = support_test_graph(kind, n, seed % 1000)
     n, arcs = g.node_count, len(g.neighbors)
     rng = np.random.default_rng(seed)
-    order = rng.permutation(n)
-    fits = int(np.searchsorted(np.cumsum(np.diff(g.offsets)[order]), arcs // 4, "right"))
-    assume(fits > 0)
-    support = np.sort(order[: max(1, round(share * fits))])
+    support = np.sort(rng.permutation(n)[: max(1, round(share * n))])
     v = np.where(rng.random(n) < 0.5, -0.0, 0.0)
     size = len(support)
     v[support] = rng.choice([-1.0, 1.0], size) * 10.0 ** rng.uniform(-3.0, 3.0, size)
@@ -278,12 +274,6 @@ def test_support_rule_counts_the_call_as_well_as_the_arcs():
     small = R.generate_er(3000, 15_000, 2)
     for g, pays in ((big, True), (small, False)):
         assert _support_pays(g, np.array([0])) is pays
-    # every support the rule accepts fits the product's four lanes
-    ids = np.argsort(np.diff(big.offsets), kind="stable")
-    deg = np.cumsum(np.diff(big.offsets)[ids])
-    largest = int(np.searchsorted(deg, len(big.neighbors), "right"))
-    accepted = [k for k in range(1, largest, 97) if _support_pays(big, np.sort(ids[:k]))]
-    assert accepted and 4 * deg[accepted[-1] - 1] <= len(big.neighbors)
 
 
 def test_dense_callers_unchanged_by_the_jagged_product(monkeypatch):
