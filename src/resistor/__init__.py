@@ -33,11 +33,9 @@ from .graph import (
 from .kernels import (
     SparseVector,
     TridiagonalMatrix,
-    amv,
     apply_lazy_walk,
     apply_normalized_adjacency,
     apply_transition,
-    restrict,
     chebyshev_walk_norms,
     tridiag_eigen_range,
     tridiag_solve_e1,
@@ -100,8 +98,6 @@ __all__ = [
     "lanczos_iteration_bound",
     "PushConfig",
     "AssumptionReport",
-    "amv",
-    "restrict",
     "lanczos_push_rd",
     "subset_recurrence_trace",
     "check_assumption",

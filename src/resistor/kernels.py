@@ -9,18 +9,17 @@ adjacency W:
 * lazy walk             (I + P) / 2.
 
 The graph operators work on dense float64 vectors of length n, except the
-pruned ones, which work on a sorted index array and its value array: the
-pruned product :func:`relax_arcs` and the significant-set test
-:func:`significant`, whose :class:`SparseVector` forms are :func:`amv`
-and :func:`restrict`.  The pruned product repeats its per-source terms
-over the arcs it gathers, reads the degree factors at their heads
-(nothing is cached per arc), selects through ascending positions and sums
-the survivors in arc order by ``np.add.at`` into a zeroed n-vector: its
-time and memory follow the arcs it gathers, not n, and every target is
-summed from 0.0 in ascending source order, as ``np.bincount`` sums it.
-The caller reads the sums at the sorted heads and zeroes them again; the
-Lanczos step does so in its one sort per step, and :func:`amv` takes its
-vector from the graph's free list (``Graph.scratch_vectors``).
+pruned product :func:`relax_arcs`, which works on a sorted index array
+and its value array; its docstring states Lanczos Push's pruning rule,
+the arc test it applies and the S_i test of the pruned Lanczos step.  It
+repeats its per-source terms over the arcs it gathers, reads the degree
+factors at their heads (nothing is cached per arc), selects through
+ascending positions and sums the survivors in arc order by
+``np.add.at`` into a zeroed n-vector: its time and memory follow the
+arcs it gathers, not n, and every target is summed from 0.0 in
+ascending source order, as ``np.bincount`` sums it.  The Lanczos step
+reads the sums at the sorted heads and zeroes them again in its one sort
+per step.
 
 The dense product :func:`apply_normalized_adjacency` sums each row in
 contiguous column passes over the jagged-diagonal layout of
@@ -67,7 +66,7 @@ from itertools import chain
 import numpy as np
 
 from .errors import SingularSystemError
-from .graph import Graph, _arc_positions, _check_vertex, _integers, _sorted_unique
+from .graph import Graph, _arc_positions, _check_vertex, _integers
 
 __all__ = [
     "SparseVector",
@@ -75,8 +74,7 @@ __all__ = [
     "apply_normalized_adjacency",
     "apply_transition",
     "apply_lazy_walk",
-    "amv",
-    "restrict",
+    "solve_checked",
     "tridiag_solve_e1",
     "tridiag_eigen_range",
     "chebyshev_walk_norms",
@@ -90,8 +88,6 @@ _PIVOT_FLOOR = 1e-14
 # ER and BA graphs of n = 3k to 200k and an 80 x 80 cut lattice (2-vCPU
 # Xeon, numpy 2.4): an arc read through a support cost 4.3-6.9 jagged arcs,
 # and a call about 40 us, 13k-23k jagged arcs on the graphs of n < 10k.
-# Through _arc_positions (it replaced four lanes of the gather buffer) an arc
-# read 4.8-6.9 jagged arcs at supports of 5-10% of n, a call 12-16 us less.
 SUPPORT_ARC_COST = 8
 SUPPORT_CALL_ARCS = 32_768
 
@@ -330,18 +326,28 @@ def _give_back(g: Graph, *vectors: np.ndarray) -> None:
 def relax_arcs(
     g: Graph, idx: np.ndarray, val: np.ndarray, size: np.ndarray, bar: np.ndarray,
     acc: np.ndarray,
-) -> np.ndarray:
-    """Sum the pruned product of :func:`amv` on the sparse vector
-    ``(idx, val)`` into ``acc``; return the heads of the arcs relaxed.
+) -> tuple:
+    """Sum the pruned product of A on the sparse vector ``(idx, val)``
+    into ``acc``; return ``(heads, skipped)``, the heads of the arcs
+    relaxed and whether any arc of ``idx`` was not.
 
-    ``size`` is |val| and ``bar`` is eps * sqrt(d_u) on ``idx``.  An arc
-    (u, x) relaxes iff |v(u)| > eps * sqrt(d_u) * sqrt(d_x), adding
-    v(u) / sqrt(d_u) * (w(u, x) / sqrt(d_x)) at x.  Selections go through
-    ascending positions, so the arcs stay in CSR order, and ``np.add.at``
-    sums them into ``acc``, a zeroed float64 n-vector: each target from
-    0.0 in ascending source order.  The caller reads the sums at the
-    sorted distinct heads (a sum that cancelled reads 0.0 and is no part
-    of the support) and zeroes them.  O(arcs gathered), none of it O(n).
+    Lanczos Push prunes by two tests, both strict.  The product relaxes
+    an arc (u, x) iff |v(u)| > eps * sqrt(d_u d_x), adding
+    v(u) / sqrt(d_u) * (w(u, x) / sqrt(d_x)) at x; this function applies
+    that test.  The alpha/beta subtractions of the pruned Lanczos step
+    (:class:`resistor.lanczos._PrunedIterates`) run on the significant
+    set S_i = {u : |v_i(u)| > eps * d_u}; the step applies that test.
+    At eps = 0 the product is the exact A v over the support of v.
+
+    ``size`` is |val| and ``bar`` is eps * sqrt(d_u) on ``idx``.
+    Selections go through ascending positions, so the arcs stay in CSR
+    order, and ``np.add.at`` sums them into ``acc``, a zeroed float64
+    n-vector: each target from 0.0 in ascending source order.  The
+    caller reads the sums at the sorted distinct heads (a sum that
+    cancelled reads 0.0 and is no part of the support) and zeroes them.
+    ``skipped`` is set when a live source dropped an arc or a source fell
+    below the live bar: every vertex of a graph has an arc, so such a
+    source skipped at least one.  O(arcs gathered), none of it O(n).
     """
     # no arc of u relaxes unless |v(u)| beats the lightest threshold any
     # arc can have
@@ -360,38 +366,7 @@ def relax_arcs(
         scale *= g.weights[arc[keep]]
     terms *= scale
     np.add.at(acc, heads, terms)
-    return heads
-
-
-def significant(g: Graph, idx: np.ndarray, val: np.ndarray, eps: float) -> np.ndarray:
-    """Mask of the significant entries of the sparse vector ``(idx, val)``:
-    those with |v(u)| > eps * d_u."""
-    return np.abs(val) > eps * g.weighted_degrees[idx]
-
-
-def amv(g: Graph, v: SparseVector, eps: float) -> SparseVector:
-    """Approximate matrix-vector product with the normalized adjacency.
-
-    Relaxes an arc (u, x) iff |v(u)| > eps * sqrt(d_u * d_x) (strict),
-    adding v(u) * w(u, x) / sqrt(d_u * d_x) at x.  With ``eps = 0`` this
-    is the exact product over the support of ``v``.
-    """
-    _check_eps(eps)
-    acc = _take_zeroed(g)
-    heads = relax_arcs(g, v.idx, v.val, np.abs(v.val), eps * g.sqrt_degrees[v.idx], acc)
-    targets = _sorted_unique(heads)
-    sums = acc[targets]
-    acc[targets] = 0.0
-    _give_back(g, acc)
-    nonzero = sums != 0.0
-    return SparseVector(targets[nonzero], sums[nonzero], g.node_count)
-
-
-def restrict(v: SparseVector, g: Graph, eps: float) -> SparseVector:
-    """Keep only the significant entries: those with |v(u)| > eps * d_u."""
-    _check_eps(eps)
-    keep = significant(g, v.idx, v.val, eps)
-    return SparseVector(v.idx[keep], v.val[keep], v.dim)
+    return heads, len(keep) < len(arc) or len(live) < len(idx)
 
 
 # ---------------------------------------------------------------------------
@@ -419,12 +394,16 @@ def _ldl_pivot(alpha: float, beta: float, d_prev: float) -> float:
     return d
 
 
-def _ldl_solve_e1(t: TridiagonalMatrix):
-    """Solve ``(I - T) x = e_1`` by an LDL^T factorization.
+def solve_checked(t: TridiagonalMatrix) -> tuple:
+    """Solve ``(I - T) y = e_1`` by an LDL^T factorization and check that
+    I - T is positive definite.
 
-    Returns ``(x, d)`` with the pivots ``d`` of I - T = L D L^T.  Raises
-    :class:`SingularSystemError` when a pivot falls below 1e-14 in
-    magnitude.
+    Returns ``(y, healthy)``.  By Sylvester's law of inertia the pivots of
+    I - T = L D L^T have the signs of its eigenvalues, so ``healthy`` is
+    false, and the quadrature the estimators rely on no longer holds,
+    exactly when a pivot is negative: T has an eigenvalue above 1.
+    Runs in O(k) time and memory.  Raises :class:`SingularSystemError`
+    when a pivot falls below 1e-14 in magnitude.
     """
     k = t.order
     d = np.empty(k)
@@ -438,20 +417,17 @@ def _ldl_solve_e1(t: TridiagonalMatrix):
     for i in range(k - 1):
         z[i + 1] = -lower[i] * z[i]
     z /= d
-    x = np.empty(k)
-    x[k - 1] = z[k - 1]
+    y = np.empty(k)
+    y[k - 1] = z[k - 1]
     for i in range(k - 2, -1, -1):
-        x[i] = z[i] - lower[i] * x[i + 1]
-    return x, d
+        y[i] = z[i] - lower[i] * y[i + 1]
+    return y, bool(np.all(d > 0.0))
 
 
 def tridiag_solve_e1(t: TridiagonalMatrix) -> np.ndarray:
-    """Solve ``(I - T) x = e_1`` by an LDL^T factorization.
-
-    Runs in O(k) time and memory.  Raises :class:`SingularSystemError`
-    when a pivot falls below 1e-14 in magnitude.
-    """
-    return _ldl_solve_e1(t)[0]
+    """The solution ``y`` of ``(I - T) y = e_1`` that :func:`solve_checked`
+    returns."""
+    return solve_checked(t)[0]
 
 
 def _sturm_reaches(alpha, beta_sq, x: float, target: int) -> bool:

@@ -14,16 +14,16 @@ T, computable in O(k) once T is known.
 With ``eps = 0`` it multiplies by A itself and is the global method
 (``lz``, :func:`lanczos_rd` and :func:`lanczos_potential`); with
 ``eps > 0`` it multiplies by the pruned operator of
-:func:`resistor.kernels.amv` and is Lanczos Push (``lzpush``, see
-:mod:`resistor.push`).  Only v_{i-1}, v_i and the next product are
-kept at any time.  Its ``visit`` hook sees each basis vector (its
-support and the values on it, the dense n-vector at ``eps = 0``)
-together with the coefficients computed so far and may stop the run,
-so callers that need more than T work inside the one run: the
-potential factors I - T as T grows (the D-Lanczos form of Saad 2003,
-section 6.7.1), the spectrum estimator reads the extreme Ritz values
-off the leading blocks of T, and the locality statistics of
-:mod:`resistor.push` form each step's residual.
+:func:`resistor.kernels.relax_arcs`, whose docstring states the pruning
+rule, and is Lanczos Push (``lzpush``, see :mod:`resistor.push`).  Only
+v_{i-1}, v_i and the next product are kept at any time.  Its ``visit``
+hook sees each basis vector (its support and the values on it, the
+dense n-vector at ``eps = 0``) together with the coefficients computed
+so far and may stop the run, so callers that need more than T work
+inside the one run: the potential factors I - T as T grows (the
+D-Lanczos form of Saad 2003, section 6.7.1), the spectrum estimator
+reads the extreme Ritz values off the leading blocks of T, and the
+locality statistics of :mod:`resistor.push` form each step's residual.
 Every run returns one :class:`LanczosRun` record, and ``lz``,
 ``lzpush`` and the trace of :mod:`resistor.push` build their estimates
 on it along one path.
@@ -87,12 +87,11 @@ from .kernels import (
     _check_eps,
     _dot,
     _ldl_pivot,
-    _ldl_solve_e1,
     _give_back,
     _take_zeroed,
     _support_pays,
     relax_arcs,
-    tridiag_solve_e1,
+    solve_checked,
 )
 
 __all__ = [
@@ -355,17 +354,16 @@ class _PrunedIterates:
         g, acc, supp, val, eps = self.g, self.acc, self.supp, self.val, self.eps
         size = np.abs(val)
         if s_cur is None:
-            # significant()'s test, on the |v| that the product reads too
+            # the S_i test of relax_arcs' docstring, on the |v| that the
+            # product reads too
             keep = (size > eps * g.weighted_degrees[supp]).nonzero()[0]
             s_cur, s_val = supp[keep], val[keep]
         else:
             s_val = self.values_at(s_cur)
         run.subset_sizes.append(len(s_cur))
-        heads = relax_arcs(g, supp, val, size, eps * self.sd, acc)
+        heads, skipped = relax_arcs(g, supp, val, size, eps * self.sd, acc)
         run.edges_relaxed.append(len(heads))
-        if not self.pruned:
-            arcs = int((g.offsets[1:][supp] - g.offsets[supp]).sum())
-            self.pruned = len(s_cur) < self.size or len(heads) < arcs
+        self.pruned = self.pruned or skipped or len(s_cur) < self.size
         # every entry this step writes, sorted once: a head whose sum
         # cancelled, or that is only in S_{i-1} or S_i, reads 0.0 here
         touched = _sorted_unique(np.concatenate((heads, self.s_prev, s_cur)))
@@ -425,15 +423,14 @@ def run_recurrence(
     """Run k steps of the (pruned) Lanczos recurrence from the unit vector v1.
 
     Each iteration forms w = A~ v_i with A~ = A at ``eps = 0`` and the
-    pruned operator of :func:`amv` otherwise, projects u_1 out of it
-    (eps > 0 only), subtracts beta_i v_{i-1} on S_{i-1} and alpha_i v_i
-    on S_i, where S_i = {u : |v_i(u)| > eps * d_u} (:func:`restrict`;
-    all of v_i at eps = 0), projects u_1 out again and normalizes.  At
+    pruned operator of :func:`resistor.kernels.relax_arcs` otherwise,
+    projects u_1 out of it (eps > 0 only), subtracts beta_i v_{i-1} on
+    S_{i-1} and alpha_i v_i on S_i, where S_i = {u : |v_i(u)| > eps * d_u}
+    (all of v_i at eps = 0), projects u_1 out again and normalizes.  At
     eps = 0 only the second projection runs: A keeps u_1^perp, so the
     product gains u_1 mass from rounding alone, and the second projection
-    removes it.  At eps > 0 the pruned product
-    (:func:`resistor.kernels.relax_arcs`) and the S_i test run on the
-    support's index and value arrays.  The projections run over the
+    removes it.  At eps > 0 the pruned product and the S_i test run on
+    the support's index and value arrays.  The projections run over the
     vector's own nonzero support, and only when v1 is orthogonal to u_1;
     a v1 with a u_1 component runs unprojected.
 
@@ -520,20 +517,6 @@ def definitional_start(g: Graph, s: int, t: int) -> SparseVector:
     return SparseVector.from_mapping(entries, g.node_count)
 
 
-def solve_checked(tmat: TridiagonalMatrix):
-    """Solve ``(I - T) y = e_1`` and check that I - T is positive definite.
-
-    Returns ``(y, healthy)``.  By Sylvester's law of inertia the LDL^T
-    pivots of I - T have the signs of its eigenvalues, so ``healthy`` is
-    false, and the quadrature the estimators rely on no longer holds,
-    exactly when a pivot is negative: T has an eigenvalue above 1.
-    Raises :class:`SingularSystemError` on a near-zero pivot, as
-    :func:`tridiag_solve_e1` does.
-    """
-    y, pivots = _ldl_solve_e1(tmat)
-    return y, bool(np.all(pivots > 0.0))
-
-
 def _estimate(
     g: Graph,
     s: int,
@@ -603,10 +586,10 @@ def lanczos_potential(g: Graph, s: int, t: int, k: int) -> np.ndarray:
     x_j = P_j z_j for P_j = V_j L^{-T} and z_j = D^{-1} L^{-1} e_1, and
     neither the leading columns of P_j nor the leading entries of z_j
     change as j grows.  So each step adds the pivot of the row of T it
-    completed (the same pivots and 1e-14 floor as
-    :func:`tridiag_solve_e1`, raising :class:`SingularSystemError`),
-    adds z_j p_j to x and forms p_{j+1} = v_{j+1} - l_j p_j: k products,
-    two n-vector updates per step, and O(n) memory regardless of k.
+    completed (the same pivots and 1e-14 floor as :func:`solve_checked`,
+    raising :class:`SingularSystemError`), adds z_j p_j to x and forms
+    p_{j+1} = v_{j+1} - l_j p_j: k products, two n-vector updates per
+    step, and O(n) memory regardless of k.
 
     The result is a genuine potential (its Laplacian image is e_s - e_t
     up to the recurrence truncation error); it is normalized against the

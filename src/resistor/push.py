@@ -6,10 +6,11 @@ recurrence of :func:`resistor.lanczos.run_recurrence`, run with
 ``eps > 0``, which
 
 * multiplies through a pruned operator that relaxes an arc (u, x) only
-  when |v(u)| > eps * sqrt(d_u d_x)  (see :func:`resistor.kernels.amv`),
+  when |v(u)| > eps * sqrt(d_u d_x),
 * applies the alpha/beta subtractions only on the significant set
-  S_i = {u : |v_i(u)| > eps * d_u}  (see :func:`resistor.kernels.restrict`),
-  with S_{i-1} cached from the previous iteration, and
+  S_i = {u : |v_i(u)| > eps * d_u}, with S_{i-1} cached from the
+  previous iteration (:func:`resistor.kernels.relax_arcs` states both
+  tests), and
 * projects the trivial eigenvector u_1 ~ D^{1/2} 1 out of the pruned
   product before alpha is taken, and again out of each new iterate,
   each time over that vector's own support.

@@ -338,6 +338,19 @@ def test_check_assumption_reports_cap_excursion(runner, toy_file):
     assert record["c1"] > record["c1_cap"]
 
 
+def test_check_assumption_record_has_every_key(runner, toy_file):
+    # the report's eight fields, the estimate and its iterations, the
+    # locality statistics and the spectrum flag: nothing more, nothing less
+    result = runner.invoke(cli, ["check-assumption", toy_file, "1", "4", "--k", "4"])
+    assert result.exit_code == 0, result.output
+    assert sorted(_json_of(result)) == [
+        "c1", "c1_cap", "c1_plain", "c1_within_cap", "c2", "c2_cap", "c2_within_cap",
+        "estimate", "k_effective", "lambda_2_a", "lambda_max_t", "lambda_min_a",
+        "lambda_min_t", "lower_slack", "passed", "spectrum_converged", "tol",
+        "upper_slack",
+    ]
+
+
 def test_check_assumption_same_vertex_is_usage_error(runner, toy_file):
     result = runner.invoke(cli, ["check-assumption", toy_file, "1", "1"])
     assert result.exit_code == EXIT_USAGE

@@ -24,10 +24,10 @@ import resistor as R
 import resistor.lanczos as lanczos_mod
 from resistor.cli import EXIT_NUMERICAL, cli
 from resistor.graph import _arc_positions, edge_arrays
-from resistor.kernels import SparseVector, TridiagonalMatrix, _dot, significant
+from resistor.kernels import SparseVector, TridiagonalMatrix, _dot, relax_arcs
 from resistor.lanczos import LanczosRun, definitional_start
 
-from conftest import cut_lattice, graph_from_text, random_pair, random_weighted
+from conftest import cut_lattice, graph_from_text, random_pair, random_weighted, toy_graph
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def _reference_recurrence(g, v1, k, eps=0.0, s_overrides=None, visit=None):
         if s_overrides is not None and i in s_overrides:
             s_cur = np.unique(np.asarray(list(s_overrides[i]), dtype=np.int64))
         else:
-            s_cur = supp[significant(g, supp, v_supp, eps)]
+            s_cur = supp[np.abs(v_supp) > eps * g.weighted_degrees[supp]]
         run.subset_sizes.append(len(s_cur))
         w = spare
         prod_supp, prod_val, relaxed = _reference_relax(g, supp, v_supp, eps)
@@ -186,15 +186,24 @@ def test_trace_with_overrides_is_bit_identical_to_the_reference(monkeypatch, gra
             assert a.val.tobytes() == b.val.tobytes()
 
 
+def _assert_relax_is_the_reference(g, v, eps):
+    # relax_arcs' accumulator holds the reference sums on their ids, bit
+    # for bit, and 0.0 elsewhere
+    acc = np.zeros(g.node_count)
+    heads, _ = relax_arcs(g, v.idx, v.val, np.abs(v.val), eps * g.sqrt_degrees[v.idx], acc)
+    idx, val, relaxed = _reference_relax(g, v.idx, v.val, eps)
+    assert len(heads) == relaxed
+    assert acc[idx].tobytes() == val.tobytes()
+    acc[idx] = 0.0
+    assert not acc.any()
+
+
 def test_amv_is_the_reference_product():
     g = random_weighted(300, 3)
     rng = np.random.default_rng(8)
     for eps in (1e-2, 1e-3, 0.0):
         v = SparseVector.from_dense(rng.standard_normal(g.node_count) * (rng.random(g.node_count) < 0.3))
-        got = R.amv(g, v, eps)
-        idx, val, _ = _reference_relax(g, v.idx, v.val, eps)
-        assert got.idx.tobytes() == idx.tobytes()
-        assert got.val.tobytes() == val.tobytes()
+        _assert_relax_is_the_reference(g, v, eps)
 
 
 def _small_graph(n, m, seed, weighted):
@@ -212,8 +221,8 @@ def _small_graph(n, m, seed, weighted):
 def _against_the_reference(g, v1, k, eps, overrides):
     """Run the step and the frozen reference from ``v1`` and assert that
     they agree byte for byte, basis vectors and ``pruned`` included; also
-    that ``amv`` on ``v1`` is the reference product.  Returns which of
-    "idle" (a step with no live source) and "full" (a step that relaxed
+    that ``relax_arcs`` on ``v1`` is the reference product.  Returns which
+    of "idle" (a step with no live source) and "full" (a step that relaxed
     every arc of its support) the run went through."""
     seen, ref_seen = [], []
 
@@ -236,10 +245,7 @@ def _against_the_reference(g, v1, k, eps, overrides):
         if relaxed == arcs:
             cases.add("full")
     assert new.pruned == pruned
-    got = R.amv(g, v1, eps)
-    idx, val, _ = _reference_relax(g, v1.idx, v1.val, eps)
-    assert got.idx.tobytes() == idx.tobytes()
-    assert got.val.tobytes() == val.tobytes()
+    _assert_relax_is_the_reference(g, v1, eps)
     return cases
 
 
@@ -291,6 +297,22 @@ def test_the_step_is_the_reference_on_random_graphs(case):
 def test_the_sweep_examples_reach_idle_and_full_steps():
     assert "idle" in _against_the_reference(*_fixed_case(*_IDLE_CASE))
     assert "full" in _against_the_reference(*_fixed_case(*_FULL_CASE))
+
+
+def test_a_source_below_the_live_bar_sets_pruned():
+    # on the toy graph (degrees 3, 2, 2, 1) at eps = 0.1, |v(0)| = 0.1 sits
+    # below the live bar 0.1 * sqrt(3) * 1, while the arc of vertex 3
+    # relaxes; S_1, pinned to the whole support, prunes nothing, so only
+    # the idle source sets the flag
+    g = toy_graph()
+    v1 = SparseVector(np.array([0, 3]), np.array([0.1, 1.0]), 4)
+    acc = np.zeros(4)
+    heads, skipped = relax_arcs(g, v1.idx, v1.val, np.abs(v1.val), 0.1 * g.sqrt_degrees[v1.idx], acc)
+    assert heads.tolist() == [0] and skipped
+    run = lanczos_mod.run_recurrence(g, v1, 1, 0.1, {1: [0, 3]})
+    assert run.subset_sizes == [2] and run.edges_relaxed == [1] and run.pruned
+    alone = SparseVector(np.array([3]), np.array([1.0]), 4)
+    assert not lanczos_mod.run_recurrence(g, alone, 1, 0.1).pruned
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from resistor.kernels import (
     TridiagonalMatrix,
     _sturm_reaches,
     apply_normalized_adjacency,
+    relax_arcs,
 )
 from resistor.lanczos import definitional_start, run_recurrence, solve_checked
 
@@ -38,17 +39,25 @@ def _paper_sign_start():
 
 
 # ---------------------------------------------------------------------------
-# amv / restrict
+# the pruning rule: relax_arcs (the approximate matrix-vector product) and
+# the S_i restriction of the pruned step
 # ---------------------------------------------------------------------------
+
+
+def _relax(g, v, eps):
+    # the accumulator relax_arcs sums v's pruned product into, and its flag
+    acc = np.zeros(g.node_count)
+    _, skipped = relax_arcs(g, v.idx, v.val, np.abs(v.val), eps * g.sqrt_degrees[v.idx], acc)
+    return acc, skipped
 
 
 def test_amv_prunes_light_arcs(toy):
     v = SparseVector.from_mapping(_paper_sign_start(), 4)
-    out = R.amv(toy, v, 0.25)
+    acc, skipped = _relax(toy, v, 0.25)
     # arcs from 0 into the triangle fall below 0.25 * sqrt(3 * 2) and drop;
     # both arcs on the pendant edge survive
-    assert out.idx.tolist() == [0, 3]
-    assert out.val == pytest.approx([0.5, 1 / (2 * SQ3)], abs=1e-15)
+    assert acc == pytest.approx([0.5, 0.0, 0.0, 1 / (2 * SQ3)], abs=1e-15)
+    assert skipped
 
 
 def test_amv_zero_eps_is_exact():
@@ -56,10 +65,10 @@ def test_amv_zero_eps_is_exact():
     rng = np.random.default_rng(2)
     dense_v = rng.standard_normal(g.node_count)
     dense_v[rng.random(g.node_count) < 0.5] = 0.0
-    v = SparseVector.from_dense(dense_v)
-    out = R.amv(g, v, 0.0)
+    acc, skipped = _relax(g, SparseVector.from_dense(dense_v), 0.0)
     want = dense_normalized_adjacency(g) @ dense_v
-    assert np.allclose(out.to_dense(), want, atol=1e-12)
+    assert np.allclose(acc, want, atol=1e-12)
+    assert not skipped
 
 
 def test_amv_matches_dense_pruning_rule():
@@ -80,30 +89,27 @@ def test_amv_matches_dense_pruning_rule():
             keep = np.abs(dense_v)[:, None] > eps * np.sqrt(np.outer(d, d))
             pruned = np.where(keep, w, 0.0) / np.sqrt(np.outer(d, d))
             want = pruned.T @ dense_v
-            out = R.amv(g, SparseVector.from_dense(dense_v), eps)
-            assert np.allclose(out.to_dense(), want, atol=1e-15)
+            acc, skipped = _relax(g, SparseVector.from_dense(dense_v), eps)
+            assert np.allclose(acc, want, atol=1e-15)
+            dropped = ~keep & (w > 0)
+            assert skipped == bool(dropped[dense_v != 0.0].any())
             relaxes = (keep & (w > 0)).any(axis=1)[dense_v != 0.0]
             idle_source_seen |= bool(relaxes.any() and not relaxes.all())
-            empty_seen |= len(out.idx) == 0 and not want.any()
+            empty_seen |= not acc.any() and not want.any()
     assert idle_source_seen and empty_seen
 
 
 def test_amv_large_eps_drops_everything(toy):
     v = SparseVector.from_mapping(_paper_sign_start(), 4)
-    assert len(R.amv(toy, v, 10.0).idx) == 0
-
-
-def test_amv_validates_eps(toy):
-    with pytest.raises(ValueError):
-        R.amv(toy, SparseVector.from_mapping({0: 1.0}, 4), -0.1)
+    acc, skipped = _relax(toy, v, 10.0)
+    assert not acc.any() and skipped
 
 
 def test_restrict_thresholds_by_degree(toy):
-    v = SparseVector.from_mapping(_paper_sign_start(), 4)
-    kept = R.restrict(v, toy, 0.25)
+    v = _paper_sign_start()
     # |v(0)| = 0.5 <= 0.25 * d_0 = 0.75 drops; |v(3)| = 0.866 > 0.25 stays
-    assert kept.idx.tolist() == [3]
-    assert len(R.restrict(v, toy, 0.0).idx) == 2
+    assert R.subset_recurrence_trace(toy, 0, 3, 1, 0.25, v1=v).subset_sizes == [1]
+    assert R.subset_recurrence_trace(toy, 0, 3, 1, 0.0, v1=v).subset_sizes == [2]
 
 
 # ---------------------------------------------------------------------------
@@ -200,12 +206,9 @@ def test_config_k_must_be_an_integer(k):
 
 @pytest.mark.parametrize("eps", [math.nan, math.inf, -1e-3])
 def test_eps_must_be_finite_and_nonnegative(toy, eps):
-    v = SparseVector.from_mapping(_paper_sign_start(), 4)
     calls = (
         lambda: R.PushConfig(k=3, epsilon=eps),
         lambda: R.subset_recurrence_trace(toy, 0, 3, 2, eps),
-        lambda: R.amv(toy, v, eps),
-        lambda: R.restrict(v, toy, eps),
     )
     for call in calls:
         with pytest.raises(ValueError, match="finite and >= 0"):
