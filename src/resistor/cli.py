@@ -5,9 +5,10 @@ CSV), ``kappa`` (spectral summary), ``gen`` (random graph files), ``route``
 (alternate routes as JSON), ``check-assumption`` (pruned-recurrence
 diagnostics).
 
-Exit codes: 0 success, 2 usage error, 3 numerical failure (singular system
-or unconverged iteration), 4 input/output error.  Machine-readable output
-goes to stdout or ``--out``; human-readable summaries go to stderr.
+Exit codes: 0 success, 2 usage error, 3 numerical failure (singular system,
+unconverged iteration, or a ``bench`` truth that is unhealthy or does not
+settle), 4 input/output error.  Machine-readable output goes to stdout or
+``--out``; human-readable summaries go to stderr.
 """
 
 from __future__ import annotations
@@ -47,9 +48,8 @@ EXIT_NUMERICAL = 3
 EXIT_IO = 4
 
 BENCH_COLUMNS = ("method", "param", "pair", "abs_err", "seconds", "touched_edges")
-# relative move of the first pair's power-method ground truth over the
-# last half of its --gt-l iterations above which bench warns
-GT_MOVE_WARNING = 1e-6
+GT_REL_TOL = 1e-12
+GT_MAX_K = 65_536
 
 
 def _fail(code: int, message: str):
@@ -447,6 +447,27 @@ def build_query_set(g: Graph, count: int, policy: str, seed: int, cross: bool) -
     return pairs
 
 
+def _lanczos_truth(g: Graph, s: int, t: int) -> float:
+    """``bench``'s truth above ``--gt-cap``: ``lanczos_rd`` at k = 32, 64, ...
+    up to a breakdown (the Krylov space is exhausted; exact, as ``lz`` prunes
+    nothing) or two successive estimates within ``GT_REL_TOL``, which Lanczos
+    reaches without reorthogonalization (Greenbaum, LAA 1989).  Raises
+    NumericalError if unhealthy or unsettled by k = ``GT_MAX_K``."""
+    value, k = math.nan, 32
+    while k <= GT_MAX_K:
+        previous = value
+        est, run = lanczos_rd(g, s, t, k)
+        value = est.value
+        if not est.healthy:
+            break
+        if run.breakdown or abs(value - previous) <= GT_REL_TOL * value:
+            return value
+        k *= 2
+    state = f"is unhealthy at k = {k}" if not est.healthy else f"did not settle by k = {k // 2}"
+    raise NumericalError(f"the ground truth of pair {g.old_ids[s]}-{g.old_ids[t]} {state}; "
+                         f"last estimates {previous!r}, {value!r}")
+
+
 def _parse_grid(text: str, kind, name: str):
     try:
         values = [kind(part) for part in text.split(",") if part.strip()]
@@ -512,9 +533,7 @@ def _bench_one(task):
 @click.option("--nr-grid", default="1000", show_default=True,
               help="rw walks-per-length grid.")
 @click.option("--gt-cap", type=int, default=EXACT_NODE_CAP, show_default=True,
-              help="Dense ground truth up to this many vertices.")
-@click.option("--gt-l", type=int, default=20_000, show_default=True,
-              help="Power-method iterations for ground truth above the cap.")
+              help="Dense truth up to this many vertices, Lanczos to stagnation above.")
 @click.option("--budget", type=float, default=None,
               help="Abort (exit 2) if the projected total run time in "
                    "seconds exceeds this.")
@@ -524,7 +543,7 @@ def _bench_one(task):
 @_out_opt
 @_guarded
 def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
-          eps_grid, nr_grid, gt_cap, gt_l, budget, jobs, weighted, out):
+          eps_grid, nr_grid, gt_cap, budget, jobs, weighted, out):
     """Sweep estimators over a query set; write one CSV row per run.
 
     Rows are sorted by (method, parameters, pair).  Reported seconds
@@ -554,14 +573,11 @@ def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
                 f"{budget:.1f}s; {advice}",
             )
 
-    # ground truth per pair (dense when small, long power method otherwise)
+    truth = functools.partial(exact_rd, cap=gt_cap) if g.node_count <= gt_cap else _lanczos_truth
     truths = {}
     for idx, (s, t) in enumerate(pairs):
         solve_start = time.perf_counter()
-        if g.node_count <= gt_cap:
-            truths[(s, t)] = exact_rd(g, s, t, cap=gt_cap)
-        else:
-            truths[(s, t)] = power_method_rd(g, s, t, gt_l).value
+        truths[(s, t)] = truth(g, s, t)
         if idx == 0:
             # the graph load is paid once; the first solve stands for the rest
             now = time.perf_counter()
@@ -569,19 +585,6 @@ def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
                 now - total_start + (now - solve_start) * (len(pairs) - 1),
                 "ground-truth", "raise --budget or lower --pairs",
             )
-            if g.node_count > gt_cap:
-                # the truth must have converged for abs_err to mean anything
-                truth = truths[(s, t)]
-                move = abs(truth - power_method_rd(g, s, t, gt_l // 2).value) / truth
-                if move > GT_MOVE_WARNING:
-                    click.echo(
-                        f"warning: the ground truth of pair {g.old_ids[s]}-"
-                        f"{g.old_ids[t]} moved by {move:.2e} (relative) over "
-                        f"the last half of its --gt-l {gt_l} power-method "
-                        "iterations; abs_err may be set by the truth's error, "
-                        "raise --gt-l",
-                        err=True,
-                    )
 
     tasks = _bench_tasks(g, method_list, grids, seed, pairs)
     # the first task runs here and calibrates the projection for the rest

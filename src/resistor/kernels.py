@@ -309,20 +309,6 @@ def _check_eps(eps: float, name: str = "eps") -> None:
         raise ValueError(f"{name} must be finite and >= 0")
 
 
-def _take_zeroed(g: Graph) -> np.ndarray:
-    """A zeroed float64 n-vector from the graph's free list
-    (``Graph.scratch_vectors``), or a new one when the list is empty."""
-    try:
-        return g.scratch_vectors.pop()
-    except IndexError:
-        return np.zeros(g.node_count)
-
-
-def _give_back(g: Graph, *vectors: np.ndarray) -> None:
-    """Return n-vectors taken by :func:`_take_zeroed`, zeroed again."""
-    g.scratch_vectors.extend(vectors)
-
-
 def relax_arcs(
     g: Graph, idx: np.ndarray, val: np.ndarray, size: np.ndarray, bar: np.ndarray,
     acc: np.ndarray,

@@ -87,8 +87,6 @@ from .kernels import (
     _check_eps,
     _dot,
     _ldl_pivot,
-    _give_back,
-    _take_zeroed,
     _support_pays,
     relax_arcs,
     solve_checked,
@@ -308,6 +306,19 @@ class _DenseIterates:
 
     def release(self) -> None:
         pass
+
+
+def _take_zeroed(g: Graph) -> np.ndarray:
+    """A zeroed n-vector off ``Graph.scratch_vectors``, or a new one if it is empty."""
+    try:
+        return g.scratch_vectors.pop()
+    except IndexError:
+        return np.zeros(g.node_count)
+
+
+def _give_back(g: Graph, *vectors: np.ndarray) -> None:
+    """Return n-vectors taken by :func:`_take_zeroed`, zeroed again."""
+    g.scratch_vectors.extend(vectors)
 
 
 class _PrunedIterates:

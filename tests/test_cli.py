@@ -1,6 +1,7 @@
 """End-to-end tests for the command-line interface."""
 
 import csv
+import dataclasses
 import io
 import json
 import math
@@ -14,11 +15,11 @@ from click.testing import CliRunner
 
 import resistor.cli as cli_mod
 from resistor import (
+    exact_rd,
     generate_ba,
     generate_er,
     lanczos_rd,
     load_edge_list,
-    power_method_rd,
     save_edge_list,
 )
 from resistor.cli import BENCH_COLUMNS, EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE, cli
@@ -404,33 +405,54 @@ def test_bench_csv_round_trip(runner, toy_file):
     assert all(r["abs_err"] < 1e-3 for r in rows if r["method"] != "rw")
 
 
-def test_bench_ground_truth_above_the_cap_is_the_power_method(runner, toy_file):
-    result = runner.invoke(
-        cli, _bench_args(toy_file, ["--methods", "lz", "--gt-cap", "0", "--gt-l", "2000"])
-    )
+@pytest.fixture
+def path150_file(tmp_path):
+    path = tmp_path / "path150.txt"
+    path.write_text("".join(f"{i} {i + 1}\n" for i in range(1, 150)))
+    return str(path)
+
+
+_PATH150_LZ = ["--methods", "lz", "--k-grid", "400", "--gt-cap", "0", "--pairs", "3", "--seed", "1"]
+
+
+def test_bench_truth_above_the_cap_is_lanczos_to_stagnation(runner, path150_file, monkeypatch):
+    # the power method needs ~kappa steps on a path and read abs_err up to
+    # 0.23 here; lanczos_rd at k = 400 is within 1.1e-11 of the exact value
+    def no_power_method(*args):
+        raise AssertionError("the truth above --gt-cap ran the power method")
+
+    monkeypatch.setattr(cli_mod, "power_method_rd", no_power_method)
+    result = runner.invoke(cli, ["bench", path150_file, *_PATH150_LZ])
     assert result.exit_code == 0, result.output
+    assert "warning" not in result.stderr
     rows = _bench_rows(result.stdout)
     assert len(rows) == 3
-    g = load_edge_list(toy_file)
+    g = load_edge_list(path150_file)
     for r in rows:
         s, t = (int(np.searchsorted(g.old_ids, int(x))) for x in r["pair"].split("-"))
-        value = lanczos_rd(g, s, t, 4)[0].value
-        assert r["abs_err"] == abs(value - power_method_rd(g, s, t, 2000).value)
+        assert r["abs_err"] <= 1e-9 * exact_rd(g, s, t)
 
 
-@pytest.mark.parametrize("gt_l, warns", [("4", True), ("2000", False)])
-def test_bench_warns_when_the_power_method_truth_has_not_converged(
-    runner, toy_file, gt_l, warns
+def _unhealthy_lanczos_rd(g, s, t, k):
+    est, run = lanczos_rd(g, s, t, k)
+    return dataclasses.replace(est, healthy=False), run
+
+
+@pytest.mark.parametrize("name, value", [
+    ("GT_MAX_K", 32),  # a path of 150 vertices needs more than 32 steps
+    ("lanczos_rd", _unhealthy_lanczos_rd),
+], ids=["unsettled", "unhealthy"])
+def test_bench_fails_loudly_on_a_truth_it_cannot_trust(
+    runner, path150_file, monkeypatch, name, value
 ):
-    result = runner.invoke(
-        cli, _bench_args(toy_file, ["--methods", "lz", "--gt-cap", "0", "--gt-l", gt_l])
-    )
-    # a warning only: the rows are written and the run succeeds
-    assert result.exit_code == 0, result.output
-    assert len(_bench_rows(result.stdout)) == 3
-    assert ("warning" in result.stderr) == warns
-    if warns:
-        assert f"--gt-l {gt_l}" in result.stderr and "pair " in result.stderr
+    monkeypatch.setattr(cli_mod, name, value)
+    result = runner.invoke(cli, ["bench", path150_file, *_PATH150_LZ])
+    assert result.exit_code == EXIT_NUMERICAL, result.output
+    assert result.stdout == ""
+    g = load_edge_list(path150_file)
+    s, t = cli_mod.build_query_set(g, 3, "uniform-random", 1, False)[0]
+    assert f"pair {g.old_ids[s]}-{g.old_ids[t]}" in result.stderr
+    assert "last estimates" in result.stderr
 
 
 def test_bench_rows_are_sorted(runner, toy_file):

@@ -662,13 +662,13 @@ def _free_list_uses(source: str, defines_the_cache: bool = False) -> list:
 
 def test_only_the_pruned_step_touches_the_free_list():
     # a vector given back dirty corrupts every later query on its graph
-    # without an error, so the free list stays within the two modules whose
+    # without an error, so the free list stays within the module whose
     # tests check that it comes back zeroed
     package = Path(R.__file__).parent
     found = {
         path.name: lines
         for path in sorted(package.glob("*.py"))
-        if path.name not in ("kernels.py", "lanczos.py")
+        if path.name != "lanczos.py"
         if (lines := _free_list_uses(path.read_text(), path.name == "graph.py"))
     }
     assert found == {}
@@ -676,7 +676,7 @@ def test_only_the_pruned_step_touches_the_free_list():
 
 def test_free_list_tripwire_flags_every_way_of_naming_it():
     source = (
-        "from .kernels import _take_zeroed as take\n"
+        "from .lanczos import _take_zeroed as take\n"
         "acc = g.scratch_vectors.pop()\n"
         "_give_back(g, acc)\n"
         "getattr(g, 'scratch_vectors')\n"
