@@ -87,12 +87,15 @@ def power_method_iteration_bound(kappa: float, eps: float) -> int:
 
 
 def exact_rd(g: Graph, s: int, t: int, cap: int = EXACT_NODE_CAP) -> float:
-    """Resistance distance via a dense Laplacian eigendecomposition.
+    """Resistance distance via a dense eigendecomposition (lambda_i, phi_i)
+    of the normalized Laplacian N = D^{-1/2} L D^{-1/2}, as the sum over
+    i >= 1 of (phi_i(s) / sqrt(d_s) - phi_i(t) / sqrt(d_t))^2 / lambda_i.
 
-    Intended as a ground-truth oracle for small graphs; refuses graphs
-    with more than ``cap`` vertices.  The null eigenvalue of a connected
-    Laplacian is simple, so the smallest eigenvalue is dropped by index
-    after checking it is zero to within 1e-9 (relative to the largest).
+    A dense oracle for small graphs; refuses graphs with more than ``cap``
+    vertices.  N's spectrum lies in [0, 2] under any weights, so a heavy
+    edge does not drown its small eigenvalues as it does L's.  The null
+    eigenvalue of a connected graph is simple: the smallest is dropped by
+    index once it is zero to within 1e-9 of the largest.
     """
     _check_pair(g, s, t)
     n = g.node_count
@@ -102,9 +105,11 @@ def exact_rd(g: Graph, s: int, t: int, cap: int = EXACT_NODE_CAP) -> float:
         )
     if s == t:
         return 0.0
+    with np.errstate(divide="ignore"):  # an isolated vertex is refused below
+        inv_sqrt = g.inv_sqrt_degrees
     lap = np.zeros((n, n))
-    lap[g.arc_sources, g.neighbors] = -g.weights
-    np.fill_diagonal(lap, g.weighted_degrees)
+    lap[g.arc_sources, g.neighbors] = -g.weights * inv_sqrt[g.arc_sources] * inv_sqrt[g.neighbors]
+    np.fill_diagonal(lap, g.weighted_degrees > 0.0)  # an isolated vertex: a zero row
     eigvals, eigvecs = np.linalg.eigh(lap)
     scale = max(1.0, float(eigvals[-1]))
     if abs(eigvals[0]) > 1e-9 * scale:
@@ -115,7 +120,7 @@ def exact_rd(g: Graph, s: int, t: int, cap: int = EXACT_NODE_CAP) -> float:
         raise NumericalError(
             "Laplacian null space is not simple; graph appears disconnected"
         )
-    diff = eigvecs[s, 1:] - eigvecs[t, 1:]
+    diff = eigvecs[s, 1:] * inv_sqrt[s] - eigvecs[t, 1:] * inv_sqrt[t]
     return float(np.sum(diff * diff / eigvals[1:]))
 
 

@@ -6,9 +6,9 @@ CSV), ``kappa`` (spectral summary), ``gen`` (random graph files), ``route``
 diagnostics).
 
 Exit codes: 0 success, 2 usage error, 3 numerical failure (singular system,
-unconverged iteration, or a ``bench`` truth that is unhealthy or does not
-settle), 4 input/output error.  Machine-readable output goes to stdout or
-``--out``; human-readable summaries go to stderr.
+unconverged iteration, or a ``bench`` truth that is unhealthy, unsettled or
+beyond float64's reach), 4 input/output error.  Machine-readable output
+goes to stdout or ``--out``; human-readable summaries go to stderr.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple
 import click
 import numpy as np
 
-from .baselines import EXACT_NODE_CAP, RDEstimate, exact_rd, power_method_rd, random_walk_rd
+from .baselines import RDEstimate, exact_rd, power_method_rd, random_walk_rd
 from .errors import (
     EmptyGraphError,
     GraphFormatError,
@@ -38,7 +38,8 @@ from .errors import (
 )
 from .graph import (_MAX_LABEL, Graph, generate_ba, generate_er, load_cache,
                     load_edge_list, save_cache, save_edge_list)
-from .lanczos import lanczos_rd
+from .kernels import TridiagonalMatrix, _dot, solve_checked
+from .lanczos import _estimate, definitional_start, lanczos_rd
 from .push import PushConfig, check_assumption, lanczos_push_rd, locality_statistics
 from .routing import extract_routes, route_metrics
 from .spectral import estimate_spectrum
@@ -50,6 +51,7 @@ EXIT_IO = 4
 BENCH_COLUMNS = ("method", "param", "pair", "abs_err", "seconds", "touched_edges")
 GT_REL_TOL = 1e-12
 GT_MAX_K = 65_536
+GT_MIN_QUOTIENT = 2e-9
 
 
 def _fail(code: int, message: str):
@@ -412,23 +414,14 @@ def build_query_set(g: Graph, count: int, policy: str, seed: int, cross: bool) -
     if count < 1:
         raise ValueError("pair count must be >= 1")
     if policy == "uniform-random":
-        rng = np.random.default_rng(seed)
-        max_pairs = n * (n - 1) // 2
-        target = min(count, max_pairs)
-        seen = set()
-        order = []
-        while len(order) < target:
-            s = int(rng.integers(0, n))
-            t = int(rng.integers(0, n))
-            if s == t:
-                continue
-            key = (min(s, t), max(s, t))
-            if key in seen:
-                continue
-            seen.add(key)
-            order.append((s, t))
-        sources = [p[0] for p in order]
-        targets = [p[1] for p in order]
+        rng, target, drawn = np.random.default_rng(seed), min(count, n * (n - 1) // 2), {}
+        while len(drawn) < target:
+            s, t = int(rng.integers(0, n)), int(rng.integers(0, n))
+            if s != t:
+                # the first draw of an unordered pair keeps its place and order
+                drawn.setdefault((min(s, t), max(s, t)), (s, t))
+        sources = [s for s, _ in drawn.values()]
+        targets = [t for _, t in drawn.values()]
     elif policy == "top-degree":
         ranked = np.lexsort((np.arange(n), -g.weighted_degrees))
         half = min(count, n // 2)
@@ -436,36 +429,55 @@ def build_query_set(g: Graph, count: int, policy: str, seed: int, cross: bool) -
         targets = [int(v) for v in ranked[half : 2 * half]]
     else:
         raise ValueError(f"unknown pair policy {policy!r}")
-    if cross:
-        pairs = tuple(
-            (s, t) for s in sources for t in targets if s != t
-        )
-    else:
-        pairs = tuple(zip(sources, targets))
+    pairs = (tuple((s, t) for s in sources for t in targets if s != t) if cross
+             else tuple(zip(sources, targets)))
     if not pairs:
         raise ValueError("query-set construction produced no pairs")
     return pairs
 
 
 def _lanczos_truth(g: Graph, s: int, t: int) -> float:
-    """``bench``'s truth above ``--gt-cap``: ``lanczos_rd`` at k = 32, 64, ...
-    up to a breakdown (the Krylov space is exhausted; exact, as ``lz`` prunes
-    nothing) or two successive estimates within ``GT_REL_TOL``, which Lanczos
-    reaches without reorthogonalization (Greenbaum, LAA 1989).  Raises
-    NumericalError if unhealthy or unsettled by k = ``GT_MAX_K``."""
-    value, k = math.nan, 32
-    while k <= GT_MAX_K:
-        previous = value
-        est, run = lanczos_rd(g, s, t, k)
-        value = est.value
-        if not est.healthy:
-            break
-        if run.breakdown or abs(value - previous) <= GT_REL_TOL * value:
-            return value
-        k *= 2
-    state = f"is unhealthy at k = {k}" if not est.healthy else f"did not settle by k = {k // 2}"
+    """``bench``'s truth: one ``lz`` run whose hook reads the estimate of
+    T's leading block at k = 32, 64, ... (``lanczos_rd``'s at that k, as T_k
+    is a prefix of every longer T) and stops at two successive estimates
+    within ``GT_REL_TOL``, which Lanczos reaches without reorthogonalization
+    (Greenbaum, LAA 1989), or at a breakdown (exact: ``lz`` prunes nothing).
+    Raises NumericalError on an unhealthy checkpoint, on no stop by
+    k = ``GT_MAX_K``, or when q = y_1 / y^T y, y = (I - T)^{-1} e_1 at the stop,
+    is below ``GT_MIN_QUOTIENT``: q is a Rayleigh quotient of I - T, so above
+    its least eigenvalue, and the value loses about eps / q of its digits."""
+    v1, d = definitional_start(g, s, t), g.weighted_degrees
+    scale_sq, first = 1.0 / d[s] + 1.0 / d[t], _dot(v1.val, v1.val)
+    earlier = [math.nan]  # the estimates of the checkpoints that did not stop the run
+
+    def settled(value: float) -> bool:
+        return abs(value - earlier[-1]) <= GT_REL_TOL * value
+
+    def visit(i: int, supp, v, alphas, betas) -> bool:
+        k = len(alphas)
+        if k < 32 or k & (k - 1):
+            return False
+        # _estimate's value, as a dense run's first row is (v_1^T v_1, 0, ..., 0)
+        y, healthy = solve_checked(TridiagonalMatrix(alphas, betas[:-1]))
+        value = float(scale_sq * (first * y[0]))
+        if not healthy or settled(value):
+            return True
+        earlier.append(value)
+        return False
+
+    est, run = _estimate(g, s, t, GT_MAX_K, 0.0, "lz", v1=v1, visit=visit)
+    y = solve_checked(run.t)[0]
+    k, value, quotient = run.k_effective, est.value, float(y[0] / _dot(y, y))
+    if not est.healthy:
+        state = f"is unhealthy at k = {k}"
+    elif not (run.breakdown or settled(value)):
+        state = f"did not settle by k = {k}"
+    elif quotient < GT_MIN_QUOTIENT:
+        state = f"is too ill-conditioned for float64 at k = {k}: q = {quotient:.3e}"
+    else:
+        return value
     raise NumericalError(f"the ground truth of pair {g.old_ids[s]}-{g.old_ids[t]} {state}; "
-                         f"last estimates {previous!r}, {value!r}")
+                         f"last estimates {earlier[-1]!r}, {value!r}")
 
 
 def _parse_grid(text: str, kind, name: str):
@@ -532,8 +544,6 @@ def _bench_one(task):
               help="lzpush pruning grid.")
 @click.option("--nr-grid", default="1000", show_default=True,
               help="rw walks-per-length grid.")
-@click.option("--gt-cap", type=int, default=EXACT_NODE_CAP, show_default=True,
-              help="Dense truth up to this many vertices, Lanczos to stagnation above.")
 @click.option("--budget", type=float, default=None,
               help="Abort (exit 2) if the projected total run time in "
                    "seconds exceeds this.")
@@ -543,7 +553,7 @@ def _bench_one(task):
 @_out_opt
 @_guarded
 def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
-          eps_grid, nr_grid, gt_cap, budget, jobs, weighted, out):
+          eps_grid, nr_grid, budget, jobs, weighted, out):
     """Sweep estimators over a query set; write one CSV row per run.
 
     Rows are sorted by (method, parameters, pair).  Reported seconds
@@ -557,12 +567,8 @@ def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
             raise ValueError(f"unknown method {m!r} in --methods")
     if not method_list:
         raise ValueError("--methods selected nothing")
-    grids = {
-        "l": _parse_grid(l_grid, int, "l-grid"),
-        "k": _parse_grid(k_grid, int, "k-grid"),
-        "eps": _parse_grid(eps_grid, float, "eps-grid"),
-        "nr": _parse_grid(nr_grid, int, "nr-grid"),
-    }
+    grids = {name: _parse_grid(text, kind, f"{name}-grid") for name, text, kind in (
+        ("l", l_grid, int), ("k", k_grid, int), ("eps", eps_grid, float), ("nr", nr_grid, int))}
     pairs = build_query_set(g, pair_count, policy, seed, cross)
 
     def check_budget(projected: float, what: str, advice: str):
@@ -573,11 +579,10 @@ def bench(graph_path, methods, pair_count, policy, cross, seed, l_grid, k_grid,
                 f"{budget:.1f}s; {advice}",
             )
 
-    truth = functools.partial(exact_rd, cap=gt_cap) if g.node_count <= gt_cap else _lanczos_truth
     truths = {}
     for idx, (s, t) in enumerate(pairs):
         solve_start = time.perf_counter()
-        truths[(s, t)] = truth(g, s, t)
+        truths[(s, t)] = _lanczos_truth(g, s, t)
         if idx == 0:
             # the graph load is paid once; the first solve stands for the rest
             now = time.perf_counter()

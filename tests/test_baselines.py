@@ -69,6 +69,44 @@ def test_exact_symmetry_and_triangle_inequality():
             assert rab <= R.exact_rd(g, a, c) + R.exact_rd(g, c, b) + 1e-9
 
 
+@pytest.mark.parametrize("w", [1e6, 1e9, 1e12])
+def test_exact_reads_a_path_with_one_heavy_edge(w):
+    # the combinatorial Laplacian's scale is about w, and its smallest
+    # nonzero eigenvalue fell under 1e-9 of it: the path read disconnected
+    g = graph_from_text(
+        "".join(f"{i} {i + 1} {w if i == 4 else 1.0!r}\n" for i in range(9)), weighted=True
+    )
+    assert R.exact_rd(g, 0, 9) == pytest.approx(8 + 1 / w, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("offsets, neighbors, t", [
+    ([0, 2, 4, 6, 8, 10, 12], [1, 2, 0, 2, 0, 1, 4, 5, 3, 5, 3, 4], 3),  # two triangles
+    ([0, 1, 2, 2], [1, 0], 2),  # an edge and an isolated vertex
+], ids=["two-triangles", "isolated-vertex"])
+def test_exact_refuses_a_disconnected_graph(offsets, neighbors, t):
+    offsets = np.array(offsets, dtype=np.int64)
+    g = R.Graph(
+        offsets=offsets,
+        neighbors=np.array(neighbors, dtype=np.int64),
+        weights=np.ones(len(neighbors)),
+        weighted_degrees=np.diff(offsets).astype(float),
+        old_ids=np.arange(len(offsets) - 1, dtype=np.int64),
+    )
+    with pytest.raises(R.NumericalError, match="disconnected"):
+        R.exact_rd(g, 0, t)
+
+
+def test_exact_refuses_a_barbell_with_a_weak_bridge():
+    # two K20 joined by an edge of weight 1e-9: N's second eigenvalue is
+    # about 1e-12, below 1e-9 of its scale
+    clique = [(i, j) for i in range(20) for j in range(i + 1, 20)]
+    text = "".join(f"{i + off} {j + off} 1.0\n" for off in (0, 20) for i, j in clique)
+    g = graph_from_text(text + "19 20 1e-9\n", weighted=True)
+    with pytest.raises(R.NumericalError, match="disconnected"):
+        R.exact_rd(g, 0, 39)
+
+
 def test_exact_refuses_oversized_graphs():
     g = random_connected(30, 0)
     with pytest.raises(R.UnsupportedInputError):

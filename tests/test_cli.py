@@ -23,8 +23,9 @@ from resistor import (
     save_edge_list,
 )
 from resistor.cli import BENCH_COLUMNS, EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE, cli
+from resistor.lanczos import _estimate as lanczos_estimate
 
-from conftest import grid_graph, random_pair
+from conftest import grid_graph, path_graph, random_pair
 
 TOY = "1 2\n2 3\n3 1\n1 4\n"
 
@@ -412,14 +413,14 @@ def path150_file(tmp_path):
     return str(path)
 
 
-_PATH150_LZ = ["--methods", "lz", "--k-grid", "400", "--gt-cap", "0", "--pairs", "3", "--seed", "1"]
+_PATH150_LZ = ["--methods", "lz", "--k-grid", "400", "--pairs", "3", "--seed", "1"]
 
 
 def test_bench_truth_above_the_cap_is_lanczos_to_stagnation(runner, path150_file, monkeypatch):
     # the power method needs ~kappa steps on a path and read abs_err up to
     # 0.23 here; lanczos_rd at k = 400 is within 1.1e-11 of the exact value
     def no_power_method(*args):
-        raise AssertionError("the truth above --gt-cap ran the power method")
+        raise AssertionError("the truth ran the power method")
 
     monkeypatch.setattr(cli_mod, "power_method_rd", no_power_method)
     result = runner.invoke(cli, ["bench", path150_file, *_PATH150_LZ])
@@ -433,14 +434,14 @@ def test_bench_truth_above_the_cap_is_lanczos_to_stagnation(runner, path150_file
         assert r["abs_err"] <= 1e-9 * exact_rd(g, s, t)
 
 
-def _unhealthy_lanczos_rd(g, s, t, k):
-    est, run = lanczos_rd(g, s, t, k)
+def _unhealthy_estimate(*args, **kwargs):
+    est, run = lanczos_estimate(*args, **kwargs)
     return dataclasses.replace(est, healthy=False), run
 
 
 @pytest.mark.parametrize("name, value", [
     ("GT_MAX_K", 32),  # a path of 150 vertices needs more than 32 steps
-    ("lanczos_rd", _unhealthy_lanczos_rd),
+    ("_estimate", _unhealthy_estimate),
 ], ids=["unsettled", "unhealthy"])
 def test_bench_fails_loudly_on_a_truth_it_cannot_trust(
     runner, path150_file, monkeypatch, name, value
@@ -453,6 +454,110 @@ def test_bench_fails_loudly_on_a_truth_it_cannot_trust(
     s, t = cli_mod.build_query_set(g, 3, "uniform-random", 1, False)[0]
     assert f"pair {g.old_ids[s]}-{g.old_ids[t]}" in result.stderr
     assert "last estimates" in result.stderr
+
+
+def _rerun_truth(g, s, t):
+    """The former truth of ``bench``, frozen as the one-run truth's
+    reference: ``lanczos_rd`` rerun from step 1 at k = 32, 64, ... up to a
+    breakdown or two successive estimates within ``GT_REL_TOL``."""
+    value, k = math.nan, 32
+    while k <= cli_mod.GT_MAX_K:
+        previous = value
+        est, run = lanczos_rd(g, s, t, k)
+        value = est.value
+        assert est.healthy
+        if run.breakdown or abs(value - previous) <= cli_mod.GT_REL_TOL * value:
+            return value
+        k *= 2
+    raise AssertionError(f"the rerun truth of {s}-{t} did not settle")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: path_graph(150), lambda: grid_graph(15, 20), lambda: generate_er(2000, 8000, 1),
+], ids=["path150", "grid15x20", "er2000"])
+def test_lanczos_truth_is_the_rerun_truth_from_one_run(make, monkeypatch):
+    g = make()
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(args[1:3])
+        return lanczos_estimate(*args, **kwargs)
+
+    monkeypatch.setattr(cli_mod, "_estimate", counted)
+    pairs = cli_mod.build_query_set(g, 6, "uniform-random", 0, False)
+    for s, t in pairs:
+        assert cli_mod._lanczos_truth(g, s, t) == _rerun_truth(g, s, t)
+    assert calls == list(pairs)
+
+
+def test_lanczos_truth_reads_a_path_to_float64():
+    # r(s, t) = |s - t| on a unit path
+    g = path_graph(150)
+    for s, t in cli_mod.build_query_set(g, 10, "uniform-random", 3, False):
+        exact = abs(int(g.old_ids[s]) - int(g.old_ids[t]))
+        assert cli_mod._lanczos_truth(g, s, t) == pytest.approx(exact, rel=1e-11)
+
+
+def _bridged_er_text(bridge: float):
+    """Two copies of the LCC of ``generate_er(1100, 4400, 1)``, the second
+    relabelled by n, joined by one edge of weight ``bridge`` between the
+    copies of vertex 0, as a weighted edge list; and the first copy."""
+    half = generate_er(1100, 4400, 1)
+    n = half.node_count
+    src, dst = half.arc_sources, half.neighbors
+    edges = [(u, v) for u, v in zip(src.tolist(), dst.tolist()) if u < v]
+    lines = [f"{u + off} {v + off} 1.0\n" for off in (0, n) for u, v in edges]
+    return "".join(lines) + f"0 {n} {bridge!r}\n", half
+
+
+@pytest.fixture(scope="module")
+def bridged_er(tmp_path_factory):
+    text, half = _bridged_er_text(1e-9)
+    path = tmp_path_factory.mktemp("bridged") / "bridged.txt"
+    path.write_text(text)
+    return str(path), half
+
+
+def test_bench_refuses_a_truth_float64_cannot_resolve(runner, bridged_er):
+    # across the 1e-9 bridge the old truth of pair 5-1106 settled 2.1e-4
+    # off the series closed form r_A(5, 0) + 1e9 + r_A(0, 7)
+    path, half = bridged_er
+    result = runner.invoke(cli, ["bench", path, "--weighted", "--methods", "lz",
+                                 "--k-grid", "20", "--pairs", "10", "--seed", "0"])
+    assert result.exit_code == EXIT_NUMERICAL, result.output
+    assert result.stdout == ""
+    g = load_edge_list(path, weighted=True)
+    n = half.node_count
+    cross = [(g.old_ids[s], g.old_ids[t])
+             for s, t in cli_mod.build_query_set(g, 10, "uniform-random", 0, False)
+             if (g.old_ids[s] < n) != (g.old_ids[t] < n)]
+    assert f"pair {cross[0][0]}-{cross[0][1]}" in result.stderr
+    assert "q = " in result.stderr and "last estimates" in result.stderr
+
+
+def test_lanczos_truth_on_one_side_of_a_weak_bridge(bridged_er):
+    path, half = bridged_er
+    g, n = load_edge_list(path, weighted=True), half.node_count
+    for a, b in [(5, 7), (12, 1000), (n + 3, n + 9)]:
+        s, t = (int(np.searchsorted(g.old_ids, x)) for x in (a, b))
+        assert cli_mod._lanczos_truth(g, s, t) == pytest.approx(
+            exact_rd(half, a % n, b % n), abs=1e-12)
+
+
+def test_bench_reads_a_path_with_one_heavy_edge(runner, tmp_path):
+    # the dense truth refused it: the heavy edge set L's scale
+    path = tmp_path / "heavy.txt"
+    path.write_text("".join(f"{i} {i + 1} {1e9 if i == 4 else 1.0!r}\n" for i in range(9)))
+    result = runner.invoke(cli, ["bench", str(path), "--weighted", "--methods", "lz",
+                                 "--k-grid", "20", "--pairs", "5"])
+    assert result.exit_code == 0, result.output
+    assert all(r["abs_err"] <= 1e-12 * 8 for r in _bench_rows(result.stdout))
+
+
+def test_bench_has_no_gt_cap_option(runner, toy_file):
+    result = runner.invoke(cli, _bench_args(toy_file, ["--gt-cap", "0"]))
+    assert result.exit_code == EXIT_USAGE, result.output
+    assert "--gt-cap" in result.output
 
 
 def test_bench_rows_are_sorted(runner, toy_file):
@@ -557,11 +662,11 @@ def test_bench_budget_ignores_a_slow_load(runner, toy_file, monkeypatch):
 
 def test_bench_budget_aborts_on_a_slow_ground_truth(runner, toy_file, monkeypatch):
     # 0.3 s per pair projects at least 0.9 s for the 3 pairs
-    def slow_truth(g, s, t, cap):
+    def slow_truth(g, s, t):
         time.sleep(0.3)
         return 1.0
 
-    monkeypatch.setattr(cli_mod, "exact_rd", slow_truth)
+    monkeypatch.setattr(cli_mod, "_lanczos_truth", slow_truth)
     result = runner.invoke(cli, _bench_args(toy_file, ["--budget", "0.5"]))
     assert result.exit_code == EXIT_USAGE, result.output
     assert "projected ground-truth time" in result.output
