@@ -44,8 +44,10 @@ The rows, each built once per side on that side's own graphs:
   of 1M seeded random lines over 200k labels, which tracks how the
   parser scales (``--rows load_edge_list`` selects these two);
 - ``load_cache`` of the BA 200k graph, written once by ``save_cache`` to
-  a temporary ``.rdg`` file (``--rows load_cache`` selects it, and
-  ``--rows load`` it and the two parse rows);
+  a temporary ``.rdg`` file, and of a weighted copy of it (every weight
+  and degree times 1.5), which takes the builder's weighted path
+  (``--rows load_cache`` selects the two, and ``--rows load`` them and
+  the two parse rows);
 - ``graph._jagged_layout`` of the ER graph, the layout that the first
   dense product of er-global builds (``--rows jagged`` selects it).
 
@@ -144,13 +146,18 @@ def write_edges(path: Path, edges: np.ndarray) -> None:
     path.write_text("".join(f"{a} {b}\n" for a, b in edges.tolist()))
 
 
-def make_rows(pkg, grid_path: Path, big_path: Path, cache_path: Path) -> dict:
+def make_rows(pkg, grid_path: Path, big_path: Path, cache_path: Path,
+              weighted_cache_path: Path) -> dict:
     """The timed calls of one side, as closures over its graphs."""
     er = pkg.generate_er(ER_N, ER_M, ER_SEED)
     bas = {n: pkg.generate_ba(n, BA_ATTACH, BA_SEED) for n in SWEEP_NS}
     ba = bas[BA_N]
     if not cache_path.exists():  # written once, by the first side built
-        pkg.save_cache(bas[BA_SCALE_N], cache_path)
+        big = bas[BA_SCALE_N]
+        pkg.save_cache(big, cache_path)
+        pkg.save_cache(pkg.Graph(big.offsets, big.neighbors, 1.5 * big.weights,
+                                 1.5 * big.weighted_degrees, big.old_ids),
+                       weighted_cache_path)
     grid = pkg.load_edge_list(grid_path)
     grid_pairs = pairs(grid.node_count)
 
@@ -202,8 +209,11 @@ def make_rows(pkg, grid_path: Path, big_path: Path, cache_path: Path) -> dict:
 
         return run
 
-    def load_cached():
-        pkg.load_cache(cache_path)
+    def load_cached(path):
+        def run():
+            pkg.load_cache(path)
+
+        return run
 
     def jagged():
         pkg.graph._jagged_layout(er)
@@ -224,7 +234,8 @@ def make_rows(pkg, grid_path: Path, big_path: Path, cache_path: Path) -> dict:
             GRID_LOAD_ROW: load(grid_path),
             f"load_edge_list {BIG_LINES // 1000}k lines {BIG_LABELS // 1000}k labels":
                 load(big_path),
-            f"load_cache ba{BA_SCALE_N // 1000}k": load_cached,
+            f"load_cache ba{BA_SCALE_N // 1000}k": load_cached(cache_path),
+            f"load_cache ba{BA_SCALE_N // 1000}k weighted": load_cached(weighted_cache_path),
             "jagged layout er50k": jagged}
 
 
@@ -256,10 +267,10 @@ def main() -> None:
         big_path = tmp / "big.txt"
         write_edges(big_path, np.random.default_rng(BIG_SEED).integers(
             0, BIG_LABELS, size=(BIG_LINES, 2)))
-        cache_path = tmp / "ba200k.rdg"
+        cache_path, weighted_cache_path = tmp / "ba200k.rdg", tmp / "ba200k-weighted.rdg"
         rows = {
             side: make_rows(import_copy(src, f"resistor_{side}", tmp), grid_path, big_path,
-                            cache_path)
+                            cache_path, weighted_cache_path)
             for side, src in zip(SIDES, (args.parent_src, args.change_src))
         }
         names = [name for name in rows["parent"]
@@ -307,6 +318,7 @@ def main() -> None:
                      f"eps = {PUSH_EPS[0]} on the other n"),
             "ba_scale": f"generate_ba({BA_SCALE_N}, {BA_ATTACH}, {BA_SEED})",
             "cache": f"load_cache of save_cache(generate_ba({BA_SCALE_N}, {BA_ATTACH}, {BA_SEED}))",
+            "cache_weighted": "load_cache of the same graph with its weights and degrees x 1.5",
             "grid": (f"load_edge_list of grid_edges({GRID_SIDE}, {GRID_DELETE}, "
                      f"{GRID_FRAGMENTS}, default_rng({GRID_SEED})), k = {GRID_K}, "
                      f"l = {ROUTES} routes"),

@@ -449,6 +449,7 @@ def _lanczos_truth(g: Graph, s: int, t: int) -> float:
     v1, d = definitional_start(g, s, t), g.weighted_degrees
     scale_sq, first = 1.0 / d[s] + 1.0 / d[t], _dot(v1.val, v1.val)
     earlier = [math.nan]  # the estimates of the checkpoints that did not stop the run
+    stop = []  # the y of the checkpoint that stopped the run: run.t is its T
 
     def settled(value: float) -> bool:
         return abs(value - earlier[-1]) <= GT_REL_TOL * value
@@ -461,12 +462,14 @@ def _lanczos_truth(g: Graph, s: int, t: int) -> float:
         y, healthy = solve_checked(TridiagonalMatrix(alphas, betas[:-1]))
         value = float(scale_sq * (first * y[0]))
         if not healthy or settled(value):
+            stop.append(y)
             return True
         earlier.append(value)
         return False
 
     est, run = _estimate(g, s, t, GT_MAX_K, 0.0, "lz", v1=v1, visit=visit)
-    y = solve_checked(run.t)[0]
+    # a breakdown or k = GT_MAX_K ends the run with a T no checkpoint solved
+    y = stop[0] if stop else solve_checked(run.t)[0]
     k, value, quotient = run.k_effective, est.value, float(y[0] / _dot(y, y))
     if not est.healthy:
         state = f"is unhealthy at k = {k}"

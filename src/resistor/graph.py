@@ -250,37 +250,61 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return c[keep]
 
 
+# The most bits a packed int64 sort key may use: one more would reach the
+# sign bit.
+_KEY_BITS = 63
+# The most ids that the pair codes of _pair_codes hold.
+_MAX_PAIR_IDS = 2**31
+
+
 def _csr_from_canonical(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray):
     """Assemble CSR arrays from distinct canonical edges (eu < ev), in any
-    order, by placing every arc in its slot (Gustavson's counting
-    placement, ACM TOMS 1978).
+    order, by one in-place sort of packed arc keys.
 
-    Row u holds its down arcs (heads below u, one per edge ``(x, u)``),
-    then its up arcs (one per edge ``(u, x)``), each half ascending.
-    Sorting a half by its flat keys ``source * n + head``, which are
-    distinct, lists its arcs row after row in CSR order, so the k-th
-    goes to slot k plus the arcs of the other half in the rows before it
-    (and, for an up arc, in its own row).  The scratch is m-long.  Each
+    Arc (u, x) is the key ``(u << b) | x``, b the bit length of n - 1.
+    The keys of the 2m arcs are distinct, and their one sorted order is
+    the (source, head) order of CSR, so the sorted keys masked to their
+    low b bits are ``neighbors``.  The rows' arc counts, the bincounts
+    of both endpoints, give ``offsets``.
+
+    Unit weights (``w`` all 1.0) give all-ones weights and the counts as
+    degrees, exact integers with the bits of a sum of ones, and need no
+    scratch beside the outputs.  Otherwise the arc's index in the
+    arcs ``(eu, ev)`` then ``(ev, eu)`` rides below the head in the key
+    when the three fields fit in ``_KEY_BITS``, and an argsort of the
+    keys orders the arcs when they do not.  The weights are gathered
+    through that order (arc i + m has the weight of edge i), and each
     degree sums its row's weights in CSR order.
     """
-    down = np.bincount(ev, minlength=n)
-    up = np.bincount(eu, minlength=n)
+    m = len(eu)
+    b = (n - 1).bit_length()
+    counts = np.bincount(eu, minlength=n) + np.bincount(ev, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(down + up, out=offsets[1:])
-    neighbors = np.empty(2 * len(eu), dtype=np.int64)
-    weights = np.empty(2 * len(eu), dtype=np.float64)
-    up_before = np.cumsum(up) - up
-    down_through = np.cumsum(down)
-    for src, dst, shift in ((ev, eu, up_before), (eu, ev, down_through)):
-        order = np.argsort(src * n + dst)
-        slot = shift[src[order]]
-        slot += np.arange(len(order))
-        neighbors[slot] = dst[order]
-        weights[slot] = w[order]
-        del order, slot  # freed before the next half's sort
-    degrees = np.bincount(
-        np.repeat(np.arange(n), np.diff(offsets)), weights=weights, minlength=n
-    )
+    np.cumsum(counts, out=offsets[1:])
+    keys = np.concatenate((eu, ev))
+    keys <<= b
+    keys[:m] |= ev
+    keys[m:] |= eu
+    if m and w.min() == 1.0 == w.max():  # no edges take the path below
+        keys.sort()
+        keys &= (1 << b) - 1
+        return offsets, keys, np.ones(2 * m), counts.astype(np.float64)
+    c = (2 * m - 1).bit_length()
+    if 2 * b + c <= _KEY_BITS:
+        keys <<= c
+        keys |= np.arange(2 * m)
+        keys.sort()
+        neighbors = keys >> c
+        keys &= (1 << c) - 1
+        order = keys
+    else:
+        order = np.argsort(keys)
+        neighbors = keys[order]
+    del keys  # freed on the argsort path; the packed path's order is the keys
+    neighbors &= (1 << b) - 1
+    weights = w.take(order, mode="wrap")
+    del order  # freed before the rows are listed
+    degrees = np.bincount(np.repeat(np.arange(n), counts), weights=weights, minlength=n)
     return offsets, neighbors, weights, degrees
 
 
@@ -336,7 +360,9 @@ def _build_graph(u_raw: np.ndarray, v_raw: np.ndarray, w_raw: np.ndarray) -> Gra
 
     One sort of the 2m endpoints finds the labels, and its inverse
     gives every endpoint its id, its label's rank: no search per
-    endpoint.
+    endpoint.  Every pair is then one int64 code (``_pair_codes``), and
+    a sort of the codes merges the parallel edges, in the order of the
+    pairs.  The codes hold at most ``_MAX_PAIR_IDS`` labels.
     """
     keep = u_raw != v_raw
     u_raw, v_raw, w_raw = u_raw[keep], v_raw[keep], w_raw[keep]
@@ -346,14 +372,14 @@ def _build_graph(u_raw: np.ndarray, v_raw: np.ndarray, w_raw: np.ndarray) -> Gra
     labels, ids = np.unique(np.concatenate([u_raw, v_raw]), return_inverse=True)
     u, v = ids[: len(u_raw)], ids[len(u_raw) :]
 
-    # one int64 key per unordered pair, ordered as the pairs are; the keys
-    # stay below n_all^2 <= (2m)^2, inside int64 for m below 1.5e9
     n_all = len(labels)
-    keys, inverse = np.unique(
-        np.minimum(u, v) * n_all + np.maximum(u, v), return_inverse=True
-    )
+    if n_all > _MAX_PAIR_IDS:
+        raise UnsupportedInputError(
+            f"{n_all} distinct labels exceed the {_MAX_PAIR_IDS} that pair keys hold"
+        )
+    keys, inverse = np.unique(_pair_codes(u, v, n_all), return_inverse=True)
     merged_w = np.bincount(inverse, weights=w_raw, minlength=len(keys))
-    uniq_u, uniq_v = np.divmod(keys, n_all)
+    uniq_u, uniq_v = _pair_ends(keys, n_all)
     return _largest_component(labels, uniq_u, uniq_v, merged_w)
 
 
@@ -367,23 +393,26 @@ def _largest_component(
     The tail that ``_build_graph`` and ``generate_er`` share.  The kept
     vertices are an ascending subset of the ids, so a vertex's new id is
     the count of kept vertices before it: a gather from a running count,
-    not a search.
+    not a search.  A component that holds every vertex keeps the edges
+    and ids as they are.
     """
     roots = _component_labels(len(labels), uniq_u, uniq_v)
     # argmax takes the smallest root, so a tie goes to the component that
     # holds the smallest label
     counts = np.bincount(roots)
     best = int(np.argmax(counts))
-    in_lcc = roots == best
-    remap = np.cumsum(in_lcc) - 1
-
-    edge_mask = in_lcc[uniq_u]
-    eu = remap[uniq_u[edge_mask]]
-    ev = remap[uniq_v[edge_mask]]
-    offsets, neighbors, weights, degrees = _csr_from_canonical(
-        int(counts[best]), eu, ev, w[edge_mask]
-    )
-    old_ids = labels[in_lcc].astype(np.int64)
+    n = int(counts[best])
+    if n == len(labels):
+        eu, ev, old_ids = uniq_u, uniq_v, labels.astype(np.int64)
+    else:
+        in_lcc = roots == best
+        remap = np.cumsum(in_lcc) - 1
+        edge_mask = in_lcc[uniq_u]
+        eu = remap[uniq_u[edge_mask]]
+        ev = remap[uniq_v[edge_mask]]
+        w = w[edge_mask]
+        old_ids = labels[in_lcc].astype(np.int64)
+    offsets, neighbors, weights, degrees = _csr_from_canonical(n, eu, ev, w)
     _check_finite_degrees(degrees, old_ids)
     return Graph(
         offsets=offsets,
@@ -480,7 +509,8 @@ def load_edge_list(source: Source, weighted: bool = False) -> Graph:
     EmptyGraphError
         If no edges remain after cleaning.
     UnsupportedInputError
-        If a weighted degree overflows float64.
+        If a weighted degree overflows float64, or the list holds more
+        than 2^31 distinct labels.
     """
     parts = []
     lineno = 0
@@ -773,12 +803,13 @@ def _check_cached_arcs(n: int, offsets: np.ndarray, dst: np.ndarray, w: np.ndarr
     # the slices ascend without loops or repeats, so the arcs are symmetric
     # exactly when the builder, placing both arcs of every edge u < x, gives
     # back the file's arrays
-    built = _csr_from_canonical(n, eu, ev, wu)
-    if not all(map(np.array_equal, built[:3], (offsets, dst, w))):
+    *built, degrees = _csr_from_canonical(n, eu, ev, wu)
+    if not all(map(np.array_equal, built, (offsets, dst, w))):
         raise GraphFormatError(1, "graph cache arcs are not symmetric")
+    del built, wu  # freed before the component labels gather their own
     if _component_labels(n, eu, ev).max() != 0:
         raise GraphFormatError(1, "graph cache holds more than one component")
-    return built[3]
+    return degrees
 
 
 # ---------------------------------------------------------------------------
@@ -862,22 +893,26 @@ def generate_er(n: int, m_target: int, seed: int) -> Graph:
     first-occurrence positions at ``need - 1`` picks those pairs out of
     the distinct ones, which are already sorted.
 
-    The chosen edges are distinct, canonical (``u < v``) and sorted, so
-    the graph skips ``_build_graph``'s label search and pair merging: the
-    vertices that some edge touches, marked in an n-vector, are the
-    labels, their ids a running count of the marks, and the edges go
+    Each pair is held as its code ``(u << b) | v`` (``_pair_codes``), so
+    ``n`` is at most ``_MAX_PAIR_IDS``.  The chosen edges are distinct,
+    canonical (``u < v``) and sorted, so the graph skips
+    ``_build_graph``'s label search and pair merging: the vertices that
+    some edge touches, marked in an n-vector, are the labels, their ids
+    a running count of the marks, and the edges go
     straight to the largest-component step that ``_build_graph`` ends
     with.
     """
     n, m_target, seed = _integers(n=n, m_target=m_target, seed=seed)
     if n < 2:
         raise ValueError("generate_er requires n >= 2")
+    if n > _MAX_PAIR_IDS:
+        raise ValueError(f"generate_er requires n <= {_MAX_PAIR_IDS}")
     max_edges = n * (n - 1) // 2
     if not 1 <= m_target <= max_edges:
         raise ValueError(
             f"m_target must be in [1, {max_edges}] for n={n}, got {m_target}"
         )
-    u, v = np.divmod(_er_codes(n, m_target, np.random.default_rng(seed)), n)
+    u, v = _pair_ends(_er_codes(n, m_target, np.random.default_rng(seed)), n)
     present = np.zeros(n, dtype=bool)
     present[u] = True
     present[v] = True
@@ -888,33 +923,58 @@ def generate_er(n: int, m_target: int, seed: int) -> Graph:
 
 
 def _pair_codes(a: np.ndarray, b: np.ndarray, n: int) -> np.ndarray:
-    """The code ``min * n + max`` of each pair ``(a, b)`` that is no self
-    loop, in draw order."""
-    return np.where(a < b, a * n + b, b * n + a)[a != b]
+    """The code ``(min << s) | max`` of each pair ``(a, b)`` of ids below
+    ``n``, s the bit length of n - 1: the codes ascend as the pairs
+    (min, max) do, and stay below 2^62 for n up to ``_MAX_PAIR_IDS``."""
+    codes = np.minimum(a, b)
+    codes <<= (n - 1).bit_length()
+    codes |= np.maximum(a, b)
+    return codes
+
+
+def _pair_ends(codes: np.ndarray, n: int) -> tuple:
+    """The pairs ``(min, max)`` of the codes of :func:`_pair_codes`."""
+    s = (n - 1).bit_length()
+    return codes >> s, codes & ((1 << s) - 1)
 
 
 def _first_occurrences(codes: np.ndarray) -> tuple:
-    """The distinct values of ``codes``, ascending, and the position of
-    each one's first occurrence.
+    """The distinct values of ``codes`` (nonnegative), ascending, and the
+    position of each one's first occurrence.
 
-    A stable sort would put each first occurrence at the head of its run;
-    the default sort is several times faster and leaves a run in any
-    order, so the head of a repeated value takes the least position of
-    its run.
+    One in-place sort of the keys ``(code << p) | position``, p the bit
+    length of the last position: the keys are distinct and ascend by
+    code, then by position, so the head of each run of equal codes holds
+    that code's first occurrence.  Keys that would not fit in
+    ``_KEY_BITS`` fall back to an argsort of the codes, whose default
+    kind is several times faster than a stable one and leaves a run in
+    any order, so the head of a repeated value takes the least position
+    of its run.
     """
-    order = np.argsort(codes)
-    ranked = codes[order]
+    p = (len(codes) - 1).bit_length()
+    packed = int(codes.max(initial=0)).bit_length() + p <= _KEY_BITS
+    if packed:
+        keys = codes << p
+        keys |= np.arange(len(codes))
+        keys.sort()
+        ranked = keys >> p
+        keys &= (1 << p) - 1
+        order = keys
+    else:
+        order = np.argsort(codes)
+        ranked = codes[order]
     first = np.empty(len(codes), dtype=bool)
     first[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
     pos = order[first]
-    repeat = np.flatnonzero(~first)
-    np.minimum.at(pos, np.cumsum(first)[repeat] - 1, order[repeat])
+    if not packed:
+        repeat = np.flatnonzero(~first)
+        np.minimum.at(pos, np.cumsum(first)[repeat] - 1, order[repeat])
     return ranked[first], pos
 
 
 def _er_codes(n: int, m_target: int, rng: np.random.Generator) -> np.ndarray:
-    """The codes ``u * n + v`` (``u < v``) of ``generate_er``'s edges,
+    """The codes (:func:`_pair_codes`) of ``generate_er``'s edges,
     ascending."""
     chosen = np.empty(0, dtype=np.int64)
     while len(chosen) < m_target:
@@ -923,11 +983,12 @@ def _er_codes(n: int, m_target: int, rng: np.random.Generator) -> np.ndarray:
         b = rng.integers(0, n, size=2 * need + 8)
         if not len(chosen):
             head = need + need // 64 + 16
-            values, pos = _first_occurrences(_pair_codes(a[:head], b[:head], n))
+            ah, bh = a[:head], b[:head]
+            values, pos = _first_occurrences(_pair_codes(ah, bh, n)[ah != bh])
             if len(values) >= need:
                 # the need earliest first occurrences, left in ascending order
                 return values[pos <= np.partition(pos, need - 1)[need - 1]]
-        codes = _pair_codes(a, b, n)
+        codes = _pair_codes(a, b, n)[a != b]
         fresh = codes[np.sort(_first_occurrences(codes)[1])]
         if len(chosen):
             fresh = fresh[~np.isin(fresh, chosen)]

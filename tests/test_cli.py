@@ -23,6 +23,7 @@ from resistor import (
     save_edge_list,
 )
 from resistor.cli import BENCH_COLUMNS, EXIT_IO, EXIT_NUMERICAL, EXIT_USAGE, cli
+from resistor.kernels import solve_checked
 from resistor.lanczos import _estimate as lanczos_estimate
 
 from conftest import grid_graph, path_graph, random_pair
@@ -488,6 +489,34 @@ def test_lanczos_truth_is_the_rerun_truth_from_one_run(make, monkeypatch):
     for s, t in pairs:
         assert cli_mod._lanczos_truth(g, s, t) == _rerun_truth(g, s, t)
     assert calls == list(pairs)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: path_graph(150), lambda: grid_graph(15, 20), lambda: generate_er(2000, 8000, 1),
+], ids=["path150", "grid15x20", "er2000"])
+def test_lanczos_truth_solves_each_checkpoint_once(make, monkeypatch):
+    # one solve per checkpoint k = 32, 64, ... below the run's last k, and
+    # one of the last T, whether a checkpoint or a breakdown (path150)
+    # ended the run
+    g = make()
+    solved, runs = [], []
+
+    def counted_solve(tmat):
+        solved.append(tmat.order)
+        return solve_checked(tmat)
+
+    def kept_run(*args, **kwargs):
+        est, run = lanczos_estimate(*args, **kwargs)
+        runs.append(run)
+        return est, run
+
+    monkeypatch.setattr(cli_mod, "solve_checked", counted_solve)
+    monkeypatch.setattr(cli_mod, "_estimate", kept_run)
+    for s, t in cli_mod.build_query_set(g, 4, "uniform-random", 0, False):
+        solved.clear()
+        cli_mod._lanczos_truth(g, s, t)
+        k = runs[-1].k_effective
+        assert solved == [2**j for j in range(5, 17) if 2**j < k] + [k]
 
 
 def test_lanczos_truth_reads_a_path_to_float64():

@@ -21,6 +21,7 @@ from resistor.graph import (
     _build_graph,
     _component_labels,
     _csr_from_canonical,
+    _first_occurrences,
     _hop_distance,
     _jagged_layout,
 )
@@ -355,6 +356,15 @@ def test_overflowing_weighted_degree_is_unsupported():
         graph_from_text("0 1 1e308\n1 0 1e308\n", weighted=True)
     with pytest.raises(R.UnsupportedInputError, match="vertex 8"):
         graph_from_text("7 8 1e308\n8 9 1e308\n", weighted=True)
+
+
+def test_more_labels_than_pair_codes_hold_are_unsupported(monkeypatch):
+    # 2^31 labels would take a list of over a billion edges, so the bound
+    # is lowered to show the check
+    monkeypatch.setattr(graph_module, "_MAX_PAIR_IDS", 3)
+    with pytest.raises(R.UnsupportedInputError, match="^4 distinct labels"):
+        graph_from_text("0 1\n2 3\n")
+    assert graph_from_text("0 1\n1 2\n").node_count == 3
 
 
 def test_weighted_load_requires_positive_weight():
@@ -799,6 +809,8 @@ def test_generate_er_validates():
         R.generate_er(5, 11, seed=0)
     with pytest.raises(ValueError):
         R.generate_er(5, 0, seed=0)
+    with pytest.raises(ValueError, match="n <= 2147483648"):
+        R.generate_er(2**31 + 1, 1, seed=0)  # its pair codes would not fit int64
     # the full clique is fine
     g = R.generate_er(5, 10, seed=0)
     assert g.edge_count == 10
@@ -1084,17 +1096,24 @@ def _edge_orders(eu, ev, w, seed):
 
 @pytest.mark.parametrize("n, m, extra", [
     (2, 1, 0), (10, 45, 0), (300, 2000, 0), (300, 2000, 50), (5000, 40_000, 7),
+    (1, 0, 0), (5, 0, 0),
 ])
 @pytest.mark.parametrize("order", ["sorted", "shuffled", "head-major"])
 @pytest.mark.parametrize("weighted", [False, True])
-def test_csr_placement_matches_the_argsort_assembly(n, m, extra, order, weighted):
+def test_csr_placement_matches_the_argsort_assembly(n, m, extra, order, weighted, monkeypatch):
     # extra vertices above the touched ones have empty rows; distinct
-    # weights show the order in which a degree is summed
+    # weights show the order in which a degree is summed; no edges sum
+    # into the reference's int64 zero degrees.  Unit weights take the
+    # plain key sort, other weights ride their arc index in the keys, and
+    # with no bits to spare they take the argsort
     eu, ev, w = _canonical_edges(n, m, n + m)
     if not weighted:
         w = np.ones(m)
     args = (n + extra, *_edge_orders(eu, ev, w, m)[order])
-    _assert_same_arrays(_csr_from_canonical(*args), _reference_csr_from_canonical(*args))
+    want = _reference_csr_from_canonical(*args)
+    _assert_same_arrays(_csr_from_canonical(*args), want)
+    monkeypatch.setattr(graph_module, "_KEY_BITS", 0)
+    _assert_same_arrays(_csr_from_canonical(*args), want)
 
 
 def _layout_cases() -> dict:
@@ -1134,7 +1153,10 @@ def _small_edge_sets(draw):
 def test_placement_builders_match_the_references_on_small_edge_sets(case):
     n, eu, ev, w = case
     got = _csr_from_canonical(n, eu, ev, w)
-    _assert_same_arrays(got, _reference_csr_from_canonical(n, eu, ev, w))
+    want = _reference_csr_from_canonical(n, eu, ev, w)
+    _assert_same_arrays(got, want)
+    with mock.patch.object(graph_module, "_KEY_BITS", 0):
+        _assert_same_arrays(_csr_from_canonical(n, eu, ev, w), want)
     if len(eu):
         g = R.Graph(*got, np.arange(n, dtype=np.int64))
         _assert_same_layout(_jagged_layout(g), _reference_jagged_layout(g))
@@ -1151,6 +1173,37 @@ def _traced_peak(fn, *args):
     finally:
         tracemalloc.stop()
     return out, peak
+
+
+@st.composite
+def _codes_with_repeats(draw):
+    codes = draw(st.lists(st.integers(0, draw(st.sampled_from([3, 40, 2**20]))), max_size=400))
+    if draw(st.booleans()):
+        # a code whose key would pass 63 bits: the argsort runs
+        codes.insert(draw(st.integers(0, len(codes))), 2**62 + draw(st.integers(0, 5)))
+    return np.array(codes, dtype=np.int64)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_codes_with_repeats())
+def test_first_occurrences_packed_and_argsort_agree(codes):
+    values, pos = np.unique(codes, return_index=True)  # the first occurrences
+    got = _first_occurrences(codes)
+    with mock.patch.object(graph_module, "_KEY_BITS", 0):
+        fallback = _first_occurrences(codes)
+    for a, b in ((values, pos), fallback):
+        _assert_same_arrays(got, (a.astype(np.int64), b.astype(np.int64)))
+
+
+def test_csr_placement_of_unit_weights_keeps_no_m_sized_scratch():
+    # the sorted keys become the neighbours in place; only the bincounts
+    # of the endpoints, n-long, come beside the outputs
+    n, m = 50_000, 400_000
+    eu, ev, _ = _canonical_edges(n, m, 1)
+    perm = np.random.default_rng(2).permutation(m)
+    eu, ev = eu[perm], ev[perm]
+    out, peak = _traced_peak(_csr_from_canonical, n, eu, ev, np.ones(m))
+    assert peak < sum(a.nbytes for a in out) + 8 * m
 
 
 def test_csr_placement_keeps_only_m_sized_scratch():
