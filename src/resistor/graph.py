@@ -273,8 +273,9 @@ def _csr_from_canonical(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray):
     arcs ``(eu, ev)`` then ``(ev, eu)`` rides below the head in the key
     when the three fields fit in ``_KEY_BITS``, and an argsort of the
     keys orders the arcs when they do not.  The weights are gathered
-    through that order (arc i + m has the weight of edge i), and each
-    degree sums its row's weights in CSR order.
+    through that order (arc i + m has the weight of edge i), the sorted
+    keys shifted right by b are the arcs' sources, written over the
+    order, and each degree sums its row's weights in CSR order.
     """
     m = len(eu)
     b = (n - 1).bit_length()
@@ -301,10 +302,10 @@ def _csr_from_canonical(n: int, eu: np.ndarray, ev: np.ndarray, w: np.ndarray):
         order = np.argsort(keys)
         neighbors = keys[order]
     del keys  # freed on the argsort path; the packed path's order is the keys
-    neighbors &= (1 << b) - 1
     weights = w.take(order, mode="wrap")
-    del order  # freed before the rows are listed
-    degrees = np.bincount(np.repeat(np.arange(n), counts), weights=weights, minlength=n)
+    rows = np.right_shift(neighbors, b, out=order)  # the sources, in CSR order
+    neighbors &= (1 << b) - 1
+    degrees = np.bincount(rows, weights=weights, minlength=n)
     return offsets, neighbors, weights, degrees
 
 
@@ -946,14 +947,11 @@ def _first_occurrences(codes: np.ndarray) -> tuple:
     length of the last position: the keys are distinct and ascend by
     code, then by position, so the head of each run of equal codes holds
     that code's first occurrence.  Keys that would not fit in
-    ``_KEY_BITS`` fall back to an argsort of the codes, whose default
-    kind is several times faster than a stable one and leaves a run in
-    any order, so the head of a repeated value takes the least position
-    of its run.
+    ``_KEY_BITS`` take a stable argsort of the codes instead, which puts
+    the same position at the head of each run.
     """
     p = (len(codes) - 1).bit_length()
-    packed = int(codes.max(initial=0)).bit_length() + p <= _KEY_BITS
-    if packed:
+    if int(codes.max(initial=0)).bit_length() + p <= _KEY_BITS:
         keys = codes << p
         keys |= np.arange(len(codes))
         keys.sort()
@@ -961,16 +959,12 @@ def _first_occurrences(codes: np.ndarray) -> tuple:
         keys &= (1 << p) - 1
         order = keys
     else:
-        order = np.argsort(codes)
+        order = np.argsort(codes, kind="stable")
         ranked = codes[order]
     first = np.empty(len(codes), dtype=bool)
     first[:1] = True
     np.not_equal(ranked[1:], ranked[:-1], out=first[1:])
-    pos = order[first]
-    if not packed:
-        repeat = np.flatnonzero(~first)
-        np.minimum.at(pos, np.cumsum(first)[repeat] - 1, order[repeat])
-    return ranked[first], pos
+    return ranked[first], order[first]
 
 
 def _er_codes(n: int, m_target: int, rng: np.random.Generator) -> np.ndarray:

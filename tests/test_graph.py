@@ -1179,14 +1179,14 @@ def _traced_peak(fn, *args):
 def _codes_with_repeats(draw):
     codes = draw(st.lists(st.integers(0, draw(st.sampled_from([3, 40, 2**20]))), max_size=400))
     if draw(st.booleans()):
-        # a code whose key would pass 63 bits: the argsort runs
+        # a code whose key would pass 63 bits: the stable argsort runs
         codes.insert(draw(st.integers(0, len(codes))), 2**62 + draw(st.integers(0, 5)))
     return np.array(codes, dtype=np.int64)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_codes_with_repeats())
-def test_first_occurrences_packed_and_argsort_agree(codes):
+def test_first_occurrences_packed_and_fallback_agree(codes):
     values, pos = np.unique(codes, return_index=True)  # the first occurrences
     got = _first_occurrences(codes)
     with mock.patch.object(graph_module, "_KEY_BITS", 0):
