@@ -64,7 +64,12 @@ and quartiles of each side's samples in seconds per call, the ratio of
 the medians (change / parent) and the rounds the change won.  Counters
 are read off each side's warm-up call: a spectrum row reports its
 ``iterations``, and a ``lanczos_rd`` or ``lanczos_push_rd`` row the
-``arcs`` its queries relaxed (their summed ``touched_edges``).
+``arcs`` its queries relaxed (their summed ``touched_edges``).  A
+spectrum row also reports the ``pivot_rows`` its Sturm bisections
+evaluated, a count that does not depend on the host: the warm-up call
+hands each Sturm loop of that side's ``kernels`` (``_sturm_reaches``,
+or ``_sturm_some_below`` and ``_sturm_all_below``, whichever the tree
+has) its diagonal entries through a counter, which the timed calls skip.
 
 Two imported copies of the same code need not read a ratio of 1 or an
 even win count: a few percent either way, and 16 wins in 20 rounds,
@@ -80,6 +85,7 @@ run of one tree is also how to compare ``lanczos_rd`` with
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import os
@@ -141,6 +147,45 @@ def pairs(n: int) -> list:
     return np.random.default_rng(PAIR_SEED).choice(n, size=(PAIRS, 2), replace=False).tolist()
 
 
+# the Sturm loops of either tree; each takes the diagonal entries first
+STURM_LOOPS = ("_sturm_reaches", "_sturm_some_below", "_sturm_all_below")
+
+
+class CountedRows:
+    """A Sturm loop's diagonal entries, counting in ``rows[0]`` the rows
+    the loop reads (the ones it stops before are not read)."""
+
+    def __init__(self, alpha, rows: list):
+        self.alpha, self.rows = alpha, rows
+
+    def __len__(self) -> int:
+        return len(self.alpha)
+
+    def __iter__(self):
+        for a in self.alpha:
+            self.rows[0] += 1
+            yield a
+
+
+@contextlib.contextmanager
+def counting_pivot_rows(kernels):
+    """Count, in the yielded list's one entry, the pivot rows that the
+    Sturm loops of the module ``kernels`` evaluate inside the block."""
+    rows = [0]
+    saved = {name: getattr(kernels, name) for name in STURM_LOOPS if hasattr(kernels, name)}
+
+    def counted(sturm):
+        return lambda alpha, *rest: sturm(CountedRows(alpha, rows), *rest)
+
+    try:
+        for name, sturm in saved.items():
+            setattr(kernels, name, counted(sturm))
+        yield rows
+    finally:
+        for name, sturm in saved.items():
+            setattr(kernels, name, sturm)
+
+
 def write_edges(path: Path, edges: np.ndarray) -> None:
     """Write ``edges`` as an unweighted text edge list, one edge a line."""
     path.write_text("".join(f"{a} {b}\n" for a, b in edges.tolist()))
@@ -185,8 +230,17 @@ def make_rows(pkg, grid_path: Path, big_path: Path, cache_path: Path,
             pkg.lanczos_potential(grid, s, t, GRID_K)
 
     def spectrum(g):
+        counted = False
+
         def run():
-            return {"iterations": pkg.estimate_spectrum(g).iterations}
+            # the first call, the warm-up, counts the pivot rows
+            nonlocal counted
+            if counted:
+                return {"iterations": pkg.estimate_spectrum(g).iterations}
+            counted = True
+            with counting_pivot_rows(pkg.kernels) as rows:
+                iterations = pkg.estimate_spectrum(g).iterations
+            return {"iterations": iterations, "pivot_rows": rows[0]}
 
         return run
 

@@ -61,7 +61,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
@@ -250,11 +249,17 @@ def _adjacency_into(
     if lay.weights is not None:
         contrib *= lay.weights
     # every row is summed from 0.0 in CSR arc order, as np.bincount over
-    # the arc sources sums it, so the result is the same to the bit
+    # the arc sources sums it, so the result is the same to the bit.  A
+    # row starts at its first term plus 0.0, which is 0.0 plus it to the
+    # bit (-0.0 included); column 0, which starts at arc 0, holds the
+    # first term of every non-hub row with an arc, and rows of degree 0
+    # (none where every vertex has an arc) start at 0.0
     rows = scratch
-    rows.fill(0.0)
     body = rows[lay.hubs :]
-    for start, length in lay.columns:
+    first = lay.columns[0][1] if lay.columns else 0
+    np.add(contrib[:first], 0.0, out=body[:first])
+    body[first:].fill(0.0)
+    for start, length in lay.columns[1:]:
         body[:length] += contrib[start : start + length]
     if lay.hubs:
         rows[: lay.hubs] = np.bincount(lay.hub_rows, contrib[lay.hub_start :], lay.hubs)
@@ -416,72 +421,141 @@ def tridiag_solve_e1(t: TridiagonalMatrix) -> np.ndarray:
     return solve_checked(t)[0]
 
 
-def _sturm_reaches(alpha, beta_sq, x: float, target: int) -> bool:
-    """Whether at least ``target`` (1 to k) eigenvalues of the tridiagonal
-    matrix lie strictly below x.
+# The Sturm loops' pivot floor, large enough that b2 / d cannot overflow.
+_STURM_FLOOR = 1e-154
 
-    ``alpha`` is the diagonal and ``beta_sq`` the squared off-diagonal.
-    The count below x is that of negative pivots of T - xI (Sylvester's
-    law of inertia); the loop stops once the pivots seen decide it: at
-    the ``target``-th negative pivot, or at the ``k - target + 1``-th
-    other one.  Pass Python float lists when counting often: indexing
-    numpy scalars costs several times the arithmetic of this loop.
+
+def _sturm_some_below(alpha, beta_sq, x: float, d: float = 1.0) -> float:
+    """Whether some eigenvalue of a symmetric tridiagonal T lies strictly
+    below x, as the sign of the returned pivot: some does iff it is <= 0.
+
+    Runs the pivots d_i = alpha_i - x - beta_i^2 / d_{i-1} of the LDL^T
+    factorization of T - xI over the rows given, from a start row on:
+    ``alpha`` holds their diagonal entries, ``beta_sq`` the squares of
+    the off-diagonal entries that couple each of them to the row before
+    it (0.0 for the first row of T), and ``d`` is the pivot of the row
+    before the start row (1.0 for the first row of T).  A pivot below
+    ``_STURM_FLOOR`` in magnitude is clamped to the floor with the sign
+    it had, 0 counting as negative, and a NaN pivot counts as
+    nonnegative.  The eigenvalues below x are as many as the negative
+    pivots (Sylvester's law of inertia).
+
+    Returns the first pivot <= 0, which decides the question for every
+    T whose leading rows these are, or else the last pivot, clamped:
+    positive or NaN, the verdict "none" for these rows, and the ``d``
+    from which a later call over rows appended to T resumes.  The
+    resumed loop runs the same float operations on the same operands as
+    one pass from the first row would, so it gives the same pivots and
+    the same verdict.  Pass Python float lists when counting often:
+    indexing numpy scalars costs several times the arithmetic.
     """
-    # pivot floor large enough that b2 / d cannot overflow
-    floor = 1e-154
-    need, spare = target, len(alpha) - target
-    d = 1.0
-    for a, b2 in zip(alpha, chain((0.0,), beta_sq)):
+    for a, b2 in zip(alpha, beta_sq):
         d = a - x - b2 / d
-        if abs(d) < floor:
-            d = -floor if d <= 0.0 else floor
-        if d < 0.0:
-            need -= 1
-            if need == 0:
-                return True
-        else:
-            spare -= 1
-            if spare < 0:
-                return False
-    return False
+        if d <= 0.0:
+            return d
+        if d < _STURM_FLOOR:
+            d = _STURM_FLOOR
+    return d
+
+
+def _sturm_all_below(alpha, beta_sq, x: float, d: float = 1.0) -> float:
+    """Whether every eigenvalue of a symmetric tridiagonal T lies strictly
+    below x, as the sign of the returned pivot: all do iff it is <= 0.
+
+    The pivots, their floor and the arguments are those of
+    :func:`_sturm_some_below`.  Returns the first pivot that is not
+    <= 0 (positive or NaN), which decides "not all" for every T whose
+    leading rows these are, or else the last pivot, clamped and
+    negative: the verdict "all" for these rows, and the ``d`` from which
+    a later call over appended rows resumes.
+    """
+    for a, b2 in zip(alpha, beta_sq):
+        d = a - x - b2 / d
+        if not d <= 0.0:
+            return d
+        if d > -_STURM_FLOOR:
+            d = -_STURM_FLOOR
+    return d
+
+
+def _eigen_range_resumed(t: TridiagonalMatrix, tol: float, record=None):
+    """:func:`tridiag_eigen_range` of ``t``, resumed from the ``record``
+    of an earlier call on a leading block of ``t``.
+
+    Returns ``(extremes, record)``.  A record is ``(order, (low, high))``:
+    the order of the T it was made on and, for each side, a dict from
+    every bisection midpoint x tried there to the pivot its Sturm loop
+    returned (:func:`_sturm_some_below` for lambda_min,
+    :func:`_sturm_all_below` for lambda_max).  Order 1 has no bisection
+    and no record (None).
+
+    Bisection at a midpoint in the record needs no pass from row 0.  T
+    extends the recorded block row for row, and at the same x the loop
+    over the shared rows runs the same float operations, so it gives the
+    recorded pivots.  A pivot that decided there decides here too (some
+    eigenvalue below x; not all below x); otherwise the loop resumes
+    from the recorded last pivot over the new rows alone, and returns
+    what one pass from row 0 would.  Every decision, and so every
+    midpoint and both extremes, is that of a cold bisection of ``t``, to
+    the bit, whether or not its Gershgorin bracket, and with it the
+    midpoints, moved since the record: a midpoint not in the record gets
+    a pass from row 0.
+    """
+    alpha = t.alpha
+    k = t.order
+    if k == 1:
+        a = float(alpha[0])
+        return (a, a), None
+    beta = t.beta
+    alpha_list, beta_sq = alpha.tolist(), [0.0, *(beta * beta).tolist()]
+    radius = np.zeros(k)
+    radius[:-1] += np.abs(beta)
+    radius[1:] += np.abs(beta)
+    lo = float(np.min(alpha - radius))
+    hi = float(np.max(alpha + radius))
+    shared, memos = record if record is not None else (0, ({}, {}))
+    new_alpha, new_beta_sq = alpha_list[shared:], beta_sq[shared:]
+
+    def bisect(sturm, open_verdict: bool, memo: dict, seen: dict) -> float:
+        # smallest x at which the Sturm loop's pivot is <= 0 (some, or
+        # all, eigenvalues strictly below x), located to within tol; a
+        # recorded pivot resumes when its verdict is the one a loop that
+        # ran every row returns, which appended rows can still change
+        a, b = lo - tol, hi + tol
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if not a < mid < b:  # tol is below the float spacing here
+                break
+            d = memo.get(mid)
+            if d is None:
+                d = sturm(alpha_list, beta_sq, mid)
+            elif (d <= 0.0) == open_verdict:
+                d = sturm(new_alpha, new_beta_sq, mid, d)
+            seen[mid] = d
+            if d <= 0.0:
+                b = mid
+            else:
+                a = mid
+        return 0.5 * (a + b)
+
+    low, high = {}, {}
+    extremes = (
+        bisect(_sturm_some_below, False, memos[0], low),
+        bisect(_sturm_all_below, True, memos[1], high),
+    )
+    return extremes, (k, (low, high))
 
 
 def tridiag_eigen_range(t: TridiagonalMatrix, tol: float = 1e-10):
     """Extreme eigenvalues ``(lambda_min, lambda_max)`` of a symmetric
     tridiagonal matrix, via Sturm-sequence bisection.
 
-    O(k) memory; each bisection step costs O(k).  ``tol`` is the absolute
-    bracket width at which bisection stops; it must be finite and >= 0.
+    O(k) memory; each bisection step costs O(k), and stops at the first
+    pivot that decides it.  ``tol`` is the absolute bracket width at
+    which bisection stops; it must be finite and >= 0.
     """
     _check_eps(tol, "tol")
-    alpha = t.alpha
-    beta = t.beta
-    k = t.order
-    if k == 1:
-        a = float(alpha[0])
-        return a, a
-    alpha_list, beta_sq = alpha.tolist(), (beta * beta).tolist()
-    radius = np.zeros(k)
-    radius[:-1] += np.abs(beta)
-    radius[1:] += np.abs(beta)
-    lo = float(np.min(alpha - radius))
-    hi = float(np.max(alpha + radius))
-
-    def bisect(target: int) -> float:
-        # smallest x with at least `target` eigenvalues strictly below it,
-        # located to within tol
-        a, b = lo - tol, hi + tol
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if not a < mid < b:  # tol is below the float spacing here
-                break
-            if _sturm_reaches(alpha_list, beta_sq, mid, target):
-                b = mid
-            else:
-                a = mid
-        return 0.5 * (a + b)
-
-    return bisect(1), bisect(k)
+    return _eigen_range_resumed(t, tol)[0]
 
 
 # ---------------------------------------------------------------------------

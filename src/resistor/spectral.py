@@ -19,12 +19,20 @@ Krylov space is exhausted and the Ritz values are exact).  Running out
 of ``max_iter`` returns the estimate of the full T flagged as
 unconverged instead of raising, so callers can decide what to do.
 
-A checkpoint costs two Sturm bisections of its T, O(k) work per
+A checkpoint costs two Sturm bisections of its T, at most O(k) work per
 bisection step, against the k products of the recurrence itself.  The
 geometric schedule keeps that work linear in the final order k: the
 orders of all checkpoints sum to about 5 k, and the run stops within a
 quarter of the step at which the extremes settle (doubling would stop
-within a factor of 2).
+within a factor of 2).  Each checkpoint's bisections resume from the
+record of the last one's (:func:`resistor.kernels._eigen_range_resumed`):
+its T extends the last T row for row, and the Gershgorin bracket, and
+with it the bisection's midpoints, mostly stays put, so a midpoint seen
+before is decided by the pivots it left there, or by a pass over the new
+rows alone.  Every decision is that of a cold bisection, so the extremes
+are those of :func:`resistor.kernels.tridiag_eigen_range` of the
+checkpoint's T to the bit; on the grid-route lattice the passes read
+about half the pivot rows of cold ones.
 """
 
 from __future__ import annotations
@@ -36,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph, _integers
-from .kernels import SparseVector, TridiagonalMatrix, _dot, tridiag_eigen_range
+from .kernels import SparseVector, TridiagonalMatrix, _dot, _eigen_range_resumed
 from .lanczos import run_recurrence
 
 __all__ = ["SpectralEstimate", "estimate_spectrum"]
@@ -82,8 +90,9 @@ def estimate_spectrum(
     it must be an int or a numpy integer (not a bool) and at least 1.
     ``tol`` bounds the move of the extreme Ritz values between
     checkpoints (k = 16, 24, 32, 40, 50, ..., growing by 5/4, so the
-    bisections of all of them cost about 5 times those of the final T),
-    not the eigenvalue error itself; it must be finite and positive.  The
+    bisections of all of them cost at most about 5 times those of the
+    final T, and each resumes from the one before), not the eigenvalue
+    error itself; it must be finite and positive.  The
     Ritz values lie inside [lambda_min(A), lambda_2(A)], so lambda_2 and
     kappa are approached from below.
     """
@@ -96,13 +105,17 @@ def estimate_spectrum(
     v1 = _start_vector(g, seed)
 
     extremes, residual, converged = None, np.inf, False
+    record = None
     checkpoint = 16
 
     def settle(alphas, betas, breakdown: bool) -> bool:
-        # Ritz extremes of T and their move since the last checkpoint
-        nonlocal extremes, residual, converged
+        # Ritz extremes of T, bisected from where the last checkpoint's
+        # stopped, and their move since that checkpoint
+        nonlocal extremes, record, residual, converged
         previous = extremes
-        extremes = tridiag_eigen_range(TridiagonalMatrix(alphas, betas), tol=tol / 10)
+        extremes, record = _eigen_range_resumed(
+            TridiagonalMatrix(alphas, betas), tol / 10, record
+        )
         residual = 0.0 if breakdown else np.inf
         if previous is not None and not breakdown:
             residual = max(abs(a - b) for a, b in zip(extremes, previous))

@@ -25,7 +25,14 @@ import resistor.kernels as kernels_mod
 import resistor.lanczos as lanczos_mod
 from resistor.errors import SingularSystemError
 from resistor.graph import JAGGED_MIN_ROWS, _sorted_unique
-from resistor.kernels import _adjacency_into, _dot, _sturm_reaches, _support_pays
+from resistor.kernels import (
+    _adjacency_into,
+    _dot,
+    _eigen_range_resumed,
+    _sturm_all_below,
+    _sturm_some_below,
+    _support_pays,
+)
 from resistor.lanczos import definitional_start, run_recurrence
 
 from conftest import (
@@ -822,8 +829,8 @@ def test_eigen_range_handles_zero_offdiagonals():
 
 
 def _reference_sturm_count(alpha, beta_sq, x: float) -> int:
-    """The full count of eigenvalues below x that _sturm_reaches replaced,
-    kept as its oracle."""
+    """The full count of eigenvalues below x that the early-stopping Sturm
+    loops replaced, kept as their oracle."""
     # pivot floor large enough that b2 / d cannot overflow
     floor = 1e-154
     count = 0
@@ -841,17 +848,71 @@ def _reference_sturm_count(alpha, beta_sq, x: float) -> int:
 @given(st.integers(1, 14), st.integers(0, 2**32 - 1))
 def test_sturm_stopping_early_decides_like_the_full_count(k, seed):
     # every bisection decision of tridiag_eigen_range is one of these, so
-    # its ranges are those of the full count, bit for bit
+    # its ranges are those of the full count, bit for bit; a loop resumed
+    # at any row from the pivot a loop over the rows above returned gives
+    # the pivot of one pass, and so the same decision
     rng = np.random.default_rng(seed)
     alpha, beta = rng.uniform(-1, 1, k), rng.uniform(-1, 1, k - 1)
     beta[rng.random(k - 1) < 0.2] = 0.0  # split blocks
     a, b2 = alpha.tolist(), (beta * beta).tolist()
+    rows_b2 = [0.0, *b2]
     # x at a diagonal entry can make a pivot hit the floor
     evals = np.linalg.eigvalsh(R.TridiagonalMatrix(alpha, beta).to_dense())
     for x in [*rng.uniform(-2.5, 2.5, 6).tolist(), *a, *evals.tolist()]:
         count = _reference_sturm_count(a, b2, x)
-        for target in range(1, k + 1):
-            assert _sturm_reaches(a, b2, x, target) == (count >= target)
+        for sturm, verdict, resumes in (
+            (_sturm_some_below, count >= 1, False),
+            (_sturm_all_below, count >= k, True),
+        ):
+            fresh = sturm(a, rows_b2, x)
+            assert (fresh <= 0.0) == verdict
+            for row in range(1, k):
+                d = sturm(a[:row], rows_b2[:row], x)
+                if (d <= 0.0) == resumes:
+                    d = sturm(a[row:], rows_b2[row:], x, d)
+                assert (d <= 0.0) == verdict
+                assert d == fresh or (math.isnan(d) and math.isnan(fresh))
+
+
+def _cold_block_range(alpha, beta, order: int, tol: float):
+    return R.tridiag_eigen_range(
+        R.TridiagonalMatrix(alpha[:order], beta[: order - 1]), tol
+    )
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.integers(2, 40),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([0.0, 1e-12, 1e-9, 1e-3]),
+    st.booleans(),
+)
+def test_resumed_extremes_equal_those_of_the_cold_leading_block(k, seed, tol, snap):
+    # a random T and increasing orders: at every order the extremes
+    # resumed from the record of the order before are, to the bit, those
+    # of tridiag_eigen_range on the leading block
+    rng = np.random.default_rng(seed)
+    alpha, beta = rng.uniform(-1, 1, k), rng.uniform(-1, 1, k - 1)
+    beta[rng.random(k - 1) < 0.2] = 0.0  # split blocks
+    if snap:  # a dyadic bracket, whose midpoints land on diagonal entries
+        alpha, beta = np.round(alpha * 8) / 8, np.round(beta * 8) / 8
+    orders = sorted({1, k, *rng.integers(1, k + 1, int(rng.integers(0, 6))).tolist()})
+    record = None
+    for order in orders:
+        tmat = R.TridiagonalMatrix(alpha[:order], beta[: order - 1])
+        extremes, record = _eigen_range_resumed(tmat, tol, record)
+        assert extremes == _cold_block_range(alpha, beta, order, tol)
+
+
+def test_resumed_extremes_after_the_gershgorin_bracket_moved():
+    # the rows appended at order 3 widen the bracket on both sides, so no
+    # midpoint of order 2 repeats and every one gets a pass from row 0
+    alpha, beta = np.array([0.1, -0.2, 3.0, -4.0]), np.array([0.3, 0.5, 0.25])
+    _, record = _eigen_range_resumed(R.TridiagonalMatrix(alpha[:2], beta[:1]), 1e-12)
+    extremes, moved = _eigen_range_resumed(R.TridiagonalMatrix(alpha, beta), 1e-12, record)
+    assert extremes == _cold_block_range(alpha, beta, 4, 1e-12)
+    for old, new in zip(record[1], moved[1]):
+        assert old and new and not old.keys() & new.keys()
 
 
 # ---------------------------------------------------------------------------

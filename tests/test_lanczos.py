@@ -12,7 +12,7 @@ import resistor as R
 import resistor.kernels as kernels_mod
 import resistor.lanczos as lanczos_mod
 from resistor.errors import SingularSystemError
-from resistor.kernels import TridiagonalMatrix, _dot, _sturm_reaches, tridiag_solve_e1
+from resistor.kernels import TridiagonalMatrix, _dot, _sturm_all_below, tridiag_solve_e1
 from resistor.lanczos import definitional_start, run_recurrence, solve_checked
 from resistor.spectral import _start_vector
 
@@ -199,7 +199,8 @@ def test_healthy_agrees_with_sturm_count_at_one():
         k = int(rng.integers(1, 12))
         tmat = TridiagonalMatrix(rng.uniform(-1.2, 1.2, k), rng.uniform(-0.8, 0.8, k - 1))
         _, healthy = solve_checked(tmat)
-        assert healthy == _sturm_reaches(tmat.alpha, tmat.beta**2, 1.0, k)
+        all_below = _sturm_all_below(tmat.alpha, [0.0, *tmat.beta**2], 1.0) <= 0.0
+        assert healthy == all_below
         verdicts.append(healthy)
     assert 100 < sum(verdicts) < len(verdicts) - 100
 

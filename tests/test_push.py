@@ -11,7 +11,7 @@ import resistor.push as push_mod
 from resistor.kernels import (
     SparseVector,
     TridiagonalMatrix,
-    _sturm_reaches,
+    _sturm_all_below,
     apply_normalized_adjacency,
     relax_arcs,
 )
@@ -565,7 +565,7 @@ def test_indefinite_pruned_run_is_flagged():
     assert R.tridiag_eigen_range(tmat)[1] > 1.0
     assert not est.healthy
     # the pivot verdict is the Sturm count of T at 1
-    assert not _sturm_reaches(tmat.alpha, tmat.beta**2, 1.0, tmat.order)
+    assert not _sturm_all_below(tmat.alpha, [0.0, *tmat.beta**2], 1.0) <= 0.0
 
 
 def test_containment_detects_escape():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 import resistor as R
+import resistor.kernels as kernels_mod
 from resistor.kernels import TridiagonalMatrix, tridiag_eigen_range
 from resistor.lanczos import run_recurrence
 from resistor.spectral import _start_vector
@@ -113,6 +114,44 @@ def test_stops_at_the_first_checkpoint_whose_extremes_settled(make):
     assert settled_at == est.iterations
     assert est.residual == move
     assert (est.lambda_min_a, est.lambda2_a) == extremes
+
+
+def _count_pivot_rows(monkeypatch) -> list:
+    """Count the pivot rows the Sturm loops evaluate, in the list's one
+    entry, by handing them their diagonal entries through a counter."""
+    rows = [0]
+
+    def counted(sturm):
+        def run(alpha, beta_sq, x, d=1.0):
+            def each():
+                for a in alpha:
+                    rows[0] += 1
+                    yield a
+
+            return sturm(each(), beta_sq, x, d)
+
+        return run
+
+    for name in ("_sturm_some_below", "_sturm_all_below"):
+        monkeypatch.setattr(kernels_mod, name, counted(getattr(kernels_mod, name)))
+    return rows
+
+
+def test_checkpoints_resume_their_bisections(monkeypatch):
+    # each checkpoint bisects from the record of the one before: over the
+    # run, at most 0.6 of the pivot rows of bisecting every checkpoint's
+    # T from row 0
+    g, tol, seed = cut_lattice(30, 0.1, 1), 1e-9, 0
+    rows = _count_pivot_rows(monkeypatch)
+    est = R.estimate_spectrum(g, tol=tol, seed=seed)
+    assert est.converged
+    resumed, rows[0] = rows[0], 0
+    run = run_recurrence(g, _start_vector(g, seed), est.iterations)
+    for k in _checkpoints(est.iterations):
+        tmat = TridiagonalMatrix(run.alphas[:k], run.betas[: k - 1])
+        tridiag_eigen_range(tmat, tol=tol / 10)
+    cold = rows[0]
+    assert 0 < resumed <= 0.6 * cold
 
 
 def test_lattice_stops_well_before_the_next_power_of_two():
